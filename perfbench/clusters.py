@@ -9,22 +9,30 @@ in :mod:`bench`:
 * ``after_period(tally, in_window=...)`` — bookkeeping outside the
   timed interval: node-period and failure counts, the paper-equation
   oracle (checked builds), and inside the check window the allocation
-  digest, the guarantee-miss criterion and work counters; returns the
-  period's raw per-layer seconds.
+  digest and work counters; returns the period's raw per-layer seconds;
+* ``sla_sample()`` (in-process clusters) — the guarantee checks of the
+  period just run, also outside the timed interval.
 
 A *traced* build places timing wrappers from this package in the
 program's duck-typed slots (observer hooks, the rebalancer slot, node
-``step`` / manager ``tick`` / shared-memory reader methods) and adds
-nothing else; decisions are bit-identical with or without them, which
-the digest comparison in :mod:`bench` asserts on every run.
+``step`` / manager ``tick`` / shared-memory reader methods, the
+operator's and the simulation's ``run``, VM provisioning and
+registration) and adds nothing else.  A *checked* build adds the
+oracle and counts; only on ``fleet`` does checking change what runs
+inside a period (the shard controllers run their inline oracle and
+keep per-sample reports), so traced builds are never checked.
+Decisions are bit-identical across all three kinds of build, which the
+digest comparison in :mod:`bench` asserts on every run.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import resource
 import time
+from dataclasses import replace
 from multiprocessing import RawArray
 from typing import Dict, List, Optional, Tuple
 
@@ -39,15 +47,14 @@ from repro.hw.node import Node
 from repro.obs.config import ObsConfig
 from repro.obs.hub import Observability
 from repro.obs.slo import SLOConfig, SLOPlane
-from repro.placement.constraints import CoreSplittingConstraint, NodeUsage
-from repro.placement.request import PlacementRequest
+from repro.placement.constraints import VcpuCountConstraint
 from repro.rebalance.loop import RebalanceLoop
+from repro.sim.arrivals import CloudOperator
 from repro.sim.cluster_engine import ClusterSimulation
 from repro.sim.node_manager import NodeManager, Shard, ShardedNodeManager
 from repro.virt.hypervisor import Hypervisor
-from repro.workloads.base import Workload
 
-from inputs import CYCLE, OVERCOMMIT, ChurnInputs, StaticInputs
+from inputs import CYCLE, ChurnInputs, StaticInputs
 
 perf = time.perf_counter
 
@@ -151,19 +158,29 @@ def make_controller(node: Node, config: ControllerConfig) -> VirtualFrequencyCon
     )
 
 
-def count_misses(vcpus, shares, demands) -> Tuple[int, int]:
-    """(misses, samples) of one period under the guarantee criterion.
+def sla_sample(vms, fmax_mhz: float, dt: float = 1.0) -> Tuple[int, int]:
+    """(checks, violations) of one period, per VM.
 
-    A (vCPU, period) sample misses when the vCPU demanded at least its
-    Eq. 2 guarantee — ``vfreq / F_MAX`` of a core — and the scheduler
-    delivered less.  Demand is the benchmark's own input and delivery
-    is what ``node.step`` granted, so the count needs no report detail.
+    The ground-truth SLA criterion of
+    :class:`repro.sim.arrivals.CloudOperator` (which ``churn`` runs
+    itself): a VM-period is checked when one of its vCPUs demands at
+    least its Eq. 2 guarantee — ``vfreq / F_MAX`` of a core — and
+    violated when the scheduler delivered less than 98 % of it.
     """
-    misses = 0
-    for vcpu, share, demand in zip(vcpus, shares, demands):
-        if demand >= share and vcpu.entity.allocated < share - 1e-9:
-            misses += 1
-    return misses, len(shares)
+    checks = violations = 0
+    for vm in vms:
+        share = vm.template.vfreq_mhz / fmax_mhz
+        wanting = starved = False
+        for vcpu in vm.vcpus:
+            if vcpu.entity.demand + 1e-9 < share:
+                continue
+            wanting = True
+            if vcpu.entity.allocated / dt < 0.98 * share:
+                starved = True
+        if wanting:
+            checks += 1
+            violations += starved
+    return checks, violations
 
 
 def market_sold(report) -> float:
@@ -191,8 +208,8 @@ class Tally:
         self.node_periods = 0
         self.failed = 0
         self.errors: List[str] = []
-        self.misses = 0
-        self.samples = 0
+        self.sla_checks = 0
+        self.sla_violations = 0
         self.market_sold = 0.0
         self.ledger_records = 0
         self.oracle_checks = 0
@@ -214,6 +231,10 @@ class Tally:
             if len(self.errors) < 10:
                 self.errors.append(str(violations[0]))
 
+    def sla(self, checks: int, violations: int) -> None:
+        self.sla_checks += checks
+        self.sla_violations += violations
+
 
 class _ReportCluster:
     """Shared per-period bookkeeping for in-process clusters."""
@@ -223,21 +244,17 @@ class _ReportCluster:
 
     def _after_reports(self, reports, errors, tally: Tally, in_window: bool) -> Dict[str, float]:
         tally.node_errors(errors, len(self.controllers))
+        checked = bool(self.checkers)
         for node_id in sorted(reports):
             report = reports[node_id]
-            if self.checkers:
+            if checked:
                 tally.oracle(self.checkers[node_id], report)
-            if in_window and self.traced:
-                ctrl = self.controllers[node_id]
-                tally.market_sold += market_sold(report)
-                ledger = ctrl.obs.ledger.ticks
-                tally.ledger_records += len(ledger[-1]["decisions"]) if ledger else 0
+                if in_window:
+                    tally.market_sold += market_sold(report)
+                    ledger = self.controllers[node_id].obs.ledger.ticks
+                    tally.ledger_records += len(ledger[-1]["decisions"]) if ledger else 0
         if in_window:
             feed_reports(tally.digest, reports)
-            if self.traced:
-                m, s = count_misses(*self.demanded())
-                tally.misses += m
-                tally.samples += s
         for ctrl in self.controllers.values():
             ctrl.reports.clear()
         layers = self.layers.take()
@@ -257,15 +274,16 @@ class _ReportCluster:
 
 
 class DenseCluster(_ReportCluster):
-    """CHICLET hosts filled to 1.2x Eq. 7 (~43 VMs), one serial NodeManager."""
+    """CHICLET hosts with the eval1 mix, one serial NodeManager."""
 
     def __init__(self, inp: StaticInputs, *, traced: bool, checked: bool) -> None:
         self.traced = traced
         self.layers = Layers()
+        self.fmax_mhz = inp.spec.fmax_mhz
         self.nodes: List[Node] = []
+        self.hypervisors: List[Hypervisor] = []
         self.controllers: Dict[str, VirtualFrequencyController] = {}
         self.vcpus = []
-        self.shares: List[float] = []
         for h, host in enumerate(inp.hosts):
             node_id = f"node-{h:04d}"
             node = Node(inp.spec, seed=h)
@@ -276,8 +294,8 @@ class DenseCluster(_ReportCluster):
                 vm = hypervisor.provision(tpl, name)
                 ctrl.register_vm(name, tpl.vfreq_mhz, tenant=tpl.tenant)
                 self.vcpus.extend(vm.vcpus)
-                self.shares.extend([tpl.vfreq_mhz / inp.spec.fmax_mhz] * tpl.vcpus)
             self.nodes.append(node)
+            self.hypervisors.append(hypervisor)
             self.controllers[node_id] = ctrl
         self.checkers = (
             {k: InvariantChecker(c) for k, c in self.controllers.items()}
@@ -286,17 +304,16 @@ class DenseCluster(_ReportCluster):
         self.manager = NodeManager(self.controllers, parallel=False)
         self.rows = inp.rows
         self.result = None
-        self.t = 0
 
     @property
     def n_vcpus(self) -> int:
         return len(self.vcpus)
 
-    def demanded(self):
-        return self.vcpus, self.shares, self.rows[self.t % CYCLE]
+    def sla_sample(self) -> Tuple[int, int]:
+        vms = [vm for hypervisor in self.hypervisors for vm in hypervisor.vms]
+        return sla_sample(vms, self.fmax_mhz)
 
     def period(self, t: int) -> None:
-        self.t = t
         start = perf()
         for vcpu, demand in zip(self.vcpus, self.rows[t % CYCLE]):
             vcpu.set_demand(demand)
@@ -328,7 +345,7 @@ class DenseCluster(_ReportCluster):
 #: What the forked shard workers inherit (set before each ``start``).
 _FLEET: Dict[str, object] = {}
 #: Per-shard stats columns in the shared RawArray.
-F_DEMAND, F_STEP, F_CHECK, F_MISSES, F_SAMPLES, F_SOLD, F_RSS_KB, F_FIELDS = range(8)
+F_DEMAND, F_STEP, F_CHECKS, F_VIOLATIONS, F_SOLD, F_RSS_KB, F_FIELDS = range(7)
 FLEET_SHARDS = 2
 
 
@@ -338,7 +355,12 @@ def _shard_stats(shard: int) -> np.ndarray:
 
 
 def build_fleet_shard(shard: int) -> Shard:
-    """(worker) Build every ``shard``-th host; demand and step in pre_tick."""
+    """(worker) Build every ``shard``-th host; demand and step in pre_tick.
+
+    A checked shard runs the controllers' inline oracle
+    (``check_invariants``) and keeps per-sample reports for the auction
+    volume; an unchecked one runs exactly what the timed run measures.
+    """
     inp: StaticInputs = _FLEET["inputs"]
     checked = bool(_FLEET["checked"])
     window = _FLEET["window"]
@@ -347,8 +369,8 @@ def build_fleet_shard(shard: int) -> Shard:
     offsets = inp.vcpu_offsets()
     controllers: Dict[str, VirtualFrequencyController] = {}
     nodes: List[Node] = []
+    vms = []
     vcpus = []
-    shares: List[float] = []
     columns: List[int] = []
     for h in range(shard, len(inp.hosts), FLEET_SHARDS):
         node = Node(inp.spec, seed=h)
@@ -356,21 +378,18 @@ def build_fleet_shard(shard: int) -> Shard:
         ctrl = make_controller(node, config)
         # Nothing in an unchecked shard consumes per-vCPU report detail.
         ctrl.keep_reports = checked
-        if checked:
-            ctrl.invariant_checker.check = _timed_stat(
-                ctrl.invariant_checker.check, stats
-            )
         k = offsets[h]
         for name, tpl in inp.hosts[h]:
             vm = hypervisor.provision(tpl, name)
             ctrl.register_vm(name, tpl.vfreq_mhz, tenant=tpl.tenant)
+            vms.append(vm)
             vcpus.extend(vm.vcpus)
-            shares.extend([tpl.vfreq_mhz / inp.spec.fmax_mhz] * tpl.vcpus)
             columns.extend(range(k, k + tpl.vcpus))
             k += tpl.vcpus
         controllers[f"node-{h:04d}"] = ctrl
         nodes.append(node)
     rows = [[row[c] for c in columns] for row in inp.rows]
+    fmax_mhz = inp.spec.fmax_mhz
 
     def count_previous_tick() -> None:
         for ctrl in controllers.values():
@@ -380,39 +399,23 @@ def build_fleet_shard(shard: int) -> Shard:
             ctrl.reports.clear()
 
     def pre_tick(t: float) -> None:
-        stats[F_CHECK] = 0.0
-        demands = rows[int(t) % CYCLE]
         start = perf()
-        for vcpu, demand in zip(vcpus, demands):
+        for vcpu, demand in zip(vcpus, rows[int(t) % CYCLE]):
             vcpu.set_demand(demand)
         applied = perf()
         for node in nodes:
             node.step(1.0)
-        stepped = perf()
         stats[F_DEMAND] = applied - start
-        stats[F_STEP] = stepped - applied
+        stats[F_STEP] = perf() - applied
         stats[F_RSS_KB] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         if checked:
             count_previous_tick()
             if window[0] <= t <= window[1]:
-                m, s = count_misses(vcpus, shares, demands)
-                stats[F_MISSES] += m
-                stats[F_SAMPLES] += s
-            stats[F_CHECK] += perf() - stepped
+                checks, violations = sla_sample(vms, fmax_mhz)
+                stats[F_CHECKS] += checks
+                stats[F_VIOLATIONS] += violations
 
     return Shard(controllers, pre_tick)
-
-
-def _timed_stat(fn, stats: np.ndarray):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        start = perf()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            stats[F_CHECK] += perf() - start
-
-    return wrapper
 
 
 class FleetCluster:
@@ -480,13 +483,12 @@ class FleetCluster:
         for s in range(FLEET_SHARDS):
             timings = readers[f"shard-{s}"].stage_timings()
             row = self.stats[s]
-            inside = row[F_DEMAND] + row[F_STEP] + row[F_CHECK] + timings.total
+            inside = row[F_DEMAND] + row[F_STEP] + timings.total
             if slowest is None or inside > slowest[0]:
                 slowest = (inside, row.copy(), timings)
         inside, row, timings = slowest
         layers["hw.demand_apply"] = row[F_DEMAND]
         layers["hw.step"] = row[F_STEP]
-        layers["check.oracle"] = row[F_CHECK]
         for stage in STAGES:
             layers[f"core.{stage}"] = getattr(timings, stage)
         layers["sim.dispatch_wait"] = layers["sim.tick"] - inside
@@ -494,16 +496,15 @@ class FleetCluster:
         layers["obs.slo_cluster"] -= layers.get("sim.shm_read", 0.0)
         return layers
 
-    def fleet_counts(self) -> Dict[str, float]:
-        """Cumulative in-worker counts (checked builds only)."""
-        return {
-            "misses": float(self.stats[:, F_MISSES].sum()),
-            "samples": float(self.stats[:, F_SAMPLES].sum()),
-            "market_sold": float(self.stats[:, F_SOLD].sum()),
-        }
-
-    def invariant_totals(self) -> Tuple[int, int]:
-        return self.manager.invariant_totals()
+    def checked_counts(self, tally: Tally) -> None:
+        """Fold the in-worker counts of a checked build into ``tally``."""
+        tally.sla(int(self.stats[:, F_CHECKS].sum()),
+                  int(self.stats[:, F_VIOLATIONS].sum()))
+        tally.market_sold += float(self.stats[:, F_SOLD].sum())
+        checks, violations = self.manager.invariant_totals()
+        tally.oracle_checks += checks
+        tally.violations += violations
+        tally.failed += violations
 
     def seqlock_retries(self) -> int:
         return sum(r.snapshot_retries for r in self.manager.readers.values())
@@ -522,35 +523,25 @@ class FleetCluster:
 
 # -- churn: arrivals, departures, admission and rebalance ---------------------
 
-
-class TraceWorkload(Workload):
-    """Replays pre-generated per-vCPU demand columns (cyclic).
-
-    With ``marks`` (traced runs) the first demand read of each period
-    is stamped, so the demand-apply layer can be timed up to the first
-    ``node.step`` without wrapping the simulation's private loop.
-    """
-
-    def __init__(self, pool: List[List[float]], columns: List[int],
-                 marks: Optional[Dict[str, float]] = None) -> None:
-        super().__init__(len(columns))
-        self.pool = pool
-        self.columns = columns
-        self.marks = marks
-
-    def demand(self, vcpu: int, t: float) -> float:
-        marks = self.marks
-        if marks is not None and "demand" not in marks:
-            marks["demand"] = perf()
-        return self.pool[int(t) % CYCLE][self.columns[vcpu]]
-
-
-#: Eq. 7 admission at the workloads' common consolidation factor.
-ADMISSION = CoreSplittingConstraint(consolidation_factor=OVERCOMMIT)
+#: Admission is the classic vCPU-count BestFit at the paper's §IV-C
+#: consolidation factor: it over-commits Eq. 7 on some hosts, which is
+#: the pressure the rebalance loop relieves by live migration.
+ADMISSION = VcpuCountConstraint(consolidation_factor=1.8)
 
 
 class ChurnCluster(_ReportCluster):
-    """A ClusterSimulation with open-loop churn, admission and rebalance."""
+    """A ClusterSimulation run by a CloudOperator, with rebalance.
+
+    Each period hands the operator's public ``run`` one period of
+    horizon and the requests that refill the vCPU population, so
+    admission (BestFit under Eq. 7), provisioning, the simulation
+    period and the operator's SLA check are all the program's code.
+    Departures are the one part done here: the operator retires a VM
+    even while it is migrating, after which the simulation's cut-over
+    raises ``KeyError``, so requests reach the operator with an
+    infinite lifetime and the benchmark destroys and unregisters each
+    VM when its lifetime is up and it is not in flight.
+    """
 
     def __init__(self, inp: ChurnInputs, *, traced: bool, checked: bool,
                  seed: int = 0) -> None:
@@ -568,6 +559,9 @@ class ChurnCluster(_ReportCluster):
             parallel=False,
             rebalancer=TimedRebalancer(self.loop, self.layers) if traced else self.loop,
         )
+        self.operator = CloudOperator(
+            self.sim, ADMISSION, lambda event: inp.workloads[event.name]
+        )
         self.controllers = {
             node_id: rt.controller for node_id, rt in self.sim.runtimes.items()
         }
@@ -577,136 +571,129 @@ class ChurnCluster(_ReportCluster):
             {k: InvariantChecker(c) for k, c in self.controllers.items()}
             if checked else {}
         )
-        self.marks: Optional[Dict[str, float]] = {} if traced else None
+        self.marks: Dict[str, float] = {}
         if traced:
-            for runtime in self.sim.runtimes.values():
-                runtime.node.step = self._marked(timed(runtime.node.step, self.layers, "hw.step"))
-            manager = self.sim.node_manager
-            manager.tick = timed(manager.tick, self.layers, "sim.tick")
-        self.host_of: Dict[str, str] = {}
-        self.memory_mb: Dict[str, int] = {}
+            self._instrument()
+        self.lifetime = {e.name: e.lifetime_s for e in inp.requests}
         self.departures: List[Tuple[float, str]] = []
         self.in_flight: Dict[str, float] = {}
         self.migrations_seen = 0
-        self.n_vcpus = 0
         self.next_request = 0
         self.rejected = 0
-        self._refill()
+        self.sla_seen = (0, 0)
+        self.n_vcpus = 0
+        self.retiring: List[Tuple[str, str]] = []
+        self.batch = []
+        self._plan_next()
 
-    def _marked(self, step):
-        marks = self.marks
+    def _instrument(self) -> None:
+        """Timing wrappers for the traced build (instance attributes)."""
+        layers, marks = self.layers, self.marks
 
-        def first_step(dt):
-            if "step" not in marks:
-                marks["step"] = perf()
-            return step(dt)
+        def stamped(fn, before: str, after: str):
+            def wrapper(*args, **kwargs):
+                marks[before] = perf()
+                marks[before + ".provision"] = layers.now.get("virt.provision", 0.0)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    marks[after] = perf()
 
-        return first_step
+            return wrapper
 
-    # -- admission and VM lifecycle (the placement and virt layers) ----------
+        def first_step(step):
+            def wrapper(dt):
+                marks.setdefault("step", perf())
+                return step(dt)
 
-    def _best_fit(self, event) -> Optional[str]:
-        """BestFit node for ``event`` under Eq. 7, or None."""
-        request = PlacementRequest(event.name, event.template)
-        best: Tuple[float, Optional[str]] = (float("inf"), None)
-        for node_id, runtime in self.sim.runtimes.items():
-            spec = runtime.cluster_node.spec
-            usage = NodeUsage()
-            for vm in runtime.hypervisor.vms:
-                usage.add(PlacementRequest(vm.name, vm.template))
-            if not ADMISSION.fits(spec, usage, request):
-                continue
-            headroom = ADMISSION.headroom(spec, usage)
-            if headroom < best[0]:
-                best = (headroom, node_id)
-        return best[1]
+            return wrapper
 
-    def _refill(self) -> None:
-        """Admit the next requests until the vCPU population is back."""
-        requests = self.inp.requests
-        while self.n_vcpus < self.inp.target_vcpus and self.next_request < len(requests):
-            self._arrive(requests[self.next_request])
-            self.next_request += 1
+        self.operator.run = stamped(self.operator.run, "op_in", "op_out")
+        self.sim.run = stamped(self.sim.run, "run_in", "run_out")
+        for runtime in self.sim.runtimes.values():
+            runtime.node.step = first_step(timed(runtime.node.step, layers, "hw.step"))
+            hypervisor, ctrl = runtime.hypervisor, runtime.controller
+            for obj, method in ((hypervisor, "provision"), (hypervisor, "destroy"),
+                                (ctrl, "register_vm"), (ctrl, "unregister_vm")):
+                setattr(obj, method, timed(getattr(obj, method), layers, "virt.provision"))
+        manager = self.sim.node_manager
+        manager.tick = timed(manager.tick, layers, "sim.tick")
 
-    def _arrive(self, event) -> None:
-        start = perf()
-        node_id = self._best_fit(event)
-        placed = perf()
-        self.layers.add("placement.admit", placed - start)
-        if node_id is None:
-            self.rejected += 1
-            return
-        runtime = self.sim.runtimes[node_id]
-        vm = runtime.hypervisor.provision(event.template, event.name)
-        self.sim.node_manager.register_vm(
-            node_id, event.name, event.template.vfreq_mhz,
-            tenant=event.template.tenant,
-        )
-        vm.workload = TraceWorkload(
-            self.inp.pool, self.inp.columns[event.name], self.marks
-        )
-        self.host_of[event.name] = node_id
-        self.memory_mb[event.name] = event.template.memory_mb
-        self.departures.append((self.sim.t + event.lifetime_s, event.name))
-        self.n_vcpus += event.template.vcpus
-        self.layers.add("virt.provision", perf() - placed)
-
-    def _track_migrations(self) -> None:
-        events = self.sim.migrations
-        model = self.sim.migration_model
-        for event in events[self.migrations_seen:]:
-            memory_mb = self.memory_mb[event.vm_name]
-            self.in_flight[event.vm_name] = event.t + model.transfer_seconds(memory_mb)
-            self.host_of[event.vm_name] = event.target
-        self.migrations_seen = len(events)
-        now = self.sim.t + 1e-9
-        for name in [n for n, due in self.in_flight.items() if due <= now]:
-            del self.in_flight[name]
-
-    def _retire_due(self) -> None:
+    def _plan_next(self) -> None:
+        """Pick the next period's departures and arrivals (untimed)."""
         now = self.sim.t
-        keep = []
+        host_of: Dict[str, str] = {}
+        n_vcpus = 0
+        vcpus_of: Dict[str, int] = {}
+        memory_of: Dict[str, int] = {}
+        for node_id, runtime in self.sim.runtimes.items():
+            for vm in runtime.hypervisor.vms:
+                host_of[vm.name] = node_id
+                vcpus_of[vm.name] = vm.num_vcpus
+                memory_of[vm.name] = vm.template.memory_mb
+                n_vcpus += vm.num_vcpus
+        self.n_vcpus = n_vcpus
+        for event in self.batch:
+            if event.name in host_of:
+                self.departures.append((event.t + self.lifetime[event.name], event.name))
+            else:
+                self.rejected += 1
+        model = self.sim.migration_model
+        events = self.sim.migrations
+        for event in events[self.migrations_seen:]:
+            cut_over = event.t + model.transfer_seconds(memory_of[event.vm_name])
+            self.in_flight[event.vm_name] = cut_over
+        self.migrations_seen = len(events)
+        for name in [n for n, due in self.in_flight.items() if due <= now + 1e-9]:
+            del self.in_flight[name]
+        keep, self.retiring = [], []
         for due, name in self.departures:
             if due > now or name in self.in_flight:
                 keep.append((due, name))
-                continue
-            start = perf()
-            node_id = self.host_of.pop(name)
-            self.memory_mb.pop(name)
-            runtime = self.sim.runtimes[node_id]
-            self.n_vcpus -= runtime.hypervisor.vm(name).num_vcpus
-            runtime.hypervisor.destroy(name)
-            self.sim.node_manager.unregister_vm(node_id, name)
-            self.layers.add("virt.provision", perf() - start)
+            else:
+                self.retiring.append((host_of[name], name))
+                n_vcpus -= vcpus_of[name]
         self.departures = keep
+        requests = self.inp.requests
+        self.batch = []
+        while n_vcpus < self.inp.target_vcpus and self.next_request < len(requests):
+            event = requests[self.next_request]
+            self.batch.append(replace(event, t=now, lifetime_s=math.inf))
+            n_vcpus += event.template.vcpus
+            self.next_request += 1
 
-    def demanded(self):
-        vcpus, shares = [], []
-        for runtime in self.sim.runtimes.values():
-            fmax = runtime.node.spec.fmax_mhz
-            for vm in runtime.hypervisor.vms:
-                vcpus.extend(vm.vcpus)
-                shares.extend([vm.template.vfreq_mhz / fmax] * vm.num_vcpus)
-        return vcpus, shares, [v.demand for v in vcpus]
+    def sla_sample(self) -> Tuple[int, int]:
+        """The operator's own SLA counts for the period just run."""
+        outcome = self.operator.outcome
+        seen = (outcome.sla_checks, outcome.sla_violations)
+        checks, violations = seen[0] - self.sla_seen[0], seen[1] - self.sla_seen[1]
+        self.sla_seen = seen
+        return checks, violations
 
     # -- the period --------------------------------------------------------
 
     def period(self, t: int) -> None:
-        self._track_migrations()
-        self._retire_due()
-        self._refill()
-        start = perf()
-        self.sim.run(CONFIG.period_s)
-        self.layers.add("sim.run", perf() - start)
+        runtimes = self.sim.runtimes
+        for node_id, name in self.retiring:
+            runtimes[node_id].hypervisor.destroy(name)
+            self.sim.node_manager.unregister_vm(node_id, name)
+        self.operator.run(self.batch, self.sim.t + CONFIG.period_s)
 
     def after_period(self, tally: Tally, *, in_window: bool) -> Dict[str, float]:
         manager = self.sim.node_manager
         if self.traced:
-            self.layers.add("hw.demand_apply", self.marks["step"] - self.marks["demand"])
-            self.marks.clear()
-        return self._after_reports(
+            m = self.marks
+            admit = m["run_in"] - m["op_in"]
+            admit -= m["run_in.provision"] - m["op_in.provision"]
+            self.layers.add("placement.admit", admit)
+            self.layers.add("hw.demand_apply", m["step"] - m["run_in"])
+            self.layers.add("operator.sla_check", m["op_out"] - m["run_out"])
+            m.clear()
+        layers = self._after_reports(
             manager.last_reports, manager.last_errors, tally, in_window
         )
+        self._plan_next()
+        return layers
 
     def backend_stats(self):
         return self.sim.node_manager.backend_stats()
@@ -721,6 +708,8 @@ class ChurnCluster(_ReportCluster):
 
 def build(workload: str, inputs, *, traced: bool, checked: bool, seed: int,
           window: Tuple[float, float] = (0.0, 0.0)):
+    if traced and checked:
+        raise ValueError("a build is traced or checked, not both")
     if workload == "dense":
         return DenseCluster(inputs, traced=traced, checked=checked)
     if workload == "fleet":

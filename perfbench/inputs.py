@@ -1,54 +1,70 @@
 """Seeded inputs for the three benchmark workloads.
 
-Everything the program will be fed — host counts, VM shapes, tenants,
-per-vCPU demand traces, VM arrivals and lifetimes — is generated here
-from ``--seed`` before any timing starts.  The same seed gives the
-same inputs, bit for bit; the program only ever receives them through
-``Hypervisor.provision`` / ``register_vm`` and ``vcpu.set_demand``.
+Everything the program will be fed — VM sets, tenants, per-vCPU demand
+traces, VM requests and lifetimes — is generated here from ``--seed``
+before any timing starts.  The same seed gives the same inputs, bit for
+bit.  The shapes come from the repository, not from this package:
 
-Every host is overcommitted by the conventional consolidation factor
-``OVERCOMMIT`` on the paper's Eq. 7 (guaranteed MHz over host MHz):
-static hosts are filled with random VMs until their guarantees reach
-it, and the ``churn`` admission check allows it.  Demand is bursty:
-every vCPU follows a two-state on/off Markov chain (on: 60-100 % of a
-core, off: 2-20 %), so hosts swing in and out of CPU contention, the
-auction (stage 4) always has buyers, and during on-phases the demanding
-vCPUs' guarantees exceed the host — the guarantee-miss ratio is never
-zero.  Traces are ``CYCLE`` periods long and replayed modulo their
-length.
+* VM templates are the paper's ``SMALL`` / ``MEDIUM`` / ``LARGE``.
+  ``dense`` fills each CHICLET host with the paper's first evaluation
+  mix on that node (32 small + 16 large, :func:`repro.sim.scenario.
+  eval1_chiclet`); ``fleet`` splits the same 2:1 mix into 3-VM hosts;
+  ``churn`` draws requests from the §IV-C placement mix (250 small + 50
+  medium + 100 large, :func:`repro.placement.request.paper_workload`).
+  Every host therefore commits 95.8 % of its MHz on Eq. 7 (``churn``
+  admits up to 100 %), as in the paper.
+* Demand is the mixed population of the repository's operator study
+  (``benchmarks/bench_operator_study.py``): every other VM runs a
+  saturating batch load (:class:`ConstantWorkload`, level 1.0), the
+  others the low-traffic website shape (:class:`BurstyWorkload` with
+  its default levels and phase lengths).
+
+Bursty demand is sampled ``CYCLE`` periods long, starting
+``BURST_LEAD_S`` into the shape so that on/off phases are already mixed
+at t = 0 (the shape starts every VM "off").  ``dense`` and ``fleet``
+receive it through ``vcpu.set_demand``, replayed modulo ``CYCLE``;
+``churn`` VMs carry a looping :class:`repro.workloads.trace.
+TraceWorkload` of it, handed to the operator's workload factory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.hw.nodespecs import CHETEMI, CHICLET, NodeSpec
+from repro.placement.request import paper_workload
 from repro.sim.arrivals import ArrivalEvent, generate_arrivals
-from repro.virt.template import VMTemplate
+from repro.virt.template import LARGE, SMALL, VMTemplate
+from repro.workloads.base import Workload
+from repro.workloads.synthetic import BurstyWorkload, ConstantWorkload
+from repro.workloads.trace import TraceWorkload
 
-#: Length of every demand trace, in control periods (replayed cyclically).
-CYCLE = 128
-#: Per-period probability that a vCPU flips between its on and off phase.
-SWITCH_P = 0.15
+#: Length of every static demand trace, in control periods (replayed
+#: cyclically; a 10 s run reaches period ~160, so it never wraps).
+CYCLE = 256
+#: Bursty traces are sampled from this far into the shape.
+BURST_LEAD_S = 600.0
 TENANTS = ("tenant-a", "tenant-b", "tenant-c")
-FREQS_MHZ = (1000.0, 1500.0, 2000.0, 2400.0)
-#: Guaranteed MHz per host MHz every host is filled (or admitted) to.
-OVERCOMMIT = 1.2
 
-#: The small 4-thread host of the ``fleet`` workload.
-FLEET_SPEC = NodeSpec(
-    name="fleet4",
-    cpu_model="1x 2-core/4-thread edge CPU",
+#: The paper's first evaluation mix on chiclet, per host.
+EVAL1_CHICLET_MIX = ((SMALL, 32), (LARGE, 16))
+#: ``fleet`` host: the same 2:1 small/large mix, 3 VMs (8 vCPUs).
+FLEET_HOST_MIX = ((SMALL, 2), (LARGE, 1))
+
+#: ``fleet`` node: one 4-thread frequency domain (CCX) of a chiclet —
+#: same F_MAX/F_MIN and jitter, so the 3-VM host commits 9200 of 9600
+#: MHz, the same Eq. 7 share as a full chiclet under the eval1 mix.
+FLEET_SPEC = replace(
+    CHICLET,
+    name="chiclet-ccx",
+    cpu_model="one 4-thread CCX of an AMD EPYC 7301",
     sockets=1,
     cores_per_socket=2,
-    threads_per_core=2,
-    fmax_mhz=2400.0,
-    fmin_mhz=1200.0,
     memory_mb=16 * 1024,
-    freq_jitter_mhz=25.0,
 )
 
 
@@ -57,7 +73,6 @@ class Size:
     """Workload dimensions (tests shrink them; the benchmark never does)."""
 
     hosts: int
-    max_vcpus: int = 4
     #: churn: steady vCPU population and mean VM lifetime in periods.
     vcpus: int = 0
     lifetime_periods: float = 0.0
@@ -65,13 +80,13 @@ class Size:
 
 SIZES: Dict[str, Size] = {
     "dense": Size(hosts=8),
-    "fleet": Size(hosts=120, max_vcpus=2),
-    "churn": Size(hosts=24, vcpus=520, lifetime_periods=40.0),
+    "fleet": Size(hosts=128),
+    "churn": Size(hosts=24, vcpus=520, lifetime_periods=20.0),
 }
 TINY_SIZES: Dict[str, Size] = {
     "dense": Size(hosts=1),
-    "fleet": Size(hosts=6, max_vcpus=2),
-    "churn": Size(hosts=4, vcpus=40, lifetime_periods=12.0),
+    "fleet": Size(hosts=6),
+    "churn": Size(hosts=4, vcpus=60, lifetime_periods=12.0),
 }
 
 SPECS: Dict[str, NodeSpec] = {
@@ -79,23 +94,18 @@ SPECS: Dict[str, NodeSpec] = {
     "fleet": FLEET_SPEC,
     "churn": CHETEMI,
 }
+HOST_MIX = {"dense": EVAL1_CHICLET_MIX, "fleet": FLEET_HOST_MIX}
 
 
-def demand_rows(rng: np.random.Generator, n_vcpus: int) -> List[List[float]]:
-    """``CYCLE`` rows of per-vCPU demand (fraction of a core)."""
-    on = rng.random(n_vcpus) < 0.5
-    rows = []
-    for _ in range(CYCLE):
-        on ^= rng.random(n_vcpus) < SWITCH_P
-        high = rng.uniform(0.6, 1.0, n_vcpus)
-        low = rng.uniform(0.02, 0.2, n_vcpus)
-        rows.append(np.where(on, high, low).tolist())
-    return rows
+def vm_demand(k: int, seed: int) -> np.ndarray:
+    """``CYCLE`` periods of one VM's demand (the same on every vCPU).
 
-
-def _shapes(max_vcpus: int) -> List[Tuple[int, float]]:
-    """Every (vCPUs, MHz) shape, small first."""
-    return [(v, f) for v in range(1, max_vcpus + 1) for f in FREQS_MHZ]
+    The operator study's population: even VMs batch, odd VMs bursty.
+    """
+    if k % 2 == 0:
+        return np.ones(CYCLE)
+    shape = BurstyWorkload(1, horizon=BURST_LEAD_S + CYCLE, seed=seed)
+    return np.array([shape.demand(0, BURST_LEAD_S + t) for t in range(CYCLE)])
 
 
 @dataclass
@@ -137,68 +147,47 @@ class ChurnInputs:
     hosts: int
     target_vcpus: int
     requests: List[ArrivalEvent]
-    #: Shared pool of vCPU demand traces; a VM's vCPU picks one column.
-    pool: List[List[float]]
-    #: Per VM name: the pool column of each of its vCPUs.
-    columns: Dict[str, List[int]] = field(default_factory=dict)
+    #: Per VM name: the workload its vCPUs run.
+    workloads: Dict[str, Workload]
 
 
 def static_inputs(workload: str, seed: int, size: Size) -> StaticInputs:
-    """Hosts filled to ``OVERCOMMIT`` from a fixed rotation of shapes.
+    """Every host gets the workload's VM mix; the seed draws the rest.
 
     The VM mix is part of the workload's stated size, so it is the same
-    for every seed (only where each host starts in the rotation
-    differs); the seed draws tenants and the demand traces.
+    for every seed; the seed draws tenants and the bursty phases.
     """
     rng = np.random.default_rng([seed, 1 if workload == "dense" else 2])
-    spec = SPECS[workload]
-    shapes = _shapes(size.max_vcpus)
     hosts = []
+    columns: List[np.ndarray] = []
+    k = 0
     for h in range(size.hosts):
-        host, committed = [], 0.0
-        k = 5 * h
-        while committed < OVERCOMMIT * spec.capacity_mhz:
-            vcpus, vfreq = shapes[k % len(shapes)]
-            tenant = TENANTS[int(rng.integers(len(TENANTS)))]
-            tpl = VMTemplate(
-                name=f"v{vcpus}-{int(vfreq)}-{tenant}",
-                vcpus=vcpus,
-                vfreq_mhz=vfreq,
-                memory_mb=1024 * vcpus,
-                tenant=tenant,
-            )
-            host.append((f"h{h:04d}-vm{len(host):02d}", tpl))
-            committed += tpl.demand_mhz
-            k += 1
+        host = []
+        for base, count in HOST_MIX[workload]:
+            for _ in range(count):
+                tenant = TENANTS[int(rng.integers(len(TENANTS)))]
+                tpl = base.with_tenant(tenant)
+                host.append((f"h{h:04d}-vm{len(host):02d}", tpl))
+                columns.extend([vm_demand(k, int(rng.integers(2**32)))] * tpl.vcpus)
+                k += 1
         hosts.append(host)
-    n_vcpus = sum(tpl.vcpus for host in hosts for _, tpl in host)
-    return StaticInputs(spec, hosts, demand_rows(rng, n_vcpus))
+    rows = np.stack(columns, axis=1).tolist()
+    return StaticInputs(SPECS[workload], hosts, rows)
 
 
-#: Template catalogue of the churn workload (shape, weight).
-def _churn_mix() -> List[Tuple[VMTemplate, float]]:
-    mix = []
-    for vcpus in (1, 2, 4):
-        for vfreq in FREQS_MHZ:
-            tenant = TENANTS[(vcpus + int(vfreq) // 500) % len(TENANTS)]
-            tpl = VMTemplate(
-                name=f"c{vcpus}x{int(vfreq)}",
-                vcpus=vcpus,
-                vfreq_mhz=vfreq,
-                memory_mb=1024 * vcpus,
-                tenant=tenant,
-            )
-            mix.append((tpl, 1.0 / vcpus))
-    return mix
+def churn_mix() -> List[Tuple[VMTemplate, float]]:
+    """The §IV-C placement workload's templates, weighted by count."""
+    counts = Counter(request.template for request in paper_workload())
+    return [(tpl, float(n)) for tpl, n in counts.items()]
 
 
-#: Requests generated ahead: enough for the longest run's departures.
-CHURN_HORIZON_S = 1500.0
-POOL_COLUMNS = 512
+#: Requests generated ahead: each build of a 10 s run takes ~1000, so
+#: this covers runs of up to ~25 s before the population thins.
+CHURN_HORIZON_S = 500.0
 
 
 def churn_inputs(seed: int, size: Size) -> ChurnInputs:
-    mix = _churn_mix()
+    mix = churn_mix()
     mean_vcpus = sum(t.vcpus * w for t, w in mix) / sum(w for _, w in mix)
     rate = size.vcpus / mean_vcpus / size.lifetime_periods
     requests = generate_arrivals(
@@ -209,12 +198,18 @@ def churn_inputs(seed: int, size: Size) -> ChurnInputs:
         seed=seed,
     )
     rng = np.random.default_rng([seed, 3])
-    pool = demand_rows(rng, POOL_COLUMNS)
-    columns = {
-        e.name: [int(c) for c in rng.integers(POOL_COLUMNS, size=e.template.vcpus)]
-        for e in requests
-    }
-    return ChurnInputs(CHETEMI, size.hosts, size.vcpus, requests, pool, columns)
+    workloads: Dict[str, Workload] = {}
+    for k, e in enumerate(requests):
+        vcpus = e.template.vcpus
+        trace = vm_demand(k, int(rng.integers(2**32)))
+        if k % 2 == 0:
+            workloads[e.name] = ConstantWorkload(vcpus, level=1.0)
+        else:
+            workloads[e.name] = TraceWorkload(
+                vcpus, times=np.arange(CYCLE, dtype=np.float64),
+                demands=np.repeat(trace[:, None], vcpus, axis=1), loop=True,
+            )
+    return ChurnInputs(CHETEMI, size.hosts, size.vcpus, requests, workloads)
 
 
 def make_inputs(workload: str, seed: int, *, tiny: bool = False):

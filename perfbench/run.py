@@ -70,8 +70,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--tiny", action="store_true",
-                        help="shrunken cluster and period counts (self-tests)")
     args = parser.parse_args(argv)
     if args.seed < 0 or args.seconds <= 0:
         parser.error("--seed must be >= 0 and --seconds > 0")
@@ -83,7 +81,7 @@ def main(argv=None) -> int:
     try:
         payload = bench.run(
             args.workload, args.seed, args.seconds, bool(args.trace),
-            root=ROOT, tiny=args.tiny,
+            root=ROOT,
         )
     finally:
         _join_resource_tracker()

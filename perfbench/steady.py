@@ -11,7 +11,6 @@ median, the interquartile range as a share of the median (the figure
 the bounds in ``BENCHMARK.json`` are set against), and max/min.  Raw
 (un-normalised) period and set-up times are shown beside the
 normalised ones, so the drift the normalisation divides out is visible.
-``--json PATH`` also writes every run's result line and env block.
 """
 
 from __future__ import annotations
@@ -77,9 +76,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed0", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--json", help="write every run's output here")
     args = parser.parse_args(argv)
-    everything = {}
     for workload in args.workload:
         runs = []
         for k in range(args.runs):
@@ -88,13 +85,9 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {args.seed0 + k}: output checks FAILED")
                 return 1
             runs.append(run)
-        everything[workload] = runs
         print(f"## {workload}: {args.runs} runs, seeds {args.seed0}..{args.seed0 + args.runs - 1}, "
               f"{args.seconds:g} s each, trace={args.trace}")
         print("\n".join(summarise(runs)), flush=True)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(everything, fh, indent=1, sort_keys=True)
     return 0
 
 

@@ -22,7 +22,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
 
 import bench  # noqa: E402
 import kernel  # noqa: E402
-from inputs import make_inputs  # noqa: E402
+from inputs import CYCLE, ChurnInputs, make_inputs  # noqa: E402
 
 WORKLOADS = bench.WORKLOADS
 
@@ -69,12 +69,23 @@ def test_every_per_layer_metric_emitted_with_unit(traced, workload):
     assert {k: v["unit"] for k, v in result["metrics"].items()} == per_layer
 
 
+def _fingerprint(inputs):
+    """Everything the program is fed, as comparable values."""
+    if isinstance(inputs, ChurnInputs):
+        demand = [
+            [inputs.workloads[e.name].demand(0, float(t)) for t in range(0, CYCLE, 3)]
+            for e in inputs.requests
+        ]
+        return inputs.requests, demand
+    return inputs.hosts, inputs.rows
+
+
 def test_inputs_repeat_exactly_for_a_seed():
     for workload in WORKLOADS:
-        a = make_inputs(workload, 7, tiny=True)
-        b = make_inputs(workload, 7, tiny=True)
+        a = _fingerprint(make_inputs(workload, 7, tiny=True))
+        b = _fingerprint(make_inputs(workload, 7, tiny=True))
         assert a == b
-        assert make_inputs(workload, 8, tiny=True) != a
+        assert _fingerprint(make_inputs(workload, 8, tiny=True)) != a
 
 
 def test_miss_ratio_and_digest_repeat_exactly_for_a_seed(untraced):
@@ -88,11 +99,13 @@ def test_miss_ratio_and_digest_repeat_exactly_for_a_seed(untraced):
         assert again["diagnostics"]["digest"] == first["diagnostics"]["digest"]
 
 
-def test_digest_of_timed_and_traced_runs_agree(untraced, traced):
+def test_digests_of_timed_checked_and_traced_runs_agree(untraced, traced):
     for workload in WORKLOADS:
-        for payload in (untraced[workload], traced[workload]):
-            digest = payload["diagnostics"]["digest"]
-            assert digest["timed"] == digest["traced"]
+        assert set(untraced[workload]["diagnostics"]["digest"]) == {"timed", "checked"}
+        digest = traced[workload]["diagnostics"]["digest"]
+        assert set(digest) == {"timed", "checked", "traced"}
+        assert len(set(digest.values())) == 1
+        assert digest["timed"] == untraced[workload]["diagnostics"]["digest"]["timed"]
 
 
 def test_normalisation_arithmetic():
@@ -137,6 +150,7 @@ def test_workloads_exercise_their_layers(traced):
     assert dense["core.market_sold"] > 0 and dense["obs.hub_ms"] > 0
     assert fleet["obs.slo_cluster_ms"] > 0 and fleet["obs.hub_ms"] == 0
     assert churn["placement.admit_ms"] > 0 and churn["rebalance.plan_ms"] > 0
+    assert churn["virt.provision_ms"] > 0 and churn["operator.sla_check_ms"] > 0
 
 
 def test_exits_nonzero_without_program_sources():
