@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage fuzz-smoke fuzz-long billing-smoke slo-smoke bench bench-smoke bench-faults-smoke bench-perf-smoke bench-bulk-smoke bench-obs-smoke bench-rebalance-smoke bench-cluster-smoke bench-slo-smoke obs-smoke examples figures clean
+.PHONY: install test coverage fuzz-smoke fuzz-long billing-smoke slo-smoke bench bench-smoke bench-faults-smoke bench-bulk-smoke bench-obs-smoke bench-rebalance-smoke bench-cluster-smoke bench-slo-smoke obs-smoke examples figures clean
 
 install:
 	pip install -e '.[dev]'
@@ -16,8 +16,9 @@ coverage:
 	$(PYTHON) -m pytest tests/ --cov=repro --cov-report=term-missing --cov-fail-under=73
 
 # seeded scenario fuzz with every paper-equation oracle armed: 25 seeds
-# x 200 ticks x 2 engines = 10k engine-ticks, cross-engine bit-identity
-# checked each tick (CI gate: zero invariant violations)
+# x 200 ticks x 2 engines (scalar + bulk) = 10k engine-ticks,
+# cross-engine bit-identity checked each tick (CI gate: zero invariant
+# violations)
 fuzz-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro check fuzz --seeds 25 --ticks 200 --repro-dir fuzz-repros
 
@@ -26,20 +27,20 @@ fuzz-smoke:
 fuzz-long:
 	PYTHONPATH=src $(PYTHON) -m repro check fuzz --seeds 50 --ticks 1000 --repro-dir fuzz-repros
 
-# fuzzed multi-tenant metering: 17 seeds x 200 ticks x 3 engines =
-# 10.2k metered engine-ticks, every invoice line re-derived from the
+# fuzzed multi-tenant metering: 17 seeds x 200 ticks x 2 engines =
+# 6.8k metered engine-ticks, every invoice line re-derived from the
 # decision ledger by the billing oracle with exact equality (CI gate:
 # zero billing violations; failing seeds shrink into billing-repros/)
 billing-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro bill fuzz --seeds 17 --ticks 200 --tenants 3 --engine all --repro-dir billing-repros
+	PYTHONPATH=src $(PYTHON) -m repro bill fuzz --seeds 17 --ticks 200 --tenants 3 --engine both --repro-dir billing-repros
 
-# fuzzed SLO-plane audit: 3 seeds x 150 ticks x 3 engines with the
+# fuzzed SLO-plane audit: 3 seeds x 150 ticks x 2 engines with the
 # plane + billing attached, three gates armed per seed — cross-engine
 # alert-stream equality, byte-identical ledgers across replays, and
 # report-stream transparency against a detached run (CI gate: zero
 # failing seeds; alert ledgers + summary land in slo-artefacts/)
 slo-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro slo eval --seeds 3 --ticks 150 --tenants 3 --engine all --out slo-artefacts
+	PYTHONPATH=src $(PYTHON) -m repro slo eval --seeds 3 --ticks 150 --tenants 3 --engine both --out slo-artefacts
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -56,18 +57,12 @@ bench-smoke:
 bench-faults-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_fault_resilience.py --benchmark-only -q
 
-# quick scalar-vs-vectorised engine A/B (CI gate: the report streams
-# must stay bit-identical and the vectorised per-tick cost may not
-# regress >25% against the committed BENCH_controller.json baseline;
-# override the tolerance with PERF_TOLERANCE=0.40 etc.)
-bench-perf-smoke:
-	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_scaling.py -k engine_speedup --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
-
-# quick bulk-engine + sharded control-plane bench (CI gates: three-way
-# report bit-identity, the bulk full tick and per-stage costs — stages 1
-# and 6 included — within tolerance of the committed baseline, and the
-# dense-host single-process tick inside one 1 s control period)
+# quick scalar-vs-bulk engine bench (CI gates: the report streams stay
+# bit-identical, the bulk full tick and per-stage costs — stages 1 and 6
+# included — may not regress >25% against the committed
+# BENCH_controller.json baseline, and the dense-host single-process
+# tick fits inside one 1 s control period; override the tolerance with
+# PERF_TOLERANCE=0.40 etc.)
 bench-bulk-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_bulk.py --benchmark-only -q
 	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
@@ -88,7 +83,7 @@ bench-rebalance-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
 # quick cluster-plane scale pass: 64-node chaos control loop on the
-# arrays dialect + 8-node threaded/sharded/shared-memory tick parity
+# arrays dialect + 8-node threaded vs shared-memory sharded tick parity
 # (CI gates: snapshot+plan p50 and the sharded shm tick fit one control
 # period; no gated leaf regresses against the committed baselines)
 bench-cluster-smoke:

@@ -9,6 +9,10 @@ within a batch; and ``cpu.max`` rewrites of an unchanged quota are
 skipped.  ``batched=False`` reproduces the seed access pattern — a full
 directory walk plus per-vCPU tid/frequency reads and unconditional
 writes — so the two modes are directly comparable on the same workload.
+The host runs the scalar engine: its list dialect (``read_vcpu_samples``
+/ ``write_caps``) is the one ``batched`` governs, while the bulk
+engine's array dialect skips unchanged quotas with its own dirty mask
+in either mode.
 
 Two claims, both asserted:
 
@@ -23,6 +27,7 @@ Two claims, both asserted:
 import os
 
 from repro.cgroups.fs import CgroupVersion
+from repro.core.config import ControllerConfig
 from repro.core.controller import VirtualFrequencyController
 from repro.hw.node import Node
 from repro.hw.nodespecs import CHETEMI
@@ -55,6 +60,7 @@ def _build_host(batched):
         node.sysfs,
         num_cpus=node.spec.logical_cpus,
         fmax_mhz=node.spec.fmax_mhz,
+        config=ControllerConfig.paper_evaluation(engine="scalar"),
     )
     controller.backend.batched = batched
     for k in range(NUM_VMS):

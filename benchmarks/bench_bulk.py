@@ -1,23 +1,21 @@
-"""Bulk-engine and sharded-control-plane benches.
+"""Bulk-engine benches.
 
-Three measurements back the bulk-array backend API (docs/api.md):
+Two measurements back the bulk-array backend API (docs/api.md):
 
-1. full-tick cost of all three engines at the paper's dense-host size —
-   the ``bulk`` engine must beat the scalar reference on the *whole*
-   tick (stages 1 and 6 included), not just the vectorised middle;
+1. full-tick cost of the scalar and bulk engines at the paper's
+   dense-host size — the ``bulk`` engine must beat the scalar reference
+   on the *whole* tick (stages 1 and 6 included), not just the
+   vectorised middle;
 2. a 10k-VM single-process ``bulk`` tick, which must fit inside one
    1 s control period — the paper's "negligible fraction of the
-   period" requirement (§III-B2) pushed to cloud-host density;
-3. the node-scaling curve of the threaded ``NodeManager`` versus the
-   process-sharded ``ShardedNodeManager`` driving the same cluster.
+   period" requirement (§III-B2) pushed to cloud-host density.
 
-All numbers land in ``benchmarks/results/BENCH_controller.json``
-(sections ``bulk``/``tick10k``/``sharded``, ``*_smoke`` variants under
-``BENCH_SMOKE=1``) and are gated against the committed repo-root
-baseline by ``check_perf_regression.py``.
+Both land in ``benchmarks/results/BENCH_controller.json`` (sections
+``bulk``/``tick10k``, ``*_smoke`` variants under ``BENCH_SMOKE=1``) and
+are gated against the committed repo-root baseline by
+``check_perf_regression.py``.
 """
 
-import functools
 import json
 import os
 import time
@@ -27,7 +25,6 @@ from repro.core.config import ControllerConfig
 from repro.core.controller import VirtualFrequencyController
 from repro.hw.node import Node
 from repro.hw.nodespecs import NodeSpec
-from repro.sim.node_manager import NodeManager, Shard, ShardedNodeManager
 from repro.sim.report import render_table
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.template import VMTemplate
@@ -67,7 +64,7 @@ def _stage_costs(reports):
     }
 
 
-# -- 1. three-engine full-tick comparison ----------------------------------------
+# -- 1. scalar vs bulk full-tick comparison --------------------------------------
 
 ENGINE_VMS = 24 if PERF_SMOKE else 160
 ENGINE_TICKS = 8 if PERF_SMOKE else 25
@@ -89,19 +86,19 @@ def _measure_engine(engine):
 
 
 def test_bulk_full_tick_speedup(once):
-    """Scalar vs vectorized vs bulk full-tick cost; records the ``bulk``
-    baseline section.  The report streams must be bit-identical — the
-    speedup may not come from computing something else."""
+    """Scalar vs bulk full-tick cost; records the ``bulk`` baseline
+    section.  The report streams must be bit-identical — the speedup
+    may not come from computing something else."""
 
     def compare():
         return {engine: _measure_engine(engine)
-                for engine in ("scalar", "vectorized", "bulk")}
+                for engine in ("scalar", "bulk")}
 
     measured = once(compare)
 
-    _, vector_reports = measured["vectorized"]
+    _, scalar_reports = measured["scalar"]
     _, bulk_reports = measured["bulk"]
-    for i, (a, b) in enumerate(zip(vector_reports, bulk_reports)):
+    for i, (a, b) in enumerate(zip(scalar_reports, bulk_reports)):
         assert a.allocations == b.allocations, f"tick {i}: allocations differ"
         assert a.wallets == b.wallets, f"tick {i}: wallets differ"
         assert a.market_initial == b.market_initial, f"tick {i}"
@@ -226,151 +223,4 @@ def test_tick_10k_inside_control_period(once):
     )
     assert max(walls) < CONTROL_PERIOD_S, (
         f"worst tick {max(walls):.3f}s blows the {CONTROL_PERIOD_S}s control period"
-    )
-
-
-# -- 3. threaded vs sharded control-plane scaling --------------------------------
-
-NODE_COUNTS = (2,) if PERF_SMOKE else (2, 4, 8)
-VMS_PER_NODE = 4 if PERF_SMOKE else 16
-CLUSTER_TICKS = 5
-
-_CLUSTER_SPEC = NodeSpec(
-    name="shardnode",
-    cpu_model="bench",
-    sockets=1,
-    cores_per_socket=8,
-    threads_per_core=2,
-    fmax_mhz=2400.0,
-    fmin_mhz=1200.0,
-    memory_mb=128 * 1024,
-    freq_jitter_mhz=0.0,
-)
-
-_TENANT = VMTemplate("tenant2", vcpus=2, vfreq_mhz=500.0)
-
-
-def _cluster_node(seed, vms_per_node):
-    node = Node(_CLUSTER_SPEC, seed=seed)
-    hv = Hypervisor(node, enforce_admission=False)
-    ctrl = VirtualFrequencyController(
-        node.fs, node.procfs, node.sysfs,
-        num_cpus=_CLUSTER_SPEC.logical_cpus, fmax_mhz=_CLUSTER_SPEC.fmax_mhz,
-        config=ControllerConfig.paper_evaluation(engine="bulk"),
-    )
-    ctrl.keep_reports = False
-    for k in range(vms_per_node):
-        vm = hv.provision(_TENANT, f"vm-{k}")
-        ctrl.register_vm(vm.name, _TENANT.vfreq_mhz)
-        vm.set_uniform_demand(0.4 + 0.05 * (k % 8))
-    return node, ctrl
-
-
-def _build_group(node_ids, vms_per_node):
-    """Nodes + controllers for a shard (also used in-process for the
-    threaded comparison — both planes run identical clusters)."""
-    nodes, controllers = [], {}
-    for nid in node_ids:
-        seed = 100 + int(nid.split("-")[1])
-        node, ctrl = _cluster_node(seed, vms_per_node)
-        nodes.append(node)
-        controllers[nid] = ctrl
-    return nodes, controllers
-
-
-def _shard_factory(node_ids, vms_per_node):
-    nodes, controllers = _build_group(node_ids, vms_per_node)
-
-    def pre_tick(t):
-        for node in nodes:
-            node.step(1.0)
-
-    return Shard(controllers, pre_tick=pre_tick)
-
-
-def _shard_map(num_nodes, vms_per_node):
-    node_ids = [f"node-{i}" for i in range(num_nodes)]
-    num_shards = min(num_nodes, 4)
-    groups = [node_ids[i::num_shards] for i in range(num_shards)]
-    return {
-        f"shard-{i}": functools.partial(_shard_factory, tuple(group), vms_per_node)
-        for i, group in enumerate(groups)
-    }
-
-
-def _measure_threaded(num_nodes, vms_per_node, ticks):
-    node_ids = [f"node-{i}" for i in range(num_nodes)]
-    nodes, controllers = _build_group(node_ids, vms_per_node)
-    manager = NodeManager(controllers, parallel=True)
-
-    def one_tick(t):
-        for node in nodes:
-            node.step(1.0)
-        return manager.tick(t)
-
-    one_tick(1.0)  # warm
-    walls, result = [], None
-    for k in range(ticks):
-        t0 = time.perf_counter()
-        result = one_tick(float(k + 2))
-        walls.append(time.perf_counter() - t0)
-    return median(walls), result
-
-
-def _measure_sharded(num_nodes, vms_per_node, ticks):
-    with ShardedNodeManager(_shard_map(num_nodes, vms_per_node)) as manager:
-        manager.tick(1.0)  # warm (workers already built by __enter__)
-        walls, result = [], None
-        for k in range(ticks):
-            t0 = time.perf_counter()
-            result = manager.tick(float(k + 2))
-            walls.append(time.perf_counter() - t0)
-    return median(walls), result
-
-
-def test_sharded_node_scaling(once):
-    """Seconds per cluster tick, threaded vs process-sharded, as the
-    node count grows.  The two planes must agree on every allocation."""
-
-    def run():
-        curve = {}
-        for n in NODE_COUNTS:
-            threaded_cost, threaded_last = _measure_threaded(
-                n, VMS_PER_NODE, CLUSTER_TICKS
-            )
-            sharded_cost, sharded_last = _measure_sharded(
-                n, VMS_PER_NODE, CLUSTER_TICKS
-            )
-            assert not threaded_last.errors and not sharded_last.errors
-            for nid, report in threaded_last.items():
-                assert report.allocations == sharded_last[nid].allocations, (
-                    f"{n} nodes: {nid} diverged between planes"
-                )
-            curve[str(n)] = {
-                "num_shards": min(n, 4),
-                "threaded_seconds_per_tick": threaded_cost,
-                "sharded_seconds_per_tick": sharded_cost,
-            }
-        return curve
-
-    curve = once(run)
-    _merge_section(
-        "sharded",
-        {"vms_per_node": VMS_PER_NODE, "ticks": CLUSTER_TICKS, "nodes": curve},
-    )
-
-    emit(
-        render_table(
-            ["nodes", "shards", "threaded / tick", "sharded / tick"],
-            [
-                [
-                    n,
-                    row["num_shards"],
-                    f"{row['threaded_seconds_per_tick'] * 1e3:.1f} ms",
-                    f"{row['sharded_seconds_per_tick'] * 1e3:.1f} ms",
-                ]
-                for n, row in curve.items()
-            ],
-            title=f"control-plane scaling at {VMS_PER_NODE} VMs/node",
-        )
     )

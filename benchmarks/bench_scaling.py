@@ -8,10 +8,6 @@ population sizes and assert sane growth (roughly linear in vCPUs —
 the fair-share core is O(n log n)).
 """
 
-import json
-import os
-import pathlib
-
 import pytest
 
 from repro.cgroups.fs import CgroupFS, CgroupVersion
@@ -43,7 +39,7 @@ def test_scheduler_tick_scaling(benchmark, num_vms):
     assert len(result) >= num_vms  # one allocation record per cgroup
 
 
-def _controller_host(num_vms, engine="vectorized"):
+def _controller_host(num_vms, engine="bulk"):
     from repro.core.config import ControllerConfig
     from repro.core.controller import VirtualFrequencyController
     from repro.hw.node import Node
@@ -102,109 +98,10 @@ def test_controller_iteration_scaling(benchmark, num_vms):
     assert report.timings.total < 0.25
 
 
-# -- scalar vs vectorised engine comparison (docs/performance.md) ----------------
-
-#: Reduced sizes under BENCH_SMOKE=1 (the bench-perf-smoke CI gate);
-#: the full run is the committed BENCH_controller.json baseline.
-PERF_SMOKE = bool(os.environ.get("BENCH_SMOKE"))
-PERF_VMS = 24 if PERF_SMOKE else 160
-PERF_TICKS = 8 if PERF_SMOKE else 25
-#: Required vectorised speedup of the stage 2-5 aggregate at full size
-#: (the ISSUE's >=5x target at 160 VMs); smoke sizes are too small for
-#: vectorisation to shine, there the regression check is the gate.
-PERF_MIN_SPEEDUP = 1.0 if PERF_SMOKE else 5.0
-
-
 def _stage25(timings):
-    """Aggregate of the vectorised stages (2 estimate .. 5 distribute).
+    """Aggregate of the array stages (2 estimate .. 5 distribute).
 
-    Stage 1 (monitoring) and 6 (enforcement) are kernel-surface bound
-    and identical between engines; the SoA fast path targets 2-5.
+    Stage 1 (monitoring) and 6 (enforcement) are kernel-surface bound;
+    the structure-of-arrays stages are 2-5.
     """
     return timings.estimate + timings.credits + timings.auction + timings.distribute
-
-
-def _measure_engine(engine):
-    """Per-tick stage costs of one engine over PERF_TICKS closed loops.
-
-    Measured at steady state: the host is warmed until every history
-    window is full (history_len ticks), so the numbers are the recurring
-    per-tick cost the paper's 1 s loop pays forever, not the one-off
-    warmup transient.
-    """
-    node, ctrl = _controller_host(PERF_VMS, engine=engine)
-    t = 1.0
-    for _ in range(ctrl.config.history_len + 1):
-        node.step(1.0)
-        t += 1.0
-        ctrl.tick(t)
-    reports = []
-    for _ in range(PERF_TICKS):
-        node.step(1.0)
-        t += 1.0
-        reports.append(ctrl.tick(t))
-    n = len(reports)
-    return {
-        "stage2_5_seconds_per_tick": sum(_stage25(r.timings) for r in reports) / n,
-        "total_seconds_per_tick": sum(r.timings.total for r in reports) / n,
-    }, reports
-
-
-def test_engine_speedup_and_baseline(benchmark):
-    """Vectorised vs scalar stage 2-5 cost; records BENCH_controller.json.
-
-    Also cross-checks the two report streams for exact equality — the
-    speedup must not come from computing something else.
-    """
-
-    def compare():
-        scalar, scalar_reports = _measure_engine("scalar")
-        vector, vector_reports = _measure_engine("vectorized")
-        return scalar, vector, scalar_reports, vector_reports
-
-    scalar, vector, scalar_reports, vector_reports = benchmark.pedantic(
-        compare, rounds=1, iterations=1
-    )
-
-    for i, (a, b) in enumerate(zip(scalar_reports, vector_reports)):
-        assert a.allocations == b.allocations, f"tick {i}: allocations differ"
-        assert a.wallets == b.wallets, f"tick {i}: wallets differ"
-        assert a.market_initial == b.market_initial, f"tick {i}"
-        assert a.freely_distributed == b.freely_distributed, f"tick {i}"
-
-    speedup = (
-        scalar["stage2_5_seconds_per_tick"] / vector["stage2_5_seconds_per_tick"]
-        if vector["stage2_5_seconds_per_tick"] > 0
-        else float("inf")
-    )
-    section = {
-        "num_vms": PERF_VMS,
-        "ticks": PERF_TICKS,
-        "scalar": scalar,
-        "vectorized": vector,
-        "speedup_stage2_5": speedup,
-    }
-    out_path = results_path("BENCH_controller.json")
-    existing = {}
-    if out_path.exists():
-        existing = json.loads(out_path.read_text())
-    existing["smoke" if PERF_SMOKE else "full"] = section
-    out_path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
-
-    emit(
-        render_table(
-            ["engine", "stage 2-5 / tick", "total / tick"],
-            [
-                ["scalar", f"{scalar['stage2_5_seconds_per_tick'] * 1e3:.3f} ms",
-                 f"{scalar['total_seconds_per_tick'] * 1e3:.3f} ms"],
-                ["vectorized", f"{vector['stage2_5_seconds_per_tick'] * 1e3:.3f} ms",
-                 f"{vector['total_seconds_per_tick'] * 1e3:.3f} ms"],
-                ["speedup", f"{speedup:.2f}x", ""],
-            ],
-            title=f"engine comparison at {PERF_VMS} VMs ({PERF_VMS * 2} vCPUs)",
-        )
-    )
-    assert speedup >= PERF_MIN_SPEEDUP, (
-        f"stage 2-5 speedup {speedup:.2f}x below the "
-        f"{PERF_MIN_SPEEDUP}x target at {PERF_VMS} VMs"
-    )

@@ -3,8 +3,7 @@
 Compares each fresh ``benchmarks/results/BENCH_*.json`` (written by the
 benches) against the matching repo-root ``BENCH_*.json`` baseline that
 ships with the tree — ``BENCH_controller.json`` for the engine benches
-(``bench_scaling.py``, ``bench_bulk.py``, ``bench_cluster_scale.py``'s
-node curve), ``BENCH_rebalance.json`` for the rebalance control plane
+(``bench_bulk.py``, ``bench_cluster_scale.py``'s node curve), ``BENCH_rebalance.json`` for the rebalance control plane
 (``bench_rebalance.py``, ``bench_cluster_scale.py``'s chaos1000),
 ``BENCH_slo.json`` for the SLO plane's cluster scrape
 (``bench_slo_overhead.py``).  A pair is only
@@ -15,7 +14,7 @@ per-tick engine costs, the rebalance planner's per-round cost — may not
 exceed the baseline by more than the tolerance (default 25%, override
 with the ``PERF_TOLERANCE`` env var, e.g. ``PERF_TOLERANCE=0.40``)
 plus a small absolute slack for timer noise on sub-millisecond leaves.
-Scalar-engine numbers are reference points, not gates.  Three sections
+Scalar-engine numbers are reference points, not gates.  Four sections
 carry hard budgets on top of the relative gates — they must fit inside
 one control period regardless of baseline: the 10k-VM tick's worst
 tick (``tick10k``), the 1000-node control loop's snapshot+plan p50

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.checking.trace import ENGINES, ReplayResult, Trace, replay
+from repro.checking.trace import ReplayResult, Trace, replay, resolve_engines
 
 #: Fuzz-host shape (small on purpose: contention shows up fast).
 HOST_CORES = 2
@@ -93,8 +93,7 @@ def generate_trace(
     default) emits byte-identical traces to every earlier release: the
     tenant path draws from the RNG only when enabled.
     """
-    if engine not in ENGINES + ("both", "all"):
-        raise ValueError(f"unknown engine {engine!r}")
+    resolve_engines(engine)
     rng = random.Random(seed)
     plan = _fault_plan_dict(rng, ticks) if faults else None
     trace = Trace(

@@ -4,7 +4,7 @@ Every function here *recomputes* a guarantee of the paper's design
 directly from controller state and the tick's observations, then
 compares against what the tick actually decided — an independent
 implementation of the equations, deliberately written in plain per-path
-Python so a bug shared between the scalar and vectorised engines (or
+Python so a bug shared between the scalar and bulk engines (or
 introduced by a future refactor of either) still trips the oracle.
 
 Invariant catalogue (names are stable — tests, docs and the

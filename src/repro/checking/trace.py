@@ -53,7 +53,22 @@ from repro.virt.template import VMTemplate
 TRACE_VERSION = 1
 
 #: Engines a trace can run under.
-ENGINES: Tuple[str, ...] = ("scalar", "vectorized", "bulk")
+ENGINES: Tuple[str, ...] = ("scalar", "bulk")
+#: Engine selectors: one engine by name, or ``"both"`` for all of them.
+ENGINE_SELECTORS: Tuple[str, ...] = ENGINES + ("both",)
+
+
+def resolve_engines(selector: str) -> Tuple[str, ...]:
+    """The engines an engine selector names.
+
+    ``"both"`` runs scalar and bulk in lockstep (cross-engine
+    bit-identity checked each tick); an engine name runs just that one.
+    """
+    if selector == "both":
+        return ENGINES
+    if selector not in ENGINES:
+        raise ValueError(f"unknown engine {selector!r}")
+    return (selector,)
 
 
 @dataclass
@@ -340,11 +355,9 @@ def replay(
 ) -> ReplayResult:
     """Replay a trace under one or more engines, oracles armed.
 
-    ``engines`` defaults to the header's ``engine`` field: ``"both"``
-    runs scalar and vectorised in lockstep (the historical pairing —
-    old traces keep their meaning), ``"all"`` runs every engine
-    including bulk, and with two or more replicas cross-engine
-    bit-identity is checked each tick, first replica versus each other.
+    ``engines`` defaults to the header's ``engine`` selector (see
+    :func:`resolve_engines`); with two replicas cross-engine
+    bit-identity is checked each tick.
     With ``stop_at_first`` (the default) replay returns at the first
     violating tick — what the shrinker's predicate wants; pass
     ``False`` to collect everything.
@@ -356,13 +369,7 @@ def replay(
     controller crash with their accumulated state intact).
     """
     if engines is None:
-        requested = trace.header.get("engine", "both")
-        if requested == "both":
-            engines = ("scalar", "vectorized")
-        elif requested == "all":
-            engines = ENGINES
-        else:
-            engines = (requested,)
+        engines = resolve_engines(trace.header.get("engine", "both"))
     engines = tuple(engines)
     for engine in engines:
         if engine not in ENGINES:

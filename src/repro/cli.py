@@ -17,13 +17,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.checking.trace import ENGINE_SELECTORS, ENGINES, resolve_engines
 from repro.sim.report import render_table, scores_rows, series_to_rows
-
-#: Single-engine choices (controller hot-path implementations).
-_ENGINE_CHOICES = ("scalar", "vectorized", "bulk")
-#: Multi-engine selectors for the checking tools: ``both`` keeps its
-#: historical meaning (scalar + vectorized), ``all`` adds bulk.
-_ENGINE_MULTI = _ENGINE_CHOICES + ("both", "all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,11 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="first seed (default 0)")
     cf.add_argument("--ticks", type=int, default=200, metavar="T",
                     help="controller ticks per scenario (default 200)")
-    cf.add_argument("--engine", choices=_ENGINE_MULTI,
+    cf.add_argument("--engine", choices=ENGINE_SELECTORS,
                     default="both",
                     help="engine(s) to replay under (default both = "
-                         "scalar+vectorized; 'all' adds bulk; with two "
-                         "or more, cross-engine bit-identity is checked)")
+                         "scalar+bulk, cross-engine bit-identity checked)")
     cf.add_argument("--no-faults", action="store_true",
                     help="generate scenarios without fault schedules")
     cf.add_argument("--repro-dir", default=None, metavar="DIR",
@@ -111,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a JSONL trace (e.g. a committed repro) with oracles armed",
     )
     cr.add_argument("trace", metavar="FILE", help="JSONL trace file")
-    cr.add_argument("--engine", choices=_ENGINE_MULTI,
+    cr.add_argument("--engine", choices=ENGINE_SELECTORS,
                     default=None,
                     help="override the trace header's engine selection")
 
@@ -222,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--tenants", type=int, default=2,
                     help="tenants to spread the VMs over (default 2)")
     bd.add_argument("--seed", type=int, default=42)
-    bd.add_argument("--engine", choices=_ENGINE_CHOICES, default="vectorized")
+    bd.add_argument("--engine", choices=ENGINES, default="bulk")
     bd.add_argument("--json", action="store_true",
                     help="emit invoices as JSON instead of tables")
     bd.add_argument("--per-vcpu", action="store_true",
@@ -251,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="controller ticks per scenario (default 200)")
     bf.add_argument("--tenants", type=int, default=3,
                     help="tenants per scenario (default 3)")
-    bf.add_argument("--engine", choices=_ENGINE_MULTI, default="all",
-                    help="engine(s) to meter under (default all)")
+    bf.add_argument("--engine", choices=ENGINE_SELECTORS, default="both",
+                    help="engine(s) to meter under (default both)")
     bf.add_argument("--repro-dir", default=None, metavar="DIR",
                     help="shrink each failing seed's trace and write the "
                          "minimal JSONL repro into DIR")
@@ -277,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="controller ticks per scenario (default 150)")
     sle.add_argument("--tenants", type=int, default=3,
                      help="tenants per scenario (default 3)")
-    sle.add_argument("--engine", choices=_ENGINE_MULTI, default="all",
-                     help="engine(s) to evaluate under (default all)")
+    sle.add_argument("--engine", choices=ENGINE_SELECTORS, default="both",
+                     help="engine(s) to evaluate under (default both)")
     sle.add_argument("--out", default=None, metavar="DIR",
                      help="write per-seed alert ledgers and a summary "
                           "JSON into DIR (the CI artefact)")
@@ -362,13 +356,12 @@ def _add_controller_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--auction-priority", choices=("credits", "frequency"),
                         default=None,
                         help="auction shopping order (paper: credits)")
-    parser.add_argument("--engine", choices=_ENGINE_CHOICES,
+    parser.add_argument("--engine", choices=ENGINES,
                         default=None,
                         help="controller hot-path implementation: the "
-                             "structure-of-arrays fast path (default), "
-                             "the bulk array-backend path on top of it, "
-                             "or the per-vCPU scalar oracle; reports are "
-                             "bit-identical all three ways")
+                             "bulk structure-of-arrays path (default) or "
+                             "the per-vCPU scalar oracle; reports are "
+                             "bit-identical both ways")
     parser.add_argument("--set", dest="config_sets", action="append",
                         default=[], metavar="KEY=VALUE",
                         help="override any ControllerConfig field by name "
@@ -740,14 +733,7 @@ def _cmd_check_replay(args) -> int:
     trace = Trace.load(args.trace)
     engines = None
     if args.engine is not None:
-        from repro.checking.trace import ENGINES
-
-        if args.engine == "both":
-            engines = ("scalar", "vectorized")
-        elif args.engine == "all":
-            engines = ENGINES
-        else:
-            engines = (args.engine,)
+        engines = resolve_engines(args.engine)
     result = replay(trace, engines=engines, stop_at_first=False)
     for violation in result.violations:
         print(violation)
@@ -1110,15 +1096,7 @@ def _cmd_bill_fuzz(args) -> int:
         shrink_trace,
     )
 
-    engines = None
-    if args.engine == "both":
-        engines = ("scalar", "vectorized")
-    elif args.engine == "all":
-        from repro.checking.trace import ENGINES
-
-        engines = ENGINES
-    elif args.engine in _ENGINE_CHOICES:
-        engines = (args.engine,)
+    engines = resolve_engines(args.engine)
     failures = 0
     engine_ticks = 0
     for seed in range(args.start_seed, args.start_seed + args.seeds):
@@ -1164,16 +1142,6 @@ def _cmd_slo(args) -> int:
     }[args.slo_command](args)
 
 
-def _multi_engines(choice: str):
-    if choice == "both":
-        return ("scalar", "vectorized")
-    if choice == "all":
-        from repro.checking.trace import ENGINES
-
-        return ENGINES
-    return (choice,)
-
-
 def _cmd_slo_eval(args) -> int:
     """Fuzzed runs with the SLO plane attached, two gates armed:
 
@@ -1192,7 +1160,7 @@ def _cmd_slo_eval(args) -> int:
     from repro.checking.trace import _compare_reports, replay
     from repro.obs.slo import SLOConfig, SLOPlane
 
-    engines = _multi_engines(args.engine)
+    engines = resolve_engines(args.engine)
 
     def run_attached(trace):
         """One attached replay; returns (result, planes-by-engine)."""

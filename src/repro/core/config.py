@@ -49,15 +49,14 @@ class ControllerConfig:
     enforcement_period_us: int = 100_000
     #: Disable stages 3-6 (configuration "A" runs monitoring only).
     control_enabled: bool = True
-    #: Controller hot-path implementation: ``"vectorized"`` runs stages
-    #: 2-5 on the structure-of-arrays fast path (:mod:`repro.core.soa`);
-    #: ``"bulk"`` additionally drives stages 1 and 6 through the
-    #: backend's array interface (:meth:`~repro.core.backend.
-    #: HostBackend.sample_all` / ``apply_caps``) with dirty-set
-    #: incremental recompute; ``"scalar"`` keeps the per-vCPU
-    #: dict/object loops as the bit-identical oracle.  Same reports
-    #: all three ways, different speed.
-    engine: str = "vectorized"
+    #: Controller hot-path implementation: ``"bulk"`` runs stages 2-5
+    #: on the structure-of-arrays fast path (:mod:`repro.core.soa`) with
+    #: dirty-set incremental recompute and drives stages 1 and 6 through
+    #: the backend's array interface (:meth:`~repro.core.backend.
+    #: HostBackend.sample_all` / ``apply_caps``); ``"scalar"`` keeps the
+    #: per-vCPU dict/object loops as the bit-identical oracle.  Same
+    #: reports both ways, different speed.
+    engine: str = "bulk"
     #: Use the paper-literal Eq. 3 (with S_n = n(n+1)/2) instead of the
     #: standard least-squares slope; kept for comparison, same sign.
     literal_trend: bool = False
@@ -118,10 +117,9 @@ class ControllerConfig:
             raise ValueError("min_cap_frac must be in (0, 1]")
         if self.enforcement_period_us <= 0:
             raise ValueError("enforcement_period_us must be positive")
-        if self.engine not in ("scalar", "vectorized", "bulk"):
+        if self.engine not in ("scalar", "bulk"):
             raise ValueError(
-                f"engine must be 'scalar', 'vectorized' or 'bulk', "
-                f"got {self.engine!r}"
+                f"engine must be 'scalar' or 'bulk', got {self.engine!r}"
             )
         if self.auction_priority not in ("credits", "frequency"):
             raise ValueError(

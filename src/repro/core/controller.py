@@ -160,16 +160,13 @@ class VirtualFrequencyController:
         #: is pure in ``period_s * vfreq / fmax``, all fixed between
         #: (re-)registrations, so stage 3 never recomputes it per sample.
         self._guarantee: Dict[str, float] = {}
-        #: Structure-of-arrays state for the vectorized/bulk engines
-        #: (None on the scalar oracle path).
+        #: Structure-of-arrays state for the bulk engine (None on the
+        #: scalar oracle path).
         self._table: Optional[VcpuTable] = (
             VcpuTable(self.config.history_len)
-            if self.config.engine in ("vectorized", "bulk")
+            if self.config.engine == "bulk"
             else None
         )
-        #: The bulk engine drives stages 1/6 through the backend's
-        #: array interface and stage 2 through the dirty-set cache.
-        self._bulk = self.config.engine == "bulk"
         #: Bumped on every registry mutation; part of the bulk view
         #: cache key (a stable backend batch + an unchanged registry
         #: means the gathered TickView can be reused as-is).
@@ -366,16 +363,16 @@ class VirtualFrequencyController:
         """One full iteration of the feedback loop at simulation time ``t``.
 
         Dispatches to the engine selected by ``config.engine``: the
-        structure-of-arrays fast path (default) or the per-vCPU scalar
-        oracle.  Both produce bit-identical reports.
+        bulk structure-of-arrays fast path (default) or the per-vCPU
+        scalar oracle.  Both produce bit-identical reports.
         """
         if self.obs is None:
             if self._table is not None:
-                return self._tick_vectorized(t)
+                return self._tick_bulk(t)
             return self._tick_scalar(t)
         try:
             if self._table is not None:
-                return self._tick_vectorized(t)
+                return self._tick_bulk(t)
             return self._tick_scalar(t)
         except Exception as exc:
             from repro.checking.invariants import InvariantViolationError
@@ -495,13 +492,16 @@ class VirtualFrequencyController:
         self._finish(report)
         return report
 
-    def _tick_vectorized(self, t: float) -> ControllerReport:
-        """Structure-of-arrays fast path (``engine="vectorized"``).
+    def _tick_bulk(self, t: float) -> ControllerReport:
+        """Structure-of-arrays fast path (``engine="bulk"``).
 
         One iteration over NumPy columns instead of per-vCPU dict
         loops; see :mod:`repro.core.soa` for why every array is
         gathered in sample order and how reductions keep the scalar
         engine's operation order (and therefore its exact bits).
+        Stages 1 and 6 go through the backend's array interface
+        (:meth:`~repro.core.backend.HostBackend.sample_all` /
+        ``apply_caps``) and stage 2 through the dirty-set cache.
         """
         cfg = self.config
         table = self._table
@@ -509,17 +509,18 @@ class VirtualFrequencyController:
         report = ControllerReport(t=t)
 
         # Stage 1 — monitoring; samples land directly in table slots.
-        # The bulk engine takes the backend's array path (stale-sample
-        # carry-forward is inherently per-path, so an active resilience
-        # policy keeps the list-based monitor).
+        # Stale-sample carry-forward is inherently per-path, so an
+        # active resilience policy keeps the list-based monitor.
         t0 = time.perf_counter()
-        if self._bulk and self.resilience is None:
+        if self.resilience is None:
             samples, view = self._bulk_sample(table)
         else:
-            samples, view = self.monitor.sample_into(
-                table, self._vm_vfreq, self._guarantee, self._current_cap
+            samples = [
+                s for s in self.monitor.sample() if s.vm_name in self._vm_vfreq
+            ]
+            view = table.ingest(
+                samples, self._guarantee.__getitem__, self._current_cap
             )
-        if self.resilience is not None:
             self._update_health(samples)
         report.samples = samples
         report.timings.monitor = time.perf_counter() - t0
@@ -531,10 +532,8 @@ class VirtualFrequencyController:
             report.timings.estimate = time.perf_counter() - t0
             self._finish(report)
             return report
-        estimates, trends, cases = decide_batch(
-            table, view, cfg, use_cache=self._bulk
-        )
-        if self.keep_reports:
+        estimates, trends, cases = decide_batch(table, view, cfg)
+        if self._need_detail():
             # The per-path decision objects are report detail only; the
             # stages below consume the arrays directly.
             report.decisions = build_decisions(
@@ -628,10 +627,7 @@ class VirtualFrequencyController:
             report.degraded.update(overrides)
             for path, cycles in overrides.items():
                 table.set_cap_path(path, cycles)
-        if self._bulk:
-            self._bulk_enforce(table, view, alloc, overrides)
-        else:
-            self.enforcer.apply(allocations)
+        self._bulk_enforce(table, view, alloc, overrides)
         if self.resilience is not None:
             self._retry_failed_writes(allocations)
         self._current_cap.update(allocations)
@@ -644,11 +640,14 @@ class VirtualFrequencyController:
 
     # -- bulk-array engine helpers ------------------------------------------------
 
-    def _need_samples(self) -> bool:
-        """Whether anything downstream consumes ``report.samples``."""
+    def _need_detail(self) -> bool:
+        """Whether anything downstream consumes ``report.samples`` and
+        ``report.decisions`` (kept reports or any tick observer)."""
         return (
             self.keep_reports
             or self.obs is not None
+            or self.billing is not None
+            or self.slo is not None
             or self.invariant_checker is not None
         )
 
@@ -660,8 +659,8 @@ class VirtualFrequencyController:
         the gathered :class:`TickView` is reused with only its
         ``consumed`` column swapped — the steady-state tick carries no
         per-vCPU Python work at all.  Per-sample objects are only
-        materialised when reports, observability or the inline oracle
-        actually consume them.
+        materialised when :meth:`_need_detail` says something consumes
+        them.
         """
         batch = self.backend.sample_all(self.config.period_s)
         cache = self._bulk_cache
@@ -674,7 +673,7 @@ class VirtualFrequencyController:
             view.consumed = (
                 batch.consumed if keep is None else batch.consumed[keep]
             )
-            samples = batch.to_samples(keep) if self._need_samples() else []
+            samples = batch.to_samples(keep) if self._need_detail() else []
             return samples, view
         # View (re)build: same filter + gather as the list-based path.
         samples_all = batch.to_samples()

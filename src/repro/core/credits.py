@@ -66,9 +66,9 @@ class CreditLedger:
         return gain
 
     def apply_gain(self, vm_name: str, gain: float) -> None:
-        """Credit a pre-computed Eq. 4 gain (the vectorised stage 3).
+        """Credit a pre-computed Eq. 4 gain (the bulk engine's stage 3).
 
-        The gain is the per-VM segment reduction the vectorised engine
+        The gain is the per-VM segment reduction the bulk engine
         computes with ``np.bincount``; the wallet update is the same two
         operations :meth:`accrue` performs, so both engines produce
         bit-identical balances.

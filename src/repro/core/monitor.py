@@ -118,19 +118,6 @@ class Monitor:
             self._last_seen[s.cgroup_path] = s
         return out
 
-    def sample_into(self, table, registered, guarantees, caps):
-        """One monitoring pass landing directly in :class:`VcpuTable` slots.
-
-        The vectorised engine's stage 1: samples are filtered to
-        registered VMs (same predicate as the scalar tick) and gathered
-        into sample-order arrays, assigning slots to new vCPUs on the
-        fly.  Returns ``(samples, view)`` — the filtered sample list for
-        the report plus the :class:`~repro.core.soa.TickView`.
-        """
-        samples = [s for s in self.sample() if s.vm_name in registered]
-        view = table.ingest(samples, guarantees.__getitem__, caps)
-        return samples, view
-
     def missing_ages(self) -> Dict[str, int]:
         """Consecutive ticks each known vCPU has gone unobserved.
 

@@ -11,9 +11,9 @@ vectorised array operations regardless of population size.
 
 Bit-identity with the scalar oracle
 -----------------------------------
-The vectorised engine (``ControllerConfig.engine = "vectorized"``) must
-produce *bit-identical* reports to the scalar one (``"scalar"``), which
-is kept as the oracle.  Floating-point addition is not associative, so
+The bulk engine (``ControllerConfig.engine = "bulk"``) must produce
+*bit-identical* reports to the scalar one (``"scalar"``), which is kept
+as the oracle.  Floating-point addition is not associative, so
 identical results require identical operation order, which this module
 guarantees by construction:
 
@@ -135,7 +135,7 @@ class VcpuTable:
         self.guarantee = np.zeros(capacity)  # cached Eq. 2 C_i
         self.vm_ids = np.zeros(capacity, dtype=np.int64)
         self.degraded = np.zeros(capacity, dtype=bool)
-        # -- dirty-set decision cache (bulk engine) --------------------------
+        # -- dirty-set decision cache ----------------------------------------
         #: Length of the uniform tail of observed samples, *including*
         #: the newest one.  ``run_len > history_len`` means the window
         #: did not change when the newest sample shifted in — the one
@@ -502,7 +502,6 @@ def decide_batch(
     table: VcpuTable,
     view: TickView,
     config: ControllerConfig,
-    use_cache: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage-2 decisions for every sampled vCPU at once.
 
@@ -512,16 +511,15 @@ def decide_batch(
     Histories must already include this tick's observation
     (:meth:`VcpuTable.observe` first), mirroring the scalar order.
 
-    With ``use_cache=True`` (the bulk engine's dirty-set recompute),
-    rows whose decision inputs provably did not change since their
-    last decision — the consumption window shifted in a repeat of
-    itself (``run_len > history_len``) and the cap equals the exact
-    value the cached decision was computed against — are served from
-    the per-slot cache instead of recomputed.  The decision is a pure
-    per-element function of (window, cap, config), so cached and
-    recomputed values are bit-identical by construction (and proved
-    against the scalar oracle by the cross-engine harness on fuzzed
-    traces).
+    Dirty-set recompute: rows whose decision inputs provably did not
+    change since their last decision — the consumption window shifted
+    in a repeat of itself (``run_len > history_len``) and the cap
+    equals the exact value the cached decision was computed against —
+    are served from the per-slot cache instead of recomputed.  The
+    decision is a pure per-element function of (window, cap, config),
+    so cached and recomputed values are bit-identical by construction
+    (and proved against the scalar oracle by the cross-engine harness
+    on fuzzed traces).
     """
     cfg = config
     p_us = period_us(cfg.period_s)
@@ -534,9 +532,6 @@ def decide_batch(
     n_arr = table.hist_n[rows]
     cap_raw = np.where(table.has_cap[rows], table.cap[rows], p_us)
     cap = np.maximum(cap_raw, floor)
-
-    if not use_cache:
-        return _decide_core(table, rows, u, n_arr, cap, cfg, p_us, floor, eps)
 
     clean = (
         table.decide_valid[rows]

@@ -30,7 +30,7 @@ independent arithmetic.
 
 Storage is one dict per tick (``{"meta": ..., "decisions": [...]}``)
 in a bounded in-memory ring, mirrored as JSONL when the hub has an
-``out_dir``.  Records are engine-agnostic: the scalar and vectorized
+``out_dir``.  Records are engine-agnostic: the scalar and bulk
 engines must produce identical ledgers (fuzz-checked).
 """
 

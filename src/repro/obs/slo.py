@@ -26,7 +26,7 @@ Everything evaluates deterministically at tick boundaries from the
 identical alert ledger (``make slo-smoke`` gates it in CI).  Like the
 obs hub and the billing engine, the plane is a pure observer — report
 and decision-ledger streams are bit-identical with it attached or not
-(``tests/obs/test_slo_transparency.py``, all three engines).
+(``tests/obs/test_slo_transparency.py``, both engines).
 """
 
 from __future__ import annotations
@@ -333,9 +333,9 @@ class SLOPlane:
     ) -> List[Dict]:
         """Ingest a manager barrier tick (reports or shm dialect).
 
-        A ``"shared"``-telemetry sharded manager is read objectlessly
-        through its mapped :class:`ShardTelemetryReader` blocks; every
-        other manager through ``last_reports`` + controller registries.
+        A sharded manager is read objectlessly through its mapped
+        :class:`ShardTelemetryReader` blocks; an in-process manager
+        through ``last_reports`` + controller registries.
         Returns the alert transitions this tick produced.
         """
         store = self.store

@@ -21,9 +21,8 @@ Ingest is three-dialect, mirroring how the repo's planes report:
   :class:`~repro.core.controller.ControllerReport` plus the owning
   controller's registries (tenant / guarantee maps), post hoc exactly
   like the obs hub;
-* :meth:`SeriesStore.ingest_node_manager` — a
-  :class:`~repro.sim.node_manager.NodeManager` (or sharded manager in
-  ``"reports"`` mode) after a barrier tick;
+* :meth:`SeriesStore.ingest_node_manager` — an in-process
+  :class:`~repro.sim.node_manager.NodeManager` after a barrier tick;
 * :meth:`SeriesStore.ingest_shard_reader` — *objectless*: straight off
   a :class:`~repro.sim.shard_telemetry.ShardTelemetryReader`'s mapped
   NumPy blocks in the shm dialect, via a per-catalog column cache so
@@ -389,7 +388,7 @@ class SeriesStore:
     def ingest_node_manager(
         self, manager, *, deadline_s: Optional[float] = None
     ) -> None:
-        """A barrier tick of a (sharded) manager in ``"reports"`` mode.
+        """A barrier tick of an in-process :class:`~repro.sim.node_manager.NodeManager`.
 
         Per-node tick seconds and allocation totals come from
         ``last_reports``; the cluster deadline counter compares each

@@ -157,6 +157,7 @@ class CloudOperator:
             runtime = self.sim._runtime_hosting(name)
             if runtime is None:
                 continue
+            self.sim.cancel_migration(name)
             runtime.hypervisor.destroy(name)
             runtime.controller.unregister_vm(name)
             self.outcome.departed += 1

@@ -306,6 +306,11 @@ class ClusterSimulation:
         self.migrations.append(event)
         return event
 
+    def cancel_migration(self, vm_name: str) -> None:
+        """Drop ``vm_name``'s in-flight migration, if any — the VM is
+        leaving the cluster — which releases its target reservation."""
+        self._in_flight = [m for m in self._in_flight if m.vm_name != vm_name]
+
     def _complete_migrations(self) -> None:
         still: List[_InFlightMigration] = []
         for mig in self._in_flight:

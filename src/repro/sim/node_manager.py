@@ -281,10 +281,10 @@ class NodeManager:
 #
 # Affinity is structural: each shard owns a dedicated single-worker
 # executor, so every task for that shard lands on the process holding
-# its state.  Only three things ever cross the process boundary:
-# the shard *factory* on the way in (a picklable module-level callable)
-# and, each tick, the per-node ``ControllerReport``s plus summed
-# telemetry on the way out.
+# its state.  Only the shard *factory* crosses the process boundary on
+# the way in (a picklable module-level callable); each tick, what comes
+# back is the error map plus the name of a shared-memory segment the
+# worker published its telemetry into (:mod:`repro.sim.shard_telemetry`).
 
 
 class Shard:
@@ -311,8 +311,8 @@ class Shard:
 #: global because every shard executor runs ``max_workers=1``.
 _WORKER_SHARD: Optional[Tuple[Shard, NodeManager]] = None
 
-#: Per-worker telemetry segment, created on the first shared-telemetry
-#: tick and reused (same buffers) for every tick after.
+#: Per-worker telemetry segment, created on the first tick and reused
+#: (same buffers) for every tick after.
 _WORKER_TELEMETRY: Optional[ShardTelemetryWriter] = None
 
 
@@ -327,45 +327,18 @@ def _shard_build(
     return sorted(shard.controllers)
 
 
-def _shard_tick(
-    t: float,
-) -> Tuple[
-    Dict[str, ControllerReport],
-    Dict[str, Tuple[str, str]],
-    BackendStats,
-    Tuple[int, int],
-]:
-    """(worker) One barrier tick over this worker's node group.
-
-    Exceptions are flattened to ``(type_name, message)`` pairs — live
-    exception objects may drag unpicklable controller state through
-    their traceback frames.
-    """
-    shard, manager = _WORKER_SHARD  # type: ignore[misc]
-    if shard.pre_tick is not None:
-        shard.pre_tick(t)
-    result = manager.tick(t)
-    errors = {
-        node_id: (type(exc).__name__, str(exc))
-        for node_id, exc in result.errors.items()
-    }
-    return (
-        dict(result),
-        errors,
-        manager.backend_stats(),
-        manager.invariant_totals(),
-    )
-
-
 def _shard_tick_telemetry(
     t: float,
 ) -> Tuple[Dict[str, Tuple[str, str]], str, int, Optional[Catalog]]:
-    """(worker) Barrier tick publishing into shared memory.
+    """(worker) One barrier tick over this worker's node group,
+    published into shared memory.
 
-    The compact sibling of :func:`_shard_tick`: per-node reports stay
-    in this process (``fetch_report`` pulls one on demand); what crosses
-    the pickle boundary is the error map, the segment name and the
-    catalog version — plus the catalog itself only when it changed.
+    Per-node reports stay in this process (``fetch_report`` pulls one
+    on demand); what crosses the pickle boundary is the error map —
+    exceptions flattened to ``(type_name, message)`` pairs, since live
+    exception objects may drag unpicklable controller state through
+    their traceback frames — the segment name and the catalog version,
+    plus the catalog itself only when it changed.
     """
     global _WORKER_TELEMETRY
     shard, manager = _WORKER_SHARD  # type: ignore[misc]
@@ -393,11 +366,6 @@ def _shard_close_telemetry() -> None:
     if _WORKER_TELEMETRY is not None:
         _WORKER_TELEMETRY.close(unlink=True)
         _WORKER_TELEMETRY = None
-
-
-def _shard_invariants_by_node() -> Dict[str, int]:
-    """(worker) Per-node cumulative violation counts for this shard."""
-    return _WORKER_SHARD[1].invariant_violations_by_node()  # type: ignore[index]
 
 
 def _shard_register_vm(
@@ -428,9 +396,9 @@ class RemoteNodeError(RuntimeError):
 class ShardedNodeManager:
     """Runs node groups in worker processes; one barrier per tick.
 
-    Same contract as :class:`NodeManager` — ``tick(t)`` returns a
-    merged :class:`TickResult`, failed nodes land in ``result.errors``
-    without aborting the barrier, and the aggregate telemetry methods
+    Same contract as :class:`NodeManager`, except that per-node
+    reports are fetched on demand (see below) — failed nodes land in
+    ``result.errors`` without aborting the barrier, and the aggregate telemetry methods
     (``aggregate_timings`` / ``backend_stats`` / ``invariant_totals``)
     report cluster-wide sums.  Fault isolation is two-level: a node
     whose tick raises is contained by the in-worker :class:`NodeManager`
@@ -444,25 +412,22 @@ class ShardedNodeManager:
     ``{node_id: controller}`` dict.  Groups are built lazily inside the
     workers on first use — construct, then tick.
 
-    ``telemetry`` picks the tick's IPC lane:
-
-    * ``"reports"`` (default) — every per-node
-      :class:`~repro.core.controller.ControllerReport` is pickled back
-      each tick, exactly the original contract;
-    * ``"shared"`` — workers publish compact per-node / per-VM arrays
-      into a ``multiprocessing.shared_memory`` segment
-      (:mod:`repro.sim.shard_telemetry`) and ``tick`` returns an
-      *empty* :class:`TickResult` (errors still populated).  Aggregate
-      telemetry — ``aggregate_timings`` / ``backend_stats`` /
-      ``invariant_totals`` / ``invariant_violations_by_node`` — reads
-      the mapped segments with no extra round trips, and a full report
-      is fetched on demand via :meth:`fetch_report`.  This is the lane
-      that keeps a 1000-node tick inside the 1 s control period.
+    Each tick, workers publish compact per-node arrays into a
+    ``multiprocessing.shared_memory`` segment
+    (:mod:`repro.sim.shard_telemetry`) and ``tick`` returns an *empty*
+    :class:`TickResult` (errors still populated).  Aggregate telemetry
+    — ``aggregate_timings`` / ``backend_stats`` / ``invariant_totals``
+    / ``invariant_violations_by_node`` — reads the mapped segments with
+    no extra round trips, and a full report is fetched on demand via
+    :meth:`fetch_report`.  This is what keeps a 1000-node tick inside
+    the 1 s control period.  ``telemetry`` only accepts ``"shared"``;
+    the keyword stays because existing callers (the benchmark driver
+    among them) pass it.
 
     Observability stays per-node and in-worker: the inner manager's
     flight-recorder trigger fires in the process that owns the hub, so
     black-box dumps land exactly as they do single-process.  What this
-    layer aggregates is the report stream and the summed telemetry.
+    layer aggregates is the summed telemetry.
     """
 
     def __init__(
@@ -472,16 +437,13 @@ class ShardedNodeManager:
         ],
         *,
         mp_context: Optional[str] = None,
-        telemetry: str = "reports",
+        telemetry: str = "shared",
     ) -> None:
         if not shard_factories:
             raise ValueError("at least one shard factory is required")
-        if telemetry not in ("reports", "shared"):
-            raise ValueError(
-                f"telemetry must be 'reports' or 'shared', got {telemetry!r}"
-            )
+        if telemetry != "shared":
+            raise ValueError(f"telemetry must be 'shared', got {telemetry!r}")
         self.shard_factories = dict(shard_factories)
-        self.telemetry = telemetry
         methods = multiprocessing.get_all_start_methods()
         method = mp_context or ("fork" if "fork" in methods else "spawn")
         self._ctx = multiprocessing.get_context(method)
@@ -495,7 +457,7 @@ class ShardedNodeManager:
         self._started = False
         self._backend_stats = BackendStats()
         self._invariant_totals = (0, 0)
-        #: shared-telemetry segment views, one per shard.
+        #: Telemetry segment views, one per shard.
         self.readers: Dict[str, ShardTelemetryReader] = {}
 
     # -- lifecycle --------------------------------------------------------------
@@ -504,15 +466,14 @@ class ShardedNodeManager:
         """Spin up one single-worker pool per shard and build in-worker."""
         if self._started:
             return
-        if self.telemetry == "shared":
-            # Start the parent's resource tracker *before* the pools
-            # fork: forked workers then inherit it, making it the one
-            # shared tracker the segment-cleanup bookkeeping assumes
-            # (see the shard_telemetry module docstring).  Without
-            # this, worker and parent each lazily start their own
-            # tracker and the parent's attach-registration is never
-            # balanced, warning about a phantom leak at exit.
-            resource_tracker.ensure_running()
+        # Start the parent's resource tracker *before* the pools fork:
+        # forked workers then inherit it, making it the one shared
+        # tracker the segment-cleanup bookkeeping assumes (see the
+        # shard_telemetry module docstring).  Without this, worker and
+        # parent each lazily start their own tracker and the parent's
+        # attach-registration is never balanced, warning about a
+        # phantom leak at exit.
+        resource_tracker.ensure_running()
         futures = {}
         for shard_id, factory in self.shard_factories.items():
             pool = ProcessPoolExecutor(max_workers=1, mp_context=self._ctx)
@@ -624,49 +585,10 @@ class ShardedNodeManager:
     def tick(self, t: float) -> TickResult:
         """One iteration on every node of every shard; barrier semantics.
 
-        In ``"reports"`` mode telemetry sums (`backend_stats`,
-        `invariant_totals`) are refreshed from the workers as part of
-        the same round trip — counters are cumulative in the backends,
-        so the latest snapshot is the cluster total.  In ``"shared"``
-        mode the result carries errors only; everything else lands in
-        the shared-memory segments (see the class docstring).
+        The result carries errors only; everything else lands in the
+        shared-memory segments (see the class docstring).
         """
         self.start()
-        if self.telemetry == "shared":
-            return self._tick_shared(t)
-        self.last_errors = {}
-        result = TickResult()
-        futures = {
-            shard_id: pool.submit(_shard_tick, t)
-            for shard_id, pool in self._pools.items()
-        }
-        stats = BackendStats()
-        checks = violations = 0
-        for shard_id, future in futures.items():
-            try:
-                reports, errors, shard_stats, totals = future.result()
-            except Exception as exc:
-                # The whole worker died (BrokenProcessPool, pickling
-                # failure): every node of the shard is down this tick.
-                for node_id in self.nodes_by_shard.get(shard_id, []):
-                    self._record_error(node_id, exc, result)
-                continue
-            result.update(reports)
-            for node_id, (exc_type, message) in errors.items():
-                self._record_error(
-                    node_id, RemoteNodeError(exc_type, message), result
-                )
-            stats = stats + shard_stats
-            checks += totals[0]
-            violations += totals[1]
-        self._backend_stats = stats
-        self._invariant_totals = (checks, violations)
-        self.last_reports.update(result)
-        self.ticks += 1
-        return result
-
-    def _tick_shared(self, t: float) -> TickResult:
-        """Barrier tick over the compact shared-memory lane."""
         self.last_errors = {}
         result = TickResult()
         futures = {
@@ -707,12 +629,11 @@ class ShardedNodeManager:
     def fetch_report(self, node_id: str) -> Optional[ControllerReport]:
         """Pull one node's latest full report from its worker (lazy).
 
-        The explain / flight-recorder escape hatch of the shared
-        telemetry lane: the compact arrays cover every aggregate, and
-        the rare flow that needs sample lists or per-path allocations
-        pays one pickle for exactly one node.  The fetched report is
-        cached in :attr:`last_reports` (as ``"reports"`` mode would
-        have).  Works in either telemetry mode.
+        The explain / flight-recorder escape hatch: the compact arrays
+        cover every aggregate, and the rare flow that needs sample
+        lists or per-path allocations pays one pickle for exactly one
+        node.  :attr:`last_reports` caches what was fetched, nothing
+        else.  ``None`` when the node has not completed a tick.
         """
         self.start()
         shard_id = self.shard_of(node_id)
@@ -740,31 +661,17 @@ class ShardedNodeManager:
     # -- aggregate telemetry ----------------------------------------------------
 
     def aggregate_timings(self) -> StageTimings:
-        """Summed per-stage wall-clock across the latest tick.
-
-        ``"reports"`` mode sums over :attr:`last_reports`; ``"shared"``
-        mode sums the mapped telemetry blocks — no round trips.
-        """
-        if self.telemetry == "shared" and self.readers:
-            total = StageTimings()
-            for reader in self.readers.values():
-                shard = reader.stage_timings()
-                total.monitor += shard.monitor
-                total.estimate += shard.estimate
-                total.credits += shard.credits
-                total.auction += shard.auction
-                total.distribute += shard.distribute
-                total.enforce += shard.enforce
-            return total
+        """Summed per-stage wall-clock across the latest tick, read
+        from the mapped telemetry blocks — no round trips."""
         total = StageTimings()
-        for report in self.last_reports.values():
-            t = report.timings
-            total.monitor += t.monitor
-            total.estimate += t.estimate
-            total.credits += t.credits
-            total.auction += t.auction
-            total.distribute += t.distribute
-            total.enforce += t.enforce
+        for reader in self.readers.values():
+            shard = reader.stage_timings()
+            total.monitor += shard.monitor
+            total.estimate += shard.estimate
+            total.credits += shard.credits
+            total.auction += shard.auction
+            total.distribute += shard.distribute
+            total.enforce += shard.enforce
         return total
 
     def backend_stats(self) -> BackendStats:
@@ -778,28 +685,14 @@ class ShardedNodeManager:
     def invariant_violations_by_node(self) -> Dict[str, int]:
         """Per-node cumulative violation counts, merged across shards.
 
-        ``"shared"`` mode reads the mapped telemetry blocks directly —
-        zero round trips, which is what lets the rebalancer snapshot a
-        1000-node cluster every round.  ``"reports"`` mode keeps the
-        original per-shard query.  Either way a dead shard contributes
-        nothing this round (its nodes are already flagged via
-        ``error_counts``); the counters are cumulative in-worker, so
-        the next successful round trip catches the totals up.
+        Reads the mapped telemetry blocks directly — zero round trips,
+        which is what lets the rebalancer snapshot a 1000-node cluster
+        every round.  A dead shard contributes what it last published
+        (its nodes are already flagged via ``error_counts``); the
+        counters are cumulative in-worker, so the next successful tick
+        catches the totals up.
         """
-        if self.telemetry == "shared" and self.readers:
-            out: Dict[str, int] = {}
-            for reader in self.readers.values():
-                out.update(reader.violations_by_node())
-            return out
-        self.start()
-        futures = {
-            shard_id: pool.submit(_shard_invariants_by_node)
-            for shard_id, pool in self._pools.items()
-        }
-        out = {}
-        for shard_id, future in futures.items():
-            try:
-                out.update(future.result())
-            except Exception:
-                continue
+        out: Dict[str, int] = {}
+        for reader in self.readers.values():
+            out.update(reader.violations_by_node())
         return out

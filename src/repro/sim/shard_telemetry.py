@@ -1,33 +1,31 @@
 """Shared-memory telemetry lane for the sharded control plane.
 
-:class:`~repro.sim.node_manager.ShardedNodeManager` originally pickled
-every per-node :class:`~repro.core.controller.ControllerReport` across
-the process boundary each tick.  At 1000 nodes / 50k VMs that is tens
-of megabytes of sample lists and allocation dicts per second — the IPC
-alone blows the 1 s control period.  This module is the compact lane:
-each shard worker owns one ``multiprocessing.shared_memory`` segment
-and publishes fixed-width NumPy blocks into it after every barrier
-tick; the parent maps the same segment once and reads cluster
-aggregates (stage timings, Eq. 7 guarantee/capacity accounts, backend
-syscall counters, invariant totals, per-VM allocations) with zero
-copies and zero pickling.  Full reports stay in the worker and are
-fetched lazily — ``ShardedNodeManager.fetch_report`` — only for
-``explain`` / flight-recorder flows.
+Pickling every per-node :class:`~repro.core.controller.ControllerReport`
+across the process boundary each tick would cost, at 1000 nodes / 50k
+VMs, tens of megabytes of sample lists and allocation dicts per second
+— the IPC alone blows the 1 s control period.  So each
+:class:`~repro.sim.node_manager.ShardedNodeManager` worker owns one
+``multiprocessing.shared_memory`` segment and publishes fixed-width
+NumPy blocks into it after every barrier tick; the parent maps the same
+segment once and reads cluster aggregates (stage timings, Eq. 7
+guarantee/capacity accounts, backend syscall counters, invariant
+totals) with zero copies and zero pickling.  Full reports stay in the
+worker and are fetched lazily — ``ShardedNodeManager.fetch_report`` —
+only for ``explain`` / flight-recorder flows.
 
 Segment layout (all offsets in bytes, one segment per shard)::
 
-    header     int64[8]    [catalog_version, n_nodes, n_vms,
-                            node_cap, vm_cap, ticks, seq, 0]
+    header     int64[8]    [catalog_version, n_nodes, node_cap,
+                            ticks, seq, 0, 0, 0]
     t          float64[1]  control time of the published tick
     backend    int64[11]   BackendStats counters (BACKEND_FIELDS order)
     invariants int64[2]    (checks, violations) shard totals
     nodes      float64[node_cap, NODE_F]   NODE_FIELDS columns
-    vms        float64[vm_cap,   VM_F]     VM_FIELDS columns
 
-The *catalog* (node ids, VM names, VM→node slots) crosses the process
+The *catalog* (the shard's node ids, in row order) crosses the process
 boundary as a pickled tuple only when ``catalog_version`` changes —
 steady-state ticks ship just the segment name and two ints.  When the
-node/VM population outgrows the segment the worker allocates a doubled
+node population outgrows the segment the worker allocates a doubled
 segment under a fresh name and unlinks the old one; the parent re-maps
 on the name change.
 
@@ -51,7 +49,7 @@ attaching from a process that genuinely runs its own tracker.
 from __future__ import annotations
 
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -78,20 +76,12 @@ NODE_FIELDS: Tuple[str, ...] = (
     "errored",           # 1.0 when this node's tick raised this round
 )
 
-#: Columns of the per-VM float64 block.
-VM_FIELDS: Tuple[str, ...] = (
-    "node_slot",         # index into the shard's node catalog
-    "alloc_cycles",      # this tick's allocation, summed over vCPU paths
-    "guarantee_mhz",     # registered vfreq guarantee
-)
-
 NODE_F = len(NODE_FIELDS)
-VM_F = len(VM_FIELDS)
 _HDR_N = 8
 _N_BACKEND = len(BACKEND_FIELDS)
 
 #: ``header`` slot indices.
-H_CATALOG_VERSION, H_N_NODES, H_N_VMS, H_NODE_CAP, H_VM_CAP, H_TICKS = range(6)
+H_CATALOG_VERSION, H_N_NODES, H_NODE_CAP, H_TICKS = range(4)
 #: Sequence counter (seqlock): the writer holds it *odd* while
 #: mutating rows and bumps it back to even once the tick is fully
 #: published.  A reader that wants a consistent cross-block snapshot
@@ -99,27 +89,26 @@ H_CATALOG_VERSION, H_N_NODES, H_N_VMS, H_NODE_CAP, H_VM_CAP, H_TICKS = range(6)
 #: between two equal even reads — the barrier-tick parent never
 #: actually retries (publish happens before the future resolves), but
 #: a streaming scraper attached mid-tick can.
-H_SEQ = 6
+H_SEQ = 4
 
-#: One shard's catalog: (node ids, vm names, vm node-slots) in block order.
-Catalog = Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[int, ...]]
+#: One shard's catalog: its node ids in block order.
+Catalog = Tuple[str, ...]
 
 
-def _segment_size(node_cap: int, vm_cap: int) -> int:
+def _segment_size(node_cap: int) -> int:
     return (
         _HDR_N * 8          # header
         + 8                 # t
         + _N_BACKEND * 8    # backend counters
         + 2 * 8             # invariant totals
         + node_cap * NODE_F * 8
-        + vm_cap * VM_F * 8
     )
 
 
 class _Blocks:
     """NumPy views over one mapped segment (no copies)."""
 
-    def __init__(self, shm: shared_memory.SharedMemory, node_cap: int, vm_cap: int):
+    def __init__(self, shm: shared_memory.SharedMemory, node_cap: int):
         buf = shm.buf
         off = 0
         self.header = np.ndarray((_HDR_N,), dtype=np.int64, buffer=buf, offset=off)
@@ -135,23 +124,16 @@ class _Blocks:
         self.nodes = np.ndarray(
             (node_cap, NODE_F), dtype=np.float64, buffer=buf, offset=off
         )
-        off += node_cap * NODE_F * 8
-        self.vms = np.ndarray(
-            (vm_cap, VM_F), dtype=np.float64, buffer=buf, offset=off
-        )
 
 
 class ShardTelemetryWriter:
     """Worker-side publisher: one segment, reused across ticks."""
 
-    def __init__(self, *, min_node_cap: int = 8, min_vm_cap: int = 64) -> None:
+    def __init__(self, *, min_node_cap: int = 8) -> None:
         self._min_node_cap = min_node_cap
-        self._min_vm_cap = min_vm_cap
         self._shm: Optional[shared_memory.SharedMemory] = None
         self._blocks: Optional[_Blocks] = None
         self._node_cap = 0
-        self._vm_cap = 0
-        self._catalog_key: Optional[Tuple] = None
         self._catalog: Optional[Catalog] = None
         self.catalog_version = 0
         self.ticks = 0
@@ -161,27 +143,19 @@ class ShardTelemetryWriter:
 
     # -- segment lifecycle ----------------------------------------------------
 
-    def _ensure_capacity(self, n_nodes: int, n_vms: int) -> None:
-        if (
-            self._shm is not None
-            and n_nodes <= self._node_cap
-            and n_vms <= self._vm_cap
-        ):
+    def _ensure_capacity(self, n_nodes: int) -> None:
+        if self._shm is not None and n_nodes <= self._node_cap:
             return
         node_cap = max(self._min_node_cap, self._node_cap)
         while node_cap < n_nodes:
             node_cap *= 2
-        vm_cap = max(self._min_vm_cap, self._vm_cap)
-        while vm_cap < n_vms:
-            vm_cap *= 2
         fresh = shared_memory.SharedMemory(
-            create=True, size=_segment_size(node_cap, vm_cap)
+            create=True, size=_segment_size(node_cap)
         )
         self.close(unlink=True)  # drop the outgrown segment, if any
         self._shm = fresh
         self._node_cap = node_cap
-        self._vm_cap = vm_cap
-        self._blocks = _Blocks(fresh, node_cap, vm_cap)
+        self._blocks = _Blocks(fresh, node_cap)
 
     def close(self, *, unlink: bool) -> None:
         """Release (and optionally destroy) the current segment."""
@@ -207,37 +181,26 @@ class ShardTelemetryWriter:
         ``manager`` is the in-worker :class:`~repro.sim.node_manager.
         NodeManager` after its barrier tick.  Returns ``(segment_name,
         catalog_version, catalog)`` with ``catalog=None`` whenever the
-        node/VM population is unchanged — the steady-state tick payload
-        is two ints and a string.
+        node set is unchanged — the steady-state tick payload is two
+        ints and a string.
         """
         controllers = manager.controllers
         node_ids = tuple(sorted(controllers))
-        vm_rows: List[Tuple[int, str, float]] = []
-        for slot, node_id in enumerate(node_ids):
-            vfreqs = getattr(controllers[node_id], "_vm_vfreq", None) or {}
-            for name in sorted(vfreqs):
-                vm_rows.append((slot, name, vfreqs[name]))
-        vm_names = tuple(name for _, name, _ in vm_rows)
-        vm_slots = tuple(slot for slot, _, _ in vm_rows)
 
-        self._ensure_capacity(len(node_ids), len(vm_rows))
+        self._ensure_capacity(len(node_ids))
         blocks = self._blocks
         assert blocks is not None
         # Seqlock write-side: odd while the rows below are in flux.
         self._seq += 1
         blocks.header[H_SEQ] = self._seq
 
-        catalog_key = (node_ids, vm_names, vm_slots)
         catalog: Optional[Catalog] = None
-        if catalog_key != self._catalog_key:
-            self._catalog_key = catalog_key
-            self._catalog = (node_ids, vm_names, vm_slots)
+        if node_ids != self._catalog:
+            self._catalog = node_ids
             self.catalog_version += 1
-            catalog = self._catalog
+            catalog = node_ids
 
         nodes = blocks.nodes
-        vms = blocks.vms
-        vm_row = 0
         for slot, node_id in enumerate(node_ids):
             ctrl = controllers[node_id]
             report = manager.last_reports.get(node_id)
@@ -267,21 +230,6 @@ class ShardTelemetryWriter:
             row[11] = len(vfreqs)
             row[12] = 1.0 if node_id in manager.last_errors else 0.0
 
-            # Per-VM allocations: group this tick's per-path cycles by
-            # VM via the samples' path -> vm mapping.
-            alloc_by_vm: Dict[str, float] = {}
-            if report is not None and report.allocations:
-                vm_of_path = {s.cgroup_path: s.vm_name for s in report.samples}
-                for path, cycles in report.allocations.items():
-                    vm = vm_of_path.get(path)
-                    if vm is not None:
-                        alloc_by_vm[vm] = alloc_by_vm.get(vm, 0.0) + cycles
-            for name in sorted(vfreqs):
-                vms[vm_row, 0] = slot
-                vms[vm_row, 1] = alloc_by_vm.get(name, 0.0)
-                vms[vm_row, 2] = vfreqs[name]
-                vm_row += 1
-
         stats = manager.backend_stats().as_dict()
         blocks.backend[:] = [stats[k] for k in BACKEND_FIELDS]
         blocks.invariants[:] = manager.invariant_totals()
@@ -289,9 +237,7 @@ class ShardTelemetryWriter:
         self.ticks += 1
         header = blocks.header
         header[H_N_NODES] = len(node_ids)
-        header[H_N_VMS] = len(vm_rows)
         header[H_NODE_CAP] = self._node_cap
-        header[H_VM_CAP] = self._vm_cap
         header[H_TICKS] = self.ticks
         # Version last: a reader that sees the new version sees the rows.
         header[H_CATALOG_VERSION] = self.catalog_version
@@ -311,8 +257,6 @@ class ShardTelemetryReader:
         self._segment_name: Optional[str] = None
         self.catalog_version = 0
         self.node_ids: Tuple[str, ...] = ()
-        self.vm_names: Tuple[str, ...] = ()
-        self.vm_slots: Tuple[int, ...] = ()
         #: Cumulative seqlock retries across ``stable_snapshot`` calls
         #: (zero on the barrier-tick path; the torn-read tests assert
         #: the retry loop actually spins when a publish is in flight).
@@ -337,11 +281,9 @@ class ShardTelemetryReader:
             self._shm = shm
             self._segment_name = segment_name
             header = np.ndarray((_HDR_N,), dtype=np.int64, buffer=shm.buf)
-            self._blocks = _Blocks(
-                shm, int(header[H_NODE_CAP]), int(header[H_VM_CAP])
-            )
+            self._blocks = _Blocks(shm, int(header[H_NODE_CAP]))
         if catalog is not None:
-            self.node_ids, self.vm_names, self.vm_slots = catalog
+            self.node_ids = catalog
         self.catalog_version = catalog_version
 
     def close(self) -> None:
@@ -425,12 +367,6 @@ class ShardTelemetryReader:
         blocks = self._blocks
         assert blocks is not None, "reader not attached"
         return blocks.nodes[: int(blocks.header[H_N_NODES])]
-
-    def vm_block(self) -> np.ndarray:
-        """(n_vms, VM_F) view — rows follow ``vm_names`` order."""
-        blocks = self._blocks
-        assert blocks is not None, "reader not attached"
-        return blocks.vms[: int(blocks.header[H_N_VMS])]
 
     def backend_stats(self) -> BackendStats:
         blocks = self._blocks

@@ -2,7 +2,7 @@
 
 A fuzzed 200-tick multi-tenant scenario — VM churn, ``set_vfreq``
 renegotiation (tier moves), workload bursts, controller restarts —
-runs under all three engines, and **every** invoice line is re-derived
+runs under both engines, and **every** invoice line is re-derived
 by :mod:`repro.checking.billing_oracle` from the decision ledger alone
 with exact float equality: accumulators, per-tick trails, and the
 rendered invoices byte for byte.

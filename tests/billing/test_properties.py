@@ -37,7 +37,7 @@ from tests.strategies import engines, vm_fleets
 TENANTS = ("acme", "globex", "initech")
 
 
-def run_billed_host(fleet, seconds=10.0, engine="vectorized",
+def run_billed_host(fleet, seconds=10.0, engine="bulk",
                     roundtrip_at=None):
     """A metered mini-host: fleet of (level, vfreq, tenant) triples.
 

@@ -25,7 +25,7 @@ from repro.workloads.synthetic import ConstantWorkload
 from tests.conftest import make_host
 
 
-def drive(ticks=6, engine="vectorized", **overrides):
+def drive(ticks=6, engine="bulk", **overrides):
     """Two busy single-vCPU VMs on the tiny host, checker armed."""
     config = ControllerConfig.paper_evaluation(engine=engine, **overrides)
     node, hv, ctrl = make_host(config=config)
@@ -42,7 +42,7 @@ def drive(ticks=6, engine="vectorized", **overrides):
 
 
 class TestCleanRuns:
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("engine", ["scalar", "bulk"])
     def test_no_false_positives(self, engine):
         _, ctrl, checker = drive(engine=engine)
         assert checker.checks_total == 6

@@ -61,7 +61,7 @@ class TestWholeLoopTieBreak:
     def test_identical_spread_across_engines(self):
         """replay() under both engines asserts bit-identity of every
         auction field each tick — a tie broken differently by the
-        vectorized path would fail here as engine_identity."""
+        bulk path would fail here as engine_identity."""
         result = replay(_tied_trace(with_restart=False), collect_reports=True)
         assert result.ok, [str(v) for v in result.violations]
         # And the tie itself resolves symmetrically over the run: equal

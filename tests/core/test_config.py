@@ -68,6 +68,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             ControllerConfig(min_cap_frac=0.0)
 
+    def test_engine_choices(self):
+        assert ControllerConfig().engine == "bulk"
+        assert ControllerConfig(engine="scalar").engine == "scalar"
+        with pytest.raises(ValueError, match="engine"):
+            ControllerConfig(engine="vectorized")
+
     def test_frozen(self):
         with pytest.raises(AttributeError):
             ControllerConfig().period_s = 2.0

@@ -1,9 +1,9 @@
-"""Property test: the vectorised engine is bit-identical to the scalar oracle.
+"""Property test: the bulk engine is bit-identical to the scalar oracle.
 
 Two closed-loop hosts — same node spec, same seed, same random demand
 trace, same VM churn and the same injected sample drops — are driven
 for 200 ticks, one with ``engine="scalar"`` and one with
-``engine="vectorized"``.  Every report field that the Fig. 6/7 pipeline
+``engine="bulk"``.  Every report field that the Fig. 6/7 pipeline
 or an operator consumes must match *exactly* (``==`` on floats, no
 tolerance): allocations, wallets, stage-2 decisions, auction outcome,
 market and free-distribution totals, degraded fallbacks.
@@ -135,9 +135,9 @@ def _drive(engine):
     return ctrl, reports
 
 
-def test_vectorized_engine_is_bit_identical_to_scalar():
+def test_bulk_engine_is_bit_identical_to_scalar():
     ctrl_s, scalar = _drive("scalar")
-    ctrl_v, vector = _drive("vectorized")
+    ctrl_v, vector = _drive("bulk")
     assert len(scalar) == len(vector) == TICKS
     saw_degraded = False
     saw_warmup_after_start = False
@@ -190,7 +190,7 @@ def test_snapshot_roundtrips_across_engines():
         node.sysfs,
         num_cpus=SPEC.logical_cpus,
         fmax_mhz=SPEC.fmax_mhz,
-        config=ControllerConfig.paper_evaluation(engine="vectorized"),
+        config=ControllerConfig.paper_evaluation(engine="bulk"),
     )
     restore(ctrl_v, state)
     assert ctrl_v.histories() == ctrl_s.histories()

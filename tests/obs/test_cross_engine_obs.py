@@ -33,12 +33,12 @@ def test_fuzzed_ledgers_identical_across_engines(seed):
         seed, ticks=50, max_vms=5, faults=False, restarts=False, engine="both"
     )
     ledgers = {engine: ledger_for(trace, engine) for engine in ENGINES}
-    scalar, vectorized = ledgers["scalar"], ledgers["vectorized"]
-    assert len(scalar) == len(vectorized) == trace.ticks
-    for a, b in zip(scalar, vectorized):
+    scalar, bulk = ledgers["scalar"], ledgers["bulk"]
+    assert len(scalar) == len(bulk) == trace.ticks
+    for a, b in zip(scalar, bulk):
         meta_a = {k: v for k, v in a["meta"].items() if k != "engine"}
         meta_b = {k: v for k, v in b["meta"].items() if k != "engine"}
         assert meta_a == meta_b
         assert a["decisions"] == b["decisions"]
     assert {e["meta"]["engine"] for e in scalar} == {"scalar"}
-    assert {e["meta"]["engine"] for e in vectorized} == {"vectorized"}
+    assert {e["meta"]["engine"] for e in bulk} == {"bulk"}

@@ -24,7 +24,7 @@ def make_faulty_host(plan, *, out_dir, check_invariants=False):
     node, hv, _ = make_host()
     backend = FaultInjector(plan, node.fs, node.procfs, node.sysfs)
     config = ControllerConfig.paper_evaluation(
-        engine="vectorized",
+        engine="bulk",
         check_invariants=check_invariants,
         resilience=ResiliencePolicy(stale_sample_max_age=1, degraded_after_ticks=3),
         observability=ObsConfig(out_dir=out_dir),

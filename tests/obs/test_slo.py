@@ -264,7 +264,7 @@ class TestFlightDumpOnPage:
         from repro.virt.template import VMTemplate
         from tests.conftest import make_host
 
-        config = ControllerConfig.paper_evaluation(engine="vectorized")
+        config = ControllerConfig.paper_evaluation(engine="bulk")
         node, hv, ctrl = make_host(config=config)
         Observability.attach(ctrl, ObsConfig(out_dir=str(tmp_path)))
         plane = SLOPlane.attach(

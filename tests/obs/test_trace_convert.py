@@ -32,7 +32,7 @@ def dump_path(tmp_path_factory):
 class TestConversion:
     def test_events_reconstruct_the_scenario(self, dump_path):
         trace = flight_dump_to_trace(FlightRecorder.load(dump_path))
-        assert trace.header["engine"] == "vectorized"
+        assert trace.header["engine"] == "bulk"
         assert trace.header["cores"] == 4
         assert trace.header["threads_per_core"] == 1
         assert trace.ticks == 7  # 6 clean frames + the violating one

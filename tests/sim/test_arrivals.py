@@ -127,3 +127,21 @@ class TestOperator:
         op = CloudOperator(sim, CoreSplittingConstraint(), busy_factory)
         outcome = op.run(self._events(10), horizon_s=30.0)
         assert outcome.acceptance_rate == pytest.approx(8 / 10)
+
+    def test_retiring_a_migrating_vm_cancels_the_migration(self):
+        """A VM whose lifetime ends mid-migration leaves the cluster:
+        the next cut-over must not look for it on its source."""
+        big = VMTemplate("big", vcpus=1, vfreq_mhz=1200.0, memory_mb=4096)
+        sim = ClusterSimulation(cluster(2), dt=0.5)
+        op = CloudOperator(sim, CoreSplittingConstraint(), busy_factory)
+        event = ArrivalEvent(t=0.5, name="vm-0", template=big, lifetime_s=3.0)
+        op.run([event], horizon_s=2.0)
+        source = sim._runtime_hosting("vm-0").node_id
+        target = next(n for n in sim.runtimes if n != source)
+        mig = sim.start_migration("vm-0", target)
+        assert mig.duration_s > 4.0  # pre-copy outlives the VM
+        outcome = op.run([], horizon_s=10.0)
+        assert outcome.departed == 1
+        assert sim.all_vms() == {}
+        # The target reservation went with the record.
+        assert sim._planned_in(target) == (0.0, 0)

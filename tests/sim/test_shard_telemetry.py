@@ -1,9 +1,10 @@
 """Shared-memory shard telemetry: parity, churn, growth, lifecycle.
 
-The compact telemetry lane must report exactly what the pickled-report
-lane reports (aggregates, counters, per-node accounts) while shipping
-only a segment name across the process boundary — and a closed
-:class:`ShardedNodeManager` must be re-``start()``-able from scratch.
+The sharded manager must report exactly what the in-process
+:class:`NodeManager` reports (aggregates, counters, per-node accounts)
+while shipping only a segment name across the process boundary — and a
+closed :class:`ShardedNodeManager` must be re-``start()``-able from
+scratch.
 """
 
 import functools
@@ -14,7 +15,6 @@ from repro.sim.node_manager import NodeManager, Shard, ShardedNodeManager
 from repro.sim.shard_telemetry import (
     H_SEQ,
     NODE_FIELDS,
-    VM_FIELDS,
     ShardTelemetryReader,
     ShardTelemetryWriter,
 )
@@ -31,9 +31,6 @@ GUARANTEE = NODE_FIELDS.index("guarantee_mhz")
 CAPACITY = NODE_FIELDS.index("capacity_mhz")
 NUM_VMS = NODE_FIELDS.index("num_vms")
 ERRORED = NODE_FIELDS.index("errored")
-VM_SLOT = VM_FIELDS.index("node_slot")
-VM_ALLOC = VM_FIELDS.index("alloc_cycles")
-VM_GUARANTEE = VM_FIELDS.index("guarantee_mhz")
 
 _SHARDS = {
     "shard-0": functools.partial(_shard_factory, ("node-a", "node-b"), 7),
@@ -43,7 +40,8 @@ _SHARDS = {
 
 class TestSharedTelemetryParity:
     def test_matches_reports_mode(self):
-        """Same nodes, both lanes: identical aggregates and accounts."""
+        """Same nodes, sharded vs in-process: identical aggregates and
+        accounts."""
         ref_hosts = {
             **_build_group(["node-a", "node-b"], 7),
             **_build_group(["node-c"], 9),
@@ -81,15 +79,6 @@ class TestSharedTelemetryParity:
                 assert row[CAPACITY] == ctrl.num_cpus * ctrl.fmax_mhz
                 assert row[NUM_VMS] == len(ctrl._vm_vfreq)
                 assert row[ERRORED] == 0.0
-
-            # Per-VM rows: guarantee column carries the registered vfreq.
-            for reader in sharded.readers.values():
-                vm_block = reader.vm_block()
-                assert len(reader.vm_names) == len(vm_block)
-                for row_no, name in enumerate(reader.vm_names):
-                    assert vm_block[row_no, VM_GUARANTEE] == SMALL.vfreq_mhz
-                    slot = int(vm_block[row_no, VM_SLOT])
-                    assert name.startswith(reader.node_ids[slot])
         threaded.close()
 
     def test_fetch_report_lazy(self):
@@ -110,8 +99,8 @@ class TestSharedTelemetryParity:
             assert sharded.last_reports == {}
             report = sharded.fetch_report("node-b")
             assert _signature(report) == _signature(ref["node-b"])
-            # Fetched reports are cached like reports-mode would have.
-            assert "node-b" in sharded.last_reports
+            # Only what was fetched is cached.
+            assert set(sharded.last_reports) == {"node-b"}
             with pytest.raises(KeyError):
                 sharded.fetch_report("node-zz")
         threaded.close()
@@ -124,8 +113,9 @@ class TestSharedTelemetryParity:
             assert sharded.invariant_violations_by_node() == {}
 
     def test_invalid_telemetry_mode_rejected(self):
-        with pytest.raises(ValueError, match="telemetry"):
-            ShardedNodeManager(_SHARDS, telemetry="carrier-pigeon")
+        for telemetry in ("reports", "carrier-pigeon"):
+            with pytest.raises(ValueError, match="telemetry"):
+                ShardedNodeManager(_SHARDS, telemetry=telemetry)
 
 
 class TestWriterInProcess:
@@ -147,7 +137,7 @@ class TestWriterInProcess:
             manager.tick(1.0)
             reader.update(*writer.publish(manager, 1.0))
             v1 = reader.catalog_version
-            names1 = reader.vm_names
+            assert reader.node_ids == ("n0", "n1")
 
             # Steady state: no catalog crosses, version unchanged.
             manager.tick(2.0)
@@ -155,31 +145,40 @@ class TestWriterInProcess:
             assert catalog is None
             assert version == v1
 
-            # Churn: a new VM registers -> version bump + new catalog.
+            # VM churn lands in the node rows, not the catalog.
             _, hv, ctrl = hosts["n0"]
             vm = hv.provision(SMALL, "n0-extra")
             ctrl.register_vm(vm.name, SMALL.vfreq_mhz)
             manager.tick(3.0)
             name, version, catalog = writer.publish(manager, 3.0)
-            assert version == v1 + 1
-            assert catalog is not None
+            assert catalog is None
             reader.update(name, version, catalog)
-            assert "n0-extra" in reader.vm_names
-            assert set(names1) < set(reader.vm_names)
+            assert reader.node_block()[0, NUM_VMS] == len(ctrl._vm_vfreq)
+            assert reader.node_block()[0, GUARANTEE] == \
+                sum(ctrl._vm_vfreq.values())
 
-            # And unregistration churns it again.
-            ctrl.unregister_vm(vm.name)
+            # Node churn: a new node -> version bump + new catalog.
+            _, _, extra = _build_group(["n2"], 5)["n2"]
+            manager.add_node("n2", extra)
             manager.tick(4.0)
-            _, version, catalog = writer.publish(manager, 4.0)
+            name, version, catalog = writer.publish(manager, 4.0)
+            assert version == v1 + 1
+            reader.update(name, version, catalog)
+            assert reader.node_ids == ("n0", "n1", "n2")
+
+            # And removal churns it again.
+            manager.remove_node("n2")
+            manager.tick(5.0)
+            _, version, catalog = writer.publish(manager, 5.0)
             assert version == v1 + 2
-            assert catalog is not None
+            assert catalog == ("n0", "n1")
         finally:
             reader.close()
             writer.close(unlink=True)
 
     def test_segment_grows_and_reader_remaps(self):
         hosts, manager = self._manager()
-        writer = ShardTelemetryWriter(min_node_cap=2, min_vm_cap=2)
+        writer = ShardTelemetryWriter(min_node_cap=2)
         reader = ShardTelemetryReader()
         try:
             manager.tick(1.0)
@@ -187,19 +186,17 @@ class TestWriterInProcess:
             reader.update(*first)
             first_name = first[0]
 
-            # Blow past vm_cap=2: the writer doubles into a fresh
+            # Blow past node_cap=2: the writer doubles into a fresh
             # segment; the old name is unlinked; the reader re-maps.
-            _, hv, ctrl = hosts["n0"]
-            for j in range(6):
-                vm = hv.provision(SMALL, f"n0-grow-{j}")
-                ctrl.register_vm(vm.name, SMALL.vfreq_mhz)
+            grown_hosts = _build_group([f"g{j}" for j in range(3)], 11)
+            for node_id, (_, _, ctrl) in grown_hosts.items():
+                manager.add_node(node_id, ctrl)
             manager.tick(2.0)
             grown = writer.publish(manager, 2.0)
             assert grown[0] != first_name
             reader.update(*grown)
             assert reader.t == 2.0
-            assert len(reader.vm_names) == len(reader.vm_block())
-            assert len(reader.vm_names) >= 8
+            assert len(reader.node_ids) == len(reader.node_block()) == 5
             from multiprocessing import shared_memory
 
             with pytest.raises(FileNotFoundError):
@@ -330,14 +327,12 @@ class TestSeqlockConsistency:
         try:
             self._publish_once(hosts, manager, writer, reader, 1.0)
             assert reader.attached
-            catalog_before = (reader.node_ids, reader.vm_names,
-                              reader.vm_slots)
+            catalog_before = reader.node_ids
 
             reader.close()
             assert not reader.attached
             # The catalog survives detachment — only the mapping drops.
-            assert (reader.node_ids, reader.vm_names,
-                    reader.vm_slots) == catalog_before
+            assert reader.node_ids == catalog_before
 
             # Writer keeps publishing while we're detached (steady
             # state: same segment, no catalog payload).
@@ -368,14 +363,14 @@ class TestSeqlockConsistency:
 
 
 class TestCloseStartRoundTrip:
-    @pytest.mark.parametrize("telemetry", ["reports", "shared"])
-    def test_close_then_start_again(self, telemetry):
+    def test_close_then_start_again(self):
         """A closed manager is indistinguishable from a fresh one."""
-        manager = ShardedNodeManager(_SHARDS, telemetry=telemetry)
+        manager = ShardedNodeManager(_SHARDS)
         manager.start()
-        result = manager.tick(1.0)
+        manager.tick(1.0)
         assert manager.ticks == 1
         assert manager.num_nodes == 3
+        first = manager.fetch_report("node-a")
         manager.close()
         # Everything per-run is gone — the stale-state bug this guards
         # against left nodes_by_shard/last_reports/error_counts behind.
@@ -394,10 +389,10 @@ class TestCloseStartRoundTrip:
             result = manager.tick(1.0)
             assert not result.errors
             assert manager.ticks == 1
-            if telemetry == "reports":
-                assert set(result) == {"node-a", "node-b", "node-c"}
-            else:
-                assert manager.readers
+            assert manager.readers
+            # Rebuilt from the factory: the same first tick again.
+            again = manager.fetch_report("node-a")
+            assert _signature(again) == _signature(first)
         finally:
             manager.close()
 

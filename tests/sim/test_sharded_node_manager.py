@@ -94,7 +94,8 @@ _SHARDS = {
 class TestShardedParity:
     def test_sharded_matches_threaded(self):
         """The same three nodes, split over two worker processes,
-        report exactly what the in-process thread pool reports."""
+        report exactly what the in-process thread pool reports — per
+        node and per tick, pulled through ``fetch_report``."""
         ref_hosts = {
             **_build_group(["node-a", "node-b"], 7),
             **_build_group(["node-c"], 9),
@@ -113,9 +114,10 @@ class TestShardedParity:
                 ref = threaded.tick(float(k + 1))
                 got = sharded.tick(float(k + 1))
                 assert not got.errors
-                assert set(got) == set(ref)
+                assert dict(got) == {}  # reports stay in the workers
                 for node_id in ref:
-                    assert _signature(got[node_id]) == _signature(ref[node_id])
+                    report = sharded.fetch_report(node_id)
+                    assert _signature(report) == _signature(ref[node_id])
             # Aggregate telemetry crosses the process boundary intact.
             assert sharded.backend_stats() == threaded.backend_stats()
             agg = sharded.aggregate_timings()
@@ -142,8 +144,10 @@ class TestShardedFaultIsolation:
         }
         with ShardedNodeManager(shards) as sharded:
             result = sharded.tick(1.0)
-            assert set(result) == {"ok-node", "node-c"}
             assert set(result.errors) == {"bad-node"}
+            assert sharded.fetch_report("ok-node").t == 1.0
+            assert sharded.fetch_report("node-c").t == 1.0
+            assert sharded.fetch_report("bad-node") is None
             err = result.errors["bad-node"]
             assert isinstance(err, RemoteNodeError)
             assert err.exc_type == "RuntimeError"
@@ -161,7 +165,7 @@ class TestShardedFaultIsolation:
             assert not result.errors
             # The rebuilt shard starts from its factory state again:
             # tick 2 on a fresh controller is its warmup iteration.
-            assert "node-c" in result
+            assert sharded.fetch_report("node-c").t == 2.0
 
 
 class TestShardedStats:
