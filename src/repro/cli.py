@@ -848,17 +848,17 @@ def _cmd_rebalance_plan(args) -> int:
 
     cluster = _chaos_cluster(args, duration=args.at)
     cluster.run()  # let chaos+churn build pressure before the snapshot
-    view = cluster.rebalance_view()
+    snapshot = cluster.rebalance_arrays()
     planner = MigrationPlanner(
         config=PlannerConfig(max_moves_per_round=args.max_moves)
     )
     try:
-        plan = planner.plan(view, drain=args.drain, seed=args.seed)
+        plan = planner.plan(snapshot, drain=args.drain, seed=args.seed)
     except KeyError as exc:
         print(f"rebalance plan: {exc.args[0]}", file=sys.stderr)
         return 2
-    print(f"snapshot at t={view.t:g}: {len(view.nodes)} nodes, "
-          f"{len(view.vms)} VMs, pressure {plan.pressure_before_mhz:.1f} MHz, "
+    print(f"snapshot at t={snapshot.t:g}: {snapshot.num_nodes} nodes, "
+          f"{snapshot.num_vms} VMs, pressure {plan.pressure_before_mhz:.1f} MHz, "
           f"fragmentation {plan.fragmentation_before:.3f}")
     headers = ["vm", "from", "to", "goal", "MHz", "cost s", "score MHz/s"]
     rows = [
@@ -881,22 +881,29 @@ def _cmd_rebalance_drain(args) -> int:
     from repro.rebalance import MigrationPlanner, RebalanceLoop
 
     cluster = _chaos_cluster(args, duration=args.duration)
-    if args.node not in cluster.nodes:
+    if args.node not in cluster.rebalance_arrays().nodes:
         print(f"rebalance drain: unknown node {args.node!r} "
               f"(cluster has node-0..node-{args.nodes - 1})", file=sys.stderr)
         return 2
     loop = RebalanceLoop(MigrationPlanner(), every=1, seed=args.seed)
     loop.request_drain(args.node)
     cluster.run(loop)
-    remaining = len(cluster.nodes[args.node].vms)
+    # Same rule as RebalanceLoop.drained_nodes, on a fresh snapshot: no
+    # hosted VM and no migration in flight into or out of the node.
+    snapshot = cluster.rebalance_arrays()
+    remaining = len(snapshot.nodes[args.node].vm_names)
+    in_flight = sum(
+        args.node in (m.source, m.target) for m in snapshot.in_flight
+    )
     moves = loop.migrations_total.get("drain", 0)
-    if remaining == 0:
+    if remaining == 0 and in_flight == 0:
         print(f"{args.node} drained: {moves} VM(s) evacuated in "
               f"{loop.rounds_total} round(s); safe to power off")
         return 0
     print(f"{args.node} NOT fully drained after {args.duration:g} s: "
-          f"{remaining} VM(s) remain ({moves} moved) — run longer or "
-          f"free capacity elsewhere", file=sys.stderr)
+          f"{remaining} VM(s) remain, {in_flight} migration(s) in flight "
+          f"({moves} moved) — run longer or free capacity elsewhere",
+          file=sys.stderr)
     return 1
 
 

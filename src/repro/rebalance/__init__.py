@@ -2,9 +2,9 @@
 
 The control plane ROADMAP item 1 asks for, layered *on top of* the
 per-node controllers: snapshot the cluster
-(:class:`~repro.rebalance.view.ClusterStateView`), plan bounded batches
-of Eq. 7-admissible moves on a what-if copy
-(:class:`~repro.rebalance.simstate.SimulatedState` /
+(:class:`~repro.rebalance.arrays.ClusterStateArrays`), plan bounded
+batches of Eq. 7-admissible moves on a what-if copy
+(:class:`~repro.rebalance.arrays.SimulatedArrays` /
 :class:`~repro.rebalance.planner.MigrationPlanner` — relieve guarantee
 pressure, consolidate, drain), execute them with in-flight blackouts
 through :class:`~repro.rebalance.loop.RebalanceLoop`, and make every

@@ -1,27 +1,29 @@
-"""Structure-of-arrays dialect of the rebalancer's cluster state.
+"""The rebalancer's cluster snapshot, as structure of arrays.
 
-:class:`~repro.rebalance.view.ClusterStateView` is the readable,
-frozen-dataclass spelling of one planner round's input.  At fleet
-scale it is also the planner's main cost: PR 7's 200-node / 10k-VM
-rounds spent ~34 ms materialising 10k ``VmView`` objects per round,
-and a 1000-node / 50k-VM cluster quintuples that before the planner
-does any work.  This module is the array spelling of the same
-snapshot — parallel NumPy arrays over stable node/VM slots — plus
-:class:`SimulatedArrays`, the what-if planning state that mutates
+:class:`ClusterStateArrays` is the one snapshot every cluster port
+emits (``rebalance_arrays()`` on
+:class:`~repro.sim.cluster_engine.ClusterSimulation` and
+:class:`~repro.rebalance.chaos.ChurnChaosCluster`): parallel NumPy
+arrays over stable node/VM slots, so a 1000-node / 50k-VM round never
+materialises 50k per-VM objects before the planner does any work.
+:class:`SimulatedArrays` is the what-if planning state that mutates
 those arrays instead of dataclass copies.
 
-Contract: the two dialects are interchangeable.  A
+The frozen-dataclass :class:`~repro.rebalance.view.ClusterStateView`
+is the readable spelling of the same snapshot, reached through
+:meth:`ClusterStateArrays.to_view` (explain tooling, and the scalar
+planner reference).  The two are interchangeable: a
 :class:`ClusterStateArrays` answers every signal query
 (``total_pressure_mhz`` / ``pressured_nodes`` / ``fragmentation_score``
 / ``pinned_nodes`` / ``migrating_vms``) with bit-identical results to
-the equivalent view, exposes lazy ``.nodes`` / ``.vms`` mappings that
-build frozen :class:`~repro.rebalance.view.NodeView` /
+its view, exposes lazy ``.nodes`` / ``.vms`` mappings that build frozen
+:class:`~repro.rebalance.view.NodeView` /
 :class:`~repro.rebalance.view.VmView` objects on demand (so the
 independent plan oracle :func:`repro.checking.invariants.
-check_plan_admissible` runs unchanged on either dialect), and the
+check_plan_admissible` runs unchanged on either spelling), and the
 :class:`~repro.rebalance.planner.MigrationPlanner` produces
-bit-identical plans from either spelling under the same seed — fuzzed
-cross-dialect in ``tests/rebalance/test_arrays.py``.
+bit-identical plans from either under the same seed — fuzzed in
+``tests/rebalance/test_arrays.py``.
 
 Node slots are always in sorted ``node_id`` order: every tie-break the
 scalar planner resolves by lexicographic node id, the vectorized path
@@ -322,10 +324,10 @@ class ClusterStateArrays:
                 stranded += h
         return stranded / total if total > 0 else 0.0
 
-    # -- dialect conversions --------------------------------------------------
+    # -- view conversions -----------------------------------------------------
 
     def to_view(self) -> ClusterStateView:
-        """Materialise the frozen-dataclass dialect (test/explain path —
+        """Materialise the frozen-dataclass spelling (test/explain path —
         O(VMs), exactly the cost this class exists to avoid per round)."""
         nodes = {
             node_id: self.node_view(slot)
@@ -401,9 +403,13 @@ class ClusterStateArrays:
     @classmethod
     def from_cluster_sim(cls, sim) -> "ClusterStateArrays":
         """Snapshot a live :class:`~repro.sim.cluster_engine.
-        ClusterSimulation` straight into arrays (duck-typed like
-        :meth:`ClusterStateView.from_cluster_sim`, no intermediate
-        dataclass pass)."""
+        ClusterSimulation` straight into arrays (duck-typed: anything
+        with ``runtimes`` / ``node_manager`` / ``_in_flight``).
+
+        Per-node guarantee accounting comes from each hypervisor's
+        Eq. 7 terms; violation counts and cluster invariant totals from
+        the :class:`~repro.sim.node_manager.NodeManager` when present.
+        """
         manager = getattr(sim, "node_manager", None)
         violations_by_node: Dict[str, int] = {}
         totals = (0, 0)

@@ -15,20 +15,16 @@ seed (repo convention, cf. :mod:`repro.checking.fuzz`), so a run is a
 pure function of its :class:`ChaosConfig` and the rebalance
 configuration: same seed, same result, byte for byte.
 
-The accounting itself lives in parallel NumPy arrays indexed by node /
-VM slot; :class:`_ChaosNode` and :class:`_ChaosVm` are thin slot-backed
-proxies kept for the object-style surface tests and callers use
-(``cluster.nodes[x].planned_in_mhz`` etc.).  That makes the three
-per-step hot paths at the 1000-node / 50k-VM scale point flat array
-work: best-fit admission is one masked reduction instead of a Python
-loop over every node, departures pop a heap instead of scanning every
-VM, and violation accounting is one vectorized deficit pass.  The
-snapshot side has two spellings: :meth:`ChurnChaosCluster.
-rebalance_view` (frozen dataclasses, the readable one) and
-:meth:`ChurnChaosCluster.rebalance_arrays` (a
-:class:`~repro.rebalance.arrays.ClusterStateArrays` built straight
+The accounting lives in parallel NumPy arrays indexed by node / VM
+slot, reached by name through two name-to-slot dicts.  That makes the
+three per-step hot paths at the 1000-node / 50k-VM scale point flat
+array work: best-fit admission is one masked reduction instead of a
+Python loop over every node, departures pop a heap instead of scanning
+every VM, and violation accounting is one vectorized deficit pass.  The
+rebalance port's snapshot, :meth:`ChurnChaosCluster.rebalance_arrays`,
+is a :class:`~repro.rebalance.arrays.ClusterStateArrays` built straight
 from the live arrays, no per-VM objects; static VM columns are reused
-across rounds until an arrival or departure changes the population).
+across rounds until an arrival or departure changes the population.
 
 The violation metric is conservative and symmetric: a node whose
 committed guarantees exceed its effective capacity cannot honour
@@ -49,7 +45,7 @@ import numpy as np
 
 from repro.placement.migration import MigrationModel
 from repro.rebalance.arrays import ClusterStateArrays
-from repro.rebalance.view import ClusterStateView, InFlightView, NodeView, VmView
+from repro.rebalance.view import InFlightView
 
 #: (vcpus, vfreq_mhz, memory_mb, weight) — the small-heavy template mix
 #: used by the placement benchmarks (§IV-C scale).
@@ -89,121 +85,6 @@ class ChaosConfig:
         if self.arrival_rate_per_s is not None:
             return self.arrival_rate_per_s
         return self.initial_vms / self.mean_lifetime_s
-
-
-class _ChaosNode:
-    """Slot-backed proxy over the cluster's node accounting arrays.
-
-    Reads and writes land in the same array cells the vectorized run
-    loop uses, so the two surfaces can never disagree.
-    """
-
-    __slots__ = ("_c", "slot", "node_id", "vms")
-
-    def __init__(self, cluster: "ChurnChaosCluster", slot: int, node_id: str):
-        self._c = cluster
-        self.slot = slot
-        self.node_id = node_id
-        self.vms: set = set()
-
-    @property
-    def capacity_mhz(self) -> float:
-        return float(self._c._n_capacity[self.slot])
-
-    @property
-    def fmax_mhz(self) -> float:
-        return float(self._c._n_fmax[self.slot])
-
-    @property
-    def memory_mb(self) -> int:
-        return int(self._c._n_memory[self.slot])
-
-    @property
-    def effective_mhz(self) -> float:
-        return float(self._c._n_effective[self.slot])
-
-    @effective_mhz.setter
-    def effective_mhz(self, value: float) -> None:
-        self._c._n_effective[self.slot] = value
-
-    @property
-    def committed_mhz(self) -> float:
-        return float(self._c._n_committed_mhz[self.slot])
-
-    @committed_mhz.setter
-    def committed_mhz(self, value: float) -> None:
-        self._c._n_committed_mhz[self.slot] = value
-
-    @property
-    def committed_mb(self) -> int:
-        return int(self._c._n_committed_mb[self.slot])
-
-    @committed_mb.setter
-    def committed_mb(self, value: int) -> None:
-        self._c._n_committed_mb[self.slot] = value
-
-    @property
-    def planned_in_mhz(self) -> float:
-        return float(self._c._n_planned_in_mhz[self.slot])
-
-    @planned_in_mhz.setter
-    def planned_in_mhz(self, value: float) -> None:
-        self._c._n_planned_in_mhz[self.slot] = value
-
-    @property
-    def planned_in_mb(self) -> int:
-        return int(self._c._n_planned_in_mb[self.slot])
-
-    @planned_in_mb.setter
-    def planned_in_mb(self, value: int) -> None:
-        self._c._n_planned_in_mb[self.slot] = value
-
-    @property
-    def violation_steps(self) -> int:
-        return int(self._c._n_violation_steps[self.slot])
-
-    @violation_steps.setter
-    def violation_steps(self, value: int) -> None:
-        self._c._n_violation_steps[self.slot] = value
-
-
-class _ChaosVm:
-    """Slot-backed proxy over the cluster's VM arrays."""
-
-    __slots__ = ("_c", "slot", "name")
-
-    def __init__(self, cluster: "ChurnChaosCluster", slot: int, name: str):
-        self._c = cluster
-        self.slot = slot
-        self.name = name
-
-    @property
-    def vcpus(self) -> int:
-        return int(self._c._v_vcpus[self.slot])
-
-    @property
-    def vfreq_mhz(self) -> float:
-        return float(self._c._v_vfreq[self.slot])
-
-    @property
-    def memory_mb(self) -> int:
-        return int(self._c._v_memory[self.slot])
-
-    @property
-    def departs_at(self) -> float:
-        return float(self._c._v_departs[self.slot])
-
-    @property
-    def demand_mhz(self) -> float:
-        return float(self._c._v_demand[self.slot])
-
-    @property
-    def node_id(self) -> str:
-        return self._c._node_ids[int(self._c._v_node[self.slot])]
-
-    @node_id.setter
-    def node_id(self, value: str) -> None:
-        self._c._v_node[self.slot] = self._c.nodes[value].slot
 
 
 @dataclass
@@ -292,11 +173,7 @@ class ChurnChaosCluster:
         # Zero-padded ids ascend with their slots, so slot order is
         # sorted-id order — the ClusterStateArrays invariant for free.
         self._node_ids = tuple(f"node-{i:0{width}d}" for i in range(n))
-        self.nodes: Dict[str, _ChaosNode] = {
-            node_id: _ChaosNode(self, i, node_id)
-            for i, node_id in enumerate(self._node_ids)
-        }
-        self._node_list = list(self.nodes.values())
+        self._node_slot = {node_id: i for i, node_id in enumerate(self._node_ids)}
         # VM slot store; slots are recycled through a free list as VMs
         # churn, and the arrays double when the population outgrows them.
         cap = max(64, config.initial_vms)
@@ -304,11 +181,11 @@ class ChurnChaosCluster:
         self._v_vfreq = np.zeros(cap)
         self._v_memory = np.zeros(cap, dtype=np.int64)
         self._v_demand = np.zeros(cap)
-        self._v_departs = np.zeros(cap)
         self._v_node = np.full(cap, -1, dtype=np.int64)
         self._v_names: List[Optional[str]] = [None] * cap
         self._free_slots = list(range(cap - 1, -1, -1))
-        self.vms: Dict[str, _ChaosVm] = {}
+        #: Live VM name -> slot.
+        self._vm_slot: Dict[str, int] = {}
         #: (departs_at, name) min-heap — departures pop in time order
         #: instead of scanning every live VM each step.
         self._departures_heap: List[Tuple[float, str]] = []
@@ -388,7 +265,6 @@ class ChurnChaosCluster:
             [self._v_memory, np.zeros(pad, dtype=np.int64)]
         )
         self._v_demand = np.concatenate([self._v_demand, np.zeros(pad)])
-        self._v_departs = np.concatenate([self._v_departs, np.zeros(pad)])
         self._v_node = np.concatenate(
             [self._v_node, np.full(pad, -1, dtype=np.int64)]
         )
@@ -418,7 +294,7 @@ class ChurnChaosCluster:
         if candidates.size == 0:
             return None
         fit = free[candidates] - demand
-        node = self._node_list[int(candidates[np.argmin(fit)])]
+        node = int(candidates[np.argmin(fit)])
         name = f"vm-{self._vm_seq}"
         self._vm_seq += 1
         if not self._free_slots:
@@ -428,23 +304,19 @@ class ChurnChaosCluster:
         self._v_vfreq[slot] = vfreq
         self._v_memory[slot] = mem
         self._v_demand[slot] = demand
-        self._v_departs[slot] = departs_at
-        self._v_node[slot] = node.slot
+        self._v_node[slot] = node
         self._v_names[slot] = name
-        self.vms[name] = _ChaosVm(self, slot, name)
-        node.vms.add(name)
-        self._n_committed_mhz[node.slot] += demand
-        self._n_committed_mb[node.slot] += mem
-        self._n_vm_count[node.slot] += 1
+        self._vm_slot[name] = slot
+        self._n_committed_mhz[node] += demand
+        self._n_committed_mb[node] += mem
+        self._n_vm_count[node] += 1
         heapq.heappush(self._departures_heap, (departs_at, name))
         self._vm_set_version += 1
         return name
 
     def _destroy(self, vm_name: str) -> None:
-        vm = self.vms.pop(vm_name)
-        slot = vm.slot
+        slot = self._vm_slot.pop(vm_name)
         node_slot = int(self._v_node[slot])
-        self._node_list[node_slot].vms.discard(vm_name)
         self._n_committed_mhz[node_slot] -= self._v_demand[slot]
         self._n_committed_mb[node_slot] -= self._v_memory[slot]
         self._n_vm_count[node_slot] -= 1
@@ -454,34 +326,6 @@ class ChurnChaosCluster:
         self._vm_set_version += 1
 
     # -- the rebalance port ---------------------------------------------------
-
-    def rebalance_view(self) -> ClusterStateView:
-        """Frozen-dataclass snapshot (readable dialect, O(VMs) objects)."""
-        nodes: Dict[str, NodeView] = {}
-        vms: Dict[str, VmView] = {}
-        for node_id, node in self.nodes.items():
-            nodes[node_id] = NodeView(
-                node_id=node_id,
-                capacity_mhz=node.effective_mhz,
-                fmax_mhz=node.fmax_mhz,
-                memory_mb=node.memory_mb,
-                committed_mhz=node.committed_mhz + node.planned_in_mhz,
-                committed_memory_mb=node.committed_mb + node.planned_in_mb,
-                demand_mhz=node.committed_mhz,
-                violations=node.violation_steps,
-                vm_names=tuple(sorted(node.vms)),
-            )
-        for vm in self.vms.values():
-            vms[vm.name] = VmView(
-                name=vm.name,
-                node_id=vm.node_id,
-                vcpus=vm.vcpus,
-                vfreq_mhz=vm.vfreq_mhz,
-                memory_mb=vm.memory_mb,
-            )
-        return ClusterStateView(
-            t=self.t, nodes=nodes, vms=vms, in_flight=self._in_flight_views()
-        )
 
     def rebalance_arrays(self) -> ClusterStateArrays:
         """SoA snapshot straight from the live arrays — no per-VM
@@ -534,44 +378,52 @@ class ChurnChaosCluster:
         )
 
     def start_migration(self, vm_name: str, target_id: str) -> MigrationStarted:
-        vm = self.vms.get(vm_name)
-        if vm is None:
+        slot = self._vm_slot.get(vm_name)
+        if slot is None:
             raise KeyError(f"unknown VM: {vm_name}")
         if any(f.vm_name == vm_name for f in self.in_flight):
             raise ValueError(f"{vm_name} is already migrating")
-        target = self.nodes.get(target_id)
+        target = self._node_slot.get(target_id)
         if target is None:
             raise KeyError(f"unknown node: {target_id}")
-        if target_id == vm.node_id:
+        source_id = self._node_ids[int(self._v_node[slot])]
+        if target_id == source_id:
             raise ValueError(f"{vm_name} already lives on {target_id}")
-        free = (
-            target.effective_mhz - target.committed_mhz - target.planned_in_mhz
+        demand = float(self._v_demand[slot])
+        memory = int(self._v_memory[slot])
+        free = float(
+            self._n_effective[target]
+            - self._n_committed_mhz[target]
+            - self._n_planned_in_mhz[target]
         )
-        if vm.demand_mhz > free + 1e-6:
+        if demand > free + 1e-6:
             raise ValueError(
                 f"{target_id} cannot host {vm_name}: Eq. 7 headroom "
-                f"{free:.1f} MHz < {vm.demand_mhz:.1f} MHz"
+                f"{free:.1f} MHz < {demand:.1f} MHz"
             )
-        if target.committed_mb + target.planned_in_mb + vm.memory_mb > target.memory_mb:
+        if (
+            self._n_committed_mb[target] + self._n_planned_in_mb[target] + memory
+            > self._n_memory[target]
+        ):
             raise ValueError(f"{target_id} cannot host {vm_name}: memory")
-        duration = self.model.total_seconds(vm.memory_mb)
+        duration = self.model.total_seconds(memory)
         # Reserve the target for the whole flight so churn admission and
         # later rounds both see the claim.
-        self._n_planned_in_mhz[target.slot] += vm.demand_mhz
-        self._n_planned_in_mb[target.slot] += vm.memory_mb
+        self._n_planned_in_mhz[target] += demand
+        self._n_planned_in_mb[target] += memory
         self.in_flight.append(_Flight(
             vm_name=vm_name,
-            source=vm.node_id,
+            source=source_id,
             target=target_id,
             arrives_at=self.t + duration,
             downtime_s=self.model.downtime_s,
-            demand_mhz=vm.demand_mhz,
-            memory_mb=vm.memory_mb,
+            demand_mhz=demand,
+            memory_mb=memory,
         ))
         self.result.migrations += 1
         return MigrationStarted(
             vm_name=vm_name,
-            source=vm.node_id,
+            source=source_id,
             target=target_id,
             duration_s=duration,
         )
@@ -582,23 +434,20 @@ class ChurnChaosCluster:
             if flight.arrives_at > self.t:
                 still.append(flight)
                 continue
-            target = self.nodes[flight.target]
-            vm = self.vms.get(flight.vm_name)
-            self._n_planned_in_mhz[target.slot] -= flight.demand_mhz
-            self._n_planned_in_mb[target.slot] -= flight.memory_mb
-            if vm is None:
+            target = self._node_slot[flight.target]
+            slot = self._vm_slot.get(flight.vm_name)
+            self._n_planned_in_mhz[target] -= flight.demand_mhz
+            self._n_planned_in_mb[target] -= flight.memory_mb
+            if slot is None:
                 continue  # departed mid-flight; reservation released
-            source_slot = int(self._v_node[vm.slot])
-            source = self._node_list[source_slot]
-            source.vms.discard(vm.name)
-            self._n_committed_mhz[source_slot] -= self._v_demand[vm.slot]
-            self._n_committed_mb[source_slot] -= self._v_memory[vm.slot]
-            self._n_vm_count[source_slot] -= 1
-            target.vms.add(vm.name)
-            self._n_committed_mhz[target.slot] += self._v_demand[vm.slot]
-            self._n_committed_mb[target.slot] += self._v_memory[vm.slot]
-            self._n_vm_count[target.slot] += 1
-            self._v_node[vm.slot] = target.slot
+            source = int(self._v_node[slot])
+            self._n_committed_mhz[source] -= self._v_demand[slot]
+            self._n_committed_mb[source] -= self._v_memory[slot]
+            self._n_vm_count[source] -= 1
+            self._n_committed_mhz[target] += self._v_demand[slot]
+            self._n_committed_mb[target] += self._v_memory[slot]
+            self._n_vm_count[target] += 1
+            self._v_node[slot] = target
             self.result.downtime_vm_seconds += flight.downtime_s
         self.in_flight = still
 
@@ -638,7 +487,7 @@ class ChurnChaosCluster:
             heap = self._departures_heap
             while heap and heap[0][0] <= self.t:
                 _, vm_name = heapq.heappop(heap)
-                if vm_name in self.vms:
+                if vm_name in self._vm_slot:
                     self._destroy(vm_name)
                     self.result.departures += 1
             # Arrivals.
@@ -674,7 +523,7 @@ class ChurnChaosCluster:
                 )
             if rebalance_loop is not None:
                 rebalance_loop.maybe_rebalance(self, step)
-        self.result.final_vms = len(self.vms)
+        self.result.final_vms = len(self._vm_slot)
         if rebalance_loop is not None:
             self.result.rebalance_rounds = rebalance_loop.rounds_total
         return self.result

@@ -6,18 +6,12 @@ implement (both :class:`~repro.sim.cluster_engine.ClusterSimulation`
 and the benchmark's :class:`~repro.rebalance.chaos.ChurnChaosCluster`
 do):
 
-* ``rebalance_view() -> ClusterStateView`` — frozen snapshot;
+* ``rebalance_arrays() -> ClusterStateArrays`` — frozen snapshot
+  (``.to_view()`` gives the dataclass spelling for explain tooling);
 * ``start_migration(vm_name, target_id)`` — begin one live migration,
   returning an event with ``duration_s`` (the driver owns the blackout:
   source+target pinned while in flight, VM paused ``downtime_s`` at
   cut-over).
-
-Drivers may additionally offer ``rebalance_arrays() ->
-ClusterStateArrays`` — the structure-of-arrays snapshot dialect.  The
-loop's ``dialect`` knob picks the spelling: ``"auto"`` (default) uses
-arrays whenever the driver provides them, ``"view"`` / ``"arrays"``
-force one side.  The planner emits bit-identical plans from either
-dialect, so the knob changes round latency, never behaviour.
 
 Each round: snapshot → plan (:class:`MigrationPlanner`, seeded) →
 cross-check the whole batch against the independent plan oracle
@@ -32,7 +26,7 @@ counters, a ``rebalance:round`` span) → record every move in the
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.checking.invariants import check_plan_admissible
 from repro.obs.tracing import Histogram, Tracer
@@ -41,7 +35,11 @@ from repro.rebalance.planner import MigrationPlan, MigrationPlanner, PlannedMove
 
 
 class RebalanceLoop:
-    """Runs the planner every ``every`` control ticks and executes plans."""
+    """Runs the planner every ``every`` control ticks and executes plans.
+
+    ``dialect`` only accepts ``"arrays"``; the keyword stays because
+    existing callers (the control-period benchmark among them) pass it.
+    """
 
     def __init__(
         self,
@@ -51,18 +49,17 @@ class RebalanceLoop:
         seed: int = 0,
         ledger: Optional[RebalanceLedger] = None,
         tracer: Optional[Tracer] = None,
-        dialect: str = "auto",
+        dialect: str = "arrays",
     ) -> None:
         if every < 1:
             raise ValueError("every must be >= 1")
-        if dialect not in ("auto", "view", "arrays"):
-            raise ValueError("dialect must be 'auto', 'view' or 'arrays'")
+        if dialect != "arrays":
+            raise ValueError(f"dialect must be 'arrays', got {dialect!r}")
         self.planner = planner or MigrationPlanner()
         self.every = every
         self.seed = seed
         self.ledger = ledger or RebalanceLedger()
         self.tracer = tracer
-        self.dialect = dialect
         self.drain: set = set()
         self.rounds_total = 0
         self.migrations_total: Dict[str, int] = {}
@@ -73,7 +70,7 @@ class RebalanceLoop:
         self.snapshot_durations: List[float] = []
         self.plan_durations: List[float] = []
         self.last_plan: Optional[MigrationPlan] = None
-        #: Last snapshot, in whichever dialect the round used.
+        #: Last round's snapshot.
         self.last_view = None
 
     # -- drain workflow -------------------------------------------------------
@@ -86,14 +83,21 @@ class RebalanceLoop:
         self.drain.discard(node_id)
 
     def drained_nodes(self) -> List[str]:
-        """Drain-flagged nodes that are now empty (safe to power off)."""
-        if self.last_view is None:
+        """Drain-flagged nodes that are now empty (safe to power off).
+
+        A node still pinned by an in-flight migration is not drained: a
+        VM migrating into it lands there at cut-over.
+        """
+        view = self.last_view
+        if view is None:
             return []
+        pinned = view.pinned_nodes()
         return sorted(
             node_id
             for node_id in self.drain
-            if node_id in self.last_view.nodes
-            and not self.last_view.nodes[node_id].vm_names
+            if node_id in view.nodes
+            and node_id not in pinned
+            and not view.nodes[node_id].vm_names
         )
 
     # -- the loop -------------------------------------------------------------
@@ -104,19 +108,10 @@ class RebalanceLoop:
             return None
         return self.rebalance_once(cluster)
 
-    def _snapshot(self, cluster):
-        """One cluster snapshot in the configured dialect."""
-        if self.dialect == "view":
-            return cluster.rebalance_view()
-        if self.dialect == "arrays":
-            return cluster.rebalance_arrays()
-        arrays = getattr(cluster, "rebalance_arrays", None)
-        return arrays() if arrays is not None else cluster.rebalance_view()
-
     def rebalance_once(self, cluster) -> MigrationPlan:
         """Snapshot, plan, oracle-check, execute, observe, ledger."""
         started = time.perf_counter()
-        view = self._snapshot(cluster)
+        view = cluster.rebalance_arrays()
         snapshot_done = time.perf_counter()
         round_no = self.rounds_total
         plan = self.planner.plan(

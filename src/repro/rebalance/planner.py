@@ -1,7 +1,9 @@
 """Frequency-guarantee-aware migration planning.
 
 Each round the planner turns one frozen
-:class:`~repro.rebalance.view.ClusterStateView` into a bounded
+:class:`~repro.rebalance.arrays.ClusterStateArrays` snapshot (or its
+:class:`~repro.rebalance.view.ClusterStateView` spelling, the scalar
+reference) into a bounded
 :class:`MigrationPlan` serving three goals, in priority order:
 
 1. **pressure** — relieve Eq. 7 deficits: a node whose committed

@@ -1,26 +1,25 @@
 """Read-only cluster state for one rebalance round.
 
 The rebalancer never touches live controllers: each round starts by
-snapshotting the cluster into a :class:`ClusterStateView` — per-node
-guaranteed vs. available frequency (Eq. 7 terms), observed demand
-pressure, guarantee-violation counts from the invariant plumbing, and
-the in-flight migration set — and everything downstream (the what-if
-:mod:`~repro.rebalance.simstate`, the :mod:`~repro.rebalance.planner`)
-works only on this frozen copy.
+snapshotting the cluster — per-node guaranteed vs. available frequency
+(Eq. 7 terms), observed demand pressure, guarantee-violation counts
+from the invariant plumbing, and the in-flight migration set — and
+everything downstream (the what-if state, the
+:mod:`~repro.rebalance.planner`) works only on that frozen copy.
 
-Two builders cover the two cluster drivers:
-
-* :meth:`ClusterStateView.from_cluster_sim` — the full-fidelity
-  :class:`~repro.sim.cluster_engine.ClusterSimulation` (duck-typed:
-  anything with ``runtimes`` / ``node_manager`` / ``_in_flight``);
-* the coarse 200-node :class:`~repro.rebalance.chaos.ChurnChaosCluster`
-  assembles its view directly from these dataclasses.
+Cluster ports emit the snapshot as a
+:class:`~repro.rebalance.arrays.ClusterStateArrays`.
+:class:`ClusterStateView` is its readable frozen-dataclass spelling,
+reached through ``arrays.to_view()``: explain tooling prints it, and
+the scalar planner reference (:class:`~repro.rebalance.simstate.
+SimulatedState`) plans on it so the bit-identity tests have an
+independent path to compare the array planner against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -143,67 +142,3 @@ class ClusterStateView:
             if h < quantum:
                 stranded += h
         return stranded / total if total > 0 else 0.0
-
-    # -- builders -------------------------------------------------------------
-
-    @classmethod
-    def from_cluster_sim(cls, sim) -> "ClusterStateView":
-        """Snapshot a live :class:`ClusterSimulation` (duck-typed).
-
-        Per-node guarantee accounting comes from each hypervisor's
-        Eq. 7 terms; violation counts and cluster invariant totals from
-        the :class:`~repro.sim.node_manager.NodeManager` when present.
-        """
-        manager = getattr(sim, "node_manager", None)
-        violations_by_node: Dict[str, int] = {}
-        totals = (0, 0)
-        if manager is not None:
-            by_node = getattr(manager, "invariant_violations_by_node", None)
-            if by_node is not None:
-                violations_by_node = by_node()
-            totals = manager.invariant_totals()
-        nodes: Dict[str, NodeView] = {}
-        vms: Dict[str, VmView] = {}
-        for node_id, runtime in sim.runtimes.items():
-            spec = runtime.node.spec
-            hypervisor = runtime.hypervisor
-            names = []
-            demand = 0.0
-            for vm in hypervisor.vms:
-                names.append(vm.name)
-                demand += sum(min(v.demand, 1.0) for v in vm.vcpus) * spec.fmax_mhz
-                vms[vm.name] = VmView(
-                    name=vm.name,
-                    node_id=node_id,
-                    vcpus=vm.template.vcpus,
-                    vfreq_mhz=vm.template.vfreq_mhz,
-                    memory_mb=vm.template.memory_mb,
-                )
-            nodes[node_id] = NodeView(
-                node_id=node_id,
-                capacity_mhz=spec.capacity_mhz,
-                fmax_mhz=spec.fmax_mhz,
-                memory_mb=spec.memory_mb,
-                committed_mhz=hypervisor.committed_mhz(),
-                committed_memory_mb=hypervisor.committed_memory_mb(),
-                demand_mhz=demand,
-                violations=violations_by_node.get(node_id, 0),
-                powered_on=runtime.powered_on,
-                vm_names=tuple(sorted(names)),
-            )
-        in_flight = tuple(
-            InFlightView(
-                vm_name=m.vm_name,
-                source=m.source,
-                target=m.target,
-                arrives_at=m.arrives_at,
-            )
-            for m in getattr(sim, "_in_flight", ())
-        )
-        return cls(
-            t=sim.t,
-            nodes=nodes,
-            vms=vms,
-            in_flight=in_flight,
-            invariant_totals=totals,
-        )

@@ -18,7 +18,7 @@ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cgroups.fs import CgroupVersion
@@ -384,15 +384,9 @@ class ClusterSimulation:
 
     # -- queries --------------------------------------------------------------------------
 
-    def rebalance_view(self):
-        """Frozen snapshot for the rebalance control plane."""
-        from repro.rebalance.view import ClusterStateView
-
-        return ClusterStateView.from_cluster_sim(self)
-
     def rebalance_arrays(self):
-        """Structure-of-arrays spelling of the same snapshot — what the
-        rebalance loop's ``dialect="auto"`` picks at fleet scale."""
+        """Snapshot for the rebalance control plane (the port's one
+        snapshot method; ``.to_view()`` gives the dataclass spelling)."""
         from repro.rebalance.arrays import ClusterStateArrays
 
         return ClusterStateArrays.from_cluster_sim(self)

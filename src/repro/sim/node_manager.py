@@ -258,8 +258,8 @@ class NodeManager:
         """Cumulative violation count per node (inline oracles only).
 
         Nodes without an inline checker are omitted — the rebalancer's
-        :class:`~repro.rebalance.view.ClusterStateView` reads this to
-        weight guarantee pressure with observed violations.
+        :class:`~repro.rebalance.arrays.ClusterStateArrays` snapshot
+        reads this to weight guarantee pressure with observed violations.
         """
         out: Dict[str, int] = {}
         for node_id, controller in self.controllers.items():

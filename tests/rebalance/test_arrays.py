@@ -1,11 +1,10 @@
-"""ClusterStateArrays / SimulatedArrays: dialect equivalence.
+"""ClusterStateArrays / SimulatedArrays: equivalence with the views.
 
-The SoA dialect is only allowed to exist because it is
-indistinguishable from the frozen-dataclass one: identical derived
-signals, identical planner output bit for bit, and the independent
-plan oracle runs unchanged on it.  These tests fuzz that equivalence
-on seeded random clusters, including the 200-node shape the issue
-names.
+The SoA snapshot is only allowed to be the planner's fast path because
+it is indistinguishable from its frozen-dataclass spelling: identical
+derived signals, identical planner output bit for bit, and the
+independent plan oracle runs unchanged on it.  These tests fuzz that
+equivalence on seeded random clusters, including a 200-node shape.
 """
 
 import random

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.rebalance.arrays import ClusterStateArrays
 from repro.rebalance.chaos import ChaosConfig, ChurnChaosCluster
 from repro.rebalance.loop import RebalanceLoop
 from repro.rebalance.planner import MigrationPlanner, PlannerConfig
@@ -19,6 +20,14 @@ SMALL = dict(nodes=6, duration_s=60.0, seed=3, initial_vms=200,
 
 def small_cluster(**overrides):
     return ChurnChaosCluster(ChaosConfig(**{**SMALL, **overrides}))
+
+
+class ScalarReferencePlanner(MigrationPlanner):
+    """Plans on ``view.to_view()``: the frozen-dataclass snapshot and the
+    scalar :class:`~repro.rebalance.simstate.SimulatedState` path."""
+
+    def plan(self, view, *, drain=(), seed=0):
+        return super().plan(view.to_view(), drain=drain, seed=seed)
 
 
 def small_loop(every=2, seed=3):
@@ -50,8 +59,9 @@ class TestMechanics:
     def test_population_and_accounting_consistent(self):
         cluster = small_cluster(degrade_rate_per_s=0.2)
         result = cluster.run()
-        hosted = sum(len(n.vms) for n in cluster.nodes.values())
-        assert result.final_vms == hosted
+        snapshot = cluster.rebalance_arrays()
+        hosted = sum(len(n.vm_names) for n in snapshot.nodes.values())
+        assert result.final_vms == hosted == snapshot.num_vms
         assert result.arrivals >= 0 and result.departures >= 0
         assert result.chaos_events > 0  # 0.2/s over 60 s, ~12 expected
 
@@ -62,7 +72,7 @@ class TestMechanics:
 
     def test_start_migration_validates(self):
         cluster = small_cluster()
-        view = cluster.rebalance_view()
+        view = cluster.rebalance_arrays()
         vm_name = next(iter(view.vms))
         source = view.vms[vm_name].node_id
         with pytest.raises(KeyError):
@@ -72,18 +82,22 @@ class TestMechanics:
 
     def test_migration_reserves_target_capacity(self):
         cluster = small_cluster(initial_vms=60)  # leave real headroom
-        view = cluster.rebalance_view()
+        view = cluster.rebalance_arrays()
         vm_name = next(iter(view.vms))
         vm = view.vms[vm_name]
         target = max(
             (n for n in view.nodes.values() if n.node_id != vm.node_id),
             key=lambda n: n.headroom_mhz,
         ).node_id
-        before = cluster.nodes[target].planned_in_mhz
         cluster.start_migration(vm_name, target)
-        assert cluster.nodes[target].planned_in_mhz == pytest.approx(
-            before + vm.demand_mhz
+        # The reservation shows in the target's committed account (the
+        # planner must not hand the same headroom out twice) while the
+        # VM itself stays on its source until cut-over.
+        after = cluster.rebalance_arrays()
+        assert after.nodes[target].committed_mhz == pytest.approx(
+            view.nodes[target].committed_mhz + vm.demand_mhz
         )
+        assert after.vms[vm_name].node_id == vm.node_id
 
     def test_metrics_recorder_sees_every_step(self):
         metrics = ClusterRebalanceMetrics()
@@ -126,14 +140,18 @@ class TestHeadlineClaim:
 class TestSnapshotDialects:
     def test_arrays_snapshot_matches_view(self):
         cluster = small_cluster()
-        view = cluster.rebalance_view()
+        cluster.run()
         arrays = cluster.rebalance_arrays()
-        assert arrays.to_view() == view
+        view = arrays.to_view()
+        assert ClusterStateArrays.from_view(view).to_view() == view
+        assert view.total_pressure_mhz() == arrays.total_pressure_mhz()
+        assert view.fragmentation_score() == arrays.fragmentation_score()
+        assert sorted(view.vms) == sorted(arrays.vm_names)
 
     def test_arrays_cache_survives_migration_but_not_churn(self):
         cluster = small_cluster(initial_vms=60)
         a1 = cluster.rebalance_arrays()
-        view = cluster.rebalance_view()
+        view = a1.to_view()
         vm_name = next(iter(view.vms))
         target = max(
             (n for n in view.nodes.values()
@@ -152,16 +170,23 @@ class TestSnapshotDialects:
         assert vm_name not in a3.vm_names
 
     def test_run_identical_under_both_dialects(self):
-        """The dialect knob changes round latency, never the result."""
-        results = {}
-        for dialect in ("view", "arrays"):
-            scenario = ClusterScenario(
-                name="mini", nodes=6, vms=260, duration=60.0, seed=3,
-                degrade_rate_per_s=0.05, rebalance_every=2, dialect=dialect,
+        """Planning every round on the frozen-dataclass spelling (the
+        scalar reference) instead of the arrays gives the same run and
+        the same ledger."""
+        results, moves = {}, {}
+        for planner_cls in (MigrationPlanner, ScalarReferencePlanner):
+            cluster = small_cluster(initial_vms=260)
+            loop = RebalanceLoop(
+                planner_cls(config=PlannerConfig(max_moves_per_round=16,
+                                                 max_moves_per_node=4)),
+                every=2, seed=3,
             )
-            results[dialect] = scenario.run().to_dict()
-        assert results["view"] == results["arrays"]
-        assert results["view"]["migrations"] > 0
+            name = planner_cls.__name__
+            results[name] = cluster.run(loop).to_dict()
+            moves[name] = [r["moves"] for r in loop.ledger.rounds]
+        assert results["MigrationPlanner"] == results["ScalarReferencePlanner"]
+        assert moves["MigrationPlanner"] == moves["ScalarReferencePlanner"]
+        assert results["MigrationPlanner"]["migrations"] > 0
 
     def test_loop_records_snapshot_and_plan_split(self):
         cluster = small_cluster(initial_vms=260)
@@ -175,10 +200,10 @@ class TestSnapshotDialects:
         assert meta["plan_seconds"] >= 0.0
 
     def test_invalid_dialect_rejected(self):
-        with pytest.raises(ValueError, match="dialect"):
-            RebalanceLoop(dialect="csv")
-        with pytest.raises(ValueError, match="dialect"):
-            ClusterScenario(name="bad", dialect="csv")
+        assert RebalanceLoop(dialect="arrays").rounds_total == 0
+        for dialect in ("view", "auto", "csv"):
+            with pytest.raises(ValueError, match="dialect"):
+                RebalanceLoop(dialect=dialect)
 
 
 class TestScenarioBuilders:
@@ -196,7 +221,7 @@ class TestScenarioBuilders:
         xl = chaos_churn_xl(rebalance=False)
         assert (xl.nodes, xl.vms, xl.rebalance) == (1000, 50_000, False)
         cluster, loop = small.build()
-        assert len(cluster.nodes) == 8
+        assert cluster.rebalance_arrays().num_nodes == 8
         assert loop is not None and loop.every == 2
 
     def test_static_build_has_no_loop(self):

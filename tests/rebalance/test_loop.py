@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs.tracing import RingSink, Tracer
+from repro.rebalance.arrays import ClusterStateArrays
+from repro.rebalance.chaos import ChaosConfig, ChurnChaosCluster
 from repro.rebalance.loop import RebalanceLoop
 from repro.rebalance.planner import (
     MigrationPlan,
@@ -23,8 +25,8 @@ class FakeCluster:
         self.fail_for = set(fail_for)
         self.started = []
 
-    def rebalance_view(self):
-        return self.view
+    def rebalance_arrays(self):
+        return ClusterStateArrays.from_view(self.view)
 
     def start_migration(self, vm_name, target_id):
         if vm_name in self.fail_for:
@@ -162,6 +164,20 @@ class TestDrainWorkflow:
         loop.rebalance_once(cluster)
         assert loop.drained_nodes() == ["n0"]
         loop.cancel_drain("n0")
+        assert loop.drained_nodes() == []
+
+    def test_node_with_inbound_migration_is_not_drained(self):
+        # Best-fit packs both VMs onto node-0, leaving node-1 empty
+        # until vm-0's migration into it cuts over.
+        cluster = ChurnChaosCluster(ChaosConfig(
+            nodes=3, duration_s=10.0, initial_vms=2, degrade_rate_per_s=0.0,
+        ))
+        cluster.start_migration("vm-0", "node-1")
+        loop = RebalanceLoop(every=1)
+        loop.request_drain("node-1")
+        loop.rebalance_once(cluster)
+        assert not loop.last_view.nodes["node-1"].vm_names
+        assert "node-1" in loop.last_view.pinned_nodes()
         assert loop.drained_nodes() == []
 
     def test_drain_flag_for_unknown_node_ignored(self):

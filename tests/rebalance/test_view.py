@@ -1,11 +1,17 @@
-"""ClusterStateView derived signals and the ClusterSimulation builder."""
+"""ClusterStateView derived signals and the ClusterSimulation snapshot.
+
+``ClusterSimulation.rebalance_arrays()`` is the full-fidelity port's
+one snapshot (the churn benchmark plans on it); the view is reached
+from it as ``.to_view()``.
+"""
 
 import pytest
 
 from repro.hw.cluster import Cluster, ClusterNode
 from repro.placement.evaluator import Placement
 from repro.placement.request import PlacementRequest
-from repro.rebalance.view import ClusterStateView, InFlightView, NodeView
+from repro.rebalance.arrays import ClusterStateArrays
+from repro.rebalance.view import InFlightView, NodeView
 from repro.sim.cluster_engine import ClusterSimulation
 from repro.virt.template import VMTemplate
 from repro.workloads.synthetic import ConstantWorkload
@@ -81,6 +87,9 @@ class TestDerivedSignals:
 
 
 class TestFromClusterSim:
+    """``ClusterSimulation.rebalance_arrays()`` — the snapshot the
+    full-fidelity cluster (and the churn benchmark) plans on."""
+
     T = VMTemplate("t", vcpus=1, vfreq_mhz=1200.0, memory_mb=512)
 
     def _sim(self):
@@ -96,26 +105,27 @@ class TestFromClusterSim:
         return sim
 
     def test_snapshot_matches_hypervisor_accounting(self):
-        sim = self._sim()
-        view = sim.rebalance_view()
-        assert set(view.nodes) == {"n0", "n1"}
-        assert set(view.vms) == {"a", "b"}
-        n0 = view.nodes["n0"]
-        assert n0.committed_mhz == pytest.approx(2 * 1200.0)
-        assert n0.committed_memory_mb == 1024
-        assert n0.vm_names == ("a", "b")
-        assert view.vms["a"].demand_mhz == pytest.approx(1200.0)
-        assert view.nodes["n1"].committed_mhz == 0.0
+        arrays = self._sim().rebalance_arrays()
+        assert isinstance(arrays, ClusterStateArrays)
+        assert arrays.node_ids == ("n0", "n1")
+        assert set(arrays.vm_names) == {"a", "b"}
+        n0 = arrays.node_index["n0"]
+        assert arrays.node_committed_mhz[n0] == pytest.approx(2 * 1200.0)
+        assert arrays.node_committed_memory_mb[n0] == 1024
+        assert arrays.nodes["n0"].vm_names == ("a", "b")
+        assert arrays.vms["a"].demand_mhz == pytest.approx(1200.0)
+        assert arrays.node_committed_mhz[arrays.node_index["n1"]] == 0.0
 
     def test_in_flight_migrations_surface(self):
         sim = self._sim()
         sim.start_migration("a", "n1")
-        view = sim.rebalance_view()
-        assert view.migrating_vms() == frozenset({"a"})
-        assert view.pinned_nodes() == frozenset({"n0", "n1"})
+        arrays = sim.rebalance_arrays()
+        assert arrays.migrating_vms() == frozenset({"a"})
+        assert arrays.pinned_nodes() == frozenset({"n0", "n1"})
+        assert arrays.to_view().pinned_nodes() == frozenset({"n0", "n1"})
 
     def test_snapshot_is_frozen(self):
-        view = self._sim().rebalance_view()
+        view = self._sim().rebalance_arrays().to_view()
         with pytest.raises(AttributeError):
             view.t = 99.0
         with pytest.raises(AttributeError):
