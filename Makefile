@@ -59,10 +59,10 @@ bench-faults-smoke:
 
 # quick scalar-vs-bulk engine bench (CI gates: the report streams stay
 # bit-identical, the bulk full tick and per-stage costs — stages 1 and 6
-# included — may not regress >25% against the committed
-# BENCH_controller.json baseline, and the dense-host single-process
-# tick fits inside one 1 s control period; override the tolerance with
-# PERF_TOLERANCE=0.40 etc.)
+# included — and the auction-heavy host's stage 4 may not regress >25%
+# against the committed BENCH_controller.json baseline, and the
+# dense-host single-process tick fits inside one 1 s control period;
+# override the tolerance with PERF_TOLERANCE=0.40 etc.)
 bench-bulk-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_bulk.py --benchmark-only -q
 	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py

@@ -18,16 +18,50 @@ re-inserted for the next round with its post-purchase wallet — which is
 exactly the balance the old per-round sort would have observed at that
 round's start, so the purchase sequence (and therefore every outcome
 field, including ``rounds``) is bit-identical to the round-based
-original at ``O(purchases * log V)``.
+original.
+
+Full rounds are batched.  With the paper's 1 % window nearly every
+purchase is a *full* one: ``min(window, need, wallet, market)`` is
+``window`` and the slice fits in the VM's first needing vCPU.  When a
+round starts and every queued VM can make ``k`` full purchases in a
+row, the ``k`` rounds are applied in one step, so an auction costs
+``O(buyers + boundary purchases)`` heap work rather than one heap step
+per purchase.  Which updates may be batched is a question of float
+exactness, and batching is enabled only for an integer-valued window
+and a market below 2**52:
+
+* *Decrements are exact.*  Below 2**52 every float's unit in the last
+  place divides 1, so taking an integer window off a wallet, a vCPU
+  residual or the market (with a non-negative result) never rounds:
+  ``x - k * window`` equals ``k`` sequential subtractions.  The order in
+  which VMs take from the market does not matter, because each batched
+  purchase is exactly ``window``.  All wallets drop by the same amount,
+  so the shopping order is the same in every batched round.
+* *Increments are not.*  ``purchased`` and ``spent_per_vm`` totals
+  grow and may round when they cross a binade, so they are replayed
+  with the same sequential adds (closed form only for integer-valued
+  totals, where every partial sum is exact).  New dict keys are
+  inserted in the first batched round's shopping order, as the
+  per-purchase loop would.
+
+Any round with a boundary purchase — a short wallet, need or market,
+or a slice spanning vCPUs — runs through the per-purchase loop.  When
+batching cannot apply the extra cost is one check per round boundary,
+which returns at the first VM that cannot make a full purchase.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Tuple
 
 from repro.core.credits import CreditLedger
+
+#: Below this magnitude every float's unit in the last place divides 1:
+#: subtracting an integer-valued window never rounds, and neither does
+#: adding one to an integer-valued total.
+_EXACT = 2.0 ** 52
 
 
 @dataclass
@@ -85,7 +119,7 @@ def run_auction(
     # of VMs that cannot pay at all are dropped here: their wallet only
     # shrinks during an auction, so they could never buy — admitting
     # them would just burn a heap pop per broke VM.
-    balances: Dict[str, float] = {}
+    balances = ledger.wallets()
     residual: Dict[str, float] = {}
     by_vm: Dict[str, List[str]] = {}
     any_demand = False
@@ -94,10 +128,7 @@ def run_auction(
             continue
         any_demand = True
         vm = vm_of[path]
-        balance = balances.get(vm)
-        if balance is None:
-            balance = balances[vm] = ledger.balance(vm)
-        if balance <= 1e-9:
+        if balances.get(vm, 0.0) <= 1e-9:
             continue
         residual[path] = need
         by_vm.setdefault(vm, []).append(path)
@@ -123,9 +154,47 @@ def run_auction(
     heap = [entry(1, vm, balances[vm]) for vm in by_vm]
     heapq.heapify(heap)
 
+    purchased = outcome.purchased
+    spent = outcome.spent_per_vm
+    # Full rounds may be batched only where their decrements are exact.
+    batchable = float(window).is_integer() and market < _EXACT
     rounds_entered = 0
     progress_in_round = False
     while heap and outcome.market_left > 1e-9:
+        if batchable and heap[0][0] > rounds_entered:
+            # A round starts and every queued VM is in it: apply the
+            # next k rounds in one step if they are all full.
+            k, firsts = _full_rounds(heap, by_vm, residual, ledger, window,
+                                     outcome.market_left)
+            if k:
+                step = k * window
+                next_round = rounds_entered + k + 1
+                queued = []
+                # sorted(heap) is the pop order, so new dict keys land in
+                # the original order.  Every wallet drops by the same
+                # exact step, so the list stays sorted: a valid heap.
+                for item in sorted(heap):
+                    vm = item[-1]
+                    path = firsts[vm]
+                    residual[path] -= step
+                    purchased[path] = _add_repeated(
+                        purchased.get(path, 0.0), window, k)
+                    ledger.spend(vm, step)
+                    spent[vm] = _add_repeated(spent.get(vm, 0.0), window, k)
+                    new_balance = ledger.balance(vm)
+                    # Re-admit as the per-purchase loop does; residual
+                    # left on the vCPU just bought from settles the
+                    # need test without summing every vCPU.
+                    if new_balance > 1e-9 and (
+                        residual[path] > 1e-9
+                        or sum(residual[p] for p in by_vm[vm]) > 1e-9
+                    ):
+                        queued.append(entry(next_round, vm, new_balance))
+                outcome.market_left -= len(heap) * step
+                heap = queued
+                rounds_entered += k
+                progress_in_round = True
+                continue
         item = heapq.heappop(heap)
         round_no, vm = item[0], item[-1]
         if round_no > rounds_entered:
@@ -140,9 +209,9 @@ def run_auction(
         buy = min(window, vm_need, balance, outcome.market_left)
         if buy <= 1e-9:
             continue
-        _allocate_to_vcpus(by_vm[vm], residual, buy, outcome.purchased)
+        _allocate_to_vcpus(by_vm[vm], residual, buy, purchased)
         ledger.spend(vm, buy)
-        outcome.spent_per_vm[vm] = outcome.spent_per_vm.get(vm, 0.0) + buy
+        spent[vm] = spent.get(vm, 0.0) + buy
         outcome.market_left -= buy
         progress_in_round = True
         new_balance = ledger.balance(vm)
@@ -160,6 +229,57 @@ def run_auction(
         rounds_entered += 1
     outcome.rounds = rounds_entered
     return outcome
+
+
+def _full_rounds(
+    heap: list,
+    by_vm: Dict[str, List[str]],
+    residual: Dict[str, float],
+    ledger: CreditLedger,
+    window: float,
+    market: float,
+) -> Tuple[int, Dict[str, str]]:
+    """How many rounds, from the one about to start, are all full.
+
+    A purchase is full when ``min(window, need, wallet, market)`` is
+    ``window`` and the slice fits in the VM's first needing vCPU.  The
+    wallet, that vCPU's residual and the market then each drop by
+    exactly ``window``, so the count is a floor division per operand.
+    Returns the count and each queued VM's first needing vCPU; the count
+    is 0 as soon as one VM cannot make a full purchase.
+    """
+    k = int(market // (window * len(heap)))
+    firsts: Dict[str, str] = {}
+    for item in heap:
+        if not k:
+            break
+        vm = item[-1]
+        balance = ledger.balance(vm)
+        # The vCPU its next purchase starts on; at a round boundary
+        # every queued VM still needs cycles, so the loop always breaks.
+        for path in by_vm[vm]:
+            if residual[path] > 0:
+                break
+        firsts[vm] = path
+        need = residual[path]
+        if balance >= _EXACT or need >= _EXACT:
+            return 0, firsts
+        k = min(k, int(balance // window), int(need // window))
+    return k, firsts
+
+
+def _add_repeated(total: float, step: float, times: int) -> float:
+    """``times`` sequential ``total += step`` for an integer-valued ``step``.
+
+    Integer-valued sums below 2**52 are exact, so they take the closed
+    form; a fractional total may round when it crosses a binade and is
+    replayed add by add.
+    """
+    if total.is_integer() and total + step * times < _EXACT:
+        return total + step * times
+    for _ in range(times):
+        total += step
+    return total
 
 
 def _allocate_to_vcpus(
