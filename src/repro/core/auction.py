@@ -39,9 +39,8 @@ and a market below 2**52:
   so the shopping order is the same in every batched round.
 * *Increments are not.*  ``purchased`` and ``spent_per_vm`` totals
   grow and may round when they cross a binade, so they are replayed
-  with the same sequential adds (closed form only for integer-valued
-  totals, where every partial sum is exact).  New dict keys are
-  inserted in the first batched round's shopping order, as the
+  with the same sequential adds, never ``k * window``.  New dict keys
+  are inserted in the first batched round's shopping order, as the
   per-purchase loop would.
 
 Any round with a boundary purchase — a short wallet, need or market,
@@ -58,9 +57,8 @@ from typing import Dict, List, Mapping, Tuple
 
 from repro.core.credits import CreditLedger
 
-#: Below this magnitude every float's unit in the last place divides 1:
-#: subtracting an integer-valued window never rounds, and neither does
-#: adding one to an integer-valued total.
+#: Below this magnitude every float's unit in the last place divides 1,
+#: so subtracting an integer-valued window never rounds.
 _EXACT = 2.0 ** 52
 
 
@@ -119,7 +117,7 @@ def run_auction(
     # of VMs that cannot pay at all are dropped here: their wallet only
     # shrinks during an auction, so they could never buy — admitting
     # them would just burn a heap pop per broke VM.
-    balances = ledger.wallets()
+    balances: Dict[str, float] = {}
     residual: Dict[str, float] = {}
     by_vm: Dict[str, List[str]] = {}
     any_demand = False
@@ -128,7 +126,10 @@ def run_auction(
             continue
         any_demand = True
         vm = vm_of[path]
-        if balances.get(vm, 0.0) <= 1e-9:
+        balance = balances.get(vm)
+        if balance is None:
+            balance = balances[vm] = ledger.balance(vm)
+        if balance <= 1e-9:
             continue
         residual[path] = need
         by_vm.setdefault(vm, []).append(path)
@@ -182,13 +183,9 @@ def run_auction(
                     ledger.spend(vm, step)
                     spent[vm] = _add_repeated(spent.get(vm, 0.0), window, k)
                     new_balance = ledger.balance(vm)
-                    # Re-admit as the per-purchase loop does; residual
-                    # left on the vCPU just bought from settles the
-                    # need test without summing every vCPU.
-                    if new_balance > 1e-9 and (
-                        residual[path] > 1e-9
-                        or sum(residual[p] for p in by_vm[vm]) > 1e-9
-                    ):
+                    # Re-admit as the per-purchase loop does.
+                    new_need = sum(residual[p] for p in by_vm[vm])
+                    if new_balance > 1e-9 and new_need > 1e-9:
                         queued.append(entry(next_round, vm, new_balance))
                 outcome.market_left -= len(heap) * step
                 heap = queued
@@ -269,14 +266,7 @@ def _full_rounds(
 
 
 def _add_repeated(total: float, step: float, times: int) -> float:
-    """``times`` sequential ``total += step`` for an integer-valued ``step``.
-
-    Integer-valued sums below 2**52 are exact, so they take the closed
-    form; a fractional total may round when it crosses a binade and is
-    replayed add by add.
-    """
-    if total.is_integer() and total + step * times < _EXACT:
-        return total + step * times
+    """``times`` sequential ``total += step``, rounding as each add would."""
     for _ in range(times):
         total += step
     return total
