@@ -97,10 +97,12 @@ bench-slo-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_slo_overhead.py --benchmark-only -q
 	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
-# boot the /metrics endpoint on a live observed host and scrape it once
-# (CI gate: exposition format parses, every family appears exactly once)
+# boot the /metrics endpoint on a live observed host and scrape it once,
+# then again on a 2-node in-process cluster with the SLO plane scraping
+# it (CI gate: exposition format parses, every family appears exactly once)
 obs-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve-metrics --self-test --ticks 5
+	PYTHONPATH=src $(PYTHON) -m repro serve-metrics --self-test --ticks 5 --cluster 2
 
 # the printed tables + CSVs for every paper figure/table
 figures: bench

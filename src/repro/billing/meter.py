@@ -9,14 +9,14 @@ report and ledger streams stay bit-identical with billing on or off
 (``tests/billing/test_transparency.py`` proves this across both
 engines).
 
-The metering arithmetic lives in :class:`UsageMeter` and the
-module-level :func:`decompose`, both pure functions of ledger-visible
-values.  That is a deliberate contract: every accumulation performed
-here is independently re-derived from the PR 5 decision ledger by
-:mod:`repro.checking.billing_oracle` with *exact* float equality, so
-the row order below must mirror the ledger's decision order (samples
-first, then degraded-only paths — the same walk
-``Observability._build_records`` does).
+The meter reads the tick's :func:`~repro.obs.ledger.decision_rows`,
+the same per-vCPU records the decision ledger stores, so it walks no
+report of its own.  The metering arithmetic lives in
+:class:`UsageMeter` and the module-level :func:`decompose`, both pure
+functions of those ledger columns.  That is a deliberate contract:
+every accumulation performed here is independently re-derived from the
+decision ledger by :mod:`repro.checking.billing_oracle` with *exact*
+float equality, in the ledger's decision order.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.billing.pricing import (
     mhz_seconds_per_cycle,
     sold_fraction,
 )
+from repro.obs.ledger import decision_rows, guarantee_missed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.controller import ControllerReport, VirtualFrequencyController
@@ -98,26 +99,23 @@ class UsageMeter:
 
     # -- one tick ---------------------------------------------------------------
 
-    def meter_tick(
-        self,
-        *,
-        tick: int,
-        fmax_mhz: float,
-        market_initial: float,
-        market_left: float,
-        rows: List[Dict],
-    ) -> None:
-        """Meter one finished tick.
+    def meter_tick(self, meta: Dict, rows: List[Dict]) -> None:
+        """Meter one finished tick from its ledger entry.
 
-        ``tick`` is the 1-based control tick (ledger ``meta["tick"] +
-        1`` — the same numbering trace replay uses for ``t``).  Each
-        row carries the ledger-visible decision fields: ``tenant``,
-        ``vm``, ``vcpu``, ``vfreq``, ``guarantee``, ``estimate``,
-        ``base``, ``purchased``, ``fallback``, ``allocation``.
+        ``meta`` holds the ledger meta fields the price depends on:
+        ``tick`` (0-based, metered as the 1-based control tick ``tick +
+        1`` — the numbering trace replay uses for ``t``), ``fmax_mhz``,
+        ``market_initial``, ``market_left`` and the ``tenants`` map
+        (VMs missing from it bill to ``"default"``).  ``rows`` are the
+        tick's decision-ledger records.
         """
+        tick = meta["tick"] + 1
+        tenants = meta["tenants"]
         book = self.book
-        factor = mhz_seconds_per_cycle(fmax_mhz)
-        spot = book.spot_rate(sold_fraction(market_initial, market_left))
+        factor = mhz_seconds_per_cycle(meta["fmax_mhz"])
+        spot = book.spot_rate(
+            sold_fraction(meta["market_initial"], meta["market_left"])
+        )
         revenue = self.tick_revenue.get(tick, 0.0)
         refunds = self.tick_credits.get(tick, 0.0)
         for row in rows:
@@ -126,6 +124,8 @@ class UsageMeter:
             if vfreq is None or allocation is None:
                 continue
             tier = book.tier_of(vfreq)
+            vm = row["vm"]
+            tenant = tenants.get(vm, "default")
             guaranteed_c, purchased_c, free_c = decompose(
                 row["base"], row["purchased"], row["fallback"], allocation
             )
@@ -138,24 +138,18 @@ class UsageMeter:
                 amount = cycles * factor * rate
                 self._add(
                     self.usage,
-                    (row["tenant"], row["vm"], row["vcpu"], tier.name, kind),
+                    (tenant, vm, row["vcpu"], tier.name, kind),
                     cycles, cycles * factor, amount,
                 )
                 revenue += amount
-            guarantee = row["guarantee"]
-            estimate = row["estimate"]
-            if (
-                guarantee is not None
-                and allocation < guarantee
-                and (estimate is None or estimate >= guarantee)
-            ):
-                shortfall = guarantee - allocation
+            if guarantee_missed(row):
+                shortfall = row["guarantee"] - allocation
                 amount = (
                     shortfall * factor * tier.rate * book.sla_refund_multiplier
                 )
                 self._add(
                     self.credits,
-                    (row["tenant"], row["vm"], row["vcpu"], tier.name),
+                    (tenant, vm, row["vcpu"], tier.name),
                     shortfall, shortfall * factor, amount,
                 )
                 refunds += amount
@@ -251,76 +245,15 @@ class BillingEngine:
         """Meter one finished tick (``tick`` is the 0-based count)."""
         auction = report.auction
         self.meter.meter_tick(
-            tick=tick + 1,
-            fmax_mhz=controller.fmax_mhz,
-            market_initial=report.market_initial,
-            market_left=auction.market_left if auction else 0.0,
-            rows=self._rows(controller, report),
+            {
+                "tick": tick,
+                "fmax_mhz": controller.fmax_mhz,
+                "market_initial": report.market_initial,
+                "market_left": auction.market_left if auction else 0.0,
+                "tenants": controller._vm_tenant,
+            },
+            decision_rows(controller, report),
         )
-
-    def _rows(self, controller, report) -> List[Dict]:
-        """Billable rows in ledger order (samples, then degraded-only).
-
-        This mirrors ``Observability._build_records`` walk for walk —
-        including the config-A early-out and the Eq. 5 base computation
-        — so the meter and the ledger agree on every input the oracle
-        later re-derives from.
-        """
-        if not report.allocations:
-            return []  # config A / empty host: nothing enforced
-        from repro.core.backend import vm_component
-
-        cfg = controller.config
-        tenants = controller._vm_tenant
-        vfreqs = controller._vm_vfreq
-        guarantees = controller._guarantee
-        purchased = report.auction.purchased if report.auction else {}
-        degraded = report.degraded
-        rows: List[Dict] = []
-        seen = set()
-        for s in report.samples:
-            path = s.cgroup_path
-            alloc = report.allocations.get(path)
-            if alloc is None:
-                continue
-            seen.add(path)
-            d = report.decisions.get(path)
-            vm = s.vm_name
-            g = guarantees.get(vm)
-            base = None
-            if d is not None and g is not None:
-                base = min(d.estimate_cycles, g)
-                if cfg.reserve_guarantee:
-                    base = max(base, g)
-            rows.append({
-                "tenant": tenants.get(vm, "default"),
-                "vm": vm,
-                "vcpu": s.vcpu_index,
-                "vfreq": vfreqs.get(vm),
-                "guarantee": g,
-                "estimate": d.estimate_cycles if d is not None else None,
-                "base": base,
-                "purchased": purchased.get(path, 0.0),
-                "fallback": degraded.get(path),
-                "allocation": alloc,
-            })
-        for path, alloc in report.allocations.items():
-            if path in seen:
-                continue
-            vm = vm_component(path, controller.machine_slice)
-            rows.append({
-                "tenant": tenants.get(vm, "default"),
-                "vm": vm,
-                "vcpu": _vcpu_index_of(path),
-                "vfreq": vfreqs.get(vm),
-                "guarantee": guarantees.get(vm),
-                "estimate": None,
-                "base": None,
-                "purchased": purchased.get(path, 0.0),
-                "fallback": degraded.get(path, alloc),
-                "allocation": alloc,
-            })
-        return rows
 
     # -- results ------------------------------------------------------------------
 
@@ -344,14 +277,3 @@ class BillingEngine:
     def state_json(self) -> str:
         return json.dumps(self.state(), sort_keys=True)
 
-
-def _vcpu_index_of(path: str) -> int:
-    """Trailing vcpu index of a cgroup path (``.../vcpu3`` -> 3)."""
-    tail = path.rsplit("/", 1)[-1]
-    digits = ""
-    for ch in reversed(tail):
-        if ch.isdigit():
-            digits = ch + digits
-        else:
-            break
-    return int(digits) if digits else -1

@@ -18,6 +18,7 @@ import sys
 from typing import List, Optional
 
 from repro.checking.trace import ENGINE_SELECTORS, ENGINES, resolve_engines
+from repro.core.timings import STAGES
 from repro.sim.report import render_table, scores_rows, series_to_rows
 
 
@@ -612,10 +613,9 @@ def _cmd_overhead(args) -> int:
         vm.workload.start_time = 0.0
     sim.run(float(args.iterations))
     reports = sim.controller.reports
-    stages = ("monitor", "estimate", "credits", "auction", "distribute", "enforce")
     rows = [
         [stage, f"{np.mean([getattr(r.timings, stage) for r in reports]) * 1e3:.3f}"]
-        for stage in stages
+        for stage in STAGES
     ]
     rows.append(["total", f"{sim.controller.mean_iteration_seconds() * 1e3:.3f}"])
     print(render_table(["stage", "mean ms/iteration"], rows,

@@ -40,6 +40,7 @@ from repro.core.resilience import (
 )
 from repro.core.soa import VcpuTable, build_decisions, decide_batch, seqsum
 from repro.core.soa import gather_free_shares
+from repro.core.timings import StageTimings
 from repro.core.units import cycles_per_period, guaranteed_cycles, period_us
 from repro.obs.logging import get_logger
 from repro.sched.fairshare import proportional_share
@@ -50,30 +51,6 @@ log = get_logger("repro.controller")
 
 #: Billing owner assigned to VMs registered without an explicit tenant.
 DEFAULT_TENANT = "default"
-
-
-@dataclass
-class StageTimings:
-    """Wall-clock seconds spent per stage in one iteration (§IV-A2
-    reports 5 ms total, 4 ms of it monitoring, for the C++ original)."""
-
-    monitor: float = 0.0
-    estimate: float = 0.0
-    credits: float = 0.0
-    auction: float = 0.0
-    distribute: float = 0.0
-    enforce: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return (
-            self.monitor
-            + self.estimate
-            + self.credits
-            + self.auction
-            + self.distribute
-            + self.enforce
-        )
 
 
 @dataclass
@@ -196,6 +173,10 @@ class VirtualFrequencyController:
                 from_json(self, fh.read())
             log.info("restored controller state from snapshot %s",
                      self.config.snapshot_path)
+        #: ``(report, rows)`` of the latest tick, filled on first use by
+        #: :func:`repro.obs.ledger.decision_rows` so the tick observers
+        #: share one per-vCPU walk.
+        self._decision_rows = None
         #: Observability hub (spans + ledger + flight recorder); ``None``
         #: keeps the tick path at one attribute check.  Attach later at
         #: runtime with ``Observability.attach(controller, cfg)`` too.

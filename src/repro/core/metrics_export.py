@@ -30,12 +30,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.backend import BackendStats
 from repro.core.controller import ControllerReport, VirtualFrequencyController
+from repro.core.timings import STAGES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.tracing import Tracer
     from repro.sim.node_manager import NodeManager
-
-_STAGES = ("monitor", "estimate", "credits", "auction", "distribute", "enforce")
 
 
 def _escape(value: str) -> str:
@@ -152,7 +151,7 @@ def render_report(
         "vfreq_iteration_seconds", "gauge",
         "Wall time of each controller stage.",
     )
-    for stage in _STAGES:
+    for stage in STAGES:
         buf.add(
             "vfreq_iteration_seconds", getattr(report.timings, stage),
             **_merged({"stage": stage}, extra_labels),
@@ -270,7 +269,7 @@ def render_stage_seconds(
     )
     n = len(reports)
     engine = controller.config.engine
-    for stage in _STAGES:
+    for stage in STAGES:
         mean = (
             sum(getattr(r.timings, stage) for r in reports) / n if n else 0.0
         )
@@ -606,7 +605,7 @@ def render_node_manager(
         "vfreq_nodes_iteration_seconds", "gauge",
         "Summed stage wall time, last tick.",
     )
-    for stage in _STAGES:
+    for stage in STAGES:
         buf.add(
             "vfreq_nodes_iteration_seconds", getattr(timings, stage),
             **_merged({"stage": stage}, extra_labels),

@@ -2,12 +2,15 @@
 
 :class:`Observability` owns the tracer, the decision ledger and the
 flight recorder, and translates each finished
-:class:`~repro.core.controller.ControllerReport` into all three in one
-pass over the samples (``on_tick``).  The controller's hot loop stays
-untouched: with no hub attached a tick pays exactly one ``is None``
-check, and with a hub attached the stages still run unmodified — the
-hub works *post hoc* from the report, the stage timings the controller
-already measures, and the controller's own registries.  Report streams
+:class:`~repro.core.controller.ControllerReport` into all three
+(``on_tick``).  The ledger and the flight recorder store the tick's
+:func:`~repro.obs.ledger.decision_rows` as they are: the one per-vCPU
+walk the billing meter and the SLO plane share.  The controller's hot
+loop stays untouched: with no hub attached a tick pays exactly one
+``is None`` check, and with a hub attached the stages still run
+unmodified — the hub works *post hoc* from the report, the stage
+timings the controller already measures, and the controller's own
+registries.  Report streams
 are therefore bit-identical with the hub on or off
 (``tests/obs/test_transparency.py``).
 
@@ -34,9 +37,10 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, TYPE_CHECKING
 
+from repro.core.timings import STAGES
 from repro.obs.config import ObsConfig
 from repro.obs.flight_recorder import FlightRecorder
-from repro.obs.ledger import DecisionLedger
+from repro.obs.ledger import DecisionLedger, decision_rows
 from repro.obs.logging import get_logger
 from repro.obs.tracing import JsonlSink, RingSink, Tracer, write_chrome_trace
 
@@ -44,22 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.controller import ControllerReport, VirtualFrequencyController
 
 log = get_logger("repro.obs")
-
-#: Paper stage order (Fig. 2), matching ``StageTimings`` attributes.
-STAGES = ("monitor", "estimate", "credits", "auction", "distribute", "enforce")
-
-
-def _vcpu_index_of(path: str) -> int:
-    """Trailing vcpu index of a cgroup path (``.../vcpu3`` -> 3)."""
-    tail = path.rsplit("/", 1)[-1]
-    digits = ""
-    for ch in reversed(tail):
-        if ch.isdigit():
-            digits = ch + digits
-        else:
-            break
-    return int(digits) if digits else -1
-
 
 class Observability:
     """Tracer + ledger + flight recorder behind one ``on_tick``."""
@@ -147,14 +135,15 @@ class Observability:
         market_left = report.auction.market_left if report.auction else 0.0
         rounds = report.auction.rounds if report.auction else 0
 
-        meta: Optional[Dict] = None
         decisions: Optional[List[Dict]] = None
         if self.ledger is not None or self.recorder is not None:
-            meta, decisions = self._build_records(
-                controller, report, tick, purchased, spent, market_left, rounds
-            )
+            decisions = decision_rows(controller, report)
         if self.ledger is not None:
-            self.ledger.record_tick(meta, decisions)
+            self.ledger.record_tick(
+                self._build_meta(controller, report, tick, spent,
+                                 market_left, rounds),
+                decisions,
+            )
         if self.recorder is not None:
             self.recorder.record(self._build_frame(
                 controller, report, tick, decisions, market_left, rounds
@@ -167,16 +156,13 @@ class Observability:
 
     # -- ledger record construction ---------------------------------------------
 
-    def _build_records(
-        self, controller, report, tick, purchased, spent, market_left, rounds
-    ):
+    def _build_meta(self, controller, report, tick, spent, market_left, rounds):
         cfg = controller.config
-        p_us = cfg.period_s * 1e6
-        meta = {
+        return {
             "tick": tick,
             "t": report.t,
             "engine": cfg.engine,
-            "p_us": p_us,
+            "p_us": cfg.period_s * 1e6,
             "fmax_mhz": controller.fmax_mhz,
             "enforcement_period_us": cfg.enforcement_period_us,
             "market_initial": report.market_initial,
@@ -191,71 +177,6 @@ class Observability:
             # and the billing oracle can always resolve tenancy.
             "tenants": dict(controller._vm_tenant),
         }
-        decisions: List[Dict] = []
-        if not report.allocations:
-            return meta, decisions  # config A / empty host: nothing enforced
-        quota_us = controller.enforcer.quota_us
-        vfreqs = controller._vm_vfreq
-        guarantees = controller._guarantee
-        free = report.free_shares
-        degraded = report.degraded
-        seen = set()
-        for s in report.samples:
-            path = s.cgroup_path
-            alloc = report.allocations.get(path)
-            if alloc is None:
-                continue
-            seen.add(path)
-            d = report.decisions.get(path)
-            vm = s.vm_name
-            g = guarantees.get(vm)
-            base = None
-            if d is not None and g is not None:
-                base = min(d.estimate_cycles, g)
-                if cfg.reserve_guarantee:
-                    base = max(base, g)
-            decisions.append({
-                "vm": vm,
-                "vcpu": s.vcpu_index,
-                "path": path,
-                "consumed": s.consumed_cycles,
-                "estimate": d.estimate_cycles if d is not None else None,
-                "trend": d.trend if d is not None else None,
-                "case": d.case.name.lower() if d is not None else None,
-                "vfreq": vfreqs.get(vm),
-                "guarantee": g,
-                "base": base,
-                "reserve_guarantee": cfg.reserve_guarantee,
-                "purchased": purchased.get(path, 0.0),
-                "free_share": free.get(path, 0.0),
-                "fallback": degraded.get(path),
-                "allocation": alloc,
-                "quota_us": quota_us(alloc),
-            })
-        for path, alloc in report.allocations.items():
-            if path in seen:
-                continue
-            # Degraded-only paths: enforced without a fresh sample.
-            vm = _vm_of(controller, path)
-            decisions.append({
-                "vm": vm,
-                "vcpu": _vcpu_index_of(path),
-                "path": path,
-                "consumed": None,
-                "estimate": None,
-                "trend": None,
-                "case": None,
-                "vfreq": vfreqs.get(vm),
-                "guarantee": guarantees.get(vm),
-                "base": None,
-                "reserve_guarantee": cfg.reserve_guarantee,
-                "purchased": purchased.get(path, 0.0),
-                "free_share": free.get(path, 0.0),
-                "fallback": degraded.get(path, alloc),
-                "allocation": alloc,
-                "quota_us": quota_us(alloc),
-            })
-        return meta, decisions
 
     # -- flight frame construction ------------------------------------------------
 
@@ -433,8 +354,3 @@ class Observability:
         if self.ledger is not None:
             self.ledger.close()
 
-
-def _vm_of(controller, path: str) -> Optional[str]:
-    from repro.core.backend import vm_component
-
-    return vm_component(path, controller.machine_slice)

@@ -32,6 +32,11 @@ Storage is one dict per tick (``{"meta": ..., "decisions": [...]}``)
 in a bounded in-memory ring, mirrored as JSONL when the hub has an
 ``out_dir``.  Records are engine-agnostic: the scalar and bulk
 engines must produce identical ledgers (fuzz-checked).
+
+:func:`decision_rows` is the only code that turns a finished report
+into these per-vCPU records.  It runs once per tick, and every tick
+observer reads its rows: the hub's ledger and flight recorder, the
+billing meter and the SLO plane's guarantee checks.
 """
 
 from __future__ import annotations
@@ -39,6 +44,125 @@ from __future__ import annotations
 import json
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
+
+
+def decision_rows(controller, report) -> List[Dict]:
+    """The tick's per-vCPU decision records, in ledger order.
+
+    Samples with an allocation come first, then the degraded-only paths
+    (enforced without a fresh sample).  The rows are built on first use
+    and cached for this tick only, in the controller's
+    ``_decision_rows`` slot keyed by the report, so every observer of
+    the tick shares one walk and kept reports hold no rows.  Callers
+    must treat the rows as read-only.
+    """
+    cached = controller._decision_rows
+    if cached is not None and cached[0] is report:
+        return cached[1]
+    rows = _build_rows(controller, report)
+    controller._decision_rows = (report, rows)
+    return rows
+
+
+def _build_rows(controller, report) -> List[Dict]:
+    if not report.allocations:
+        return []  # config A / empty host: nothing enforced
+    cfg = controller.config
+    reserve = cfg.reserve_guarantee
+    quota_us = controller.enforcer.quota_us
+    vfreqs = controller._vm_vfreq
+    guarantees = controller._guarantee
+    purchased = report.auction.purchased if report.auction else {}
+    free = report.free_shares
+    degraded = report.degraded
+    rows: List[Dict] = []
+    seen = set()
+    for s in report.samples:
+        path = s.cgroup_path
+        alloc = report.allocations.get(path)
+        if alloc is None:
+            continue
+        seen.add(path)
+        d = report.decisions.get(path)
+        vm = s.vm_name
+        g = guarantees.get(vm)
+        base = None
+        if d is not None and g is not None:
+            base = min(d.estimate_cycles, g)
+            if reserve:
+                base = max(base, g)
+        rows.append({
+            "vm": vm,
+            "vcpu": s.vcpu_index,
+            "path": path,
+            "consumed": s.consumed_cycles,
+            "estimate": d.estimate_cycles if d is not None else None,
+            "trend": d.trend if d is not None else None,
+            "case": d.case.name.lower() if d is not None else None,
+            "vfreq": vfreqs.get(vm),
+            "guarantee": g,
+            "base": base,
+            "reserve_guarantee": reserve,
+            "purchased": purchased.get(path, 0.0),
+            "free_share": free.get(path, 0.0),
+            "fallback": degraded.get(path),
+            "allocation": alloc,
+            "quota_us": quota_us(alloc),
+        })
+    if len(seen) == len(report.allocations):
+        return rows
+    from repro.core.backend import vm_component
+
+    for path, alloc in report.allocations.items():
+        if path in seen:
+            continue
+        vm = vm_component(path, controller.machine_slice)
+        rows.append({
+            "vm": vm,
+            "vcpu": _vcpu_index_of(path),
+            "path": path,
+            "consumed": None,
+            "estimate": None,
+            "trend": None,
+            "case": None,
+            "vfreq": vfreqs.get(vm),
+            "guarantee": guarantees.get(vm),
+            "base": None,
+            "reserve_guarantee": reserve,
+            "purchased": purchased.get(path, 0.0),
+            "free_share": free.get(path, 0.0),
+            "fallback": degraded.get(path, alloc),
+            "allocation": alloc,
+            "quota_us": quota_us(alloc),
+        })
+    return rows
+
+
+def _vcpu_index_of(path: str) -> int:
+    """Trailing vcpu index of a cgroup path (``.../vcpu3`` -> 3)."""
+    tail = path.rsplit("/", 1)[-1]
+    digits = ""
+    for ch in reversed(tail):
+        if ch.isdigit():
+            digits = ch + digits
+        else:
+            break
+    return int(digits) if digits else -1
+
+
+def guarantee_missed(row: Dict) -> bool:
+    """The SLA-shortfall criterion on one decision row.
+
+    The vCPU got less than its Eq. 2 guarantee while it wanted at least
+    that much, or while its demand was unobservable (a degraded-only
+    path has no estimate).  The billing meter refunds exactly these
+    shortfalls and the SLO plane counts them as guarantee misses.
+    """
+    g = row["guarantee"]
+    if g is None:
+        return False
+    estimate = row["estimate"]
+    return row["allocation"] < g and (estimate is None or estimate >= g)
 
 
 def recompute_allocation(decision: Dict, p_us: float) -> float:

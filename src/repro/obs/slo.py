@@ -12,8 +12,8 @@ write.
 The shipped catalogue (:func:`default_slos`):
 
 * ``guarantee`` — per-tenant guarantee-violation SLO: of all vCPU-tick
-  guarantee checks (the billing meter's SLA criterion, walk for walk),
-  at most ``1 - objective`` may fail;
+  guarantee checks (the billing meter's SLA criterion, on the same
+  decision-ledger rows), at most ``1 - objective`` may fail;
 * ``tick_deadline`` — control-loop latency SLO: each node's stage
   total must fit the control period (wall-clock, so excluded from the
   deterministic profile);
@@ -37,7 +37,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.timings import STAGES
 from repro.obs.anomaly import AnomalyConfig, EwmaDetector
+from repro.obs.ledger import decision_rows
 from repro.obs.tsdb import (
     S_BACKEND_ERRORS,
     S_CREDITS_USD,
@@ -246,6 +248,17 @@ def load_alerts_jsonl(path: str) -> List[Dict]:
     return out
 
 
+def _ingest_tick(store: SeriesStore, controller, report, node: str) -> None:
+    """One controller tick's gauges and per-tenant guarantee checks."""
+    # Guarantee checks need fresh samples, so a report without any (a
+    # VMDFS baseline, or a bulk tick nothing asked detail of) needs no
+    # decision rows.
+    rows = decision_rows(controller, report) if report.samples else []
+    store.ingest_report(
+        report, rows, getattr(controller, "_vm_tenant", {}), node=node
+    )
+
+
 class SLOPlane:
     """The cluster SLO/alerting plane: one store, one rule engine.
 
@@ -304,16 +317,13 @@ class SLOPlane:
     def on_tick(self, controller, report, tick: int) -> None:
         """The controller ``_finish`` hook: ingest, evaluate, page."""
         store = self.store
-        store.ingest_report(controller, report, node=self.node)
+        _ingest_tick(store, controller, report, self.node)
         seconds = report.timings.total
         if self.config.wallclock:
             bad = 1.0 if seconds > self.config.deadline_s else 0.0
             store.accumulate(S_DEADLINE_BAD, bad)
             store.accumulate(S_DEADLINE_CHECKS, 1.0)
-            for stage in (
-                "monitor", "estimate", "credits",
-                "auction", "distribute", "enforce",
-            ):
+            for stage in STAGES:
                 store.append(
                     S_STAGE_SECONDS, getattr(report.timings, stage),
                     {"stage": stage},
@@ -351,14 +361,20 @@ class SLOPlane:
             for node_id in sorted(manager.last_reports):
                 controller = controllers.get(node_id)
                 if controller is not None:
-                    store.ingest_report(
-                        controller, manager.last_reports[node_id], node=node_id
+                    _ingest_tick(
+                        store, controller, manager.last_reports[node_id],
+                        node_id,
                     )
             store.ingest_node_manager(manager, deadline_s=deadline)
             for node_id in sorted(controllers):
-                billing = getattr(controllers[node_id], "billing", None)
+                controller = controllers[node_id]
+                billing = getattr(controller, "billing", None)
                 if billing is not None:
-                    store.ingest_billing(billing, tick + 1, node=node_id)
+                    # The controller's own last metered tick, whatever
+                    # numbering the caller's ``tick`` uses.
+                    store.ingest_billing(
+                        billing, controller._tick_count, node=node_id
+                    )
         if not evaluate:
             return []
         return self.evaluate(tick, t=t)

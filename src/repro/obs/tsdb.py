@@ -18,9 +18,9 @@ suite (``tests/obs/test_slo_transparency.py``) leans on.
 Ingest is three-dialect, mirroring how the repo's planes report:
 
 * :meth:`SeriesStore.ingest_report` — one finished
-  :class:`~repro.core.controller.ControllerReport` plus the owning
-  controller's registries (tenant / guarantee maps), post hoc exactly
-  like the obs hub;
+  :class:`~repro.core.controller.ControllerReport` plus its
+  :func:`~repro.obs.ledger.decision_rows` and the owning controller's
+  tenant map, post hoc exactly like the obs hub;
 * :meth:`SeriesStore.ingest_node_manager` — an in-process
   :class:`~repro.sim.node_manager.NodeManager` after a barrier tick;
 * :meth:`SeriesStore.ingest_shard_reader` — *objectless*: straight off
@@ -34,6 +34,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.core.timings import STAGES
+from repro.obs.ledger import guarantee_missed
 
 #: Canonical series names the SLO plane subscribes to.  One place, so
 #: the three ingest dialects and ``slo.py`` can never drift apart.
@@ -322,15 +325,18 @@ class SeriesStore:
     # -- ingest: report dialect --------------------------------------------
 
     def ingest_report(
-        self, controller, report, *, node: str = "node-0"
+        self, report, rows: List[Dict], tenants: Mapping[str, str],
+        *, node: str = "node-0",
     ) -> Tuple[int, int]:
         """One finished tick, post hoc — the obs-hub dialect.
 
-        Walks the report exactly like ``BillingEngine._rows`` (samples
-        with allocations, guarantee vs. estimate vs. allocation) to
-        count per-tenant guarantee checks and violations, and appends
-        the per-node gauges.  Returns ``(bad, total)`` summed over
-        tenants, mostly for tests.
+        ``rows`` are the tick's decision-ledger records.  Every row with
+        a fresh sample and a guarantee is one guarantee check for its
+        VM's tenant (``tenants``, ``"default"`` when missing), and a
+        miss when :func:`~repro.obs.ledger.guarantee_missed` holds —
+        the billing meter's SLA-shortfall criterion.  Also appends the
+        per-node gauges.  Returns ``(bad, total)`` summed over tenants,
+        mostly for tests.
         """
         node_labels = {"node": node}
         self.append(S_TICK_SECONDS, report.timings.total, node_labels)
@@ -340,26 +346,14 @@ class SeriesStore:
         self.append(S_ALLOC_CYCLES, alloc_total, node_labels)
         self.append(S_DEGRADED_VCPUS, float(len(report.degraded)), node_labels)
 
-        tenants = getattr(controller, "_vm_tenant", {})
-        guarantees = getattr(controller, "_guarantee", {})
-        decisions = report.decisions
         bad_by_tenant: Dict[str, int] = {}
         total_by_tenant: Dict[str, int] = {}
-        for s in report.samples:
-            alloc = report.allocations.get(s.cgroup_path)
-            if alloc is None:
+        for row in rows:
+            if row["consumed"] is None or row["guarantee"] is None:
                 continue
-            vm = s.vm_name
-            g = guarantees.get(vm)
-            if g is None:
-                continue
-            tenant = tenants.get(vm, "default")
+            tenant = tenants.get(row["vm"], "default")
             total_by_tenant[tenant] = total_by_tenant.get(tenant, 0) + 1
-            d = decisions.get(s.cgroup_path)
-            estimate = d.estimate_cycles if d is not None else None
-            # The billing meter's SLA-shortfall criterion, verbatim: the
-            # vCPU wanted at least its guarantee and got less.
-            if alloc < g and (estimate is None or estimate >= g):
+            if guarantee_missed(row):
                 bad_by_tenant[tenant] = bad_by_tenant.get(tenant, 0) + 1
         bad = total = 0
         for tenant in sorted(total_by_tenant):
@@ -407,9 +401,7 @@ class SeriesStore:
             self.accumulate(S_DEADLINE_BAD, float(bad))
             self.accumulate(S_DEADLINE_CHECKS, float(total))
         timings = manager.aggregate_timings()
-        for stage in (
-            "monitor", "estimate", "credits", "auction", "distribute", "enforce"
-        ):
+        for stage in STAGES:
             self.append(
                 S_STAGE_SECONDS, getattr(timings, stage), {"stage": stage}
             )
@@ -452,9 +444,7 @@ class SeriesStore:
         )
         group.append_array(per_node_seconds)
         stage_sums = nodes[:, 0:6].sum(axis=0)
-        for k, stage in enumerate(
-            ("monitor", "estimate", "credits", "auction", "distribute", "enforce")
-        ):
+        for k, stage in enumerate(STAGES):
             self.append(
                 S_STAGE_SECONDS, float(stage_sums[k]),
                 {"stage": stage, "shard": shard},
@@ -484,7 +474,9 @@ class SeriesStore:
         """One metered tick's revenue / SLA-credit dollars.
 
         ``tick`` is the meter's 1-based control tick (the billing
-        engine meters ``tick + 1`` from the 0-based ``_finish`` count).
+        engine meters ``tick + 1`` from the 0-based ``_finish`` count,
+        so a controller's last metered tick is its tick count once
+        ``_finish`` returns).
         Deltas accumulate into monotone counters — deterministic
         because metering itself is (the billing-oracle contract).
         """

@@ -115,16 +115,26 @@ class TestInvoiceProjection:
         assert "guaranteed" in per_vcpu
 
 
+def _meta(market_initial=0.0, market_left=0.0):
+    """Ledger meta of tick 0 (metered as control tick 1)."""
+    return {"tick": 0, "fmax_mhz": 2400.0, "market_initial": market_initial,
+            "market_left": market_left, "tenants": {"vm1": "acme"}}
+
+
+def _row(*, estimate, base, allocation, purchased=0.0):
+    """The decision-ledger fields the meter reads, for acme's vm1/vcpu0."""
+    return {"vm": "vm1", "vcpu": 0, "vfreq": 600.0, "guarantee": 500.0,
+            "estimate": estimate, "base": base, "purchased": purchased,
+            "fallback": None, "allocation": allocation}
+
+
 class TestMeterState:
     def test_state_json_roundtrip_is_exact(self):
         meter = UsageMeter()
         meter.meter_tick(
-            tick=1, fmax_mhz=2400.0, market_initial=1000.0, market_left=400.0,
-            rows=[{
-                "tenant": "acme", "vm": "vm1", "vcpu": 0, "vfreq": 600.0,
-                "guarantee": 500.0, "estimate": 700.0, "base": 500.0,
-                "purchased": 120.0, "fallback": None, "allocation": 640.0,
-            }],
+            _meta(market_initial=1000.0, market_left=400.0),
+            [_row(estimate=700.0, base=500.0, purchased=120.0,
+                  allocation=640.0)],
         )
         clone = UsageMeter()
         clone.load_state(json.loads(json.dumps(meter.state())))
@@ -136,15 +146,13 @@ class TestMeterState:
     def test_sla_credit_on_saturated_shortfall(self):
         meter = UsageMeter()
         meter.meter_tick(
-            tick=1, fmax_mhz=2400.0, market_initial=0.0, market_left=0.0,
-            rows=[{
-                "tenant": "acme", "vm": "vm1", "vcpu": 0, "vfreq": 600.0,
-                "guarantee": 500.0, "estimate": 600.0, "base": 500.0,
-                "purchased": 0.0, "fallback": None, "allocation": 450.0,
-            }],
+            _meta(),
+            [_row(estimate=600.0, base=500.0, allocation=450.0)],
         )
         book = meter.book
         tier = book.tier_of(600.0)
+        assert list(meter.credits) == [("acme", "vm1", 0, tier.name)]
+        assert list(meter.tick_credits) == [1]
         (credit,) = meter.credits.values()
         expected = 50.0 * mhz_seconds_per_cycle(2400.0) * tier.rate
         assert credit[2] == pytest.approx(
@@ -155,11 +163,14 @@ class TestMeterState:
     def test_unsaturated_shortfall_earns_no_credit(self):
         meter = UsageMeter()
         meter.meter_tick(
-            tick=1, fmax_mhz=2400.0, market_initial=0.0, market_left=0.0,
-            rows=[{
-                "tenant": "acme", "vm": "vm1", "vcpu": 0, "vfreq": 600.0,
-                "guarantee": 500.0, "estimate": 100.0, "base": 100.0,
-                "purchased": 0.0, "fallback": None, "allocation": 100.0,
-            }],
+            _meta(),
+            [_row(estimate=100.0, base=100.0, allocation=100.0)],
         )
         assert meter.credits == {}
+
+    def test_vm_without_tenant_bills_to_default(self):
+        meter = UsageMeter()
+        meta = dict(_meta(), tenants={})
+        meter.meter_tick(meta, [_row(estimate=100.0, base=100.0,
+                                     allocation=100.0)])
+        assert {key[0] for key in meter.usage} == {"default"}

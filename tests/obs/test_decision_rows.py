@@ -1,0 +1,90 @@
+"""One decision walk per tick, shared by every tick observer.
+
+:func:`repro.obs.ledger.decision_rows` is the only code that turns a
+finished report into per-vCPU rows.  With the hub, a billing engine and
+an SLO plane attached it must still run once per tick, and the cluster
+SLO path must read each controller's own metered tick.
+"""
+
+import random
+
+import pytest
+
+import repro.obs.ledger as ledger_mod
+from repro.billing import BillingEngine
+from repro.checking.trace import ENGINES
+from repro.core.config import ControllerConfig
+from repro.obs.config import ObsConfig
+from repro.obs.hub import Observability
+from repro.obs.slo import SLOConfig, SLOPlane
+from repro.obs.tsdb import S_CREDITS_USD, S_GUARANTEE_CHECKS, S_REVENUE_USD
+from repro.virt.template import VMTemplate
+from tests.conftest import make_host
+
+TICKS = 6
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_rows_built_once_per_tick_with_all_observers(engine, monkeypatch):
+    builds = []
+    build = ledger_mod._build_rows
+
+    def spy(controller, report):
+        builds.append(report)
+        return build(controller, report)
+
+    monkeypatch.setattr(ledger_mod, "_build_rows", spy)
+    node, hv, ctrl = make_host(
+        config=ControllerConfig.paper_evaluation(engine=engine)
+    )
+    for k in range(3):
+        vm = hv.provision(VMTemplate(f"t{k}", vcpus=2, vfreq_mhz=800.0),
+                          f"vm-{k}")
+        vm.set_uniform_demand(1.0)
+        ctrl.register_vm(vm.name, 800.0, tenant=f"tenant-{k % 2}")
+    obs = Observability.attach(ctrl, ObsConfig(flight_recorder_ticks=4))
+    billing = BillingEngine.attach(ctrl)
+    plane = SLOPlane.attach(ctrl, SLOConfig(wallclock=False))
+    for t in range(TICKS):
+        node.step(1.0)
+        ctrl.tick(float(t))
+    assert builds == ctrl.reports
+    # Every observer read the same rows: the ledger and the flight
+    # recorder store the very list the tick built.
+    rows = ctrl._decision_rows[1]
+    assert len(rows) == 6
+    assert obs.ledger.ticks[-1]["decisions"] is rows
+    assert obs.recorder.frames[-1]["decisions"] is rows
+    assert len(billing.meter.tick_revenue) == TICKS
+    checks = plane.store.get(S_GUARANTEE_CHECKS, {"tenant": "tenant-0"})
+    assert checks.last == 4.0 * TICKS
+
+
+def test_cluster_scrape_ingests_each_controllers_metered_tick():
+    """Callers number cluster ticks from 1; billing must still land."""
+    from repro.cli import _demo_cluster
+
+    cfg = ControllerConfig.paper_evaluation()
+    manager, cluster_vms = _demo_cluster(2, 3, 2, 7, cfg)
+    plane = SLOPlane(SLOConfig(period_s=cfg.period_s, wallclock=False))
+    rng = random.Random(7)
+    try:
+        for tick in range(1, 6):
+            for node_id in sorted(cluster_vms):
+                node, vms = cluster_vms[node_id]
+                for vm in vms:
+                    vm.set_uniform_demand(rng.random())
+                node.step(cfg.period_s)
+            manager.tick(float(tick))
+            plane.observe_cluster(manager, tick, t=float(tick))
+    finally:
+        manager.close()
+        plane.close()
+    for node_id, controller in manager.controllers.items():
+        meter = controller.billing.meter
+        labels = {"node": node_id}
+        revenue = sum(meter.tick_revenue.values())
+        assert revenue > 0.0
+        assert plane.store.get(S_REVENUE_USD, labels).last == revenue
+        assert plane.store.get(S_CREDITS_USD, labels).last == \
+            sum(meter.tick_credits.values())

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs import ObsConfig
-from repro.obs.hub import STAGES
+from repro.core.timings import STAGES
 from repro.obs.tracing import (
     Histogram,
     JsonlSink,

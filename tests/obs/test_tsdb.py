@@ -136,52 +136,32 @@ class _FakeTimings:
         self.auction = self.distribute = self.enforce = total / 6.0
 
 
-class _FakeSample:
-    def __init__(self, vm, path):
-        self.vm_name = vm
-        self.cgroup_path = path
-
-
-class _FakeDecision:
-    def __init__(self, estimate):
-        self.estimate_cycles = estimate
-
-
 class _FakeReport:
-    def __init__(self, samples, allocations, decisions):
+    def __init__(self, allocations):
         self.timings = _FakeTimings(0.01)
-        self.samples = samples
         self.allocations = allocations
-        self.decisions = decisions
-        self.degraded = []
+        self.degraded = {}
         self.t = 1.0
 
 
-class _FakeController:
-    def __init__(self, tenants, guarantees):
-        self._vm_tenant = tenants
-        self._guarantee = guarantees
+def _row(vm, allocation, guarantee, estimate, consumed=1.0):
+    """The decision-ledger fields the guarantee check reads."""
+    return {"vm": vm, "consumed": consumed, "allocation": allocation,
+            "guarantee": guarantee, "estimate": estimate}
 
 
 class TestIngestReport:
     def test_sla_criterion_matches_billing_meter(self):
         """bad = alloc < g and (estimate is None or estimate >= g)."""
         store = SeriesStore(capacity=32)
-        ctrl = _FakeController(
-            tenants={"vm-0": "a", "vm-1": "a", "vm-2": "b"},
-            guarantees={"vm-0": 100.0, "vm-1": 100.0, "vm-2": 100.0},
-        )
-        report = _FakeReport(
-            samples=[_FakeSample("vm-0", "/cg0"), _FakeSample("vm-1", "/cg1"),
-                     _FakeSample("vm-2", "/cg2")],
-            allocations={"/cg0": 50.0, "/cg1": 120.0, "/cg2": 90.0},
-            decisions={
-                "/cg0": _FakeDecision(150.0),   # wanted >= g, got < g: bad
-                "/cg1": _FakeDecision(150.0),   # got >= g: good
-                "/cg2": _FakeDecision(80.0),    # demanded < g: not bad
-            },
-        )
-        bad, total = store.ingest_report(ctrl, report, node="n0")
+        tenants = {"vm-0": "a", "vm-1": "a", "vm-2": "b"}
+        report = _FakeReport({"/cg0": 50.0, "/cg1": 120.0, "/cg2": 90.0})
+        rows = [
+            _row("vm-0", 50.0, 100.0, 150.0),   # wanted >= g, got < g: bad
+            _row("vm-1", 120.0, 100.0, 150.0),  # got >= g: good
+            _row("vm-2", 90.0, 100.0, 80.0),    # demanded < g: not bad
+        ]
+        bad, total = store.ingest_report(report, rows, tenants, node="n0")
         assert (bad, total) == (1, 3)
         assert store.increase  # counters landed per tenant
         assert store.get(S_GUARANTEE_BAD, {"tenant": "a"}).last == 1.0
@@ -192,12 +172,17 @@ class TestIngestReport:
 
     def test_vm_without_allocation_or_guarantee_skipped(self):
         store = SeriesStore(capacity=32)
-        ctrl = _FakeController(tenants={"vm-0": "a"}, guarantees={})
-        report = _FakeReport(
-            samples=[_FakeSample("vm-0", "/cg0")],
-            allocations={}, decisions={},
-        )
-        assert store.ingest_report(ctrl, report) == (0, 0)
+        # No allocation: the vCPU has no decision row at all.
+        assert store.ingest_report(_FakeReport({}), [], {"vm-0": "a"}) \
+            == (0, 0)
+        # No guarantee, or no fresh sample (a degraded-only path): the
+        # row is not a guarantee check.
+        rows = [
+            _row("vm-0", 50.0, None, 150.0),
+            _row("vm-1", 50.0, 100.0, None, consumed=None),
+        ]
+        report = _FakeReport({"/cg0": 50.0, "/cg1": 50.0})
+        assert store.ingest_report(report, rows, {"vm-0": "a"}) == (0, 0)
 
 
 class _FakeStats:
