@@ -99,10 +99,13 @@ bench-slo-smoke:
 
 # boot the /metrics endpoint on a live observed host and scrape it once,
 # then again on a 2-node in-process cluster with the SLO plane scraping
-# it (CI gate: exposition format parses, every family appears exactly once)
+# it, then once more on a host under the standard fault mix (CI gate:
+# exposition format parses, every family appears exactly once, and the
+# faulted scrape carries vfreq_faults_injected_total)
 obs-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve-metrics --self-test --ticks 5
 	PYTHONPATH=src $(PYTHON) -m repro serve-metrics --self-test --ticks 5 --cluster 2
+	PYTHONPATH=src $(PYTHON) -m repro serve-metrics --self-test --ticks 5 --fault-plan examples/fault_plan.json
 
 # the printed tables + CSVs for every paper figure/table
 figures: bench

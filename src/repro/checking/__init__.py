@@ -16,7 +16,8 @@ Three layers, each usable on its own:
   ``tests/checking/test_repros.py`` or ``python -m repro check replay``;
 * :mod:`repro.checking.billing_oracle` — an independent re-derivation
   of every invoice line from the decision ledger, compared bit-exactly
-  against the live billing engine (``docs/billing.md``).
+  against the live billing engine (``docs/billing.md``), and the
+  ``slo eval`` gates over a replay with the SLO plane attached.
 
 See ``docs/testing.md`` for the workflow and the invariant catalogue.
 """
@@ -26,6 +27,7 @@ from repro.checking.billing_oracle import (
     billing_predicate,
     derive_billing,
     replay_with_billing,
+    replay_with_slo,
 )
 from repro.checking.invariants import (
     INVARIANTS,
@@ -49,6 +51,7 @@ __all__ = [
     "fuzz_one",
     "generate_trace",
     "replay_with_billing",
+    "replay_with_slo",
     "shrink_trace",
     "ReplayResult",
     "Trace",

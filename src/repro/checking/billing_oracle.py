@@ -17,21 +17,27 @@ arithmetic over the same ledger-visible operands in the same
 accumulation order, the comparison in :func:`audit_billing` is **exact
 equality**, not tolerance-based: a single ULP of drift (or a planted
 mutant) is a violation at the first tick it appears.
+
+The replay harnesses at the bottom drive a fuzz trace with metering
+attached (:func:`replay_with_billing`, the billing-smoke gate) or with
+the SLO plane attached (:func:`replay_with_slo`, the slo-smoke gate).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.billing.pricing import DEFAULT_PRICE_BOOK, PriceBook
 from repro.checking.invariants import Violation
-from repro.checking.trace import Trace, replay
+from repro.checking.trace import Trace, _compare_reports, replay
 from repro.obs.ledger import recompute_allocation
 
 if False:  # pragma: no cover - typing-only import, avoids a hard cycle
     from repro.billing.meter import BillingEngine
     from repro.core.controller import ControllerReport
+    from repro.obs.slo import SLOPlane
 
 
 @dataclass
@@ -242,6 +248,31 @@ class BillingAuditResult:
         return self.replay.ok and not self.violations
 
 
+def _per_engine_attach(make: Callable[[str], Dict[str, object]]):
+    """A replay ``attach`` hook wiring one set of observers per engine.
+
+    ``make(engine)`` builds an engine's observers on first use, keyed
+    by the controller attribute each one occupies (``obs``,
+    ``billing``, ``slo``).  Every later call for that engine — the
+    recovered controller after a ``restart`` event — re-binds the
+    *same* objects, so state accrued before a crash carries over.
+    Returns ``(attach, observers)``; ``observers[engine]`` is the dict
+    ``make`` built.
+    """
+    observers: Dict[str, Dict[str, object]] = {}
+
+    def attach(controller, engine: str) -> None:
+        made = observers.get(engine)
+        if made is None:
+            made = observers[engine] = make(engine)
+        for attr, observer in made.items():
+            if attr == "obs":
+                observer.bind(controller)
+            setattr(controller, attr, observer)
+
+    return attach, observers
+
+
 def replay_with_billing(
     trace: Trace,
     *,
@@ -264,28 +295,16 @@ def replay_with_billing(
     from repro.obs.hub import Observability
 
     book = book if book is not None else DEFAULT_PRICE_BOOK
-    hubs: Dict[str, Observability] = {}
-    billing: Dict[str, BillingEngine] = {}
     ring_ticks = max(trace.ticks, 1) + 1
-
-    def attach(controller, engine: str) -> None:
-        hub = hubs.get(engine)
-        if hub is None:
-            hub = hubs[engine] = Observability(ObsConfig(
-                tracing=False,
-                ledger=True,
-                flight_recorder_ticks=0,
-                ledger_ring_ticks=ring_ticks,
-            ))
-        hub.bind(controller)
-        controller.obs = hub
-        bill = billing.get(engine)
-        if bill is None:
-            bill = billing[engine] = BillingEngine(
-                book, node_id=f"fuzz-{engine}"
-            )
-        controller.billing = bill
-
+    attach, observers = _per_engine_attach(lambda engine: {
+        "obs": Observability(ObsConfig(
+            tracing=False,
+            ledger=True,
+            flight_recorder_ticks=0,
+            ledger_ring_ticks=ring_ticks,
+        )),
+        "billing": BillingEngine(book, node_id=f"fuzz-{engine}"),
+    })
     result = replay(
         trace,
         engines=engines,
@@ -293,10 +312,11 @@ def replay_with_billing(
         collect_reports=collect_reports,
         attach=attach,
     )
+    billing = {e: made["billing"] for e, made in observers.items()}
     violations: List[Violation] = []
     ledgers: Dict[str, List[Dict]] = {}
     for engine in result.engines:
-        entries = hubs[engine].ledger.ticks
+        entries = observers[engine]["obs"].ledger.ticks
         ledgers[engine] = entries
         for v in audit_billing(billing[engine], entries, book):
             violations.append(Violation(
@@ -309,6 +329,106 @@ def replay_with_billing(
         billing=billing,
         ledgers=ledgers,
     )
+
+
+@dataclass
+class SLOAuditResult:
+    """One gated SLO replay: the attached replay, the SLO plane each
+    engine drove, and one message per failed gate."""
+
+    replay: "object"  # ReplayResult; typed loosely to keep imports flat
+    planes: Dict[str, "SLOPlane"]
+    problems: List[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+    def alert_stream(self, engine: Optional[str] = None) -> str:
+        """An engine's alert transitions (default: the first engine's),
+        one sorted-key JSON object per line — the ``slo eval`` ledger."""
+        plane = self.planes[engine or self.replay.engines[0]]
+        return "\n".join(
+            json.dumps(t, sort_keys=True) for t in plane.ledger.transitions
+        )
+
+
+def replay_with_slo(
+    trace: Trace,
+    *,
+    engines: Optional[Sequence[str]] = None,
+    determinism: bool = True,
+    transparency: bool = True,
+) -> SLOAuditResult:
+    """Replay a trace with the SLO plane and billing attached, gated.
+
+    The gates ``repro slo eval`` (the slo-smoke CI step) arms per seed:
+
+    * **oracles** — the attached replay raises no invariant violation;
+    * **cross-engine** — every engine produces the same alert stream;
+    * **determinism** — replaying the identical trace twice yields
+      byte-identical serialized alert ledgers (the deterministic
+      profile, ``wallclock=False``);
+    * **transparency** — report streams with the plane (and billing)
+      attached are bit-identical to a detached replay, field for field.
+    """
+    from repro.billing.meter import BillingEngine
+    from repro.obs.slo import SLOConfig, SLOPlane
+
+    def run_attached() -> SLOAuditResult:
+        attach, observers = _per_engine_attach(lambda engine: {
+            "billing": BillingEngine(DEFAULT_PRICE_BOOK),
+            "slo": SLOPlane(SLOConfig(wallclock=False)),
+        })
+        result = replay(
+            trace, engines=engines, stop_at_first=False,
+            collect_reports=transparency, attach=attach,
+        )
+        planes = {e: made["slo"] for e, made in observers.items()}
+        return SLOAuditResult(result, planes, [])
+
+    audit = run_attached()
+    result, problems = audit.replay, audit.problems
+    if result.violations:
+        problems.append(
+            f"{len(result.violations)} oracle violation(s), first: "
+            f"{result.violations[0]}"
+        )
+    streams = {e: audit.alert_stream(e) for e in result.engines}
+    first = result.engines[0]
+    for engine in result.engines[1:]:
+        if streams[engine] != streams[first]:
+            problems.append(
+                f"alert streams differ across engines "
+                f"({first} vs {engine})"
+            )
+    if determinism:
+        again = run_attached()
+        for engine in result.engines:
+            if again.alert_stream(engine) != streams[engine]:
+                problems.append(
+                    f"[{engine}] alert ledger not byte-identical "
+                    f"across identical replays"
+                )
+    if transparency:
+        detached = replay(
+            trace, engines=engines, stop_at_first=False,
+            collect_reports=True,
+        )
+        for engine in result.engines:
+            pairs = zip(result.reports[engine], detached.reports[engine])
+            for tick, (attached_r, detached_r) in enumerate(pairs, 1):
+                diffs = _compare_reports(
+                    attached_r, detached_r,
+                    (f"{engine}+slo", engine), float(tick),
+                )
+                if diffs:
+                    problems.append(
+                        f"[{engine}] report diverged with the plane "
+                        f"attached at tick {tick}: {diffs[0]}"
+                    )
+                    break
+    return audit
 
 
 def billing_predicate(

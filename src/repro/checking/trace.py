@@ -211,15 +211,8 @@ class _Replica:
 
     def _make_controller(self, backend) -> VirtualFrequencyController:
         spec = self.node.spec
-        if backend is not None:
-            return VirtualFrequencyController(
-                backend,
-                num_cpus=spec.logical_cpus,
-                fmax_mhz=spec.fmax_mhz,
-                config=self.config,
-            )
         return VirtualFrequencyController(
-            self.node.fs,
+            backend if backend is not None else self.node.fs,
             self.node.procfs,
             self.node.sysfs,
             num_cpus=spec.logical_cpus,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.checking.trace import ENGINE_SELECTORS, ENGINES, resolve_engines
 from repro.core.timings import STAGES
@@ -86,21 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="run seeded fuzz scenarios under both engines with oracles armed",
     )
-    cf.add_argument("--seeds", type=int, default=25, metavar="N",
-                    help="number of consecutive seeds to run (default 25)")
-    cf.add_argument("--start-seed", type=int, default=0, metavar="S",
-                    help="first seed (default 0)")
-    cf.add_argument("--ticks", type=int, default=200, metavar="T",
-                    help="controller ticks per scenario (default 200)")
-    cf.add_argument("--engine", choices=ENGINE_SELECTORS,
-                    default="both",
-                    help="engine(s) to replay under (default both = "
-                         "scalar+bulk, cross-engine bit-identity checked)")
+    _add_fuzz_flags(cf, seeds=25, ticks=200, repro_dir=True,
+                    engine_help="engine(s) to replay under (default both = "
+                                "scalar+bulk, cross-engine bit-identity "
+                                "checked)")
     cf.add_argument("--no-faults", action="store_true",
                     help="generate scenarios without fault schedules")
-    cf.add_argument("--repro-dir", default=None, metavar="DIR",
-                    help="shrink each failing seed's trace and write the "
-                         "minimal JSONL repro into DIR")
     cr = checksub.add_parser(
         "replay",
         help="replay a JSONL trace (e.g. a committed repro) with oracles armed",
@@ -239,18 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fuzzed multi-tenant metering runs with every invoice "
              "re-derived by the billing oracle (the billing-smoke gate)",
     )
-    bf.add_argument("--seeds", type=int, default=5, metavar="N",
-                    help="number of consecutive seeds to run (default 5)")
-    bf.add_argument("--start-seed", type=int, default=0, metavar="S")
-    bf.add_argument("--ticks", type=int, default=200, metavar="T",
-                    help="controller ticks per scenario (default 200)")
+    _add_fuzz_flags(bf, seeds=5, ticks=200, repro_dir=True,
+                    engine_help="engine(s) to meter under (default both)")
     bf.add_argument("--tenants", type=int, default=3,
                     help="tenants per scenario (default 3)")
-    bf.add_argument("--engine", choices=ENGINE_SELECTORS, default="both",
-                    help="engine(s) to meter under (default both)")
-    bf.add_argument("--repro-dir", default=None, metavar="DIR",
-                    help="shrink each failing seed's trace and write the "
-                         "minimal JSONL repro into DIR")
 
     p12 = sub.add_parser(
         "slo",
@@ -265,15 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
              "bit-identical reports with the plane detached (the "
              "slo-smoke gate)",
     )
-    sle.add_argument("--seeds", type=int, default=3, metavar="N",
-                     help="number of consecutive seeds to run (default 3)")
-    sle.add_argument("--start-seed", type=int, default=0, metavar="S")
-    sle.add_argument("--ticks", type=int, default=150, metavar="T",
-                     help="controller ticks per scenario (default 150)")
+    _add_fuzz_flags(sle, seeds=3, ticks=150, repro_dir=False,
+                    engine_help="engine(s) to evaluate under (default both)")
     sle.add_argument("--tenants", type=int, default=3,
                      help="tenants per scenario (default 3)")
-    sle.add_argument("--engine", choices=ENGINE_SELECTORS, default="both",
-                     help="engine(s) to evaluate under (default both)")
     sle.add_argument("--out", default=None, metavar="DIR",
                      help="write per-seed alert ledgers and a summary "
                           "JSON into DIR (the CI artefact)")
@@ -324,6 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_controller_flags(p9)
 
     return parser
+
+
+def _add_fuzz_flags(parser: argparse.ArgumentParser, *, seeds: int,
+                    ticks: int, engine_help: str, repro_dir: bool) -> None:
+    """Seed-range knobs shared by the fuzzed gates (``check fuzz``,
+    ``bill fuzz``, ``slo eval``)."""
+    parser.add_argument("--seeds", type=int, default=seeds, metavar="N",
+                        help="number of consecutive seeds to run "
+                             f"(default {seeds})")
+    parser.add_argument("--start-seed", type=int, default=0, metavar="S",
+                        help="first seed (default 0)")
+    parser.add_argument("--ticks", type=int, default=ticks, metavar="T",
+                        help=f"controller ticks per scenario (default {ticks})")
+    parser.add_argument("--engine", choices=ENGINE_SELECTORS,
+                        default="both", help=engine_help)
+    if repro_dir:
+        parser.add_argument("--repro-dir", default=None, metavar="DIR",
+                            help="shrink each failing seed's trace and "
+                                 "write the minimal JSONL repro into DIR")
 
 
 def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
@@ -482,24 +479,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         "placement": _cmd_placement,
         "overhead": _cmd_overhead,
         "operator": _cmd_operator,
-        "check": _cmd_check,
+        "check": {"fuzz": _cmd_check_fuzz, "replay": _cmd_check_replay},
         "explain": _cmd_explain,
         "trace": _cmd_trace,
-        "rebalance": _cmd_rebalance,
-        "bill": _cmd_bill,
-        "slo": _cmd_slo,
+        "rebalance": {
+            "plan": _cmd_rebalance_plan,
+            "drain": _cmd_rebalance_drain,
+            "run": _cmd_rebalance_run,
+        },
+        "bill": {
+            "demo": _cmd_bill_demo,
+            "derive": _cmd_bill_derive,
+            "fuzz": _cmd_bill_fuzz,
+        },
+        "slo": {"eval": _cmd_slo_eval, "watch": _cmd_slo_watch},
         "serve-metrics": _cmd_serve_metrics,
     }[args.command]
+    if isinstance(command, dict):
+        # A command family records its subcommand as <family>_command.
+        command = command[getattr(args, f"{args.command}_command")]
     return command(args)
 
 
 # ---------------------------------------------------------------------------
-
-
-def _configs(choice: str):
-    if choice == "both":
-        return [("A", False), ("B", True)]
-    return [(choice, choice == "B")]
 
 
 def _print_freq_tables(result, labels, step_s: float, chart: bool = False) -> None:
@@ -532,19 +534,7 @@ def _cmd_eval1(args) -> int:
         dt=args.dt,
         run_to_completion=args.scores,
     )
-    scenario.controller_config = _build_config(args, scenario.controller_config)
-    for label, controlled in _configs(args.config):
-        result = scenario.run(controlled=controlled)
-        _print_freq_tables(
-            result, ["small", "large"],
-            step_s=50.0 * args.time_scale, chart=args.chart,
-        )
-        if args.scores:
-            headers, rows = scores_rows(result.scores_by_group)
-            print(render_table(headers, rows,
-                               title=f"scores, configuration {label}"))
-        print()
-    return 0
+    return _run_eval(args, scenario, ["small", "large"])
 
 
 def _cmd_eval2(args) -> int:
@@ -553,15 +543,23 @@ def _cmd_eval2(args) -> int:
     scenario = eval2_chetemi(
         duration=args.duration, time_scale=args.time_scale, dt=args.dt
     )
+    return _run_eval(args, scenario, ["small", "medium", "large"])
+
+
+def _run_eval(args, scenario, labels) -> int:
+    """Run configuration A (monitoring only), B (controlled) or both,
+    printing each run's frequency tables (and eval1's ``--scores``)."""
     scenario.controller_config = _build_config(args, scenario.controller_config)
-    for _, controlled in _configs(args.config):
-        result = scenario.run(controlled=controlled)
+    for label in ("A", "B") if args.config == "both" else (args.config,):
+        result = scenario.run(controlled=label == "B")
         _print_freq_tables(
-            result,
-            ["small", "medium", "large"],
-            step_s=50.0 * args.time_scale,
-            chart=args.chart,
+            result, labels,
+            step_s=50.0 * args.time_scale, chart=args.chart,
         )
+        if getattr(args, "scores", False):
+            headers, rows = scores_rows(result.scores_by_group)
+            print(render_table(headers, rows,
+                               title=f"scores, configuration {label}"))
         print()
     return 0
 
@@ -686,43 +684,60 @@ def _cmd_operator(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    if args.check_command == "fuzz":
-        return _cmd_check_fuzz(args)
-    return _cmd_check_replay(args)
-
-
 def _cmd_check_fuzz(args) -> int:
-    import os
-
     from repro.checking import fuzz_one, shrink_trace
 
-    failures = 0
-    engine_ticks = 0
-    for seed in range(args.start_seed, args.start_seed + args.seeds):
+    def run_seed(seed: int):
         result = fuzz_one(
             seed,
             ticks=args.ticks,
             faults=not args.no_faults,
             engine=args.engine,
         )
-        engine_ticks += result.engine_ticks
         if result.ok:
+            return result.engine_ticks, None
+        violations = result.result.violations
+        return result.engine_ticks, (
+            f"FAIL at tick {violations[0].t:g}", violations,
+            lambda: shrink_trace(result.trace),
+        )
+
+    return _fuzz_seeds(args, run_seed, "fuzz", "engine-ticks")
+
+
+def _fuzz_seeds(args, run_seed, label: str, counted: str) -> int:
+    """The seeded-fuzz loop behind ``check fuzz`` and ``bill fuzz``.
+
+    ``run_seed(seed)`` returns ``(engine_ticks, failure)``.  ``failure``
+    is ``None`` for a clean seed, else ``(verdict, violations, shrink)``:
+    the tail of the ``seed N:`` line, the violations listed under it,
+    and a thunk shrinking the seed's trace into the minimal repro
+    written into ``--repro-dir``.
+    """
+    import os
+
+    failures = 0
+    engine_ticks = 0
+    for seed in range(args.start_seed, args.start_seed + args.seeds):
+        ticks, failure = run_seed(seed)
+        engine_ticks += ticks
+        if failure is None:
             continue
         failures += 1
-        print(f"seed {seed}: FAIL at tick {result.result.violations[0].t:g}")
-        for violation in result.result.violations:
+        verdict, violations, shrink = failure
+        print(f"seed {seed}: {verdict}")
+        for violation in violations:
             print(f"  {violation}")
         if args.repro_dir:
             os.makedirs(args.repro_dir, exist_ok=True)
-            minimal = shrink_trace(result.trace)
+            minimal = shrink()
             path = os.path.join(args.repro_dir, f"repro_seed{seed}.jsonl")
             minimal.save(path)
             print(f"  shrunk to {len(minimal.events)} events -> {path}")
     verdict = "FAIL" if failures else "ok"
     print(
-        f"fuzz: {args.seeds} seeds x {args.ticks} ticks = "
-        f"{engine_ticks} engine-ticks, {failures} failing seed(s) [{verdict}]"
+        f"{label}: {args.seeds} seeds x {args.ticks} ticks = "
+        f"{engine_ticks} {counted}, {failures} failing seed(s) [{verdict}]"
     )
     return 1 if failures else 0
 
@@ -748,70 +763,43 @@ def _cmd_check_replay(args) -> int:
 def _cmd_explain(args) -> int:
     import os
 
+    # Pick the form: the ledger file under --obs-dir, its name in
+    # messages, its loader and explainer, and the explainer's key.
     if args.alert is not None:
-        from repro.obs.slo import explain_alert_from_entries, load_alerts_jsonl
+        from repro.obs.slo import explain_alert_from_entries as explain
+        from repro.obs.slo import load_alerts_jsonl as load
 
-        path = args.ledger
-        if path is None:
-            if args.obs_dir is None:
-                print("explain: need --ledger FILE or --obs-dir DIR",
-                      file=sys.stderr)
-                return 2
-            path = os.path.join(args.obs_dir, "alerts.jsonl")
-        if not os.path.exists(path):
-            print(f"explain: no alert ledger at {path}", file=sys.stderr)
-            return 2
-        entries = load_alerts_jsonl(path)
-        try:
-            print(explain_alert_from_entries(entries, args.alert, args.index))
-        except KeyError as exc:
-            print(f"explain: {exc.args[0]}", file=sys.stderr)
-            return 1
-        return 0
+        name, noun = "alerts.jsonl", "alert ledger"
+        key = (args.alert, args.index)
+    elif args.move is not None:
+        from repro.rebalance.ledger import explain_move_from_entries as explain
+        from repro.rebalance.ledger import load_rebalance_jsonl as load
 
-    if args.move is not None:
-        from repro.rebalance.ledger import (
-            explain_move_from_entries,
-            load_rebalance_jsonl,
-        )
-
-        path = args.ledger
-        if path is None:
-            if args.obs_dir is None:
-                print("explain: need --ledger FILE or --obs-dir DIR",
-                      file=sys.stderr)
-                return 2
-            path = os.path.join(args.obs_dir, "rebalance.jsonl")
-        if not os.path.exists(path):
-            print(f"explain: no rebalance ledger at {path}", file=sys.stderr)
-            return 2
-        entries = load_rebalance_jsonl(path)
-        try:
-            print(explain_move_from_entries(entries, args.move, args.round))
-        except KeyError as exc:
-            print(f"explain: {exc.args[0]}", file=sys.stderr)
-            return 1
-        return 0
-
-    from repro.obs.ledger import explain_from_entries, load_jsonl
-
-    if args.vm is None or args.vcpu is None or args.tick is None:
+        name, noun = "rebalance.jsonl", "rebalance ledger"
+        key = (args.move, args.round)
+    elif args.vm is None or args.vcpu is None or args.tick is None:
         print("explain: need --vm/--vcpu/--tick (cap derivation) or "
               "--move VM (migration derivation)", file=sys.stderr)
         return 2
+    else:
+        from repro.obs.ledger import explain_from_entries as explain
+        from repro.obs.ledger import load_jsonl as load
+
+        name, noun = "ledger.jsonl", "ledger"
+        key = (args.vm, args.vcpu, args.tick)
     path = args.ledger
     if path is None:
         if args.obs_dir is None:
             print("explain: need --ledger FILE or --obs-dir DIR",
                   file=sys.stderr)
             return 2
-        path = os.path.join(args.obs_dir, "ledger.jsonl")
+        path = os.path.join(args.obs_dir, name)
     if not os.path.exists(path):
-        print(f"explain: no ledger at {path}", file=sys.stderr)
+        print(f"explain: no {noun} at {path}", file=sys.stderr)
         return 2
-    entries = load_jsonl(path)
+    entries = load(path)
     try:
-        print(explain_from_entries(entries, args.vm, args.vcpu, args.tick))
+        print(explain(entries, *key))
     except KeyError as exc:
         print(f"explain: {exc.args[0]}", file=sys.stderr)
         return 1
@@ -833,14 +821,6 @@ def _chaos_cluster(args, *, duration: float):
         initial_vms=args.vms,
         degrade_rate_per_s=args.degrade_rate,
     ))
-
-
-def _cmd_rebalance(args) -> int:
-    return {
-        "plan": _cmd_rebalance_plan,
-        "drain": _cmd_rebalance_drain,
-        "run": _cmd_rebalance_run,
-    }[args.rebalance_command](args)
 
 
 def _cmd_rebalance_plan(args) -> int:
@@ -924,22 +904,16 @@ def _cmd_rebalance_run(args) -> int:
         )
 
     result = scenario(args.rebalance).run()
-    rows = [[
-        "rebalanced" if args.rebalance else "static",
-        f"{result.violation_vm_seconds:.0f}",
-        f"{result.downtime_vm_seconds:.1f}",
-        f"{result.total_bad_vm_seconds:.0f}",
-        str(result.migrations),
-    ]]
+    runs = [("rebalanced" if args.rebalance else "static", result)]
     if args.baseline and args.rebalance:
         base = scenario(False).run()
-        rows.append([
-            "static baseline",
-            f"{base.violation_vm_seconds:.0f}",
-            f"{base.downtime_vm_seconds:.1f}",
-            f"{base.total_bad_vm_seconds:.0f}",
-            str(base.migrations),
-        ])
+        runs.append(("static baseline", base))
+    rows = [
+        [label, f"{run.violation_vm_seconds:.0f}",
+         f"{run.downtime_vm_seconds:.1f}",
+         f"{run.total_bad_vm_seconds:.0f}", str(run.migrations)]
+        for label, run in runs
+    ]
     headers = ["run", "violation VM-s", "downtime VM-s", "total VM-s",
                "migrations"]
     print(render_table(
@@ -990,85 +964,46 @@ def _cmd_trace(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bill(args) -> int:
-    return {
-        "demo": _cmd_bill_demo,
-        "derive": _cmd_bill_derive,
-        "fuzz": _cmd_bill_fuzz,
-    }[args.bill_command](args)
-
-
 def _cmd_bill_demo(args) -> int:
     import random
 
-    from repro.billing import BillingEngine, invoices_to_json, render_invoices
     from repro.checking import audit_billing
     from repro.core.config import ControllerConfig
-    from repro.core.controller import VirtualFrequencyController
     from repro.core.metrics_export import render_billing
-    from repro.hw.node import Node
-    from repro.hw.nodespecs import NodeSpec
     from repro.obs import ObsConfig, Observability
-    from repro.virt.hypervisor import Hypervisor, VMTemplate
 
-    spec = NodeSpec(
-        name="billing-demo", cpu_model="demo CPU", sockets=1,
-        cores_per_socket=2, threads_per_core=2, fmax_mhz=2400.0,
-        fmin_mhz=1200.0, memory_mb=8 * 1024, freq_jitter_mhz=0.0,
+    cfg = ControllerConfig.paper_evaluation(
+        check_invariants=True, engine=args.engine
     )
-    node = Node(spec, seed=args.seed)
-    hv = Hypervisor(node)
-    cfg = ControllerConfig.paper_evaluation(check_invariants=True)
-    ctrl = VirtualFrequencyController(
-        node.fs, node.procfs, node.sysfs,
-        num_cpus=spec.logical_cpus, fmax_mhz=spec.fmax_mhz, config=cfg,
+    node, ctrl, vms = _demo_host(
+        cfg, name="billing-demo", node_id="billing-demo", seed=args.seed,
+        vms=args.vms, tenants=max(args.tenants, 1),
+        vfreqs=(300.0, 600.0, 900.0),
     )
-    hub = Observability(ObsConfig(
+    hub = Observability.attach(ctrl, ObsConfig(
         tracing=False, ledger=True, flight_recorder_ticks=0,
         ledger_ring_ticks=args.ticks + 1,
     ))
-    hub.bind(ctrl)
-    ctrl.obs = hub
-    BillingEngine.attach(ctrl, node_id=spec.name)
     rng = random.Random(args.seed)
-    vms = []
-    for k in range(args.vms):
-        tenant = f"tenant-{k % max(args.tenants, 1)}"
-        vfreq = 300.0 * (1 + k % 3)
-        template = VMTemplate(
-            f"demo-{k}", vcpus=2, vfreq_mhz=vfreq, tenant=tenant,
-        )
-        vm = hv.provision(template, template.name)
-        ctrl.register_vm(vm.name, vfreq, tenant=tenant)
-        vms.append(vm)
     for i in range(args.ticks):
-        for vm in vms:
-            vm.set_uniform_demand(rng.random())
-        node.step(cfg.period_s)
+        _step_demand([(node, vms)], rng, cfg.period_s)
         ctrl.tick(float(i + 1))
     violations = audit_billing(ctrl.billing, hub.ledger.ticks)
     invoices = ctrl.billing.invoices()
-    if args.json:
-        print(invoices_to_json(invoices))
-    else:
-        print(render_invoices(invoices, per_vcpu=args.per_vcpu))
-    if args.metrics:
-        print(render_billing(ctrl.billing))
-    for violation in violations:
-        print(violation)
-    verdict = "FAIL" if violations else "ok"
-    print(
+    return _print_billing(
+        args, invoices, violations,
         f"bill demo: {args.ticks} tick(s), {args.vms} VM(s), "
         f"{len(invoices)} invoice(s), oracle audit "
-        f"{len(violations)} violation(s) [{verdict}]"
+        f"{len(violations)} violation(s)",
+        per_vcpu=args.per_vcpu,
+        metrics=render_billing(ctrl.billing) if args.metrics else None,
     )
-    return 1 if violations else 0
 
 
 def _cmd_bill_derive(args) -> int:
     import os
 
-    from repro.billing import build_invoices, invoices_to_json, render_invoices
+    from repro.billing import build_invoices
     from repro.checking import derive_billing
     from repro.obs.ledger import load_jsonl
 
@@ -1078,24 +1013,35 @@ def _cmd_bill_derive(args) -> int:
     entries = load_jsonl(args.ledger)
     derived = derive_billing(entries)
     invoices = build_invoices(derived.usage, derived.credits, node=args.node)
+    return _print_billing(
+        args, invoices, derived.violations,
+        f"bill derive: {len(entries)} ledger tick(s) -> "
+        f"{len(invoices)} invoice(s), "
+        f"{len(derived.violations)} integrity violation(s)",
+    )
+
+
+def _print_billing(args, invoices, violations, summary: str, *,
+                   per_vcpu: bool = False, metrics: Optional[str] = None
+                   ) -> int:
+    """The ``bill demo``/``bill derive`` report: the invoices (JSON or a
+    table), any metrics page, the violations, then ``summary`` with the
+    verdict.  Returns the exit code."""
+    from repro.billing import invoices_to_json, render_invoices
+
     if args.json:
         print(invoices_to_json(invoices))
     else:
-        print(render_invoices(invoices))
-    for violation in derived.violations:
+        print(render_invoices(invoices, per_vcpu=per_vcpu))
+    if metrics is not None:
+        print(metrics)
+    for violation in violations:
         print(violation)
-    verdict = "FAIL" if derived.violations else "ok"
-    print(
-        f"bill derive: {len(entries)} ledger tick(s) -> "
-        f"{len(invoices)} invoice(s), "
-        f"{len(derived.violations)} integrity violation(s) [{verdict}]"
-    )
-    return 1 if derived.violations else 0
+    print(f"{summary} [{'FAIL' if violations else 'ok'}]")
+    return 1 if violations else 0
 
 
 def _cmd_bill_fuzz(args) -> int:
-    import os
-
     from repro.checking import (
         billing_predicate,
         generate_trace,
@@ -1104,37 +1050,27 @@ def _cmd_bill_fuzz(args) -> int:
     )
 
     engines = resolve_engines(args.engine)
-    failures = 0
-    engine_ticks = 0
-    for seed in range(args.start_seed, args.start_seed + args.seeds):
+
+    def run_seed(seed: int):
         trace = generate_trace(seed, ticks=args.ticks, tenants=args.tenants)
         result = replay_with_billing(trace, engines=engines)
-        engine_ticks += result.replay.ticks * len(result.replay.engines)
+        engine_ticks = result.replay.ticks * len(result.replay.engines)
         if result.ok:
-            continue
-        failures += 1
-        all_violations = list(result.replay.violations) + result.violations
-        print(f"seed {seed}: FAIL ({len(all_violations)} violation(s))")
-        for violation in all_violations[:8]:
-            print(f"  {violation}")
-        if args.repro_dir:
-            os.makedirs(args.repro_dir, exist_ok=True)
-            if result.violations:
-                minimal = shrink_trace(
-                    trace, predicate=billing_predicate(engines=engines),
-                )
-            else:
-                minimal = shrink_trace(trace)
-            path = os.path.join(args.repro_dir, f"repro_seed{seed}.jsonl")
-            minimal.save(path)
-            print(f"  shrunk to {len(minimal.events)} events -> {path}")
-    verdict = "FAIL" if failures else "ok"
-    print(
-        f"bill fuzz: {args.seeds} seeds x {args.ticks} ticks = "
-        f"{engine_ticks} metered engine-ticks, every invoice line "
-        f"re-derived by the oracle, {failures} failing seed(s) [{verdict}]"
+            return engine_ticks, None
+        violations = list(result.replay.violations) + result.violations
+        # A billing bug shrinks toward itself, not onto an oracle failure.
+        predicate = (
+            billing_predicate(engines=engines) if result.violations else None
+        )
+        return engine_ticks, (
+            f"FAIL ({len(violations)} violation(s))", violations[:8],
+            lambda: shrink_trace(trace, predicate=predicate),
+        )
+
+    return _fuzz_seeds(
+        args, run_seed, "bill fuzz",
+        "metered engine-ticks, every invoice line re-derived by the oracle",
     )
-    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -1142,132 +1078,53 @@ def _cmd_bill_fuzz(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_slo(args) -> int:
-    return {
-        "eval": _cmd_slo_eval,
-        "watch": _cmd_slo_watch,
-    }[args.slo_command](args)
-
-
 def _cmd_slo_eval(args) -> int:
-    """Fuzzed runs with the SLO plane attached, two gates armed:
-
-    * **determinism** — replaying the identical trace twice yields
-      byte-identical serialized alert-transition ledgers (the
-      deterministic profile, ``wallclock=False``), and all engines
-      produce the same stream;
-    * **transparency** — report streams with the plane (and billing)
-      attached are bit-identical to a detached replay, field for field.
-    """
+    """Fuzzed runs with the SLO plane attached, every seed gated by
+    :func:`repro.checking.replay_with_slo` (cross-engine alert streams,
+    replay determinism, attached-vs-detached transparency)."""
     import json
     import os
 
-    from repro.billing import DEFAULT_PRICE_BOOK, BillingEngine
-    from repro.checking import generate_trace
-    from repro.checking.trace import _compare_reports, replay
-    from repro.obs.slo import SLOConfig, SLOPlane
+    from repro.checking import generate_trace, replay_with_slo
 
     engines = resolve_engines(args.engine)
-
-    def run_attached(trace):
-        """One attached replay; returns (result, planes-by-engine)."""
-        planes = {}
-        billing = {}
-
-        def attach(controller, engine: str) -> None:
-            bill = billing.get(engine)
-            if bill is None:
-                bill = billing[engine] = BillingEngine(DEFAULT_PRICE_BOOK)
-            controller.billing = bill
-            plane = planes.get(engine)
-            if plane is None:
-                plane = planes[engine] = SLOPlane(
-                    SLOConfig(wallclock=False)
-                )
-            controller.slo = plane
-
-        result = replay(
-            trace, engines=engines, stop_at_first=False,
-            collect_reports=args.transparency, attach=attach,
-        )
-        return result, planes
-
-    def alert_stream(plane) -> str:
-        return "\n".join(
-            json.dumps(t, sort_keys=True) for t in plane.ledger.transitions
-        )
-
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     failures = 0
     summary = []
     for seed in range(args.start_seed, args.start_seed + args.seeds):
         trace = generate_trace(seed, ticks=args.ticks, tenants=args.tenants)
-        problems = []
-        result, planes = run_attached(trace)
-        if result.violations:
-            problems.append(
-                f"{len(result.violations)} oracle violation(s), first: "
-                f"{result.violations[0]}"
-            )
-        streams = {e: alert_stream(planes[e]) for e in result.engines}
-        first = result.engines[0]
-        for engine in result.engines[1:]:
-            if streams[engine] != streams[first]:
-                problems.append(
-                    f"alert streams differ across engines "
-                    f"({first} vs {engine})"
-                )
-        if args.determinism:
-            result2, planes2 = run_attached(trace)
-            for engine in result.engines:
-                if alert_stream(planes2[engine]) != streams[engine]:
-                    problems.append(
-                        f"[{engine}] alert ledger not byte-identical "
-                        f"across identical replays"
-                    )
-        if args.transparency:
-            detached = replay(
-                trace, engines=engines, stop_at_first=False,
-                collect_reports=True,
-            )
-            for engine in result.engines:
-                pairs = zip(result.reports[engine], detached.reports[engine])
-                for tick, (attached_r, detached_r) in enumerate(pairs, 1):
-                    diffs = _compare_reports(
-                        attached_r, detached_r,
-                        (f"{engine}+slo", engine), float(tick),
-                    )
-                    if diffs:
-                        problems.append(
-                            f"[{engine}] report diverged with the plane "
-                            f"attached at tick {tick}: {diffs[0]}"
-                        )
-                        break
-        transitions = len(planes[first].ledger.transitions)
-        firing = len(planes[first].firing_alerts())
-        status = "FAIL" if problems else "ok"
+        audit = replay_with_slo(
+            trace, engines=engines, determinism=args.determinism,
+            transparency=args.transparency,
+        )
+        result = audit.replay
+        plane = audit.planes[result.engines[0]]
+        transitions = len(plane.ledger.transitions)
+        firing = len(plane.firing_alerts())
+        status = "ok" if audit.ok else "FAIL"
         print(
             f"seed {seed}: {result.ticks} ticks x {len(result.engines)} "
             f"engine(s), {transitions} alert transition(s), {firing} "
             f"still firing [{status}]"
         )
-        for problem in problems:
+        for problem in audit.problems:
             print(f"  {problem}")
         if args.out:
+            stream = audit.alert_stream()
             path = os.path.join(args.out, f"alerts_seed{seed}.jsonl")
             with open(path, "w") as fh:
-                if streams[first]:
-                    fh.write(streams[first] + "\n")
+                if stream:
+                    fh.write(stream + "\n")
         summary.append({
             "seed": seed,
             "ticks": result.ticks,
             "engines": list(result.engines),
             "transitions": transitions,
             "firing": firing,
-            "problems": problems,
+            "problems": audit.problems,
         })
-        failures += bool(problems)
+        failures += not audit.ok
     if args.out:
         with open(os.path.join(args.out, "summary.json"), "w") as fh:
             json.dump({"seeds": summary, "failures": failures}, fh,
@@ -1287,47 +1144,72 @@ def _cmd_slo_eval(args) -> int:
     return 1 if failures else 0
 
 
-def _demo_cluster(nodes: int, vms_per_node: int, tenants: int, seed: int,
-                  cfg, *, name: str = "slo-demo"):
-    """N single-socket demo nodes under one NodeManager, billing
-    attached per node.  Returns (manager, per-node VM lists)."""
+def _demo_host(cfg, *, name: str, node_id: str, seed: int, vms: int,
+               tenants: int, first_vm: int = 0,
+               vfreqs: Sequence[float] = (600.0,)):
+    """One demo host: a 2-core x 2-thread 2.4 GHz node ``name``, its
+    controller with billing attached as ``node_id``, and ``vms``
+    two-vCPU VMs ``demo-<k>`` (``k`` counting from ``first_vm``) spread
+    round-robin over ``tenants`` tenants, vfreqs cycling through
+    ``vfreqs``.  Returns ``(node, controller, vms)``."""
     from repro.billing import BillingEngine
     from repro.core.controller import VirtualFrequencyController
     from repro.hw.node import Node
     from repro.hw.nodespecs import NodeSpec
-    from repro.sim.node_manager import NodeManager
     from repro.virt.hypervisor import Hypervisor, VMTemplate
 
+    spec = NodeSpec(
+        name=name, cpu_model="demo CPU", sockets=1,
+        cores_per_socket=2, threads_per_core=2, fmax_mhz=2400.0,
+        fmin_mhz=1200.0, memory_mb=8 * 1024, freq_jitter_mhz=0.0,
+    )
+    node = Node(spec, seed=seed)
+    hv = Hypervisor(node)
+    ctrl = VirtualFrequencyController(
+        node.fs, node.procfs, node.sysfs,
+        num_cpus=spec.logical_cpus, fmax_mhz=spec.fmax_mhz, config=cfg,
+    )
+    BillingEngine.attach(ctrl, node_id=node_id)
+    provisioned = []
+    for k in range(first_vm, first_vm + vms):
+        vfreq = vfreqs[k % len(vfreqs)]
+        tenant = f"tenant-{k % tenants}"
+        template = VMTemplate(
+            f"demo-{k}", vcpus=2, vfreq_mhz=vfreq, tenant=tenant,
+        )
+        vm = hv.provision(template, template.name)
+        ctrl.register_vm(vm.name, vfreq, tenant=tenant)
+        provisioned.append(vm)
+    return node, ctrl, provisioned
+
+
+def _demo_cluster(nodes: int, vms_per_node: int, tenants: int, seed: int,
+                  cfg, *, name: str = "slo-demo"):
+    """N demo hosts (:func:`_demo_host`) under one serial NodeManager.
+    Returns ``(manager, hosts)``: ``hosts`` lists ``(node, vms)`` in
+    node-id order, ready for :func:`_step_demand`."""
+    from repro.sim.node_manager import NodeManager
+
     manager = NodeManager(parallel=False)
-    cluster_vms = {}
-    template = VMTemplate("demo", vcpus=2, vfreq_mhz=600.0)
-    k = 0
+    hosts = {}
     for n in range(nodes):
         node_id = f"node-{n}"
-        spec = NodeSpec(
-            name=f"{name}-{n}", cpu_model="demo CPU", sockets=1,
-            cores_per_socket=2, threads_per_core=2, fmax_mhz=2400.0,
-            fmin_mhz=1200.0, memory_mb=8 * 1024, freq_jitter_mhz=0.0,
+        node, ctrl, vms = _demo_host(
+            cfg, name=f"{name}-{n}", node_id=node_id, seed=seed + n,
+            vms=vms_per_node, tenants=tenants, first_vm=n * vms_per_node,
         )
-        node = Node(spec, seed=seed + n)
-        hv = Hypervisor(node)
-        ctrl = VirtualFrequencyController(
-            node.fs, node.procfs, node.sysfs,
-            num_cpus=spec.logical_cpus, fmax_mhz=spec.fmax_mhz, config=cfg,
-        )
-        BillingEngine.attach(ctrl, node_id=node_id)
-        vms = []
-        for _ in range(vms_per_node):
-            vm = hv.provision(template, f"demo-{k}")
-            ctrl.register_vm(
-                vm.name, template.vfreq_mhz,
-                tenant=f"tenant-{k % tenants}",
-            )
-            vms.append(vm)
-            k += 1
         manager.add_node(node_id, ctrl)
-        cluster_vms[node_id] = (node, vms)
-    return manager, cluster_vms
+        hosts[node_id] = (node, vms)
+    return manager, [hosts[node_id] for node_id in sorted(hosts)]
+
+
+def _step_demand(hosts, rng, period_s: float) -> None:
+    """One period of substrate: a fresh random uniform demand on every
+    VM, then one step of each node, for ``(node, vms)`` pairs."""
+    for node, vms in hosts:
+        for vm in vms:
+            vm.set_uniform_demand(rng.random())
+        node.step(period_s)
 
 
 def _cmd_slo_watch(args) -> int:
@@ -1338,18 +1220,14 @@ def _cmd_slo_watch(args) -> int:
 
     cfg = ControllerConfig.paper_evaluation()
     plane = SLOPlane(SLOConfig(period_s=cfg.period_s, out_dir=args.out))
-    manager, cluster_vms = _demo_cluster(
+    manager, hosts = _demo_cluster(
         args.nodes, args.vms, args.tenants, args.seed, cfg
     )
     rng = random.Random(args.seed)
     try:
         for tick in range(1, args.ticks + 1):
             t = float(tick)
-            for node_id in sorted(cluster_vms):
-                node, vms = cluster_vms[node_id]
-                for vm in vms:
-                    vm.set_uniform_demand(rng.random())
-                node.step(cfg.period_s)
+            _step_demand(hosts, rng, cfg.period_s)
             manager.tick(t)
             transitions = plane.observe_cluster(manager, tick, t=t)
             for transition in transitions:
@@ -1359,7 +1237,7 @@ def _cmd_slo_watch(args) -> int:
                     f"({transition['severity']})"
                 )
             if tick % args.every == 0 or tick == args.ticks:
-                _print_slo_dashboard(plane, tick)
+                print(plane.dashboard(tick))
     finally:
         manager.close()
         plane.close()
@@ -1368,36 +1246,6 @@ def _cmd_slo_watch(args) -> int:
               f"(try: python -m repro explain --alert <slo> "
               f"--obs-dir {args.out})")
     return 0
-
-
-def _print_slo_dashboard(plane, tick: int) -> None:
-    rows = []
-    for spec in plane.specs:
-        for labelset in plane._label_sets(spec):
-            labels = dict(labelset)
-            label_text = ",".join(
-                f"{k}={v}" for k, v in sorted(labels.items())
-            ) or "-"
-            firing = [
-                severity for severity in ("page", "ticket")
-                if (spec.name, labelset, severity) in plane._firing
-            ]
-            rows.append([
-                spec.name,
-                label_text,
-                f"{spec.objective:.3%}",
-                f"{plane.error_budget_remaining(spec, labels):.1%}",
-                f"{plane.burn_rate(spec, 60, labels):.2f}x",
-                f"{plane.burn_rate(spec, 5, labels):.2f}x",
-                ",".join(firing) if firing else "ok",
-            ])
-    print(render_table(
-        ["slo", "labels", "objective", "budget left", "burn 60t",
-         "burn 5t", "state"],
-        rows,
-        title=f"SLO dashboard @ tick {tick} "
-              f"({plane.transitions_total} transition(s) so far)",
-    ))
 
 
 def _cmd_serve_metrics(args) -> int:
@@ -1425,7 +1273,7 @@ def _cmd_serve_metrics(args) -> int:
     rng = random.Random(args.seed)
 
     if args.cluster > 0:
-        manager, cluster_vms = _demo_cluster(
+        manager, hosts = _demo_cluster(
             args.cluster, args.vms, 2, args.seed, cfg, name="metrics-demo"
         )
         plane = SLOPlane(SLOConfig(period_s=cfg.period_s))
@@ -1433,11 +1281,7 @@ def _cmd_serve_metrics(args) -> int:
         plane.observe_rebalance(loop)
 
         def one_tick(i: int) -> None:
-            for node_id in sorted(cluster_vms):
-                node, vms = cluster_vms[node_id]
-                for vm in vms:
-                    vm.set_uniform_demand(rng.random())
-                node.step(cfg.period_s)
+            _step_demand(hosts, rng, cfg.period_s)
             manager.tick(float(i))
             plane.observe_cluster(manager, i, t=float(i))
 
@@ -1457,37 +1301,14 @@ def _cmd_serve_metrics(args) -> int:
 
         close = manager.close
     else:
-        from repro.billing import BillingEngine
-        from repro.core.controller import VirtualFrequencyController
-        from repro.hw.node import Node
-        from repro.hw.nodespecs import NodeSpec
-        from repro.virt.hypervisor import Hypervisor, VMTemplate
-
-        spec = NodeSpec(
-            name="metrics-demo", cpu_model="demo CPU", sockets=1,
-            cores_per_socket=2, threads_per_core=2, fmax_mhz=2400.0,
-            fmin_mhz=1200.0, memory_mb=8 * 1024, freq_jitter_mhz=0.0,
+        node, ctrl, vms = _demo_host(
+            cfg, name="metrics-demo", node_id="node-0", seed=args.seed,
+            vms=args.vms, tenants=2,
         )
-        node = Node(spec, seed=args.seed)
-        hv = Hypervisor(node)
-        ctrl = VirtualFrequencyController(
-            node.fs, node.procfs, node.sysfs,
-            num_cpus=spec.logical_cpus, fmax_mhz=spec.fmax_mhz, config=cfg,
-        )
-        BillingEngine.attach(ctrl)
         SLOPlane.attach(ctrl)
-        template = VMTemplate("demo", vcpus=2, vfreq_mhz=600.0)
-        vms = []
-        for k in range(args.vms):
-            vm = hv.provision(template, f"demo-{k}")
-            ctrl.register_vm(vm.name, template.vfreq_mhz,
-                             tenant=f"tenant-{k % 2}")
-            vms.append(vm)
 
         def one_tick(i: int) -> None:
-            for vm in vms:
-                vm.set_uniform_demand(rng.random())
-            node.step(cfg.period_s)
+            _step_demand([(node, vms)], rng, cfg.period_s)
             ctrl.tick(float(i))
 
         def scrape() -> str:
@@ -1539,6 +1360,8 @@ def _cmd_serve_metrics(args) -> int:
             ]
         else:
             families.append("vfreq_span_seconds")
+        if args.fault_plan is not None:
+            families.append("vfreq_faults_injected_total")
         for family in families:
             assert f"# HELP {family} " in body, f"family missing: {family}"
         print(
@@ -1564,19 +1387,11 @@ def _cmd_serve_metrics(args) -> int:
 def _metrics_demo_rebalance(seed: int):
     """A short seeded chaos+churn burn so the ``--cluster`` endpoint's
     rebalance families carry real counters and histograms."""
-    from repro.rebalance import (
-        ChaosConfig,
-        ChurnChaosCluster,
-        MigrationPlanner,
-        RebalanceLoop,
-    )
+    from repro.rebalance import MigrationPlanner, RebalanceLoop
 
-    chaos = ChurnChaosCluster(ChaosConfig(
-        nodes=4, duration_s=30.0, seed=seed, initial_vms=40,
-        degrade_rate_per_s=0.02,
-    ))
+    shape = argparse.Namespace(nodes=4, vms=40, seed=seed, degrade_rate=0.02)
     loop = RebalanceLoop(MigrationPlanner(), every=5, seed=seed)
-    chaos.run(loop)
+    _chaos_cluster(shape, duration=30.0).run(loop)
     return loop
 
 

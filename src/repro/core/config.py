@@ -73,8 +73,10 @@ class ControllerConfig:
     #: Degraded-mode defenses (retry, stale tolerance, guarantee
     #: fallback); ``None`` keeps the seed fail-fast behaviour.
     resilience: Optional[ResiliencePolicy] = None
-    #: JSON fault plan to inject at the backend seam (``--fault-plan``);
-    #: consumed by the scenario builder, not by the controller itself.
+    #: JSON fault plan to inject at the backend seam (``--fault-plan``).
+    #: The controller applies it when it builds its own backend from
+    #: raw ``fs``/``procfs``/``sysfs`` handles (a passed-in backend is
+    #: used as-is, so a restored controller keeps its injector).
     fault_plan_path: Optional[str] = None
     #: Run the paper-equation invariant oracles (:mod:`repro.checking`)
     #: inline after every tick and raise on any violation.  Off by

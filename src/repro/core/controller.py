@@ -102,6 +102,14 @@ class VirtualFrequencyController:
         if backend is None:
             if isinstance(fs, HostBackend):
                 backend = fs
+            elif self.config.fault_plan_path:
+                # Import deferred: repro.faults imports the backend seam.
+                from repro.faults import FaultInjector, FaultPlan
+
+                backend = FaultInjector(
+                    FaultPlan.load(self.config.fault_plan_path),
+                    fs, procfs, sysfs, machine_slice=machine_slice,
+                )
             else:
                 backend = HostBackend(
                     fs, procfs, sysfs, machine_slice=machine_slice

@@ -301,23 +301,9 @@ def render_span_seconds(
         "Distribution of per-stage span durations.",
     )
     for stage in sorted(tracer.histograms):
-        hist = tracer.histograms[stage]
-        for bound, cum in zip(hist.bounds, hist.cumulative()):
-            buf.add(
-                "vfreq_span_seconds", cum, suffix="_bucket",
-                **_merged({"stage": stage, "le": f"{bound:g}"}, extra_labels),
-            )
-        buf.add(
-            "vfreq_span_seconds", hist.count, suffix="_bucket",
-            **_merged({"stage": stage, "le": "+Inf"}, extra_labels),
-        )
-        buf.add(
-            "vfreq_span_seconds", hist.sum, suffix="_sum",
-            **_merged({"stage": stage}, extra_labels),
-        )
-        buf.add(
-            "vfreq_span_seconds", hist.count, suffix="_count",
-            **_merged({"stage": stage}, extra_labels),
+        _render_histogram(
+            buf, "vfreq_span_seconds", tracer.histograms[stage],
+            {"stage": stage}, extra_labels,
         )
     return buf.text() if own else ""
 

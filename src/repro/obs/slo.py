@@ -562,6 +562,39 @@ class SLOPlane:
             for key in sorted(self._firing, key=lambda k: (k[0], k[1], k[2]))
         ]
 
+    def dashboard(self, tick: int) -> str:
+        """The ``repro slo watch`` table: per SLO and label set, the
+        objective, budget left, 60- and 5-tick burn rates and state."""
+        from repro.sim.report import render_table
+
+        rows = []
+        for spec in self.specs:
+            for labelset in self._label_sets(spec):
+                labels = dict(labelset)
+                label_text = ",".join(
+                    f"{k}={v}" for k, v in sorted(labels.items())
+                ) or "-"
+                firing = [
+                    severity for severity in ("page", "ticket")
+                    if (spec.name, labelset, severity) in self._firing
+                ]
+                rows.append([
+                    spec.name,
+                    label_text,
+                    f"{spec.objective:.3%}",
+                    f"{self.error_budget_remaining(spec, labels):.1%}",
+                    f"{self.burn_rate(spec, 60, labels):.2f}x",
+                    f"{self.burn_rate(spec, 5, labels):.2f}x",
+                    ",".join(firing) if firing else "ok",
+                ])
+        return render_table(
+            ["slo", "labels", "objective", "budget left", "burn 60t",
+             "burn 5t", "state"],
+            rows,
+            title=f"SLO dashboard @ tick {tick} "
+                  f"({self.transitions_total} transition(s) so far)",
+        )
+
     def _maybe_flight_dump(self, controller, transitions: Iterable[Dict]) -> None:
         """Page-severity firing -> flight-recorder dump (per-tick dedup).
 

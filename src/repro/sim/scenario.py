@@ -136,30 +136,14 @@ class Scenario:
             if controlled
             else self.controller_config.monitoring_only()
         )
-        if config.fault_plan_path:
-            from repro.faults import FaultInjector, FaultPlan
-
-            backend = FaultInjector(
-                FaultPlan.load(config.fault_plan_path),
-                node.fs,
-                node.procfs,
-                node.sysfs,
-            )
-            controller = VirtualFrequencyController(
-                backend,
-                num_cpus=node.spec.logical_cpus,
-                fmax_mhz=node.spec.fmax_mhz,
-                config=config,
-            )
-        else:
-            controller = VirtualFrequencyController(
-                node.fs,
-                node.procfs,
-                node.sysfs,
-                num_cpus=node.spec.logical_cpus,
-                fmax_mhz=node.spec.fmax_mhz,
-                config=config,
-            )
+        controller = VirtualFrequencyController(
+            node.fs,
+            node.procfs,
+            node.sysfs,
+            num_cpus=node.spec.logical_cpus,
+            fmax_mhz=node.spec.fmax_mhz,
+            config=config,
+        )
         if self.billing:
             from repro.billing.meter import BillingEngine
 

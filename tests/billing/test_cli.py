@@ -33,6 +33,26 @@ class TestBillDemo:
                 inv["revenue"] - inv["sla_credits"]
             )
 
+    @pytest.mark.parametrize("engine", ["scalar", "bulk"])
+    def test_engine_flag_reaches_the_controller(self, engine, monkeypatch,
+                                                capsys):
+        from repro.core.controller import VirtualFrequencyController
+
+        built = []
+        init = VirtualFrequencyController.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(VirtualFrequencyController, "__init__",
+                            recording_init)
+        rc = main(["bill", "demo", "--ticks", "3", "--engine", engine])
+        assert rc == 0
+        assert [c.config.engine for c in built] == [engine]
+        # The scalar oracle path keeps no structure-of-arrays table.
+        assert (built[0]._table is None) == (engine == "scalar")
+
 
 class TestBillDerive:
     def test_rederives_invoices_from_ledger_file(self, tmp_path, capsys):

@@ -62,19 +62,15 @@ def test_rows_built_once_per_tick_with_all_observers(engine, monkeypatch):
 
 def test_cluster_scrape_ingests_each_controllers_metered_tick():
     """Callers number cluster ticks from 1; billing must still land."""
-    from repro.cli import _demo_cluster
+    from repro.cli import _demo_cluster, _step_demand
 
     cfg = ControllerConfig.paper_evaluation()
-    manager, cluster_vms = _demo_cluster(2, 3, 2, 7, cfg)
+    manager, hosts = _demo_cluster(2, 3, 2, 7, cfg)
     plane = SLOPlane(SLOConfig(period_s=cfg.period_s, wallclock=False))
     rng = random.Random(7)
     try:
         for tick in range(1, 6):
-            for node_id in sorted(cluster_vms):
-                node, vms = cluster_vms[node_id]
-                for vm in vms:
-                    vm.set_uniform_demand(rng.random())
-                node.step(cfg.period_s)
+            _step_demand(hosts, rng, cfg.period_s)
             manager.tick(float(tick))
             plane.observe_cluster(manager, tick, t=float(tick))
     finally:

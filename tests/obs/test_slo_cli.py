@@ -128,3 +128,30 @@ class TestServeMetricsComposition:
         assert rc == 0
         assert "self-test ok" in out
         assert self._families(out) > 17
+
+    @pytest.mark.parametrize("extra", [[], ["--cluster", "2"]])
+    def test_fault_plan_reaches_the_scrape(self, extra, tmp_path,
+                                           monkeypatch, capsys):
+        """``--fault-plan`` wraps every demo controller's backend in an
+        injector, so the served page carries its counters."""
+        import repro.obs
+        from repro.faults import FaultPlan
+
+        plan = str(tmp_path / "plan.json")
+        FaultPlan.standard_mix().save(plan)
+        bodies = []
+        serve = repro.obs.MetricsServer
+
+        def recording_server(scrape, **kwargs):
+            def recorded():
+                bodies.append(scrape())
+                return bodies[-1]
+
+            return serve(recorded, **kwargs)
+
+        monkeypatch.setattr(repro.obs, "MetricsServer", recording_server)
+        rc = main(["serve-metrics", "--self-test", "--ticks", "5",
+                   "--fault-plan", plan, *extra])
+        assert rc == 0
+        assert "# HELP vfreq_faults_injected_total " in bodies[0]
+        assert 'vfreq_faults_injected_total{' in bodies[0]

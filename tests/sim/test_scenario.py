@@ -151,6 +151,48 @@ class TestFaultPlanWiring:
         sim.run(3.0)
         assert sim.controller.backend.injected.get("clock_jitter", 0) > 0
 
+    def test_cluster_simulation_applies_fault_plan(self, tmp_path):
+        from repro.core.config import ControllerConfig
+        from repro.faults import FaultInjector, FaultPlan
+        from repro.hw.cluster import Cluster
+        from repro.hw.nodespecs import CHETEMI
+        from repro.sim.cluster_engine import ClusterSimulation
+
+        plan_file = str(tmp_path / "plan.json")
+        FaultPlan.standard_mix(seed=4).save(plan_file)
+        sim = ClusterSimulation(
+            Cluster.from_counts({CHETEMI: 2}),
+            controller_config=ControllerConfig.paper_evaluation(
+                fault_plan_path=plan_file
+            ),
+            parallel=False,
+        )
+        backends = [rt.controller.backend for rt in sim.runtimes.values()]
+        assert all(isinstance(b, FaultInjector) for b in backends)
+        # One injector per node, each replaying the plan from its seed.
+        assert backends[0].plan is not backends[1].plan
+
+    def test_passed_in_injector_is_not_wrapped_again(self, tmp_path):
+        from repro.core.controller import VirtualFrequencyController
+        from repro.faults import FaultInjector, FaultPlan
+
+        plan_file = str(tmp_path / "plan.json")
+        FaultPlan.standard_mix().save(plan_file)
+        sc = eval1_chetemi(duration=4.0, dt=0.5)
+        sc.controller_config = sc.controller_config.with_overrides(
+            fault_plan_path=plan_file
+        )
+        first = sc.build(controlled=True).controller
+        # A restart rebuilds the controller over the surviving backend.
+        restarted = VirtualFrequencyController(
+            first.backend,
+            num_cpus=first.num_cpus,
+            fmax_mhz=first.fmax_mhz,
+            config=first.config,
+        )
+        assert isinstance(first.backend, FaultInjector)
+        assert restarted.backend is first.backend
+
     def test_without_fault_plan_backend_is_bare(self):
         from repro.core.backend import HostBackend
         from repro.faults import FaultInjector

@@ -208,6 +208,7 @@ EXPECTED = {
         "fuzz_one",
         "generate_trace",
         "replay_with_billing",
+        "replay_with_slo",
         "shrink_trace",
         "ReplayResult",
         "Trace",
