@@ -9,10 +9,10 @@ within a batch; and ``cpu.max`` rewrites of an unchanged quota are
 skipped.  ``batched=False`` reproduces the seed access pattern — a full
 directory walk plus per-vCPU tid/frequency reads and unconditional
 writes — so the two modes are directly comparable on the same workload.
-The host runs the scalar engine: its list dialect (``read_vcpu_samples``
-/ ``write_caps``) is the one ``batched`` governs, while the bulk
-engine's array dialect skips unchanged quotas with its own dirty mask
-in either mode.
+The host runs the scalar engine: it reads through ``read_vcpu_samples``
+and writes through ``write_caps`` with no dirty mask, so ``batched``
+governs both sides, while the bulk engine skips unchanged quotas with
+its own dirty mask in either mode.
 
 Two claims, both asserted:
 

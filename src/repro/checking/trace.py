@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checking.invariants import InvariantChecker, Violation
+from repro.core.backend import BackendStats
 from repro.core.config import ControllerConfig
 from repro.core.controller import ControllerReport, VirtualFrequencyController
 from repro.core.resilience import ResiliencePolicy
@@ -338,6 +339,26 @@ def _compare_reports(
     )]
 
 
+#: Cumulative cap-write counters both engines must agree on: each
+#: writes one quota per vCPU per tick through the same backend method.
+_WRITE_COUNTERS = ("fs_writes", "cap_writes_skipped", "write_errors")
+
+
+def _compare_writes(
+    a: BackendStats, b: BackendStats, engines: Tuple[str, str], t: float
+) -> List[Violation]:
+    """Cross-engine identity of the cumulative cap-write counters."""
+    diffs = [n for n in _WRITE_COUNTERS if getattr(a, n) != getattr(b, n)]
+    if not diffs:
+        return []
+    return [Violation(
+        "engine_identity",
+        f"{engines[0]} and {engines[1]} backends differ in: "
+        + ", ".join(diffs),
+        t=t,
+    )]
+
+
 def replay(
     trace: Trace,
     *,
@@ -350,7 +371,8 @@ def replay(
 
     ``engines`` defaults to the header's ``engine`` selector (see
     :func:`resolve_engines`); with two replicas cross-engine
-    bit-identity is checked each tick.
+    bit-identity of the reports and of the cumulative cap-write
+    counters is checked each tick.
     With ``stop_at_first`` (the default) replay returns at the first
     violating tick — what the shrinker's predicate wants; pass
     ``False`` to collect everything.
@@ -387,9 +409,13 @@ def replay(
                 reports[replica.config.engine].append(report)
         if len(tick_reports) >= 2:
             for other, other_report in enumerate(tick_reports[1:], start=1):
+                pair = (engines[0], engines[other])
                 violations.extend(_compare_reports(
-                    tick_reports[0], other_report,
-                    (engines[0], engines[other]), t,
+                    tick_reports[0], other_report, pair, t
+                ))
+                violations.extend(_compare_writes(
+                    replicas[0].controller.backend.stats,
+                    replicas[other].controller.backend.stats, pair, t,
                 ))
         if violations and stop_at_first:
             break

@@ -1252,11 +1252,11 @@ def _cmd_serve_metrics(args) -> int:
     import random
     import time
     import urllib.request
+    from collections import Counter
 
     from repro.core.config import ControllerConfig
     from repro.core.metrics_export import (
         MetricsBuffer,
-        render_billing,
         render_controller,
         render_node_manager,
         render_rebalance,
@@ -1312,10 +1312,10 @@ def _cmd_serve_metrics(args) -> int:
             ctrl.tick(float(i))
 
         def scrape() -> str:
-            # render_controller folds the attached SLO plane in itself.
+            # render_controller folds the attached billing engine and
+            # SLO plane in itself.
             buf = MetricsBuffer()
             render_controller(ctrl, buf)
-            render_billing(ctrl.billing, buf)
             return buf.text()
 
         def close() -> None:
@@ -1342,6 +1342,12 @@ def _cmd_serve_metrics(args) -> int:
         helps = [ln.split()[2] for ln in body.splitlines()
                  if ln.startswith("# HELP")]
         assert len(helps) == len(set(helps)), "duplicate HELP family"
+        # A sample's identity is its series name plus labels: the line
+        # up to the value.
+        series = Counter(ln.rsplit(" ", 1)[0] for ln in body.splitlines()
+                         if ln and not ln.startswith("#"))
+        dupes = sorted(name for name, n in series.items() if n > 1)
+        assert not dupes, f"duplicate samples: {dupes[:5]}"
         families = [
             "vfreq_vcpu_consumed_cycles",
             "vfreq_stage_seconds",

@@ -14,7 +14,7 @@ it runs unchanged against any host exposing those files.
 """
 
 from repro.core.api import Controller
-from repro.core.backend import BackendStats, BatchStats, HostBackend, SampleBatch
+from repro.core.backend import BackendStats, HostBackend, SampleBatch
 from repro.core.config import ControllerConfig
 from repro.core.units import cycles_per_period, guaranteed_cycles, cycles_to_mhz, mhz_to_cycles
 from repro.core.monitor import Monitor, VCpuSample
@@ -46,7 +46,6 @@ __all__ = [
     "Controller",
     "HostBackend",
     "BackendStats",
-    "BatchStats",
     "SampleBatch",
     "ControllerConfig",
     "cycles_per_period",

@@ -17,23 +17,23 @@ against one node's kernel surfaces and batches them:
   is never re-read while the topology is stable.  The map is
   invalidated on VM churn (register/unregister, a changed VM set, or a
   teardown race observed mid-scan).
-* :meth:`write_caps` — coalesced ``cpu.max`` (v1: quota/period) writes
-  that skip values already in place, so a converged controller writes
-  nothing at all.
-* :meth:`sample_all` / :meth:`apply_caps` — the bulk-array spelling of
-  the same two passes: one :class:`SampleBatch` of NumPy columns in a
-  stable slot order (the cached topology order, shared with
-  :class:`~repro.core.soa.VcpuTable`), and a cap write pass driven by a
-  dirty mask so only changed quotas touch the kernel.  The fast path
-  reads the cgroup/proc/sysfs surfaces through cached per-slot handles
-  — the simulated equivalent of an io_uring-batched read — with no
-  per-vCPU string parse; it degrades to the list-based scan whenever
-  the topology is unknown, the cgroup hierarchy is v1, or a fault
-  plan is armed (faults inject at the per-file seam, which the handle
-  path would bypass).
-* per-batch wall-time and syscall-count stats
-  (:attr:`HostBackend.stats`, :attr:`last_sample_batch`,
-  :attr:`last_write_batch`) so the saving is measurable, not asserted.
+* :meth:`sample_all` — the bulk-array spelling of the same pass: one
+  :class:`SampleBatch` of NumPy columns in a stable slot order (the
+  cached topology order, shared with :class:`~repro.core.soa.VcpuTable`).
+  The fast path reads the cgroup/proc/sysfs surfaces through cached
+  per-slot handles — the simulated equivalent of an io_uring-batched
+  read — with no per-vCPU string parse; it degrades to the list-based
+  scan whenever the topology is unknown, the cgroup hierarchy is v1, or
+  a fault plan is armed (faults inject at the per-file seam, which the
+  handle path would bypass).
+* :meth:`write_caps` — the one cap-write pass for both engines:
+  coalesced ``cpu.max`` (v1: quota/period) writes over parallel
+  path/quota columns that skip values already in place, so a converged
+  controller writes nothing at all.  An optional dirty mask lets the
+  bulk engine hand over only the rows whose quota changed.
+* cumulative syscall-count stats (:attr:`HostBackend.stats`) so the
+  saving is measurable, not asserted; a caller wanting one batch's
+  delta subtracts a copy taken before it.
 
 ``batched=False`` reproduces the seed access pattern exactly (fresh
 walk, per-vCPU ``cgroup.threads`` read, unconditional writes) with the
@@ -47,9 +47,8 @@ duplicate reads of the same core's frequency within one batch.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,14 +220,6 @@ class BackendStats:
         )
 
 
-@dataclass(frozen=True)
-class BatchStats:
-    """Wall time and operation delta of one batched backend call."""
-
-    seconds: float
-    ops: BackendStats
-
-
 def vm_component(path: str, machine_slice: str = DEFAULT_MACHINE_SLICE) -> Optional[str]:
     """The VM directory component of a vCPU cgroup path.
 
@@ -273,8 +264,6 @@ class HostBackend:
         #: :class:`~repro.core.resilience.ResiliencePolicy`.
         self.tolerate_errors = False
         self.stats = BackendStats()
-        self.last_sample_batch: Optional[BatchStats] = None
-        self.last_write_batch: Optional[BatchStats] = None
         #: Per-path errors of the latest :meth:`write_caps` batch
         #: (tolerant mode only; vanished cgroups are not errors).
         self.last_write_errors: Dict[str, OSError] = {}
@@ -348,8 +337,7 @@ class HostBackend:
         return period_s
 
     def _begin_write_batch(self) -> None:
-        """Called exactly once when a cap-write batch starts
-        (:meth:`write_caps` or :meth:`apply_caps`)."""
+        """Called exactly once when a :meth:`write_caps` batch starts."""
 
     def _direct_io_ok(self) -> bool:
         """Whether the handle-based bulk fast path may bypass the
@@ -373,14 +361,11 @@ class HostBackend:
         return self._read_samples(period_s)
 
     def _read_samples(self, period_s: float) -> List[VCpuSample]:
-        """The timed body of :meth:`read_vcpu_samples` (hook already run)."""
-        t0 = time.perf_counter()
-        before = self.stats.copy()
+        """The body of :meth:`read_vcpu_samples` (hook already run)."""
         try:
             if self.batched:
-                samples = self._sample_batched(period_s)
-            else:
-                samples = self._sample_walk(period_s)
+                return self._sample_batched(period_s)
+            return self._sample_walk(period_s)
         except OSError:
             # A failure outside the per-vCPU loops (e.g. the machine
             # slice readdir itself).  Tolerant mode degrades to "nothing
@@ -390,11 +375,7 @@ class HostBackend:
                 raise
             self.stats.read_errors += 1
             self.invalidate()
-            samples = []
-        self.last_sample_batch = BatchStats(
-            seconds=time.perf_counter() - t0, ops=self.stats - before
-        )
-        return samples
+            return []
 
     def _sample_batched(self, period_s: float) -> List[VCpuSample]:
         if not self.fs.exists(self.machine_slice):
@@ -583,8 +564,6 @@ class HostBackend:
         topo = self._topology
         if topo is None or not self.fs.exists(self.machine_slice):
             return None
-        t0 = time.perf_counter()
-        before = self.stats.copy()
         # Churn guard, same single readdir as the list path.
         if self.listdir(self.machine_slice) != self._topology_vms:
             self.invalidate()
@@ -632,7 +611,7 @@ class HostBackend:
             khz_of[core] = self.core_freq_khz(int(core))
         core_freq_mhz = khz_of[cores] / 1000.0
         share = np.minimum(consumed / period_us(period_s), 1.0)
-        batch = SampleBatch(
+        return SampleBatch(
             period_s=period_s,
             paths=cache["paths"],
             vm_names=cache["vms"],
@@ -644,10 +623,6 @@ class HostBackend:
             core_freq_mhz=core_freq_mhz,
             vfreq_mhz=share * core_freq_mhz,
         )
-        self.last_sample_batch = BatchStats(
-            seconds=time.perf_counter() - t0, ops=self.stats - before
-        )
-        return batch
 
     def _build_bulk_handles(self, topo: List[VCpuSlot]) -> Optional[Dict[str, Any]]:
         """Resolve per-slot cgroup handles once per stable topology."""
@@ -737,59 +712,28 @@ class HostBackend:
         self._last_cap[vcpu_path] = key
 
     def write_caps(
-        self, quotas: Mapping[str, int], enforcement_period_us: int
-    ) -> Dict[str, int]:
-        """Coalesced quota writes; returns quotas now in force (µs).
-
-        Skipped-because-unchanged paths count as applied.  Paths whose
-        cgroup vanished mid-batch (teardown races the loop on a real
-        host) are silently dropped from the result.  In tolerant mode a
-        transient write error (EIO/EBUSY) is recorded per path in
-        :attr:`last_write_errors` instead of aborting the batch, so the
-        controller can retry exactly the failed subset.
-        """
-        self._begin_write_batch()
-        t0 = time.perf_counter()
-        before = self.stats.copy()
-        written: Dict[str, int] = {}
-        self.last_write_errors = {}
-        for path, quota in quotas.items():
-            try:
-                self.write_cap_one(path, quota, enforcement_period_us)
-            except FileNotFoundError:
-                continue
-            except OSError as exc:
-                if not self.tolerate_errors:
-                    raise
-                self.stats.write_errors += 1
-                self.last_write_errors[path] = exc
-                continue
-            written[path] = int(quota)
-        self.last_write_batch = BatchStats(
-            seconds=time.perf_counter() - t0, ops=self.stats - before
-        )
-        return written
-
-    def apply_caps(
         self,
         paths: Sequence[str],
-        quota_us: np.ndarray,
-        dirty: Optional[np.ndarray],
+        quota_us: Sequence[int],
         enforcement_period_us: int,
+        dirty: Optional[np.ndarray] = None,
     ) -> Dict[str, int]:
-        """Array spelling of :meth:`write_caps` driven by a dirty mask.
+        """Coalesced quota writes; returns the quotas now in force (µs).
 
-        ``paths``/``quota_us`` are parallel; only rows where ``dirty``
-        is true are written (``dirty=None`` writes every row).  Clean
-        rows count as :attr:`BackendStats.cap_writes_skipped`, exactly
-        like a value-unchanged skip in :meth:`write_cap_one`.  Returns
-        the quotas now in force among the *dirty* rows; vanished
-        cgroups are dropped and, in tolerant mode, transient write
-        errors land in :attr:`last_write_errors` per path.
+        ``paths``/``quota_us`` are parallel.  Each row goes through
+        :meth:`write_cap_one`, so a quota already in force is skipped
+        and counts as applied.  A caller that tracks the quotas in force
+        itself (the bulk engine) may pass a ``dirty`` mask: only true
+        rows are written and the result covers only them, while clean
+        rows count as :attr:`BackendStats.cap_writes_skipped` without
+        the per-path lookup.  Paths whose cgroup vanished mid-batch
+        (teardown races the loop on a real host) are silently dropped
+        from the result.  In tolerant mode a transient write error
+        (EIO/EBUSY) is recorded per path in :attr:`last_write_errors`
+        instead of aborting the batch, so the controller can retry
+        exactly the failed subset.
         """
         self._begin_write_batch()
-        t0 = time.perf_counter()
-        before = self.stats.copy()
         written: Dict[str, int] = {}
         self.last_write_errors = {}
         if dirty is None:
@@ -812,9 +756,6 @@ class HostBackend:
                 self.last_write_errors[path] = exc
                 continue
             written[path] = quota
-        self.last_write_batch = BatchStats(
-            seconds=time.perf_counter() - t0, ops=self.stats - before
-        )
         return written
 
     def uncap(self, vcpu_path: str, enforcement_period_us: int) -> None:

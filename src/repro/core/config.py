@@ -51,11 +51,12 @@ class ControllerConfig:
     control_enabled: bool = True
     #: Controller hot-path implementation: ``"bulk"`` runs stages 2-5
     #: on the structure-of-arrays fast path (:mod:`repro.core.soa`) with
-    #: dirty-set incremental recompute and drives stages 1 and 6 through
-    #: the backend's array interface (:meth:`~repro.core.backend.
-    #: HostBackend.sample_all` / ``apply_caps``); ``"scalar"`` keeps the
-    #: per-vCPU dict/object loops as the bit-identical oracle.  Same
-    #: reports both ways, different speed.
+    #: dirty-set incremental recompute, reads stage 1 through the
+    #: backend's array interface (:meth:`~repro.core.backend.
+    #: HostBackend.sample_all`) and hands stage 6 to ``write_caps`` with
+    #: a dirty mask; ``"scalar"`` keeps the per-vCPU dict/object loops
+    #: as the bit-identical oracle.  Same reports and writes both ways,
+    #: different speed.
     engine: str = "bulk"
     #: Use the paper-literal Eq. 3 (with S_n = n(n+1)/2) instead of the
     #: standard least-squares slope; kept for comparison, same sign.

@@ -490,7 +490,8 @@ class VirtualFrequencyController:
         engine's operation order (and therefore its exact bits).
         Stages 1 and 6 go through the backend's array interface
         (:meth:`~repro.core.backend.HostBackend.sample_all` /
-        ``apply_caps``) and stage 2 through the dirty-set cache.
+        ``write_caps`` with a dirty mask) and stage 2 through the
+        dirty-set cache.
         """
         cfg = self.config
         table = self._table
@@ -605,22 +606,31 @@ class VirtualFrequencyController:
         # Stage 6 — apply the capping.
         t0 = time.perf_counter()
         np.minimum(alloc, p_us, out=alloc)
-        allocations = dict(zip(view.paths, alloc.tolist()))
-        overrides: Optional[Dict[str, float]] = None
+        extra: Dict[str, float] = {}
         if self.resilience is not None and self._degraded:
             overrides = fallback_caps(
                 self.resilience, self._degraded, self._vm_vfreq,
                 self._current_cap, self.guaranteed_cycles_of, p_us,
             )
-            allocations.update(overrides)
             report.degraded.update(overrides)
+            # One cap per vCPU, as in the scalar dict update: a degraded
+            # path that still has a (carried-forward) row takes its
+            # fallback in place; only paths with no row are appended.
             for path, cycles in overrides.items():
-                table.set_cap_path(path, cycles)
-        self._bulk_enforce(table, view, alloc, overrides)
+                i = view.pos.get(path)
+                if i is None:
+                    extra[path] = cycles
+                else:
+                    alloc[i] = cycles
+        allocations = dict(zip(view.paths, alloc.tolist()))
+        allocations.update(extra)
+        self._bulk_enforce(table, view, alloc, extra)
         if self.resilience is not None:
             self._retry_failed_writes(allocations)
         self._current_cap.update(allocations)
         table.set_caps(view.rows, alloc)
+        for path, cycles in extra.items():
+            table.set_cap_path(path, cycles)
         report.allocations = allocations
         report.timings.enforce = time.perf_counter() - t0
 
@@ -687,9 +697,9 @@ class VirtualFrequencyController:
         table: VcpuTable,
         view,
         alloc: np.ndarray,
-        overrides: Optional[Dict[str, float]],
+        extra: Dict[str, float],
     ) -> None:
-        """Stage 6 through :meth:`HostBackend.apply_caps`.
+        """Stage 6 through :meth:`HostBackend.write_caps`.
 
         Quotas are scaled exactly like :meth:`Enforcer.quota_us`
         (multiply before divide, banker's rounding, kernel floor), and
@@ -697,7 +707,9 @@ class VirtualFrequencyController:
         force are handed to the backend.  A moved backend
         ``cap_epoch`` (out-of-band cap invalidation) marks every row
         dirty; failed or vanished writes reset to "unknown" so they
-        are rewritten next tick.
+        are rewritten next tick.  ``extra`` holds the degraded-mode
+        fallbacks of paths with no row this tick; they are always
+        handed over.
         """
         cfg = self.config
         backend = self.backend
@@ -715,21 +727,21 @@ class VirtualFrequencyController:
         paths = view.paths
         dirty = dirty_view
         quota_all = quota
-        o_paths: List[str] = []
-        if overrides:
-            o_paths = list(overrides)
-            o_quota = np.fromiter(
-                (self.enforcer.quota_us(c) for c in overrides.values()),
+        extra_paths: List[str] = []
+        if extra:
+            extra_paths = list(extra)
+            extra_quota = np.fromiter(
+                (self.enforcer.quota_us(c) for c in extra.values()),
                 dtype=np.int64,
-                count=len(o_paths),
+                count=len(extra_paths),
             )
-            paths = paths + o_paths
-            quota_all = np.concatenate([quota, o_quota])
+            paths = paths + extra_paths
+            quota_all = np.concatenate([quota, extra_quota])
             dirty = np.concatenate(
-                [dirty_view, np.ones(len(o_paths), dtype=bool)]
+                [dirty_view, np.ones(len(extra_paths), dtype=bool)]
             )
-        written = backend.apply_caps(
-            paths, quota_all, dirty, cfg.enforcement_period_us
+        written = backend.write_caps(
+            paths, quota_all, cfg.enforcement_period_us, dirty
         )
         # Commit what actually landed; failed or vanished rows become
         # unknown (-1) so the next tick rewrites them unconditionally.
@@ -737,10 +749,10 @@ class VirtualFrequencyController:
         for i in np.flatnonzero(dirty_view).tolist():
             path = view.paths[i]
             lq[rows[i]] = quota[i] if path in written else -1
-        for j, path in enumerate(o_paths):
+        for j, path in enumerate(extra_paths):
             slot = table.slot_of(path)
             if slot is not None:
-                lq[slot] = int(o_quota[j]) if path in written else -1
+                lq[slot] = int(extra_quota[j]) if path in written else -1
 
     # -- degraded-mode resilience -------------------------------------------------
 
@@ -766,8 +778,6 @@ class VirtualFrequencyController:
         for path in list(self._degraded):
             if path not in missing:
                 rec = self._degraded.pop(path)
-                if self._table is not None:
-                    self._table.set_degraded(path, False)
                 stats.recoveries += 1
                 stats.last_recovery_ticks = self._tick_count - rec.since_tick
                 log.info(
@@ -784,8 +794,6 @@ class VirtualFrequencyController:
             self._degraded[path] = DegradedVcpu(
                 cgroup_path=path, vm_name=vm_name, since_tick=self._tick_count
             )
-            if self._table is not None:
-                self._table.set_degraded(path, True)
             stats.degraded_transitions += 1
             log.warning(
                 "vcpu unobservable for %d tick(s): entering degraded mode",

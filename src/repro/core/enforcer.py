@@ -18,7 +18,7 @@ converged controller issues zero write syscalls per tick.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping
 
 from repro.cgroups.fs import CgroupFS
 from repro.core.backend import HostBackend
@@ -38,7 +38,6 @@ class Enforcer:
         else:
             self.backend = HostBackend(fs)
         self.config = config
-        self._last_written: Dict[str, int] = {}
 
     @property
     def fs(self) -> CgroupFS:
@@ -53,20 +52,14 @@ class Enforcer:
         are batched through :meth:`HostBackend.write_caps`, which skips
         values already in place.
         """
-        quotas: Dict[str, int] = {}
+        quotas: List[int] = []
         for path, cycles in allocations.items():
             if cycles < 0:
                 raise ValueError(f"negative allocation for {path}: {cycles}")
-            quotas[path] = self.quota_us(cycles)
-        written = self.backend.write_caps(
-            quotas, self.config.enforcement_period_us
+            quotas.append(self.quota_us(cycles))
+        return self.backend.write_caps(
+            list(allocations), quotas, self.config.enforcement_period_us
         )
-        for path in quotas:
-            if path in written:
-                self._last_written[path] = written[path]
-            else:
-                self._last_written.pop(path, None)
-        return written
 
     def apply_one(self, vcpu_path: str, cycles: float) -> int:
         """Cap one vCPU at ``cycles`` per controller period."""
@@ -76,24 +69,14 @@ class Enforcer:
         self.backend.write_cap_one(
             vcpu_path, quota, self.config.enforcement_period_us
         )
-        self._last_written[vcpu_path] = quota
         return quota
 
     def uncap(self, vcpu_path: str) -> None:
         """Remove the bandwidth limit (configuration A / teardown)."""
         self.backend.uncap(vcpu_path, self.config.enforcement_period_us)
-        self._last_written.pop(vcpu_path, None)
 
     def quota_us(self, cycles: float) -> int:
         """Scale a per-period cycle count to the enforcement period."""
         p_us = period_us(self.config.period_s)
         scaled = cycles * self.config.enforcement_period_us / p_us
         return max(MIN_QUOTA_US, int(round(scaled)))
-
-    def cycles_written(self, vcpu_path: str) -> float:
-        """Invert :meth:`quota_us` for the last write (controller state)."""
-        quota = self._last_written.get(vcpu_path)
-        if quota is None:
-            return float("nan")
-        p_us = period_us(self.config.period_s)
-        return quota * p_us / self.config.enforcement_period_us

@@ -57,9 +57,8 @@ class Monitor:
         self.stale_max_age = stale_max_age
         self._last_seen: Dict[str, VCpuSample] = {}
         self._missing_age: Dict[str, int] = {}
-        #: Samples served stale in the latest pass / cumulatively.
+        #: Samples served stale in the latest pass.
         self.last_carried = 0
-        self.stale_carried = 0
 
     # Legacy attribute views (the raw handles now live on the backend).
 
@@ -113,7 +112,6 @@ class Monitor:
             if age <= self.stale_max_age:
                 out.append(self._last_seen[path])
                 self.last_carried += 1
-                self.stale_carried += 1
         for s in fresh:
             self._last_seen[s.cgroup_path] = s
         return out

@@ -5,8 +5,8 @@ stage; on a dense host (hundreds of vCPUs) that interpreter overhead
 dominates the per-tick cost the paper insists must stay negligible
 (§III-B2).  :class:`VcpuTable` assigns every registered vCPU a stable
 integer *slot* and keeps the controller's per-vCPU state in NumPy
-arrays — consumption-history ring buffers, current caps, cached Eq. 2
-guarantees, degraded flags — so stages 2, 3 and 5 become a handful of
+arrays — consumption-history ring buffers, current caps and cached
+Eq. 2 guarantees — so stages 2, 3 and 5 become a handful of
 vectorised array operations regardless of population size.
 
 Bit-identity with the scalar oracle
@@ -134,7 +134,6 @@ class VcpuTable:
         self.has_cap = np.zeros(capacity, dtype=bool)
         self.guarantee = np.zeros(capacity)  # cached Eq. 2 C_i
         self.vm_ids = np.zeros(capacity, dtype=np.int64)
-        self.degraded = np.zeros(capacity, dtype=bool)
         # -- dirty-set decision cache ----------------------------------------
         #: Length of the uniform tail of observed samples, *including*
         #: the newest one.  ``run_len > history_len`` means the window
@@ -173,7 +172,7 @@ class VcpuTable:
         old = self.capacity
         new = old * 2
         for name in ("hist", "hist_n", "cap", "has_cap", "guarantee",
-                     "vm_ids", "degraded", "run_len", "decide_valid",
+                     "vm_ids", "run_len", "decide_valid",
                      "last_est", "last_trend", "last_case",
                      "last_decide_cap", "last_quota"):
             arr = getattr(self, name)
@@ -204,9 +203,6 @@ class VcpuTable:
         """Size of the dense VM-id space (``np.bincount`` minlength)."""
         return len(self._vm_names)
 
-    def vm_name_of_id(self, vm_id: int) -> str:
-        return self._vm_names[vm_id]
-
     def vm_name_of_slot(self, slot: int) -> str:
         return self._vm_names[int(self.vm_ids[slot])]
 
@@ -234,7 +230,6 @@ class VcpuTable:
         self.hist[slot] = 0.0
         self.hist_n[slot] = 0
         self.guarantee[slot] = guarantee
-        self.degraded[slot] = False
         self.run_len[slot] = 0
         self.decide_valid[slot] = False
         self.last_quota[slot] = -1
@@ -258,7 +253,6 @@ class VcpuTable:
         self._path_of[slot] = None
         self.hist_n[slot] = 0
         self.has_cap[slot] = False
-        self.degraded[slot] = False
         self.run_len[slot] = 0
         self.decide_valid[slot] = False
         self.last_quota[slot] = -1
@@ -284,7 +278,6 @@ class VcpuTable:
         capacity = self.capacity
         self.hist_n[:] = 0
         self.has_cap[:] = False
-        self.degraded[:] = False
         self.run_len[:] = 0
         self.decide_valid[:] = False
         self.last_quota[:] = -1
@@ -349,7 +342,7 @@ class VcpuTable:
         self.run_len[slot] = 0
         self.decide_valid[slot] = False
 
-    # -- caps and degraded flags ------------------------------------------------
+    # -- caps -------------------------------------------------------------------
 
     def set_caps(self, rows: np.ndarray, caps: np.ndarray) -> None:
         """Scatter this tick's enforced caps back into the slot columns."""
@@ -361,14 +354,6 @@ class VcpuTable:
         if slot is not None:
             self.cap[slot] = cap
             self.has_cap[slot] = True
-
-    def set_degraded(self, path: str, flag: bool) -> None:
-        slot = self._slot.get(path)
-        if slot is not None:
-            self.degraded[slot] = flag
-
-    def num_degraded(self) -> int:
-        return int(np.count_nonzero(self.degraded))
 
     # -- the per-tick gather ----------------------------------------------------
 

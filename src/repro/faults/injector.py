@@ -171,11 +171,11 @@ class FaultInjector(HostBackend):
 
     # -- batch entry points: crash boundaries and clock jitter -----------------
     #
-    # The batch hooks fire exactly once per monitoring/write batch no
-    # matter which spelling the caller used (``read_vcpu_samples`` or
-    # ``sample_all``, ``write_caps`` or ``apply_caps``), so the tick
-    # clock never double-advances when a bulk entry point falls back to
-    # the list-based scan internally.
+    # The sample hook fires exactly once per monitoring batch no matter
+    # which spelling the caller used (``read_vcpu_samples`` or
+    # ``sample_all``), so the tick clock never double-advances when a
+    # bulk entry point falls back to the list-based scan internally.
+    # The write hook fires once per ``write_caps`` batch.
 
     def _begin_sample_batch(self, period_s: float) -> float:
         if not self.plan.specs:

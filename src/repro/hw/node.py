@@ -140,13 +140,3 @@ class Node:
         if self.cache is None:
             return freq_mhz
         return self.cache.effective_mhz(freq_mhz, self.runnable_threads)
-
-
-def make_node(
-    spec: NodeSpec,
-    *,
-    cgroup_version: CgroupVersion = CgroupVersion.V2,
-    seed: Optional[int] = None,
-) -> Node:
-    """Convenience factory with a deterministic default seed."""
-    return Node(spec, cgroup_version=cgroup_version, seed=0 if seed is None else seed)

@@ -384,22 +384,16 @@ class SeriesStore:
     ) -> None:
         """A barrier tick of an in-process :class:`~repro.sim.node_manager.NodeManager`.
 
-        Per-node tick seconds and allocation totals come from
-        ``last_reports``; the cluster deadline counter compares each
-        node's stage total against ``deadline_s`` when given.
+        The per-node gauges arrive through :meth:`ingest_report`; this
+        adds the cluster series.  The deadline counter compares each
+        node's stage total in ``last_reports`` against ``deadline_s``
+        when given.
         """
-        bad = 0
-        total = 0
-        for node_id in sorted(manager.last_reports):
-            report = manager.last_reports[node_id]
-            seconds = report.timings.total
-            self.append(S_TICK_SECONDS, seconds, {"node": node_id})
-            total += 1
-            if deadline_s is not None and seconds > deadline_s:
-                bad += 1
-        if deadline_s is not None and total:
+        reports = manager.last_reports.values()
+        if deadline_s is not None and reports:
+            bad = sum(1 for r in reports if r.timings.total > deadline_s)
             self.accumulate(S_DEADLINE_BAD, float(bad))
-            self.accumulate(S_DEADLINE_CHECKS, float(total))
+            self.accumulate(S_DEADLINE_CHECKS, float(len(reports)))
         timings = manager.aggregate_timings()
         for stage in STAGES:
             self.append(

@@ -97,3 +97,15 @@ class TestGeneratedScenarios:
         result = fuzz_one(1, ticks=40)
         assert result.ok
         assert result.engine_ticks == 80  # 40 ticks x 2 engines
+
+    def test_replay_compares_write_counters(self):
+        """A replica whose backend issued one extra write is flagged as
+        an engine-identity violation even when the reports agree."""
+
+        def skew(controller, engine):
+            if engine == "bulk":
+                controller.backend.stats.fs_writes += 1
+
+        result = replay(generate_trace(4, ticks=5), attach=skew)
+        assert [v.invariant for v in result.violations] == ["engine_identity"]
+        assert "fs_writes" in result.violations[0].message

@@ -86,12 +86,11 @@ class TestCounters:
     def test_batch_stats_recorded(self):
         node, hv, backend = make_backend()
         hv.provision(SMALL, "vm-a")
-        assert backend.last_sample_batch is None
+        before = backend.stats.copy()
         backend.read_vcpu_samples(1.0)
-        batch = backend.last_sample_batch
-        assert batch is not None
-        assert batch.seconds >= 0.0
-        assert batch.ops.fs_reads > 0
+        delta = backend.stats - before
+        assert delta.fs_reads > 0
+        assert delta.fs_writes == 0
 
     def test_stats_algebra(self):
         a = BackendStats(fs_reads=3, fs_writes=1)
@@ -145,9 +144,9 @@ class TestCoalescedWrites:
     def test_unchanged_write_skipped(self, cgroup_version):
         node, hv, backend = make_backend(cgroup_version)
         path = self._vcpu(hv)
-        backend.write_caps({path: 50_000}, 100_000)
+        backend.write_caps([path], [50_000], 100_000)
         writes = backend.stats.fs_writes
-        written = backend.write_caps({path: 50_000}, 100_000)
+        written = backend.write_caps([path], [50_000], 100_000)
         assert backend.stats.fs_writes == writes  # no new write issued
         assert backend.stats.cap_writes_skipped == 1
         assert written == {path: 50_000}  # still reported as in force
@@ -155,25 +154,25 @@ class TestCoalescedWrites:
     def test_changed_value_rewritten(self):
         node, hv, backend = make_backend()
         path = self._vcpu(hv)
-        backend.write_caps({path: 50_000}, 100_000)
-        backend.write_caps({path: 60_000}, 100_000)
+        backend.write_caps([path], [50_000], 100_000)
+        backend.write_caps([path], [60_000], 100_000)
         assert backend.stats.fs_writes == 2
         assert node.fs.read(f"{path}/cpu.max").strip() == "60000 100000"
 
     def test_forget_vcpu_forces_rewrite(self):
         node, hv, backend = make_backend()
         path = self._vcpu(hv)
-        backend.write_caps({path: 50_000}, 100_000)
+        backend.write_caps([path], [50_000], 100_000)
         backend.forget_vcpu(path)
-        backend.write_caps({path: 50_000}, 100_000)
+        backend.write_caps([path], [50_000], 100_000)
         assert backend.stats.fs_writes == 2
         assert backend.stats.cap_writes_skipped == 0
 
     def test_unbatched_always_writes(self):
         node, hv, backend = make_backend(batched=False)
         path = self._vcpu(hv)
-        backend.write_caps({path: 50_000}, 100_000)
-        backend.write_caps({path: 50_000}, 100_000)
+        backend.write_caps([path], [50_000], 100_000)
+        backend.write_caps([path], [50_000], 100_000)
         assert backend.stats.fs_writes == 2
         assert backend.stats.cap_writes_skipped == 0
 
@@ -181,24 +180,27 @@ class TestCoalescedWrites:
         node, hv, backend = make_backend()
         path = self._vcpu(hv)
         written = backend.write_caps(
-            {path: 50_000, f"{MACHINE_SLICE}/gone/vcpu0": 10_000}, 100_000
+            [path, f"{MACHINE_SLICE}/gone/vcpu0"], [50_000, 10_000], 100_000
         )
         assert written == {path: 50_000}
 
     def test_write_batch_stats_recorded(self):
         node, hv, backend = make_backend()
         path = self._vcpu(hv)
-        backend.write_caps({path: 50_000}, 100_000)
-        assert backend.last_write_batch.ops.fs_writes == 1
-        backend.write_caps({path: 50_000}, 100_000)
-        assert backend.last_write_batch.ops.fs_writes == 0
-        assert backend.last_write_batch.ops.cap_writes_skipped == 1
+        before = backend.stats.copy()
+        backend.write_caps([path], [50_000], 100_000)
+        assert (backend.stats - before).fs_writes == 1
+        before = backend.stats.copy()
+        backend.write_caps([path], [50_000], 100_000)
+        delta = backend.stats - before
+        assert delta.fs_writes == 0
+        assert delta.cap_writes_skipped == 1
 
     def test_uncap_clears_cache(self):
         node, hv, backend = make_backend()
         path = self._vcpu(hv)
-        backend.write_caps({path: 50_000}, 100_000)
+        backend.write_caps([path], [50_000], 100_000)
         backend.uncap(path, 100_000)
         assert node.fs.read(f"{path}/cpu.max").startswith("max")
-        backend.write_caps({path: 50_000}, 100_000)
+        backend.write_caps([path], [50_000], 100_000)
         assert backend.stats.cap_writes_skipped == 0

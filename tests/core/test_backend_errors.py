@@ -132,17 +132,15 @@ class TestTolerantVsFailFast:
         backend.tolerate_errors = True
         backend.tick_index = 0
         hv.provision(SMALL, "vm-a")
-        quotas = {
-            f"{MACHINE_SLICE}/vm-a/vcpu0": 40_000,
-            f"{MACHINE_SLICE}/vm-a/vcpu1": 40_000,
-        }
-        written = backend.write_caps(quotas, 100_000)
+        paths = [f"{MACHINE_SLICE}/vm-a/vcpu0", f"{MACHINE_SLICE}/vm-a/vcpu1"]
+        quotas = [40_000, 40_000]
+        written = backend.write_caps(paths, quotas, 100_000)
         assert set(written) == {f"{MACHINE_SLICE}/vm-a/vcpu1"}
         assert set(backend.last_write_errors) == {f"{MACHINE_SLICE}/vm-a/vcpu0"}
         assert backend.stats.write_errors == 1
         # next batch resets the error map
         backend.plan.specs.clear()
-        backend.write_caps(quotas, 100_000)
+        backend.write_caps(paths, quotas, 100_000)
         assert backend.last_write_errors == {}
 
     def test_half_applied_v1_pair_drops_cap_cache(self):
@@ -157,10 +155,10 @@ class TestTolerantVsFailFast:
         backend.tick_index = 0
         hv.provision(SMALL, "vm-a")
         path = f"{MACHINE_SLICE}/vm-a/vcpu0"
-        backend.write_caps({path: 40_000}, 100_000)
+        backend.write_caps([path], [40_000], 100_000)
         assert path in backend.last_write_errors
         assert path not in backend._last_cap
         backend.tick_index = 1  # fault window over
-        written = backend.write_caps({path: 40_000}, 100_000)
+        written = backend.write_caps([path], [40_000], 100_000)
         assert written == {path: 40_000}
         assert backend.stats.cap_writes_skipped == 0  # not skipped-stale

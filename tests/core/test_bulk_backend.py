@@ -1,13 +1,13 @@
-"""Bulk-array backend parity: ``sample_all``/``apply_caps`` versus the
-list spellings ``read_vcpu_samples``/``write_caps``.
+"""Bulk-array backend parity: ``sample_all`` versus the list spelling
+``read_vcpu_samples``, plus the dirty-mask form of ``write_caps``.
 
 Twin identical hosts (same spec, seed, VM population, workloads) are
 driven in lockstep; one backend is read through the list interface, the
 other through the array interface.  The contract under test: identical
-sample values every tick, identical caps on disk after every write
-batch, and — under an armed FaultPlan of any kind — identical
-perturbations, including crashes at the same tick, because the batch
-entry hooks fire exactly once per batch regardless of spelling.
+sample values every tick and — under an armed FaultPlan of any kind —
+identical perturbations, including crashes at the same tick, because
+the batch entry hook fires exactly once per batch regardless of
+spelling.
 """
 
 import numpy as np
@@ -95,37 +95,19 @@ class TestApplyCapsParity:
         node_paths = [s.cgroup_path for s in backend.read_vcpu_samples(1.0)]
         return {p: 20_000 + 1_000 * i for i, p in enumerate(sorted(node_paths))}
 
-    def test_full_write_matches(self):
-        node_a, _, back_a = _host()
-        node_b, _, back_b = _host()
-        node_a.step(1.0)
-        node_b.step(1.0)
-        caps = self._caps(back_a)
-        self._caps(back_b)  # advance B's sampling state identically
-        written_a = back_a.write_caps(caps, ENF_US)
-        paths = list(caps)
-        quotas = np.array([caps[p] for p in paths], dtype=np.int64)
-        written_b = back_b.apply_caps(paths, quotas, None, ENF_US)
-        assert written_a == written_b
-        assert back_a._last_cap == back_b._last_cap
-        for path in paths:
-            assert node_a.fs.read(f"{path}/cpu.max") == node_b.fs.read(
-                f"{path}/cpu.max"
-            )
-
     def test_dirty_mask_skips_clean_rows(self):
         node, _, backend = _host()
         node.step(1.0)
         caps = self._caps(backend)
         paths = list(caps)
         quotas = np.array([caps[p] for p in paths], dtype=np.int64)
-        backend.apply_caps(paths, quotas, None, ENF_US)
+        backend.write_caps(paths, quotas, ENF_US)
         skipped_before = backend.stats.cap_writes_skipped
         # Change one row only; a dirty mask must write just that row.
         quotas2 = quotas.copy()
         quotas2[2] += 5_000
         dirty = quotas2 != quotas
-        written = backend.apply_caps(paths, quotas2, dirty, ENF_US)
+        written = backend.write_caps(paths, quotas2, ENF_US, dirty)
         assert written == {paths[2]: int(quotas2[2])}
         assert backend.stats.cap_writes_skipped == skipped_before + len(paths) - 1
         assert node.fs.read(f"{paths[2]}/cpu.max").split() == [
@@ -155,7 +137,7 @@ def _plan(kind):
 
 
 class TestFaultParity:
-    """Every fault kind perturbs both spellings identically."""
+    """Every fault kind perturbs both sampling spellings identically."""
 
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_samples_identical_under_fault(self, kind):
@@ -177,37 +159,6 @@ class TestFaultParity:
             # even when sample_all fell back to the list scan internally.
             assert back_a.tick_index == back_b.tick_index
             assert back_a.injected == back_b.injected
-
-    @pytest.mark.parametrize("kind", ("write_error", "crash"))
-    def test_writes_identical_under_fault(self, kind):
-        node_a, _, back_a = _host(plan=_plan(kind))
-        node_b, _, back_b = _host(plan=_plan(kind))
-        back_a.tolerate_errors = True
-        back_b.tolerate_errors = True
-        for tick in range(6):
-            node_a.step(1.0)
-            node_b.step(1.0)
-            a_s, a_exc = self._try(lambda: back_a.read_vcpu_samples(1.0))
-            b_s, b_exc = self._try(lambda: back_b.sample_all(1.0))
-            assert type(a_exc) is type(b_exc)
-            if a_exc is not None:
-                continue  # crashed monitoring batch: nothing to write
-            caps = {
-                s.cgroup_path: 15_000 + 1_000 * tick + 500 * i
-                for i, s in enumerate(sorted(a_s, key=lambda s: s.cgroup_path))
-            }
-            paths = list(caps)
-            quotas = np.array([caps[p] for p in paths], dtype=np.int64)
-            wa, wa_exc = self._try(lambda: back_a.write_caps(caps, ENF_US))
-            wb, wb_exc = self._try(
-                lambda: back_b.apply_caps(paths, quotas, None, ENF_US)
-            )
-            assert type(wa_exc) is type(wb_exc), (kind, tick)
-            if wa_exc is not None:
-                continue
-            assert wa == wb
-            assert back_a._last_cap == back_b._last_cap
-            assert set(back_a.last_write_errors) == set(back_b.last_write_errors)
 
     def test_crash_raises_controller_crash_at_same_tick(self):
         node_a, _, back_a = _host(plan=_plan("crash"))

@@ -3,7 +3,9 @@
 Every command below is fully seeded, so its stdout is a pure function
 of the source tree.  The digests were recorded before the CLI was
 reduced to parsing and dispatch; a refactor of the command bodies must
-leave every one of them unchanged.  Each command runs in-process
+leave every one of them unchanged.  The two single-host
+``serve-metrics`` digests pin a page that renders each billing sample
+once.  Each command runs in-process
 through :func:`repro.cli.main`.  The working directory's path is
 replaced by ``DIR`` before hashing (``rebalance run --ledger`` echoes
 it), and the ``serving <address>`` line of ``serve-metrics`` is dropped
@@ -70,12 +72,12 @@ GOLDEN = {
         "ef4745219aa962883da92b77faf54d4c"
     ),
     "serve-metrics": (
-        "8c2de500db65015b988c8394abec1305"
-        "aa9b74bd71b8aea987b4002767ea8f55"
+        "439708c2cf057b0bcbf277c8ef073d55"
+        "6c80460c411cbb298877ec2c9edcd9af"
     ),
     "serve-metrics-obs": (
-        "8c2de500db65015b988c8394abec1305"
-        "aa9b74bd71b8aea987b4002767ea8f55"
+        "439708c2cf057b0bcbf277c8ef073d55"
+        "6c80460c411cbb298877ec2c9edcd9af"
     ),
     "serve-metrics-cluster": (
         "eb383e7dad1ef8f3e582de8e871c271b"

@@ -79,15 +79,3 @@ class TestUncap:
         enf.uncap("/machine.slice/vm/vcpu0")
         assert fs.get_quota("/machine.slice/vm/vcpu0").unlimited
 
-
-class TestState:
-    def test_cycles_written_roundtrip(self):
-        _, enf = make()
-        enf.apply_one("/machine.slice/vm/vcpu0", 420_000.0)
-        assert enf.cycles_written("/machine.slice/vm/vcpu0") == pytest.approx(
-            420_000.0, abs=10.0
-        )
-
-    def test_unknown_path_is_nan(self):
-        _, enf = make()
-        assert enf.cycles_written("/ghost") != enf.cycles_written("/ghost")  # NaN

@@ -8,6 +8,7 @@ retries.
 
 import pytest
 
+from repro.checking.trace import _compare_reports
 from repro.core.config import ControllerConfig
 from repro.core.controller import VirtualFrequencyController
 from repro.core.metrics_export import render_controller
@@ -23,7 +24,7 @@ T = VMTemplate("res", vcpus=1, vfreq_mhz=1200.0)
 VCPU0 = "/machine.slice/res-0/vcpu0"
 
 
-def resilient_host(plan, policy, *, vms=2, seed=42):
+def resilient_host(plan, policy, *, vms=2, seed=42, engine="bulk"):
     node = Node(TINY, seed=seed)
     hv = Hypervisor(node)
     injector = FaultInjector(plan, node.fs, node.procfs, node.sysfs)
@@ -31,7 +32,7 @@ def resilient_host(plan, policy, *, vms=2, seed=42):
         injector,
         num_cpus=TINY.logical_cpus,
         fmax_mhz=TINY.fmax_mhz,
-        config=ControllerConfig.paper_evaluation(),
+        config=ControllerConfig.paper_evaluation(engine=engine),
         resilience=policy,
     )
     for k in range(vms):
@@ -141,6 +142,28 @@ class TestDegradedMode:
         for r in reports:
             assert any(s.vm_name == "res-1" for s in r.samples)
             assert "/machine.slice/res-1/vcpu0" in r.allocations
+
+    @pytest.mark.parametrize("stale_age,after", [(3, 1), (2, 2)])
+    def test_engines_agree_when_degraded_vcpu_keeps_a_sample(
+        self, stale_age, after
+    ):
+        """With ``degraded_after_ticks <= stale_sample_max_age`` a
+        degraded vCPU still has a carried-forward sample; both engines
+        cap it once, at its fallback, with the same writes."""
+        runs = []
+        for engine in ("scalar", "bulk"):
+            policy = ResiliencePolicy(
+                stale_sample_max_age=stale_age, degraded_after_ticks=after
+            )
+            node, _, injector, ctrl = resilient_host(
+                FaultPlan(self.OCCLUDE), policy, engine=engine
+            )
+            runs.append((drive(node, ctrl, 14), injector.stats.fs_writes))
+        (scalar, writes_scalar), (bulk, writes_bulk) = runs
+        assert any(r.degraded for r in scalar)
+        for t, (a, b) in enumerate(zip(scalar, bulk)):
+            assert _compare_reports(a, b, ("scalar", "bulk"), float(t)) == []
+        assert writes_scalar == writes_bulk
 
     def test_unregistered_vm_never_degrades(self):
         policy = ResiliencePolicy(stale_sample_max_age=1, degraded_after_ticks=2)

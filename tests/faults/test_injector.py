@@ -168,7 +168,7 @@ class TestFaultKinds:
         injector.tolerate_errors = True
         injector.tick_index = 0
         path = "/machine.slice/fault-0/vcpu0"
-        written = injector.write_caps({path: 50_000}, 100_000)
+        written = injector.write_caps([path], [50_000], 100_000)
         assert written == {}
         assert path in injector.last_write_errors
         assert injector.stats.write_errors == 1
@@ -178,7 +178,7 @@ class TestFaultKinds:
         node, _, injector, _ = injected_host(plan)
         injector.tick_index = 0
         with pytest.raises(OSError):
-            injector.write_caps({"/machine.slice/fault-0/vcpu0": 50_000}, 100_000)
+            injector.write_caps(["/machine.slice/fault-0/vcpu0"], [50_000], 100_000)
 
     def test_clock_jitter_fires_every_tick(self):
         plan = FaultPlan([FaultSpec("clock_jitter", "tick", jitter_frac=0.1)])

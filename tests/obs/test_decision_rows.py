@@ -17,7 +17,13 @@ from repro.core.config import ControllerConfig
 from repro.obs.config import ObsConfig
 from repro.obs.hub import Observability
 from repro.obs.slo import SLOConfig, SLOPlane
-from repro.obs.tsdb import S_CREDITS_USD, S_GUARANTEE_CHECKS, S_REVENUE_USD
+from repro.obs.tsdb import (
+    S_ALLOC_CYCLES,
+    S_CREDITS_USD,
+    S_GUARANTEE_CHECKS,
+    S_REVENUE_USD,
+    S_TICK_SECONDS,
+)
 from repro.virt.template import VMTemplate
 from tests.conftest import make_host
 
@@ -60,8 +66,8 @@ def test_rows_built_once_per_tick_with_all_observers(engine, monkeypatch):
     assert checks.last == 4.0 * TICKS
 
 
-def test_cluster_scrape_ingests_each_controllers_metered_tick():
-    """Callers number cluster ticks from 1; billing must still land."""
+def _scrape_demo_cluster(ticks):
+    """Tick the 2-node demo cluster, scraping it after every tick."""
     from repro.cli import _demo_cluster, _step_demand
 
     cfg = ControllerConfig.paper_evaluation()
@@ -69,13 +75,19 @@ def test_cluster_scrape_ingests_each_controllers_metered_tick():
     plane = SLOPlane(SLOConfig(period_s=cfg.period_s, wallclock=False))
     rng = random.Random(7)
     try:
-        for tick in range(1, 6):
+        for tick in range(1, ticks + 1):
             _step_demand(hosts, rng, cfg.period_s)
             manager.tick(float(tick))
             plane.observe_cluster(manager, tick, t=float(tick))
     finally:
         manager.close()
         plane.close()
+    return manager, plane
+
+
+def test_cluster_scrape_ingests_each_controllers_metered_tick():
+    """Callers number cluster ticks from 1; billing must still land."""
+    manager, plane = _scrape_demo_cluster(5)
     for node_id, controller in manager.controllers.items():
         meter = controller.billing.meter
         labels = {"node": node_id}
@@ -84,3 +96,13 @@ def test_cluster_scrape_ingests_each_controllers_metered_tick():
         assert plane.store.get(S_REVENUE_USD, labels).last == revenue
         assert plane.store.get(S_CREDITS_USD, labels).last == \
             sum(meter.tick_credits.values())
+
+
+def test_cluster_scrape_appends_one_point_per_node_tick():
+    """Every per-node gauge gets one point per tick, so a window over
+    ``tick_seconds`` covers the ticks it names."""
+    manager, plane = _scrape_demo_cluster(5)
+    for node_id in manager.controllers:
+        labels = {"node": node_id}
+        assert plane.store.get(S_TICK_SECONDS, labels).total == 5
+        assert plane.store.get(S_ALLOC_CYCLES, labels).total == 5

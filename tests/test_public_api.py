@@ -55,7 +55,6 @@ EXPECTED = {
         "Controller",
         "HostBackend",
         "BackendStats",
-        "BatchStats",
         "SampleBatch",
         "ControllerConfig",
         "cycles_per_period",
