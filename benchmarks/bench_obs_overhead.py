@@ -3,8 +3,8 @@
 The hub (:mod:`repro.obs`) works *post hoc*: stages run unmodified and
 a disabled hub costs the tick exactly one ``is None`` check, so the
 off-by-default path must be free.  Enabled, every tick is folded into
-span tree + decision ledger + flight frame, and the paper's overhead
-budget (§IV-A2) is the yardstick: the controller — observability
+a seven-span stage tree + decision ledger + flight frame, and the
+paper's overhead budget (§IV-A2) is the yardstick: the controller — observability
 included — must stay a negligible slice of its own control period.
 
 Asserted claims:
@@ -12,9 +12,9 @@ Asserted claims:
 * **off is free**: mean tick cost with no hub attached stays within
   noise (< 5 %) of the seed controller — measured interleaved,
   min-of-repeats, so scheduler jitter cannot fake a regression;
-* **on fits the period budget**: full-fidelity recording (per-vCPU
-  spans, ledger, flight frames) adds < 5 % of one control period per
-  tick — the paper-aligned bound an operator actually budgets for;
+* **on fits the period budget**: full recording (stage spans, ledger,
+  flight frames) adds < 5 % of one control period per tick — the
+  paper-aligned bound an operator actually budgets for;
 * the hub really observed: one ledger entry, one flight frame and one
   span tree per tick (an accidentally-detached hub would "win" the
   bench with zero work).
@@ -64,8 +64,7 @@ VARIANTS = (
     ("disabled hub", ObsConfig(
         tracing=False, ledger=False, flight_recorder_ticks=0
     )),
-    ("on (full fidelity)", ObsConfig()),
-    ("on (no per-vcpu spans)", ObsConfig(per_vcpu_spans=False)),
+    ("on", ObsConfig()),
 )
 
 
@@ -112,8 +111,7 @@ def test_obs_overhead(once):
     best, ctrls = once(run_interleaved)
 
     off_s = best["off"]
-    full = ctrls["on (full fidelity)"]
-    period_s = full.config.period_s
+    period_s = ctrls["on"].config.period_s
 
     # The instrumented runs really recorded everything.
     assert ctrls["off"].obs is None
@@ -122,15 +120,11 @@ def test_obs_overhead(once):
     assert disabled.tracer is None
     assert disabled.ledger is None
     assert disabled.recorder is None
-    for name in ("on (full fidelity)", "on (no per-vcpu spans)"):
-        obs = ctrls[name].obs
-        assert obs is not None
-        assert len(obs.ledger.ticks) == TICKS
-        assert len(obs.recorder.frames) == min(TICKS, obs.recorder.max_ticks)
-        assert obs.ring.trace_ids()[-1] == TICKS - 1
-    full_spans = ctrls["on (full fidelity)"].obs.tracer.spans_emitted
-    lean_spans = ctrls["on (no per-vcpu spans)"].obs.tracer.spans_emitted
-    assert full_spans > lean_spans  # per-vCPU fidelity really differs
+    obs = ctrls["on"].obs
+    assert obs is not None
+    assert len(obs.ledger.ticks) == TICKS
+    assert len(obs.recorder.frames) == min(TICKS, obs.recorder.max_ticks)
+    assert obs.ring.trace_ids()[-1] == TICKS - 1
 
     rows = []
     for name, _ in VARIANTS:
@@ -165,11 +159,10 @@ def test_obs_overhead(once):
     assert off_factor < OFF_FACTOR_MAX, (
         f"disabled-hub tick is {off_factor:.3f}x the bare controller"
     )
-    # Gate 2: full-fidelity recording fits the paper's period budget.
-    for name in ("on (full fidelity)", "on (no per-vcpu spans)"):
-        extra_s = best[name] - off_s
-        fraction = extra_s / period_s
-        assert fraction < ON_PERIOD_FRACTION_MAX, (
-            f"{name}: +{extra_s * 1e3:.3f} ms/tick is "
-            f"{100 * fraction:.2f}% of the {period_s:g} s control period"
-        )
+    # Gate 2: full recording fits the paper's period budget.
+    extra_s = best["on"] - off_s
+    fraction = extra_s / period_s
+    assert fraction < ON_PERIOD_FRACTION_MAX, (
+        f"on: +{extra_s * 1e3:.3f} ms/tick is "
+        f"{100 * fraction:.2f}% of the {period_s:g} s control period"
+    )

@@ -124,11 +124,11 @@ def _run():
                 plane.observe_cluster(manager, tick, t=float(tick))
             )
             observe.append(time.perf_counter() - start)
-        # The plane really ingested the full fleet, objectlessly.
-        assert len(plane.store.select("tick_seconds")) == NODES
-        assert plane.store.increase(
-            "tick_deadline_checks_total", TICKS
-        ) > 0.0
+        # The plane really ingested the full fleet, objectlessly: one
+        # deadline check per node per tick.
+        checks = plane.store.get("tick_deadline_checks_total")
+        assert checks.last == NODES * TICKS
+        assert checks.increase(2) == NODES
         assert reader.snapshot_retries == 0  # no writer contention here
     finally:
         plane.close()

@@ -1278,7 +1278,6 @@ def _cmd_serve_metrics(args) -> int:
         )
         plane = SLOPlane(SLOConfig(period_s=cfg.period_s))
         loop = _metrics_demo_rebalance(args.seed)
-        plane.observe_rebalance(loop)
 
         def one_tick(i: int) -> None:
             _step_demand(hosts, rng, cfg.period_s)

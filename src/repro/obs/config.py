@@ -26,8 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 class ObsConfig:
     """All knobs of the controller observability layer."""
 
-    #: Emit the per-tick span tree (tick -> stage 1-6 -> per-VM/per-vCPU)
-    #: into the in-memory ring (and ``out_dir/spans.jsonl`` when set).
+    #: Emit the per-tick span tree (the tick root and its six stage
+    #: spans; per-vCPU facts live in the ledger) into the in-memory
+    #: ring (and ``out_dir/spans.jsonl`` when set).
     tracing: bool = True
     #: Record the per-``cpu.max``-write decision ledger (the causal
     #: chain behind every allocation; ``repro explain`` reads it).
@@ -45,9 +46,6 @@ class ObsConfig:
     #: Ticks of ledger records retained in memory (the JSONL file, when
     #: ``out_dir`` is set, keeps everything).
     ledger_ring_ticks: int = 1024
-    #: Emit per-VM / per-vCPU sub-spans (the bulk of the span volume;
-    #: disable to trace stage timings only).
-    per_vcpu_spans: bool = True
     #: Attach a :class:`repro.obs.slo.SLOPlane` declaratively: the SLO
     #: catalogue + burn-rate alerting evaluated at every tick boundary.
     #: ``None`` (the default) skips the plane entirely.

@@ -1,8 +1,9 @@
 """Black-box flight recorder: the last N ticks, dumpable and replayable.
 
-A :class:`FlightRecorder` keeps a bounded ring of fully-serialized tick
-*frames* — inputs (registered VMs, samples), stage outputs (decisions,
-auction results, free shares, wallets) — and writes the whole ring to a
+A :class:`FlightRecorder` keeps a bounded ring of tick *frames* —
+inputs (registered VMs, samples, stage timings) plus the tick's
+decision-ledger ``meta`` and rows, shared with the ledger entry
+(auction results, free shares, wallets) — and writes the whole ring to a
 JSON dump when something goes wrong: an ``InvariantViolationError``, an
 injected stage crash escaping ``tick()``, or a node tick error caught
 by the :class:`~repro.sim.node_manager.NodeManager`.

@@ -3,14 +3,18 @@
 :class:`Observability` owns the tracer, the decision ledger and the
 flight recorder, and translates each finished
 :class:`~repro.core.controller.ControllerReport` into all three
-(``on_tick``).  The ledger and the flight recorder store the tick's
-:func:`~repro.obs.ledger.decision_rows` as they are: the one per-vCPU
-walk the billing meter and the SLO plane share.  The controller's hot
-loop stays untouched: with no hub attached a tick pays exactly one
-``is None`` check, and with a hub attached the stages still run
-unmodified — the hub works *post hoc* from the report, the stage
-timings the controller already measures, and the controller's own
-registries.  Report streams
+(``on_tick``), keeping each fact in one place.  The ledger entry is
+the per-vCPU record: its ``meta`` and the tick's
+:func:`~repro.obs.ledger.decision_rows` (the one per-vCPU walk the
+billing meter and the SLO plane share).  A flight frame holds only
+what the ledger lacks (registered VMs, raw samples, stage timings) and
+shares the ledger entry's ``meta`` and rows objects for the rest.
+Spans carry time only: the ``tick`` root and its six ``stage:*``
+children.  The controller's hot loop stays untouched: with no hub
+attached a tick pays exactly one ``is None`` check, and with a hub
+attached the stages still run unmodified — the hub works *post hoc*
+from the report, the stage timings the controller already measures,
+and the controller's own registries.  Report streams
 are therefore bit-identical with the hub on or off
 (``tests/obs/test_transparency.py``).
 
@@ -35,7 +39,7 @@ Dump triggers (all routed here):
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.core.timings import STAGES
 from repro.obs.config import ObsConfig
@@ -77,8 +81,9 @@ class Observability:
                 cfg.flight_recorder_ticks, dump_dir=cfg.out_dir
             )
         self._prev_wallets: Dict[str, float] = {}
-        #: Last-known observed vCPU count per VM (so a frame captured
-        #: while a VM is occluded still records its true shape).
+        #: Last-known observed vCPU count per registered VM (so a frame
+        #: captured while a VM is occluded still records its true
+        #: shape).  Kept only while the recorder is on.
         self._vm_vcpus: Dict[str, int] = {}
 
     # -- wiring -----------------------------------------------------------------
@@ -123,41 +128,24 @@ class Observability:
         tick: int,
     ) -> None:
         """Fold one finished tick into spans, ledger and flight ring."""
-        samples = report.samples
-        vcpus_by_vm: Dict[str, int] = {}
-        for s in samples:
-            vcpus_by_vm[s.vm_name] = vcpus_by_vm.get(s.vm_name, 0) + 1
-        for vm, n in vcpus_by_vm.items():
-            self._vm_vcpus[vm] = n
-
-        purchased = report.auction.purchased if report.auction else {}
-        spent = report.auction.spent_per_vm if report.auction else {}
-        market_left = report.auction.market_left if report.auction else 0.0
-        rounds = report.auction.rounds if report.auction else 0
-
-        decisions: Optional[List[Dict]] = None
         if self.ledger is not None or self.recorder is not None:
+            meta = self._build_meta(controller, report, tick)
             decisions = decision_rows(controller, report)
-        if self.ledger is not None:
-            self.ledger.record_tick(
-                self._build_meta(controller, report, tick, spent,
-                                 market_left, rounds),
-                decisions,
-            )
-        if self.recorder is not None:
-            self.recorder.record(self._build_frame(
-                controller, report, tick, decisions, market_left, rounds
-            ))
+            if self.ledger is not None:
+                self.ledger.record_tick(meta, decisions)
+            if self.recorder is not None:
+                self.recorder.record(self._build_frame(
+                    controller, report, tick, meta, decisions
+                ))
         if self.tracer is not None:
-            self._emit_spans(
-                controller, report, tick, vcpus_by_vm, purchased, spent
-            )
+            self._emit_spans(controller, report, tick)
         self._prev_wallets = report.wallets
 
     # -- ledger record construction ---------------------------------------------
 
-    def _build_meta(self, controller, report, tick, spent, market_left, rounds):
+    def _build_meta(self, controller, report, tick):
         cfg = controller.config
+        auction = report.auction
         return {
             "tick": tick,
             "t": report.t,
@@ -166,12 +154,12 @@ class Observability:
             "fmax_mhz": controller.fmax_mhz,
             "enforcement_period_us": cfg.enforcement_period_us,
             "market_initial": report.market_initial,
-            "market_left": market_left,
-            "rounds": rounds,
+            "market_left": auction.market_left if auction else 0.0,
+            "rounds": auction.rounds if auction else 0,
             "freely_distributed": report.freely_distributed,
             "wallets_before": dict(self._prev_wallets),
             "wallets_after": dict(report.wallets),
-            "spent_per_vm": dict(spent),
+            "spent_per_vm": dict(auction.spent_per_vm) if auction else {},
             # Recorded whether or not a billing engine is attached, so
             # the ledger stream is byte-identical billing on vs. off
             # and the billing oracle can always resolve tenancy.
@@ -180,13 +168,18 @@ class Observability:
 
     # -- flight frame construction ------------------------------------------------
 
-    def _build_frame(
-        self, controller, report, tick, decisions, market_left, rounds
-    ) -> Dict:
-        registered = {
-            vm: {"vfreq": vfreq, "vcpus": self._vm_vcpus.get(vm, 0)}
-            for vm, vfreq in controller._vm_vfreq.items()
-        }
+    def _build_frame(self, controller, report, tick, meta, decisions) -> Dict:
+        """The tick's replay inputs plus the ledger entry's own objects."""
+        seen: Dict[str, int] = {}
+        for s in report.samples:
+            seen[s.vm_name] = seen.get(s.vm_name, 0) + 1
+        last = self._vm_vcpus
+        registered = {}
+        for vm, vfreq in controller._vm_vfreq.items():
+            registered[vm] = {
+                "vfreq": vfreq, "vcpus": seen.get(vm) or last.get(vm, 0),
+            }
+        self._vm_vcpus = {vm: info["vcpus"] for vm, info in registered.items()}
         return {
             "tick": tick,
             "t": report.t,
@@ -196,25 +189,16 @@ class Observability:
                  s.consumed_cycles, s.vfreq_mhz]
                 for s in report.samples
             ],
-            "decisions": decisions,
-            "allocations": dict(report.allocations),
-            "free_shares": dict(report.free_shares),
-            "degraded": dict(report.degraded),
-            "wallets": dict(report.wallets),
-            "market_initial": report.market_initial,
-            "market_left": market_left,
-            "rounds": rounds,
-            "freely_distributed": report.freely_distributed,
             "timings": {
                 stage: getattr(report.timings, stage) for stage in STAGES
             },
+            "meta": meta,
+            "decisions": decisions,
         }
 
     # -- span synthesis ------------------------------------------------------------
 
-    def _emit_spans(
-        self, controller, report, tick, vcpus_by_vm, purchased, spent
-    ) -> None:
+    def _emit_spans(self, controller, report, tick) -> None:
         tracer = self.tracer
         timings = report.timings
         total_us = timings.total * 1e6
@@ -231,7 +215,7 @@ class Observability:
                 "t": report.t,
                 "engine": controller.config.engine,
                 "vcpus": len(report.samples),
-                "vms": len(vcpus_by_vm),
+                "vms": len({s.vm_name for s in report.samples}),
                 "market_initial": report.market_initial,
                 "freely_distributed": report.freely_distributed,
                 "degraded": len(report.degraded),
@@ -269,38 +253,6 @@ class Observability:
                 attrs=stage_attrs[stage],
             )
             cursor += dur_us
-        if not self.config.per_vcpu_spans:
-            return
-        vm_spans: Dict[str, int] = {}
-        for vm, count in vcpus_by_vm.items():
-            span = tracer.record(
-                f"vm:{vm}",
-                trace_id=tick,
-                parent_id=root.span_id,
-                start_us=start_us,
-                duration_us=0.0,
-                attrs={
-                    "vcpus": count,
-                    "wallet": report.wallets.get(vm, 0.0),
-                    "credits_spent": spent.get(vm, 0.0),
-                },
-            )
-            vm_spans[vm] = span.span_id
-        for s in report.samples:
-            d = report.decisions.get(s.cgroup_path)
-            tracer.record(
-                f"vcpu:{s.vm_name}/{s.vcpu_index}",
-                trace_id=tick,
-                parent_id=vm_spans[s.vm_name],
-                start_us=start_us,
-                duration_us=0.0,
-                attrs={
-                    "consumed": s.consumed_cycles,
-                    "estimate": d.estimate_cycles if d is not None else None,
-                    "allocation": report.allocations.get(s.cgroup_path),
-                    "purchased": purchased.get(s.cgroup_path, 0.0),
-                },
-            )
 
     # -- dump triggers -------------------------------------------------------------
 

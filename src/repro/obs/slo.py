@@ -248,15 +248,13 @@ def load_alerts_jsonl(path: str) -> List[Dict]:
     return out
 
 
-def _ingest_tick(store: SeriesStore, controller, report, node: str) -> None:
-    """One controller tick's gauges and per-tenant guarantee checks."""
+def _ingest_tick(store: SeriesStore, controller, report) -> None:
+    """One controller tick's per-tenant guarantee checks."""
     # Guarantee checks need fresh samples, so a report without any (a
     # VMDFS baseline, or a bulk tick nothing asked detail of) needs no
     # decision rows.
     rows = decision_rows(controller, report) if report.samples else []
-    store.ingest_report(
-        report, rows, getattr(controller, "_vm_tenant", {}), node=node
-    )
+    store.ingest_report(rows, getattr(controller, "_vm_tenant", {}))
 
 
 class SLOPlane:
@@ -317,7 +315,7 @@ class SLOPlane:
     def on_tick(self, controller, report, tick: int) -> None:
         """The controller ``_finish`` hook: ingest, evaluate, page."""
         store = self.store
-        _ingest_tick(store, controller, report, self.node)
+        _ingest_tick(store, controller, report)
         seconds = report.timings.total
         if self.config.wallclock:
             bad = 1.0 if seconds > self.config.deadline_s else 0.0
@@ -362,8 +360,7 @@ class SLOPlane:
                 controller = controllers.get(node_id)
                 if controller is not None:
                     _ingest_tick(
-                        store, controller, manager.last_reports[node_id],
-                        node_id,
+                        store, controller, manager.last_reports[node_id]
                     )
             store.ingest_node_manager(manager, deadline_s=deadline)
             for node_id in sorted(controllers):
@@ -378,10 +375,6 @@ class SLOPlane:
         if not evaluate:
             return []
         return self.evaluate(tick, t=t)
-
-    def observe_rebalance(self, loop) -> None:
-        """Subscribe a rebalance loop's guarantee-pressure series."""
-        self.store.ingest_rebalance(loop)
 
     # -- evaluation --------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Dependency-free span tracing for the controller loop.
 
 One controller tick becomes one *trace*: a tree of :class:`Span` nodes
-— the tick span at the root, the six paper stages (Fig. 2) as children,
-and per-VM / per-vCPU sub-spans below those, each carrying the
-attributes an operator greps for (market size, credits spent, engine,
-consumption, allocation).
+— the tick span at the root and the six paper stages (Fig. 2) as its
+children, seven spans a tick.  Spans carry time plus a few per-tick
+counts (market size, engine, vCPUs); the per-VM and per-vCPU facts
+(consumption, estimate, allocation, credits spent) live in the
+decision ledger only.
 
 Spans flow to pluggable :class:`SpanSink` s:
 
@@ -232,8 +233,10 @@ class Tracer:
 def chrome_trace_events(spans: Iterable[Span]) -> List[Dict[str, object]]:
     """Spans as Chrome ``trace_event`` complete ("X") events.
 
-    Each controller tick (trace id) gets its own ``tid`` row so
-    successive ticks stack as lanes; attributes land in ``args``.
+    Every span lands on one ``tid`` lane: ticks never overlap, so the
+    lane reads left to right as successive ticks, each a ``tick`` bar
+    over its six stage bars.  Attributes and the trace id land in
+    ``args``.
     """
     events: List[Dict[str, object]] = []
     for s in spans:

@@ -25,13 +25,18 @@ Ingest is three-dialect, mirroring how the repo's planes report:
   :class:`~repro.sim.node_manager.NodeManager` after a barrier tick;
 * :meth:`SeriesStore.ingest_shard_reader` — *objectless*: straight off
   a :class:`~repro.sim.shard_telemetry.ShardTelemetryReader`'s mapped
-  NumPy blocks in the shm dialect, via a per-catalog column cache so
-  the 1000-node steady state never touches a dict per node.
+  NumPy blocks in the shm dialect, so the 1000-node steady state never
+  touches a dict per node.
+
+The store holds only series a rule or detector reads: per-tenant
+guarantee checks, the deadline, revenue and credit counters, per-stage
+seconds and backend errors.  Per-node and per-vCPU facts stay in the
+controllers' decision ledgers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -40,19 +45,16 @@ from repro.obs.ledger import guarantee_missed
 
 #: Canonical series names the SLO plane subscribes to.  One place, so
 #: the three ingest dialects and ``slo.py`` can never drift apart.
-S_TICK_SECONDS = "tick_seconds"                    # {node} gauge
+#: Every name is read by an SLO rule or the anomaly lane; the store
+#: appends nothing that no query reads.
 S_STAGE_SECONDS = "stage_seconds"                  # {stage} gauge
-S_ALLOC_CYCLES = "alloc_cycles"                    # {node} gauge
-S_DEGRADED_VCPUS = "degraded_vcpus"                # {node} gauge
 S_GUARANTEE_BAD = "guarantee_bad_total"            # {tenant} counter
 S_GUARANTEE_CHECKS = "guarantee_checks_total"      # {tenant} counter
 S_DEADLINE_BAD = "tick_deadline_bad_total"         # {} counter
 S_DEADLINE_CHECKS = "tick_deadline_checks_total"   # {} counter
 S_BACKEND_ERRORS = "backend_errors_total"          # {source} counter
-S_BACKEND_OPS = "backend_ops_total"                # {source} counter
 S_CREDITS_USD = "sla_credits_usd_total"            # {node} counter
 S_REVENUE_USD = "revenue_usd_total"                # {node} counter
-S_REBALANCE_PRESSURE = "rebalance_pressure_mhz"    # {} gauge
 
 #: Label tuples are sorted ``(key, value)`` pairs — hashable, ordered.
 LabelSet = Tuple[Tuple[str, str], ...]
@@ -202,24 +204,6 @@ class Series:
         return float(np.quantile(values, q))
 
 
-class _ColumnGroup:
-    """Per-catalog cache: one Series per row of an array-dialect ingest.
-
-    Built once per (series name, label key, catalog) and then reused
-    every tick, so the 1000-node steady state appends through a plain
-    ``zip`` with zero per-node dict lookups.
-    """
-
-    __slots__ = ("series",)
-
-    def __init__(self, series: List[Series]) -> None:
-        self.series = series
-
-    def append_array(self, values: np.ndarray) -> None:
-        for series, value in zip(self.series, values.tolist()):
-            series.append(value)
-
-
 class SeriesStore:
     """All series of one plane, keyed ``(name, labels)``."""
 
@@ -235,7 +219,6 @@ class SeriesStore:
         self.depth = depth
         self._series: Dict[Tuple[str, LabelSet], Series] = {}
         self._totals: Dict[Tuple[str, LabelSet], float] = {}
-        self._columns: Dict[Tuple, _ColumnGroup] = {}
 
     # -- series access -----------------------------------------------------
 
@@ -325,8 +308,7 @@ class SeriesStore:
     # -- ingest: report dialect --------------------------------------------
 
     def ingest_report(
-        self, report, rows: List[Dict], tenants: Mapping[str, str],
-        *, node: str = "node-0",
+        self, rows: List[Dict], tenants: Mapping[str, str]
     ) -> Tuple[int, int]:
         """One finished tick, post hoc — the obs-hub dialect.
 
@@ -334,18 +316,9 @@ class SeriesStore:
         a fresh sample and a guarantee is one guarantee check for its
         VM's tenant (``tenants``, ``"default"`` when missing), and a
         miss when :func:`~repro.obs.ledger.guarantee_missed` holds —
-        the billing meter's SLA-shortfall criterion.  Also appends the
-        per-node gauges.  Returns ``(bad, total)`` summed over tenants,
-        mostly for tests.
+        the billing meter's SLA-shortfall criterion.  Returns
+        ``(bad, total)`` summed over tenants, mostly for tests.
         """
-        node_labels = {"node": node}
-        self.append(S_TICK_SECONDS, report.timings.total, node_labels)
-        alloc_total = 0.0
-        for cycles in report.allocations.values():
-            alloc_total += cycles
-        self.append(S_ALLOC_CYCLES, alloc_total, node_labels)
-        self.append(S_DEGRADED_VCPUS, float(len(report.degraded)), node_labels)
-
         bad_by_tenant: Dict[str, int] = {}
         total_by_tenant: Dict[str, int] = {}
         for row in rows:
@@ -369,13 +342,10 @@ class SeriesStore:
     def ingest_backend_stats(
         self, stats, *, source: str = "node-0"
     ) -> None:
-        """Cumulative backend counters -> error/ops counter series."""
+        """Cumulative backend counters -> the error counter series."""
         d = stats.as_dict()
         errors = float(d.get("read_errors", 0) + d.get("write_errors", 0))
-        ops = float(sum(d.values())) - errors
-        labels = {"source": source}
-        self.append(S_BACKEND_ERRORS, errors, labels)
-        self.append(S_BACKEND_OPS, ops, labels)
+        self.append(S_BACKEND_ERRORS, errors, {"source": source})
 
     # -- ingest: node-manager dialect --------------------------------------
 
@@ -384,10 +354,10 @@ class SeriesStore:
     ) -> None:
         """A barrier tick of an in-process :class:`~repro.sim.node_manager.NodeManager`.
 
-        The per-node gauges arrive through :meth:`ingest_report`; this
+        The guarantee checks arrive through :meth:`ingest_report`; this
         adds the cluster series.  The deadline counter compares each
-        node's stage total in ``last_reports`` against ``deadline_s``
-        when given.
+        node's stage total in ``last_reports`` (the nodes that ticked
+        this barrier) against ``deadline_s`` when given.
         """
         reports = manager.last_reports.values()
         if deadline_s is not None and reports:
@@ -403,18 +373,6 @@ class SeriesStore:
 
     # -- ingest: shm dialect -----------------------------------------------
 
-    def _column_group(
-        self, name: str, label_key: str, label_values: Sequence[str],
-        cache_key: Tuple,
-    ) -> _ColumnGroup:
-        group = self._columns.get(cache_key)
-        if group is None:
-            group = _ColumnGroup([
-                self.series(name, {label_key: value}) for value in label_values
-            ])
-            self._columns[cache_key] = group
-        return group
-
     def ingest_shard_reader(
         self, reader, *, shard: str = "shard-0",
         deadline_s: Optional[float] = None,
@@ -422,21 +380,14 @@ class SeriesStore:
         """One shard's published tick, straight off the mapped arrays.
 
         Objectless by construction: per-node tick seconds are a single
-        vectorized row-sum over the stage columns, appended through a
-        column cache keyed on the reader's catalog version — no per-node
-        objects, dicts, or report materialization.  Uses the seqlock
-        snapshot so a concurrently publishing writer can never tear the
-        rows mid-read.
+        vectorized row-sum over the stage columns, counted against the
+        deadline without per-node objects, dicts, or report
+        materialization.  Uses the seqlock snapshot so a concurrently
+        publishing writer can never tear the rows mid-read.
         """
         node_ids, nodes, backend, _invariants = reader.stable_snapshot()
         if not node_ids:
             return
-        per_node_seconds = nodes[:, 0:6].sum(axis=1)
-        group = self._column_group(
-            S_TICK_SECONDS, "node", node_ids,
-            (S_TICK_SECONDS, shard, node_ids),
-        )
-        group.append_array(per_node_seconds)
         stage_sums = nodes[:, 0:6].sum(axis=0)
         for k, stage in enumerate(STAGES):
             self.append(
@@ -444,23 +395,20 @@ class SeriesStore:
                 {"stage": stage, "shard": shard},
             )
         if deadline_s is not None:
+            per_node_seconds = nodes[:, 0:6].sum(axis=1)
             bad = int(np.count_nonzero(per_node_seconds > deadline_s))
             self.accumulate(S_DEADLINE_BAD, float(bad))
             self.accumulate(S_DEADLINE_CHECKS, float(len(node_ids)))
         # Backend counters: reader order follows BACKEND_FIELDS; errors
-        # are the two *_errors fields, ops the rest (kept in sync with
+        # are the two *_errors fields (kept in sync with
         # ingest_backend_stats via the shared field names).
         from repro.sim.shard_telemetry import BACKEND_FIELDS
 
-        errors = ops = 0.0
+        errors = 0.0
         for field, value in zip(BACKEND_FIELDS, backend.tolist()):
             if field.endswith("_errors"):
                 errors += value
-            else:
-                ops += value
-        labels = {"source": shard}
-        self.append(S_BACKEND_ERRORS, errors, labels)
-        self.append(S_BACKEND_OPS, ops, labels)
+        self.append(S_BACKEND_ERRORS, errors, {"source": shard})
 
     # -- ingest: attachments -----------------------------------------------
 
@@ -478,12 +426,3 @@ class SeriesStore:
         labels = {"node": node}
         self.accumulate(S_REVENUE_USD, meter.tick_revenue.get(tick, 0.0), labels)
         self.accumulate(S_CREDITS_USD, meter.tick_credits.get(tick, 0.0), labels)
-
-    def ingest_rebalance(self, loop) -> None:
-        """A rebalance loop's latest guarantee-pressure reading."""
-        plan = getattr(loop, "last_plan", None)
-        if plan is None:
-            return
-        self.append(
-            S_REBALANCE_PRESSURE, getattr(plan, "pressure_before_mhz", 0.0)
-        )

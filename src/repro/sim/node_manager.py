@@ -141,7 +141,9 @@ class NodeManager:
         """One iteration on every (selected) node; barrier semantics.
 
         Returns the per-node reports (a :class:`TickResult` — a dict,
-        as before), also kept in :attr:`last_reports`.  Reports are
+        as before), also kept in :attr:`last_reports`, which holds this
+        tick's reports only: a node whose tick raised, or that was left
+        out of ``node_ids``, has none there.  Reports are
         independent of execution order because controllers share no
         state — verified by the node-manager integration tests.
 
@@ -171,7 +173,7 @@ class NodeManager:
                     result[node_id] = self.controllers[node_id].tick(t)
                 except Exception as exc:
                     self._record_error(node_id, exc, result)
-        self.last_reports.update(result)
+        self.last_reports = dict(result)
         self.ticks += 1
         return result
 

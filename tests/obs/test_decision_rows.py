@@ -18,11 +18,10 @@ from repro.obs.config import ObsConfig
 from repro.obs.hub import Observability
 from repro.obs.slo import SLOConfig, SLOPlane
 from repro.obs.tsdb import (
-    S_ALLOC_CYCLES,
     S_CREDITS_USD,
+    S_DEADLINE_CHECKS,
     S_GUARANTEE_CHECKS,
     S_REVENUE_USD,
-    S_TICK_SECONDS,
 )
 from repro.virt.template import VMTemplate
 from tests.conftest import make_host
@@ -66,13 +65,26 @@ def test_rows_built_once_per_tick_with_all_observers(engine, monkeypatch):
     assert checks.last == 4.0 * TICKS
 
 
-def _scrape_demo_cluster(ticks):
-    """Tick the 2-node demo cluster, scraping it after every tick."""
+def _scrape_demo_cluster(ticks, *, wallclock=False, crash_from=None):
+    """Tick the 2-node demo cluster, scraping it after every tick.
+
+    With ``crash_from``, node-1's tick raises from that tick on.
+    """
     from repro.cli import _demo_cluster, _step_demand
 
     cfg = ControllerConfig.paper_evaluation()
     manager, hosts = _demo_cluster(2, 3, 2, 7, cfg)
-    plane = SLOPlane(SLOConfig(period_s=cfg.period_s, wallclock=False))
+    if crash_from is not None:
+        ctrl = manager.controllers["node-1"]
+        healthy = ctrl.tick
+
+        def tick(t):
+            if t >= crash_from:
+                raise RuntimeError("node-1 crashed")
+            return healthy(t)
+
+        ctrl.tick = tick
+    plane = SLOPlane(SLOConfig(period_s=cfg.period_s, wallclock=wallclock))
     rng = random.Random(7)
     try:
         for tick in range(1, ticks + 1):
@@ -98,11 +110,25 @@ def test_cluster_scrape_ingests_each_controllers_metered_tick():
             sum(meter.tick_credits.values())
 
 
-def test_cluster_scrape_appends_one_point_per_node_tick():
-    """Every per-node gauge gets one point per tick, so a window over
-    ``tick_seconds`` covers the ticks it names."""
-    manager, plane = _scrape_demo_cluster(5)
-    for node_id in manager.controllers:
-        labels = {"node": node_id}
-        assert plane.store.get(S_TICK_SECONDS, labels).total == 5
-        assert plane.store.get(S_ALLOC_CYCLES, labels).total == 5
+def _checks(plane):
+    """(guarantee checks, deadline checks) the plane has counted."""
+    guarantee = sum(s.last for s in plane.store.select(S_GUARANTEE_CHECKS))
+    return guarantee, plane.store.get(S_DEADLINE_CHECKS).last
+
+
+def test_cluster_scrape_counts_one_deadline_check_per_node_tick():
+    manager, plane = _scrape_demo_cluster(5, wallclock=True)
+    assert manager.num_nodes == 2
+    assert plane.store.get(S_DEADLINE_CHECKS).total == 5
+    # 2 nodes x 5 ticks; 3 VMs x 2 vCPUs per node per tick.
+    assert _checks(plane) == (60.0, 10.0)
+
+
+def test_cluster_scrape_skips_a_crashed_nodes_stale_report():
+    """A node whose tick raised has no report this tick: neither its
+    guarantee checks nor its deadline check count again."""
+    manager, plane = _scrape_demo_cluster(10, wallclock=True, crash_from=6)
+    assert manager.error_counts == {"node-1": 5}
+    # node-0 ticks 10 times, node-1 only ticks 1-5.
+    assert _checks(plane) == (90.0, 15.0)
+    assert set(manager.last_reports) == {"node-0"}

@@ -111,6 +111,38 @@ class TestRecorderMechanics:
         ticks = [f["tick"] for f in obs.recorder.frames]
         assert ticks == [6, 7, 8, 9]
 
+    def test_frame_shares_the_ledger_entry(self):
+        _, _, obs = drive_host(3)
+        for entry, frame in zip(obs.ledger.ticks, obs.recorder.frames):
+            assert frame["meta"] is entry["meta"]
+            assert frame["decisions"] is entry["decisions"]
+            assert set(frame) == {
+                "tick", "t", "registered", "samples", "timings",
+                "meta", "decisions",
+            }
+            assert frame["tick"] == entry["meta"]["tick"]
+
+    def test_vcpu_shape_map_keeps_registered_vms_only(self):
+        node, hv, ctrl = make_host(config=ControllerConfig.paper_evaluation())
+        obs = Observability.attach(
+            ctrl, ObsConfig(tracing=False, flight_recorder_ticks=2)
+        )
+        for k in range(200):
+            name = f"vm-{k}"
+            vm = hv.provision(VMTemplate("t", vcpus=2, vfreq_mhz=800.0), name)
+            vm.set_uniform_demand(0.5)
+            ctrl.register_vm(name, 800.0)
+            node.step(1.0)
+            ctrl.tick(float(k + 1))
+            assert obs._vm_vcpus == {name: 2}
+            assert obs.recorder.frames[-1]["registered"][name]["vcpus"] == 2
+            ctrl.unregister_vm(name)
+            hv.destroy(name)
+        node.step(1.0)
+        ctrl.tick(201.0)
+        assert ctrl._vm_vfreq == {}
+        assert obs._vm_vcpus == {}
+
     def test_dump_dedupes_per_newest_tick(self, tmp_path):
         rec = FlightRecorder(max_ticks=4, dump_dir=str(tmp_path))
         rec.record({"tick": 7})

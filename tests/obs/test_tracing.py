@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.obs import ObsConfig
 from repro.core.timings import STAGES
 from repro.obs.tracing import (
     Histogram,
@@ -60,25 +59,36 @@ class TestSpanTree:
         )
 
     def test_vm_and_vcpu_spans_nest(self, traced):
-        _, obs = traced
-        spans = obs.ring.by_trace(2)
-        root = next(s for s in spans if s.parent_id is None)
-        vm_spans = {s.name: s for s in spans if s.name.startswith("vm:")}
-        vcpu_spans = [s for s in spans if s.name.startswith("vcpu:")]
-        assert set(vm_spans) == {"vm:vm-0", "vm:vm-1"}
-        assert len(vcpu_spans) == 4
-        for s in vm_spans.values():
-            assert s.parent_id == root.span_id
-            assert s.attrs["vcpus"] == 2
-        for s in vcpu_spans:
-            vm = s.name.split(":", 1)[1].split("/", 1)[0]
-            assert s.parent_id == vm_spans[f"vm:{vm}"].span_id
-            assert s.attrs["allocation"] is not None
+        """The per-VM and per-vCPU facts nest in the tick's ledger entry,
+        not in spans: one row per vCPU, the VM totals in its meta."""
+        ctrl, obs = traced
+        entries = {e["meta"]["tick"]: e for e in obs.ledger.ticks}
+        for tick, report in enumerate(ctrl.reports):
+            entry = entries[tick]
+            rows = {(r["vm"], r["vcpu"]): r for r in entry["decisions"]}
+            assert len(rows) == len(report.samples) == 4
+            purchased = report.auction.purchased
+            for s in report.samples:
+                row = rows[(s.vm_name, s.vcpu_index)]
+                path = s.cgroup_path
+                assert row["consumed"] == s.consumed_cycles
+                assert row["estimate"] == \
+                    report.decisions[path].estimate_cycles
+                assert row["allocation"] == report.allocations[path]
+                assert row["purchased"] == purchased.get(path, 0.0)
+            meta = entry["meta"]
+            assert meta["wallets_after"] == report.wallets
+            assert set(meta["wallets_after"]) == {"vm-0", "vm-1"}
+            assert meta["spent_per_vm"] == report.auction.spent_per_vm
 
-    def test_per_vcpu_spans_can_be_disabled(self):
-        _, _, obs = drive_host(3, obs_config=ObsConfig(per_vcpu_spans=False))
-        names = {s.name.split(":", 1)[0] for s in obs.ring.spans}
-        assert names == {"tick", "stage"}
+    def test_per_vcpu_spans_can_be_disabled(self, traced):
+        """No per-VM or per-vCPU span is ever emitted: each tick's trace
+        is exactly the root plus the six stage spans, seven in all."""
+        _, obs = traced
+        stage_names = [f"stage:{st}" for st in STAGES]
+        for tick in range(TICKS):
+            spans = obs.ring.by_trace(tick)
+            assert [s.name for s in spans] == ["tick"] + stage_names
 
 
 class TestHistograms:

@@ -5,10 +5,8 @@ import pytest
 
 from repro.obs.tsdb import (
     S_BACKEND_ERRORS,
-    S_BACKEND_OPS,
     S_GUARANTEE_BAD,
     S_GUARANTEE_CHECKS,
-    S_TICK_SECONDS,
     Series,
     SeriesStore,
 )
@@ -129,21 +127,6 @@ class TestSeriesStore:
         assert store.quantile("nope", 0.5, 8) == 0.0
 
 
-class _FakeTimings:
-    def __init__(self, total):
-        self.total = total
-        self.monitor = self.estimate = self.credits = total / 6.0
-        self.auction = self.distribute = self.enforce = total / 6.0
-
-
-class _FakeReport:
-    def __init__(self, allocations):
-        self.timings = _FakeTimings(0.01)
-        self.allocations = allocations
-        self.degraded = {}
-        self.t = 1.0
-
-
 def _row(vm, allocation, guarantee, estimate, consumed=1.0):
     """The decision-ledger fields the guarantee check reads."""
     return {"vm": vm, "consumed": consumed, "allocation": allocation,
@@ -155,34 +138,29 @@ class TestIngestReport:
         """bad = alloc < g and (estimate is None or estimate >= g)."""
         store = SeriesStore(capacity=32)
         tenants = {"vm-0": "a", "vm-1": "a", "vm-2": "b"}
-        report = _FakeReport({"/cg0": 50.0, "/cg1": 120.0, "/cg2": 90.0})
         rows = [
             _row("vm-0", 50.0, 100.0, 150.0),   # wanted >= g, got < g: bad
             _row("vm-1", 120.0, 100.0, 150.0),  # got >= g: good
             _row("vm-2", 90.0, 100.0, 80.0),    # demanded < g: not bad
         ]
-        bad, total = store.ingest_report(report, rows, tenants, node="n0")
+        bad, total = store.ingest_report(rows, tenants)
         assert (bad, total) == (1, 3)
         assert store.increase  # counters landed per tenant
         assert store.get(S_GUARANTEE_BAD, {"tenant": "a"}).last == 1.0
         assert store.get(S_GUARANTEE_CHECKS, {"tenant": "a"}).last == 2.0
         assert store.get(S_GUARANTEE_BAD, {"tenant": "b"}).last == 0.0
-        assert store.get(S_TICK_SECONDS, {"node": "n0"}).last == \
-            pytest.approx(0.01)
 
     def test_vm_without_allocation_or_guarantee_skipped(self):
         store = SeriesStore(capacity=32)
         # No allocation: the vCPU has no decision row at all.
-        assert store.ingest_report(_FakeReport({}), [], {"vm-0": "a"}) \
-            == (0, 0)
+        assert store.ingest_report([], {"vm-0": "a"}) == (0, 0)
         # No guarantee, or no fresh sample (a degraded-only path): the
         # row is not a guarantee check.
         rows = [
             _row("vm-0", 50.0, None, 150.0),
             _row("vm-1", 50.0, 100.0, None, consumed=None),
         ]
-        report = _FakeReport({"/cg0": 50.0, "/cg1": 50.0})
-        assert store.ingest_report(report, rows, {"vm-0": "a"}) == (0, 0)
+        assert store.ingest_report(rows, {"vm-0": "a"}) == (0, 0)
 
 
 class _FakeStats:
@@ -201,7 +179,6 @@ class TestIngestBackendStats:
             "read_errors": 2, "write_errors": 1,
         }), source="n0")
         assert store.get(S_BACKEND_ERRORS, {"source": "n0"}).last == 3.0
-        assert store.get(S_BACKEND_OPS, {"source": "n0"}).last == 15.0
 
 
 class TestIngestShardReader:
@@ -229,15 +206,6 @@ class TestIngestShardReader:
                 store.ingest_shard_reader(
                     reader, shard="s0", deadline_s=1.0
                 )
-            # Per-node tick seconds came through the column cache, one
-            # point per publish, matching the stage-column row sums.
-            for node_id in ("n0", "n1"):
-                series = store.get(S_TICK_SECONDS, {"node": node_id})
-                assert series is not None and series.total == 3
-                assert series.last > 0.0
-            assert store.get(S_BACKEND_OPS, {"source": "s0"}).last > 0
-            # The cache is keyed on the catalog: one group, reused.
-            assert len(store._columns) == 1
             assert store.increase("tick_deadline_checks_total", 3) == \
                 pytest.approx(4.0)  # 2 nodes x 2 increments visible
         finally:
@@ -261,18 +229,3 @@ class TestIngestBilling:
         store.ingest_billing(_Engine(), 3, node="n0")  # nothing metered
         assert store.get("revenue_usd_total", {"node": "n0"}).last == 5.0
         assert store.get("sla_credits_usd_total", {"node": "n0"}).last == 0.5
-
-
-class TestIngestRebalance:
-    def test_pressure_series(self):
-        class _Plan:
-            pressure_before_mhz = 123.5
-
-        class _Loop:
-            last_plan = _Plan()
-
-        store = SeriesStore(capacity=8)
-        store.ingest_rebalance(_Loop())
-        assert store.get("rebalance_pressure_mhz").last == 123.5
-        store.ingest_rebalance(type("L", (), {"last_plan": None})())
-        assert store.get("rebalance_pressure_mhz").total == 1
