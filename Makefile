@@ -65,7 +65,7 @@ bench-faults-smoke:
 # override the tolerance with PERF_TOLERANCE=0.40 etc.)
 bench-bulk-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_bulk.py --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
+	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
 # quick observability-overhead A/B (CI gate: a disabled hub stays
 # within noise of the bare controller and full-fidelity recording —
@@ -80,7 +80,7 @@ bench-obs-smoke:
 # BENCH_rebalance.json baseline)
 bench-rebalance-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_rebalance.py --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
+	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
 # quick cluster-plane scale pass: 64-node chaos control loop on the
 # array snapshot + 8-node threaded vs shared-memory sharded tick parity
@@ -88,14 +88,14 @@ bench-rebalance-smoke:
 # period; no gated leaf regresses against the committed baselines)
 bench-cluster-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_cluster_scale.py --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
+	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
 # quick SLO-plane scrape cost at 64 nodes (CI gates: the ingest+evaluate
 # p50 fits one control period outright and no gated leaf regresses
 # against the committed BENCH_slo.json baseline)
 bench-slo-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_slo_overhead.py --benchmark-only -q
-	PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
+	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
 # boot the /metrics endpoint on a live observed host and scrape it once,
 # then again on a 2-node in-process cluster with the SLO plane scraping
@@ -121,5 +121,5 @@ examples:
 	$(PYTHON) examples/burst_vs_vfreq.py
 
 clean:
-	rm -rf benchmarks/artefacts.log benchmarks/results .pytest_cache fuzz-repros billing-repros slo-artefacts .coverage
+	rm -rf benchmarks/artefacts.log benchmarks/smoke-results .pytest_cache fuzz-repros billing-repros slo-artefacts .coverage
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -14,12 +14,16 @@ and writes through ``write_caps`` with no dirty mask, so ``batched``
 governs both sides, while the bulk engine skips unchanged quotas with
 its own dirty mask in either mode.
 
-Two claims, both asserted:
+Three claims, all asserted:
 
 * on a steady 8 VM x 4 vCPU host the batched backend issues strictly
   fewer kernel-surface operations per tick than the seed walk;
 * batching changes *how* values are read, never the values: the full
-  report stream of the Fig. 6 scenario is identical in both modes.
+  report stream of the Fig. 6 scenario is identical in both modes;
+* under VM churn (a bulk-engine host losing one VM and gaining one
+  every few ticks) the batched backend patches its cached topology: a
+  churn tick reads ``cgroup.threads`` only for the arriving vCPUs, and
+  the report stream is still identical to the seed walk's.
 
 ``BENCH_SMOKE=1`` shrinks both runs to a few ticks for CI.
 """
@@ -161,3 +165,88 @@ def test_reports_identical_to_seed_path(once):
         f"fig.6 report stream: {len(seed_reports)} iterations identical "
         f"between seed walk and batched backend"
     )
+
+
+# -- churn: the cached topology is patched, not re-walked -------------------------
+
+#: Ticks of the churn leg; every CHURN_EVERY-th one is a churn tick.
+CHURN_TICKS = 9 if SMOKE else 45
+CHURN_EVERY = 3
+
+
+def _churn_run(batched):
+    """A bulk-engine host that loses its oldest VM and gains a new one
+    every CHURN_EVERY ticks.  Returns the report signatures and, per
+    churn tick, (arriving vCPUs, vCPUs on the host, backend stats
+    delta)."""
+    node = Node(CHETEMI, cgroup_version=CgroupVersion.V2, seed=3)
+    hypervisor = Hypervisor(node)
+    controller = VirtualFrequencyController(
+        node.fs,
+        node.procfs,
+        node.sysfs,
+        num_cpus=node.spec.logical_cpus,
+        fmax_mhz=node.spec.fmax_mhz,
+        config=ControllerConfig.paper_evaluation(engine="bulk"),
+    )
+    controller.backend.batched = batched
+
+    def arrive(k):
+        # "churn-10" sorts between "churn-1" and "churn-2": arrivals
+        # land mid-order, not only at the end of the slot list.
+        vm = hypervisor.provision(TEMPLATE, f"churn-{k}")
+        controller.register_vm(vm.name, TEMPLATE.vfreq_mhz)
+        attach(vm, ConstantWorkload(VCPUS, level=1.0 if k % 2 == 0 else 0.1))
+
+    for k in range(NUM_VMS):
+        arrive(k)
+    sim = Simulation(node, hypervisor, controller=controller, dt=0.5)
+    sim.run(2.0)  # cold walk, then the steady fast path
+    churn = []
+    for tick in range(CHURN_TICKS):
+        arriving = 0
+        if tick % CHURN_EVERY == 0:
+            wave = tick // CHURN_EVERY
+            hypervisor.destroy(f"churn-{wave}")
+            controller.unregister_vm(f"churn-{wave}")
+            arrive(NUM_VMS + wave)
+            arriving = VCPUS
+        before = controller.backend.stats.copy()
+        sim.run(1.0)
+        if arriving:
+            on_host = sum(len(vm.vcpus) for vm in hypervisor.vms)
+            churn.append((arriving, on_host, controller.backend.stats - before))
+    return [_report_signature(r) for r in controller.reports], churn
+
+
+def test_churn_patches_topology(once):
+    """A churn tick reads ``cgroup.threads`` only for the arriving
+    vCPUs, with a report stream bit-identical to the seed walk's."""
+
+    def run():
+        return _churn_run(batched=False), _churn_run(batched=True)
+
+    (seed_reports, seed_churn), (batched_reports, batched_churn) = once(run)
+    assert len(seed_reports) == len(batched_reports) > 0
+    for seed_sig, batched_sig in zip(seed_reports, batched_reports):
+        assert seed_sig == batched_sig
+
+    rows = []
+    for (arriving, on_host, seed), (_, _, batched) in zip(seed_churn, batched_churn):
+        # Every sampled vCPU costs one cpu.stat read; anything beyond
+        # that is a cgroup.threads read.
+        threads_reads = batched.fs_reads - on_host
+        rows.append([str(on_host), str(arriving), str(seed.fs_reads),
+                     str(batched.fs_reads), str(threads_reads),
+                     str(batched.fs_listdirs), str(batched.topology_rescans)])
+        assert batched.topology_rescans == 0
+        assert threads_reads == arriving
+        assert batched.fs_listdirs == 2  # the slice + the arriving VM
+    assert batched_churn
+    emit(render_table(
+        ["vCPUs", "arriving", "seed fs reads", "batched fs reads",
+         "cgroup.threads reads", "batched listdirs", "rescans"],
+        rows,
+        title=f"backend churn ticks, {NUM_VMS} VMs x {VCPUS} vCPUs, "
+              f"one VM out + one in every {CHURN_EVERY} ticks",
+    ))

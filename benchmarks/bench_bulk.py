@@ -15,9 +15,10 @@ Two measurements back the bulk-array backend API (docs/api.md):
    cost several milliseconds per tick here, which the gate catches.
 
 All land in ``benchmarks/results/BENCH_controller.json`` (sections
-``bulk``/``tick10k``/``auction``, ``*_smoke`` variants under
-``BENCH_SMOKE=1``) and are gated against the committed repo-root
-baseline by ``check_perf_regression.py``.
+``bulk``/``tick10k``/``auction``; the ``*_smoke`` variants under
+``BENCH_SMOKE=1`` go to the gitignored ``benchmarks/smoke-results/``)
+and are gated against the committed repo-root baseline by
+``check_perf_regression.py``.
 """
 
 import json

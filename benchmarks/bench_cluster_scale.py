@@ -20,7 +20,8 @@ rebalance views and the vectorized planner fast path:
    with the curve.  Lands in ``benchmarks/results/BENCH_controller.json``.
 
 Both sections (and their ``*_smoke`` twins under ``BENCH_SMOKE=1``, the
-``make bench-cluster-smoke`` gate) are compared against the committed
+``make bench-cluster-smoke`` gate, which land in the same file names
+under ``benchmarks/smoke-results/``) are compared against the committed
 repo-root baselines by ``check_perf_regression.py``; every
 ``*_seconds_per_tick`` / ``*_seconds_per_round`` leaf is gated.
 """

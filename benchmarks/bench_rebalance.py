@@ -12,7 +12,8 @@ and chaos streams — the only difference is whether the
 comparison isolates the control plane.  Results land in
 ``benchmarks/results/BENCH_rebalance.json``: the full 200-node section
 as ``chaos200``, the 8-node CI smoke section as ``chaos_smoke``
-(``BENCH_SMOKE=1``, the ``make bench-rebalance-smoke`` gate).  The
+(``BENCH_SMOKE=1``, the ``make bench-rebalance-smoke`` gate, written to
+``benchmarks/smoke-results/BENCH_rebalance.json`` instead).  The
 ``planner_seconds_per_round`` leaf is gated by
 ``check_perf_regression.py`` against the committed repo-root
 ``BENCH_rebalance.json`` baseline.

@@ -11,7 +11,8 @@ through a real :class:`ShardTelemetryWriter`/``Reader`` pair and times
 
 Results land in ``benchmarks/results/BENCH_slo.json``: the full
 1000-node section as ``slo1000``, the 64-node CI smoke section as
-``slo_smoke`` (``BENCH_SMOKE=1``, the ``make bench-slo-smoke`` gate).
+``slo_smoke`` (``BENCH_SMOKE=1``, the ``make bench-slo-smoke`` gate,
+written to ``benchmarks/smoke-results/BENCH_slo.json`` instead).
 The ``observe_p50_seconds_per_tick`` leaf is gated relatively by
 ``check_perf_regression.py`` against the committed repo-root
 ``BENCH_slo.json`` baseline AND carries a hard budget: the p50 scrape

@@ -1,7 +1,8 @@
 """Fail if a gated timing got slower than its committed baseline.
 
-Compares each fresh ``benchmarks/results/BENCH_*.json`` (written by the
-benches) against the matching repo-root ``BENCH_*.json`` baseline that
+Compares each fresh ``BENCH_*.json`` written by the benches — under
+``benchmarks/smoke-results/`` when ``BENCH_SMOKE=1`` is set (the CI
+smoke targets), else under ``benchmarks/results/`` — against the matching repo-root ``BENCH_*.json`` baseline that
 ships with the tree — ``BENCH_controller.json`` for the engine benches
 (``bench_bulk.py``, ``bench_cluster_scale.py``'s node curve), ``BENCH_rebalance.json`` for the rebalance control plane
 (``bench_rebalance.py``, ``bench_cluster_scale.py``'s chaos1000),
@@ -34,7 +35,10 @@ import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS = REPO_ROOT / "benchmarks" / "results"
+#: Where the benches just wrote (see ``benchmarks/conftest.results_path``).
+RESULTS = REPO_ROOT / "benchmarks" / (
+    "smoke-results" if os.environ.get("BENCH_SMOKE") else "results"
+)
 
 #: (committed baseline, fresh results) pairs; checked when both exist
 PAIRS = [
@@ -138,7 +142,7 @@ def main() -> int:
 
     if checked == 0:
         print(
-            "perf check: no fresh results under benchmarks/results/ "
+            f"perf check: no fresh results under {RESULTS} "
             "(run a bench first)",
             file=sys.stderr,
         )

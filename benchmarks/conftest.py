@@ -8,6 +8,7 @@ micro-benches (controller overhead) use normal benchmark rounds.
 
 from __future__ import annotations
 
+import os
 import pathlib
 import sys
 
@@ -19,10 +20,16 @@ ARTEFACT_LOG = pathlib.Path(__file__).parent / "artefacts.log"
 #: CSV exports of every figure's underlying data land here.
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
+#: Smoke runs (``BENCH_SMOKE=1``) write here instead: a gitignored
+#: directory, so a CI smoke target never rewrites the curated exports
+#: above.  ``check_perf_regression.py`` reads the same place.
+SMOKE_RESULTS_DIR = pathlib.Path(__file__).parent / "smoke-results"
+
 
 def results_path(name: str) -> pathlib.Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR / name
+    base = SMOKE_RESULTS_DIR if os.environ.get("BENCH_SMOKE") else RESULTS_DIR
+    base.mkdir(parents=True, exist_ok=True)
+    return base / name
 
 
 def emit(text: str) -> None:

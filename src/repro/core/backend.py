@@ -14,9 +14,9 @@ against one node's kernel surfaces and batches them:
   ``readdir`` of the machine slice (the churn guard), one ``cpu.stat``
   read and one ``/proc/<tid>/stat`` read per vCPU, and one
   ``scaling_cur_freq`` read per *distinct core* — ``cgroup.threads``
-  is never re-read while the topology is stable.  The map is
-  invalidated on VM churn (register/unregister, a changed VM set, or a
-  teardown race observed mid-scan).
+  is never re-read while the topology is stable.  On VM churn
+  (register/unregister, a changed VM set, or a teardown race observed
+  mid-scan) this list path re-walks every VM.
 * :meth:`sample_all` — the bulk-array spelling of the same pass: one
   :class:`SampleBatch` of NumPy columns in a stable slot order (the
   cached topology order, shared with :class:`~repro.core.soa.VcpuTable`).
@@ -25,7 +25,11 @@ against one node's kernel surfaces and batches them:
   read — with no per-vCPU string parse; it degrades to the list-based
   scan whenever the topology is unknown, the cgroup hierarchy is v1, or
   a fault plan is armed (faults inject at the per-file seam, which the
-  handle path would bypass).
+  handle path would bypass).  VM churn does not cost it a full walk: the
+  cached topology is patched from the last handle cache, walking only
+  the VMs that are new or whose cgroup changed (one ``readdir`` plus one
+  ``cgroup.threads`` read per vCPU) and dropping the departed VMs' slots,
+  so churn costs scale with the VMs that changed.
 * :meth:`write_caps` — the one cap-write pass for both engines:
   coalesced ``cpu.max`` (v1: quota/period) writes over parallel
   path/quota columns that skip values already in place, so a converged
@@ -303,18 +307,24 @@ class HostBackend:
     # -- topology cache ---------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop the cached tid→cgroup map (call on VM churn)."""
+        """Mark the cached tid→cgroup map stale (call on VM churn).
+
+        The list path re-walks every VM on its next pass.  The bulk fast
+        path patches the map from its last handle cache instead: VMs
+        whose cgroups are unchanged keep their slots, and only new or
+        recreated VMs are walked.
+        """
         self._topology = None
         self._topology_vms = None
-        self._bulk_handles = None
 
     def forget_usage(self, vcpu_path: str) -> None:
         """Drop the usage baseline for a vCPU cgroup.
 
         The cgroup may still exist (the caller is only resetting its
-        monitoring state), so the topology cache is invalidated rather
-        than edited — the next sample re-walks and rediscovers whatever
-        is actually on disk.
+        monitoring state), so the topology is marked stale rather than
+        edited — the next sample rediscovers whatever is actually on
+        disk, and a surviving row reads "no previous sample" (0
+        consumed), exactly as after a full walk.
         """
         self._prev_usage.pop(vcpu_path, None)
         self.invalidate()
@@ -541,10 +551,11 @@ class HostBackend:
 
         Identical values to :meth:`read_vcpu_samples` on the same node
         state.  The fast path amortises the per-vCPU work into a few
-        array operations over cached cgroup/proc handles; whenever the
-        topology is unknown (first tick, churn, teardown race), the
-        hierarchy is v1, or direct I/O is vetoed (armed fault plan),
-        the batch is built from the list-based scan instead.
+        array operations over cached cgroup/proc handles and patches
+        the topology on VM churn; whenever the topology is unknown
+        (first tick, teardown race, failed patch), the hierarchy is v1,
+        or direct I/O is vetoed (armed fault plan), the batch is built
+        from the list-based scan instead.
         """
         period_s = self._begin_sample_batch(period_s)
         if (
@@ -557,18 +568,28 @@ class HostBackend:
             batch = self._sample_all_fast(period_s)
             if batch is not None:
                 return batch
+            # The scan re-walks from scratch; a stale handle cache is no
+            # base to patch from later.
+            self._bulk_handles = None
         return SampleBatch.from_samples(self._read_samples(period_s), period_s)
 
     def _sample_all_fast(self, period_s: float) -> Optional[SampleBatch]:
         """Array sampling over cached handles; ``None`` → use the scan."""
-        topo = self._topology
-        if topo is None or not self.fs.exists(self.machine_slice):
+        cache = self._bulk_handles
+        if self._topology is None and cache is None:
             return None
-        # Churn guard, same single readdir as the list path.
-        if self.listdir(self.machine_slice) != self._topology_vms:
+        if not self.fs.exists(self.machine_slice):
+            return None
+        # Churn guard, same single readdir as the list path.  A changed
+        # listing (or an invalidate() since the last batch) patches the
+        # topology from the last handle cache instead of re-walking.
+        vm_names = self.listdir(self.machine_slice)
+        if vm_names != self._topology_vms and (
+            cache is None or not self._patch_topology(cache, vm_names)
+        ):
             self.invalidate()
             return None
-        cache = self._bulk_handles
+        topo = self._topology
         if cache is None or cache["topo"] is not topo:
             cache = self._build_bulk_handles(topo)
             if cache is None:
@@ -623,6 +644,59 @@ class HostBackend:
             core_freq_mhz=core_freq_mhz,
             vfreq_mhz=share * core_freq_mhz,
         )
+
+    def _patch_topology(self, cache: Dict[str, Any], vm_names: List[str]) -> bool:
+        """Re-point the cached topology at the machine-slice listing
+        ``vm_names``, starting from the topology ``cache`` was built for.
+
+        A listed VM whose cgroup node and vCPU nodes are still the
+        cached ones keeps its slots; every other listed VM (new, or
+        recreated under the same name) is walked with one ``readdir``
+        and one ``cgroup.threads`` read per vCPU; the departed VMs'
+        slots are dropped.  Slots come out in full-walk order, so
+        ``paths`` and every sample-order reduction are unchanged.
+        Returns ``False`` (the caller falls back to the full walk) on
+        any ``OSError`` or a vCPU with no thread yet.
+        """
+        kept: Dict[str, List[VCpuSlot]] = {}
+        changed = set()
+        slots: List[VCpuSlot] = []
+        try:
+            children = self.fs.node(self.machine_slice).children
+            for slot, (vm_node, child, vcpu_node) in zip(
+                cache["topo"], cache["entries"]
+            ):
+                kept.setdefault(slot.vm_name, []).append(slot)
+                if (
+                    children.get(slot.vm_name) is not vm_node
+                    or vm_node.children.get(child) is not vcpu_node
+                ):
+                    changed.add(slot.vm_name)
+            for vm_name in vm_names:
+                if vm_name in kept and vm_name not in changed:
+                    slots.extend(kept[vm_name])
+                    continue
+                vm_path = f"{self.machine_slice}/{vm_name}"
+                for child in self.listdir(vm_path):
+                    if not child.startswith("vcpu"):
+                        continue
+                    vcpu_path = f"{vm_path}/{child}"
+                    tid = self._read_tid(vcpu_path)
+                    if tid is None:
+                        return False
+                    slots.append(
+                        VCpuSlot(
+                            vm_name=vm_name,
+                            vcpu_index=int(child[len("vcpu"):]),
+                            cgroup_path=vcpu_path,
+                            tid=tid,
+                        )
+                    )
+        except OSError:
+            return False
+        self._topology = slots
+        self._topology_vms = vm_names
+        return True
 
     def _build_bulk_handles(self, topo: List[VCpuSlot]) -> Optional[Dict[str, Any]]:
         """Resolve per-slot cgroup handles once per stable topology."""

@@ -13,8 +13,10 @@ For every vCPU cgroup under the KVM machine slice:
 
 All kernel-surface traffic goes through a
 :class:`~repro.core.backend.HostBackend`, which batches it: the
-tid→cgroup map is cached across iterations (invalidated on VM churn)
-and per-core frequency reads are deduplicated within a pass — see the
+tid→cgroup map is cached across iterations (re-walked on VM churn by
+this list path, patched for the changed VMs only by the bulk
+``sample_all`` path) and per-core frequency reads are deduplicated
+within a pass — see the
 backend module for the §IV-A2 motivation.  ``Monitor`` remains as the
 stage-1 facade; constructing it from raw ``CgroupFS``/``ProcFS``/
 ``CpuFreqSysFS`` handles wraps them in a private backend.

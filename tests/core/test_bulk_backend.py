@@ -12,20 +12,30 @@ spelling.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.backend import HostBackend, SampleBatch
 from repro.core.config import ControllerConfig
 from repro.core.controller import VirtualFrequencyController
+from repro.core.monitor import Monitor
 from repro.core.snapshot import restore, snapshot
 from repro.faults import ControllerCrash, FaultInjector, FaultPlan, FaultSpec
 from repro.faults.plan import FAULT_KINDS
+from repro.hw.node import Node
+from repro.hw.nodespecs import CHETEMI
+from repro.virt.hypervisor import Hypervisor
 from repro.virt.template import VMTemplate
 from repro.workloads.base import attach
 from repro.workloads.synthetic import ConstantWorkload
-from tests.conftest import make_host
+from tests.conftest import TINY, make_host
 
 TMPL = VMTemplate("pair", vcpus=2, vfreq_mhz=1100.0)
 ENF_US = 100_000
+CHURN_OPS = (
+    "provision", "destroy", "recreate", "reregister", "set_vfreq",
+    "forget", "reset", "tick",
+)
 
 
 def _host(seed=11, plan=None):
@@ -232,3 +242,155 @@ class TestSnapshotRestoreParity:
             dy = {p: (d.estimate_cycles, d.trend, d.case)
                   for p, d in ry.decisions.items()}
             assert dx == dy
+
+
+class TestChurnPatch:
+    """VM churn patches the fast path's cached topology: only the VMs
+    that changed are walked, and every batch stays bit-identical to a
+    full walk of the same node state."""
+
+    def test_churn_cost_scales_with_changed_vms(self):
+        node = Node(CHETEMI, seed=5)
+        hv = Hypervisor(node)
+        ctrl = VirtualFrequencyController(
+            node.fs, node.procfs, node.sysfs,
+            num_cpus=node.spec.logical_cpus,
+            fmax_mhz=node.spec.fmax_mhz,
+            config=ControllerConfig.paper_evaluation(engine="bulk"),
+        )
+        for k in range(20):
+            vm = hv.provision(TMPL, f"vm-{k}")
+            attach(vm, ConstantWorkload(2, level=0.5))
+            ctrl.register_vm(vm.name, TMPL.vfreq_mhz)
+        t = 0.0
+
+        def tick_delta():
+            nonlocal t
+            t += 1.0
+            node.step(1.0)
+            before = ctrl.backend.stats.copy()
+            ctrl.tick(t)
+            return ctrl.backend.stats - before
+
+        for _ in range(3):
+            tick_delta()  # cold walk, then steady state
+        steady = tick_delta()
+        assert (steady.topology_rescans, steady.fs_listdirs) == (0, 1)
+        assert steady.fs_reads == 40
+
+        # "vm-20" sorts between "vm-2" and "vm-3": a mid-order insert.
+        vm = hv.provision(TMPL, "vm-20")
+        attach(vm, ConstantWorkload(2, level=0.5))
+        ctrl.register_vm(vm.name, TMPL.vfreq_mhz)
+        arrive = tick_delta()
+        assert arrive.topology_rescans == 0
+        assert arrive.fs_listdirs == 2  # slice + the new VM only
+        assert arrive.fs_reads == 42 + 2  # cpu.stat each + 2 cgroup.threads
+
+        hv.destroy("vm-7")
+        ctrl.unregister_vm("vm-7")
+        depart = tick_delta()
+        assert depart.topology_rescans == 0
+        assert depart.fs_listdirs == 1
+        assert depart.fs_reads == 40  # cpu.stat only, no cgroup.threads
+        assert len(ctrl.reports[-1].samples) == 40
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(CHURN_OPS),
+                st.integers(0, 1_000),
+                st.sampled_from((1, 2, 12)),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    def test_patched_batches_match_full_walk(self, ops):
+        node = Node(TINY, seed=3)
+        hv = Hypervisor(node, enforce_admission=False)
+        fast = HostBackend(node.fs, node.procfs, node.sysfs)
+        walk = HostBackend(node.fs, node.procfs, node.sysfs)
+        backends = (fast, walk)
+        live = []
+
+        def provision(name, vcpus):
+            vm = hv.provision(
+                VMTemplate("churn", vcpus=vcpus, vfreq_mhz=100.0, memory_mb=1),
+                name,
+            )
+            attach(vm, ConstantWorkload(vcpus, level=0.5))
+            return vm
+
+        def unregister(vm):
+            # What VirtualFrequencyController.unregister_vm tells a backend.
+            for b in backends:
+                for vcpu in vm.vcpus:
+                    b.forget_vcpu(vcpu.cgroup_path)
+                b.invalidate()
+
+        def register():
+            for b in backends:
+                b.invalidate()
+
+        def tick_and_compare():
+            node.step(1.0)
+            got = fast.sample_all(1.0)
+            walk.invalidate()
+            walk._bulk_handles = None
+            want = walk.sample_all(1.0)
+            assert got.paths == want.paths
+            assert got.vm_names == want.vm_names
+            # usage_usec is left out: the scan that builds the full-walk
+            # batch does not fill it (nothing downstream reads it).
+            for col in ("vcpu_indices", "tids", "consumed", "cores",
+                        "core_freq_mhz", "vfreq_mhz"):
+                assert [float(x).hex() for x in getattr(got, col)] == [
+                    float(x).hex() for x in getattr(want, col)
+                ], col
+
+        # Most drawn names sort before "vm-8", so arrivals land
+        # mid-order; "vm-8"'s vcpu10 sorts before its vcpu2.
+        live += [provision("vm-2", 2), provision("vm-8", 12)]
+        tick_and_compare()  # cold walk
+        tick_and_compare()  # handle cache built
+        for op, pick, vcpus, flag in ops:
+            vm = live[pick % len(live)] if live else None
+            if op == "provision":
+                # A drawn name sorts anywhere among the live ones.
+                if f"vm-{pick}" not in {v.name for v in live}:
+                    live.append(provision(f"vm-{pick}", vcpus))
+                    if flag:
+                        register()
+            elif vm is None:
+                pass
+            elif op == "destroy":
+                hv.destroy(vm.name)
+                live.remove(vm)
+                if flag:
+                    unregister(vm)
+            elif op == "recreate":
+                # Destroy and re-provision under the same name between
+                # two ticks; the new cgroups are new nodes.
+                hv.destroy(vm.name)
+                unregister(vm)
+                live[live.index(vm)] = provision(vm.name, vcpus)
+                register()
+            elif op == "reregister":
+                unregister(vm)
+                register()
+            elif op == "set_vfreq":
+                register()
+            elif op == "forget":
+                path = vm.vcpus[pick % len(vm.vcpus)].cgroup_path
+                for b in backends:
+                    b.forget_usage(path)
+            elif op == "reset":
+                for b in backends:
+                    Monitor(b).reset()
+            tick_and_compare()
+        assert walk.stats.topology_rescans == len(ops) + 2
+        # Every churn step above was patched, none re-walked.
+        assert fast.stats.topology_rescans == 1
