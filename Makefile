@@ -2,6 +2,10 @@
 
 PYTHON ?= python
 
+# Smoke-bench output (BENCH_SMOKE=1).  Every bench-*-smoke target empties
+# it first, so check_perf_regression.py gates only what that target wrote.
+SMOKE_RESULTS = benchmarks/smoke-results
+
 .PHONY: install test coverage fuzz-smoke fuzz-long billing-smoke slo-smoke bench bench-smoke bench-faults-smoke bench-bulk-smoke bench-obs-smoke bench-rebalance-smoke bench-cluster-smoke bench-slo-smoke obs-smoke examples figures clean
 
 install:
@@ -49,12 +53,14 @@ bench:
 # backend must issue strictly fewer fs ops/tick than the seed walk, with
 # a bit-identical report stream)
 bench-smoke:
+	rm -rf $(SMOKE_RESULTS)
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_backend_batching.py --benchmark-only -q
 
 # quick chaos drill (CI gate: under the standard fault mix + one crash
 # the control plane never dies unrecovered, healthy nodes tick every
 # period, and occluded vCPUs hold their Eq. 2 guarantee)
 bench-faults-smoke:
+	rm -rf $(SMOKE_RESULTS)
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_fault_resilience.py --benchmark-only -q
 
 # quick scalar-vs-bulk engine bench (CI gates: the report streams stay
@@ -64,6 +70,7 @@ bench-faults-smoke:
 # dense-host single-process tick fits inside one 1 s control period;
 # override the tolerance with PERF_TOLERANCE=0.40 etc.)
 bench-bulk-smoke:
+	rm -rf $(SMOKE_RESULTS)
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_bulk.py --benchmark-only -q
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
@@ -72,6 +79,7 @@ bench-bulk-smoke:
 # spans + ledger + flight frames — fits inside 5% of one control
 # period per tick)
 bench-obs-smoke:
+	rm -rf $(SMOKE_RESULTS)
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_obs_overhead.py --benchmark-only -q
 
 # quick chaos+churn rebalancer A/B on 8 nodes (CI gates: the rebalancer
@@ -79,6 +87,7 @@ bench-obs-smoke:
 # the planner round cost may not regress against the committed
 # BENCH_rebalance.json baseline)
 bench-rebalance-smoke:
+	rm -rf $(SMOKE_RESULTS)
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_rebalance.py --benchmark-only -q
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
@@ -87,6 +96,7 @@ bench-rebalance-smoke:
 # (CI gates: snapshot+plan p50 and the sharded shm tick fit one control
 # period; no gated leaf regresses against the committed baselines)
 bench-cluster-smoke:
+	rm -rf $(SMOKE_RESULTS)
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_cluster_scale.py --benchmark-only -q
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
@@ -94,6 +104,7 @@ bench-cluster-smoke:
 # p50 fits one control period outright and no gated leaf regresses
 # against the committed BENCH_slo.json baseline)
 bench-slo-smoke:
+	rm -rf $(SMOKE_RESULTS)
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_slo_overhead.py --benchmark-only -q
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
@@ -121,5 +132,5 @@ examples:
 	$(PYTHON) examples/burst_vs_vfreq.py
 
 clean:
-	rm -rf benchmarks/artefacts.log benchmarks/smoke-results .pytest_cache fuzz-repros billing-repros slo-artefacts .coverage
+	rm -rf benchmarks/artefacts.log $(SMOKE_RESULTS) .pytest_cache fuzz-repros billing-repros slo-artefacts .coverage
 	find . -name __pycache__ -type d -exec rm -rf {} +

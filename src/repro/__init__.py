@@ -23,7 +23,8 @@ The package layers (bottom-up): ``repro.cgroups`` (simulated cgroupfs),
 ``repro.virt`` (KVM-like hypervisor), ``repro.workloads`` (Phoronix-like
 benchmarks), ``repro.core`` (the paper's virtual frequency controller),
 ``repro.placement`` (BestFit/FirstFit with the Eq. 7 constraint),
-``repro.sim`` (engine + the paper's scenarios) and ``repro.analysis``.
+``repro.sim`` (engine + the paper's scenarios) and ``repro.analysis``
+(terminal charts for the CLI).
 """
 
 from repro.cgroups import CgroupFS, CgroupVersion

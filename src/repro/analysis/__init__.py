@@ -1,20 +1,8 @@
-"""Time-series and statistics helpers used by tests and benches."""
+"""Terminal rendering helpers for the CLI and examples."""
 
-from repro.analysis.series import moving_average, plateau_segments, settling_time
-from repro.analysis.stats import relative_error, summarize, within_band
 from repro.analysis.ascii_chart import AsciiChart, chart_time_series
-from repro.analysis.sla import SlaReport, SlaRecord, evaluate_sla
 
 __all__ = [
-    "moving_average",
-    "plateau_segments",
-    "settling_time",
-    "relative_error",
-    "summarize",
-    "within_band",
     "AsciiChart",
     "chart_time_series",
-    "SlaReport",
-    "SlaRecord",
-    "evaluate_sla",
 ]

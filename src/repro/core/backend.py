@@ -108,7 +108,6 @@ class SampleBatch:
     vm_names: List[str]
     vcpu_indices: np.ndarray  # int64
     tids: np.ndarray  # int64
-    usage_usec: np.ndarray  # float64, absolute counters
     consumed: np.ndarray  # float64, u_{i,j,t} µs over the period
     cores: np.ndarray  # int64
     core_freq_mhz: np.ndarray  # float64
@@ -147,7 +146,6 @@ class SampleBatch:
                 (s.vcpu_index for s in samples), dtype=np.int64, count=n
             ),
             tids=np.fromiter((s.tid for s in samples), dtype=np.int64, count=n),
-            usage_usec=np.zeros(n, dtype=np.float64),
             consumed=np.fromiter(
                 (s.consumed_cycles for s in samples), dtype=np.float64, count=n
             ),
@@ -638,7 +636,6 @@ class HostBackend:
             vm_names=cache["vms"],
             vcpu_indices=cache["vcpu_idx"],
             tids=cache["tids"],
-            usage_usec=usage,
             consumed=consumed,
             cores=cores,
             core_freq_mhz=core_freq_mhz,

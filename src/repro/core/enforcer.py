@@ -61,16 +61,6 @@ class Enforcer:
             list(allocations), quotas, self.config.enforcement_period_us
         )
 
-    def apply_one(self, vcpu_path: str, cycles: float) -> int:
-        """Cap one vCPU at ``cycles`` per controller period."""
-        if cycles < 0:
-            raise ValueError(f"negative allocation for {vcpu_path}: {cycles}")
-        quota = self.quota_us(cycles)
-        self.backend.write_cap_one(
-            vcpu_path, quota, self.config.enforcement_period_us
-        )
-        return quota
-
     def uncap(self, vcpu_path: str) -> None:
         """Remove the bandwidth limit (configuration A / teardown)."""
         self.backend.uncap(vcpu_path, self.config.enforcement_period_us)

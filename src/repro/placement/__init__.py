@@ -15,9 +15,7 @@ from repro.placement.request import PlacementRequest, expand_requests
 from repro.placement.constraints import (
     Constraint,
     CoreSplittingConstraint,
-    MemoryConstraint,
     VcpuCountConstraint,
-    CompositeConstraint,
 )
 from repro.placement.firstfit import FirstFit
 from repro.placement.bestfit import BestFit
@@ -33,9 +31,7 @@ __all__ = [
     "expand_requests",
     "Constraint",
     "CoreSplittingConstraint",
-    "MemoryConstraint",
     "VcpuCountConstraint",
-    "CompositeConstraint",
     "FirstFit",
     "BestFit",
     "Placement",

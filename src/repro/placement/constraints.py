@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 from repro.hw.nodespecs import NodeSpec
 from repro.placement.request import PlacementRequest
@@ -27,13 +27,11 @@ class NodeUsage:
 
     vcpus: int = 0
     demand_mhz: float = 0.0
-    memory_mb: int = 0
     vms: List[PlacementRequest] = field(default_factory=list)
 
     def add(self, request: PlacementRequest) -> None:
         self.vcpus += request.vcpus
         self.demand_mhz += request.demand_mhz
-        self.memory_mb += request.memory_mb
         self.vms.append(request)
 
 
@@ -89,31 +87,3 @@ class CoreSplittingConstraint(Constraint):
 
     def headroom(self, spec: NodeSpec, usage: NodeUsage) -> float:
         return self.capacity(spec) - usage.demand_mhz
-
-
-@dataclass(frozen=True)
-class MemoryConstraint(Constraint):
-    """RAM capacity rule (the paper assumes memory is plentiful; §V)."""
-
-    def fits(self, spec: NodeSpec, usage: NodeUsage, request: PlacementRequest) -> bool:
-        return usage.memory_mb + request.memory_mb <= spec.memory_mb
-
-    def headroom(self, spec: NodeSpec, usage: NodeUsage) -> float:
-        return float(spec.memory_mb - usage.memory_mb)
-
-
-@dataclass(frozen=True)
-class CompositeConstraint(Constraint):
-    """All sub-constraints must hold; headroom follows the first one."""
-
-    parts: Sequence[Constraint]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("CompositeConstraint needs at least one part")
-
-    def fits(self, spec: NodeSpec, usage: NodeUsage, request: PlacementRequest) -> bool:
-        return all(p.fits(spec, usage, request) for p in self.parts)
-
-    def headroom(self, spec: NodeSpec, usage: NodeUsage) -> float:
-        return self.parts[0].headroom(spec, usage)

@@ -8,7 +8,9 @@ a template mix) hits a cluster; an admission rule decides placement; the
 controller (or its absence) decides what the accepted VMs actually get.
 
 Outputs per policy: acceptance rate, and the SLA outcome of accepted
-VMs (via :mod:`repro.analysis.sla`).
+VMs: a VM-period is checked when a vCPU asks for at least its
+guarantee, and starved when one such vCPU is delivered less than 98 %
+of it (:meth:`CloudOperator._check_sla_warm`).
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ from repro.virt.vm import VMInstance, VCpu
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.burst import BurstPolicy, BurstVMController
 from repro.virt.vmdfs import VmdfsController
-from repro.virt.deflation import DeflationController
 
 __all__ = [
     "VMTemplate",
@@ -19,5 +18,4 @@ __all__ = [
     "BurstPolicy",
     "BurstVMController",
     "VmdfsController",
-    "DeflationController",
 ]

@@ -16,7 +16,7 @@ controller can guarantee.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.hw.node import MACHINE_SLICE, Node
 from repro.sched.entity import SchedEntity
@@ -113,17 +113,3 @@ class Hypervisor:
         for name, vm in self._vms.items():
             out[name] = [v.cgroup_path for v in vm.vcpus]
         return out
-
-
-def provision_fleet(
-    hypervisor: Hypervisor,
-    template: VMTemplate,
-    count: int,
-    *,
-    prefix: Optional[str] = None,
-) -> List[VMInstance]:
-    """Provision ``count`` identical VMs named ``<prefix>-<k>``."""
-    prefix = prefix or template.name
-    return [
-        hypervisor.provision(template, f"{prefix}-{k}") for k in range(count)
-    ]

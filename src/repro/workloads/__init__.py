@@ -19,12 +19,10 @@ from repro.workloads.synthetic import (
     BurstyWorkload,
     ConstantWorkload,
     IdleWorkload,
-    RampWorkload,
     SineWorkload,
     StepWorkload,
 )
-from repro.workloads.trace import TraceRecorder, TraceWorkload
-from repro.workloads.suite import BenchmarkSuite, RunResult, SuiteResult
+from repro.workloads.trace import TraceWorkload
 from repro.workloads.webserver import WebServerWorkload
 
 __all__ = [
@@ -35,14 +33,9 @@ __all__ = [
     "OpenSSLSpeed",
     "ConstantWorkload",
     "StepWorkload",
-    "RampWorkload",
     "SineWorkload",
     "BurstyWorkload",
     "IdleWorkload",
-    "TraceRecorder",
     "TraceWorkload",
-    "BenchmarkSuite",
-    "RunResult",
-    "SuiteResult",
     "WebServerWorkload",
 ]

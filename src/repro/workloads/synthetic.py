@@ -1,15 +1,14 @@
 """Synthetic demand generators for tests and ablation benches.
 
 These exercise the controller's estimator cases directly: constant
-(stable case), step (increase trigger), ramp (trend), sine (oscillation
-the damping is meant to absorb) and bursty on/off (the Burst-VM
-motivating shape).
+(stable case), step (increase trigger), sine (oscillation the damping
+is meant to absorb) and bursty on/off (the Burst-VM motivating shape).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,34 +62,6 @@ class StepWorkload(Workload):
         rel = t - self.start_time
         idx = int(np.searchsorted(self.times, rel, side="right"))
         return self.levels[idx]
-
-
-class RampWorkload(Workload):
-    """Linear ramp from ``lo`` to ``hi`` over ``duration`` seconds."""
-
-    def __init__(
-        self,
-        num_vcpus: int,
-        *,
-        lo: float = 0.0,
-        hi: float = 1.0,
-        duration: float = 60.0,
-        start_time: float = 0.0,
-    ) -> None:
-        super().__init__(num_vcpus, start_time)
-        if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
-            raise ValueError("lo/hi must be in [0, 1]")
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        self.lo = lo
-        self.hi = hi
-        self.duration = duration
-
-    def demand(self, vcpu: int, t: float) -> float:
-        if not self.started(t):
-            return 0.0
-        frac = min(1.0, (t - self.start_time) / self.duration)
-        return self.lo + (self.hi - self.lo) * frac
 
 
 class SineWorkload(Workload):
@@ -174,23 +145,3 @@ def demand_series(
     """Sample a workload's demand at the given times (test helper)."""
     return np.asarray([workload.demand(vcpu, float(t)) for t in times])
 
-
-def make_phased(
-    num_vcpus: int,
-    pattern: str,
-    *,
-    start_time: float = 0.0,
-    seed: Optional[int] = None,
-) -> Workload:
-    """Small factory used by ablation benches: name -> workload."""
-    if pattern == "constant":
-        return ConstantWorkload(num_vcpus, level=1.0, start_time=start_time)
-    if pattern == "half":
-        return ConstantWorkload(num_vcpus, level=0.5, start_time=start_time)
-    if pattern == "sine":
-        return SineWorkload(num_vcpus, start_time=start_time)
-    if pattern == "bursty":
-        return BurstyWorkload(num_vcpus, start_time=start_time, seed=seed or 0)
-    if pattern == "idle":
-        return IdleWorkload(num_vcpus)
-    raise ValueError(f"unknown pattern {pattern!r}")

@@ -1,59 +1,16 @@
-"""Demand-trace recording and replay.
+"""Demand-trace replay.
 
-Records per-vCPU demand over time from any workload (or live entities)
-into a plain array, and replays such arrays as a workload — the
+Replays a per-vCPU demand array sampled over time as a workload — the
 mechanism for trace-driven experiments and regression fixtures.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.workloads.base import Workload
-
-
-class TraceRecorder:
-    """Accumulates (t, demand-per-vcpu) samples."""
-
-    def __init__(self, num_vcpus: int) -> None:
-        if num_vcpus <= 0:
-            raise ValueError("num_vcpus must be positive")
-        self.num_vcpus = num_vcpus
-        self._times: List[float] = []
-        self._demands: List[List[float]] = []
-
-    def record(self, t: float, demands: Sequence[float]) -> None:
-        if len(demands) != self.num_vcpus:
-            raise ValueError("demand vector size mismatch")
-        if self._times and t <= self._times[-1]:
-            raise ValueError("timestamps must be strictly increasing")
-        self._times.append(t)
-        self._demands.append([float(d) for d in demands])
-
-    def sample(self, workload: Workload, t: float) -> None:
-        """Record all vCPU demands of a workload at time ``t``."""
-        self.record(t, [workload.demand(j, t) for j in range(self.num_vcpus)])
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times)
-
-    @property
-    def demands(self) -> np.ndarray:
-        """Shape (samples, num_vcpus)."""
-        if not self._demands:
-            return np.zeros((0, self.num_vcpus))
-        return np.asarray(self._demands)
-
-    def to_workload(self, start_time: float = 0.0) -> "TraceWorkload":
-        return TraceWorkload(
-            self.num_vcpus,
-            times=self.times,
-            demands=self.demands,
-            start_time=start_time,
-        )
 
 
 class TraceWorkload(Workload):

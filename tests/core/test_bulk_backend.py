@@ -343,8 +343,6 @@ class TestChurnPatch:
             want = walk.sample_all(1.0)
             assert got.paths == want.paths
             assert got.vm_names == want.vm_names
-            # usage_usec is left out: the scan that builds the full-walk
-            # batch does not fill it (nothing downstream reads it).
             for col in ("vcpu_indices", "tids", "consumed", "cores",
                         "core_freq_mhz", "vfreq_mhz"):
                 assert [float(x).hex() for x in getattr(got, col)] == [

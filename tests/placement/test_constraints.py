@@ -4,9 +4,7 @@ import pytest
 
 from repro.hw.nodespecs import CHETEMI, CHICLET
 from repro.placement.constraints import (
-    CompositeConstraint,
     CoreSplittingConstraint,
-    MemoryConstraint,
     NodeUsage,
     VcpuCountConstraint,
 )
@@ -105,30 +103,3 @@ class TestCoreSplitting:
             extra += 1
         assert extra == 19
         assert usage.demand_mhz > CHETEMI.capacity_mhz  # guarantee lost
-
-
-class TestMemory:
-    def test_memory_limit(self):
-        c = MemoryConstraint()
-        usage = NodeUsage()
-        big = VMTemplate("big", vcpus=1, vfreq_mhz=100.0, memory_mb=200 * 1024)
-        assert c.fits(CHETEMI, usage, req(big))
-        usage.add(req(big))
-        assert not c.fits(CHETEMI, usage, req(big, "b2"))
-
-
-class TestComposite:
-    def test_all_parts_must_hold(self):
-        c = CompositeConstraint([CoreSplittingConstraint(), MemoryConstraint()])
-        usage = NodeUsage()
-        heavy = VMTemplate("heavy", vcpus=1, vfreq_mhz=100.0, memory_mb=300 * 1024)
-        assert not c.fits(CHETEMI, usage, req(heavy))  # memory fails
-        assert c.fits(CHETEMI, usage, req(SMALL))
-
-    def test_headroom_follows_first(self):
-        c = CompositeConstraint([CoreSplittingConstraint(), MemoryConstraint()])
-        assert c.headroom(CHETEMI, NodeUsage()) == pytest.approx(96_000)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeConstraint([])

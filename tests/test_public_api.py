@@ -233,7 +233,6 @@ EXPECTED = {
         "BurstPolicy",
         "BurstVMController",
         "VmdfsController",
-        "DeflationController",
     },
 }
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.node import MACHINE_SLICE, Node
-from repro.virt.hypervisor import AdmissionError, Hypervisor, provision_fleet
+from repro.virt.hypervisor import AdmissionError, Hypervisor
 from repro.virt.template import LARGE, SMALL, VMTemplate
 
 
@@ -33,10 +33,6 @@ class TestProvisioning:
         too_fast = VMTemplate("turbo", vcpus=1, vfreq_mhz=tiny_spec.fmax_mhz + 1)
         with pytest.raises(AdmissionError):
             hypervisor.provision(too_fast, "vm-x")
-
-    def test_fleet_helper(self, hypervisor):
-        vms = provision_fleet(hypervisor, SMALL, 3)
-        assert [vm.name for vm in vms] == ["small-0", "small-1", "small-2"]
 
 
 class TestAdmission:

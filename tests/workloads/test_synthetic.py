@@ -7,11 +7,9 @@ from repro.workloads.synthetic import (
     BurstyWorkload,
     ConstantWorkload,
     IdleWorkload,
-    RampWorkload,
     SineWorkload,
     StepWorkload,
     demand_series,
-    make_phased,
 )
 
 
@@ -55,19 +53,6 @@ class TestStep:
             StepWorkload(1, times=[1.0], levels=[0.5, 1.5])
 
 
-class TestRamp:
-    def test_linear_interpolation(self):
-        w = RampWorkload(1, lo=0.0, hi=1.0, duration=100.0)
-        assert w.demand(0, 0.0) == pytest.approx(0.0)
-        assert w.demand(0, 50.0) == pytest.approx(0.5)
-        assert w.demand(0, 100.0) == pytest.approx(1.0)
-        assert w.demand(0, 200.0) == pytest.approx(1.0)  # clamps
-
-    def test_descending_ramp(self):
-        w = RampWorkload(1, lo=1.0, hi=0.2, duration=10.0)
-        assert w.demand(0, 10.0) == pytest.approx(0.2)
-
-
 class TestSine:
     def test_oscillates_within_bounds(self):
         w = SineWorkload(1, mean=0.5, amplitude=0.4, period=100.0)
@@ -108,14 +93,3 @@ class TestBursty:
             BurstyWorkload(1, on_level=0.3, off_level=0.5)
         with pytest.raises(ValueError):
             BurstyWorkload(1, mean_on=0.0)
-
-
-class TestFactory:
-    @pytest.mark.parametrize("pattern", ["constant", "half", "sine", "bursty", "idle"])
-    def test_known_patterns(self, pattern):
-        w = make_phased(2, pattern)
-        assert 0.0 <= w.demand(0, 10.0) <= 1.0
-
-    def test_unknown_pattern(self):
-        with pytest.raises(ValueError):
-            make_phased(2, "chaotic")

@@ -1,36 +1,10 @@
-"""Tests for trace recording and replay."""
+"""Tests for demand-trace replay."""
 
 import numpy as np
 import pytest
 
 from repro.workloads.synthetic import SineWorkload
-from repro.workloads.trace import TraceRecorder, TraceWorkload
-
-
-class TestRecorder:
-    def test_record_and_shapes(self):
-        rec = TraceRecorder(2)
-        rec.record(0.0, [0.1, 0.2])
-        rec.record(1.0, [0.3, 0.4])
-        assert rec.times.tolist() == [0.0, 1.0]
-        assert rec.demands.shape == (2, 2)
-
-    def test_monotonic_time_enforced(self):
-        rec = TraceRecorder(1)
-        rec.record(1.0, [0.5])
-        with pytest.raises(ValueError):
-            rec.record(1.0, [0.5])
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(2).record(0.0, [0.5])
-
-    def test_sample_a_workload(self):
-        rec = TraceRecorder(1)
-        w = SineWorkload(1)
-        for t in (0.0, 10.0, 20.0):
-            rec.sample(w, t)
-        assert len(rec.times) == 3
+from repro.workloads.trace import TraceWorkload
 
 
 class TestReplay:
@@ -58,13 +32,12 @@ class TestReplay:
         assert w.demand(0, 21.0) == pytest.approx(0.1)
         assert w.demand(0, 31.0) == pytest.approx(0.5)
 
-    def test_roundtrip_through_recorder(self):
-        rec = TraceRecorder(1)
+    def test_replays_a_sampled_workload(self):
         src = SineWorkload(1, period=40.0)
         ts = np.arange(0.0, 40.0, 1.0)
-        for t in ts:
-            rec.sample(src, float(t))
-        replay = rec.to_workload()
+        replay = TraceWorkload(
+            1, times=ts, demands=np.array([[src.demand(0, float(t))] for t in ts])
+        )
         for t in ts:
             assert replay.demand(0, float(t)) == pytest.approx(src.demand(0, float(t)))
 
