@@ -6,7 +6,7 @@ PYTHON ?= python
 # it first, so check_perf_regression.py gates only what that target wrote.
 SMOKE_RESULTS = benchmarks/smoke-results
 
-.PHONY: install test coverage fuzz-smoke fuzz-long billing-smoke slo-smoke bench bench-smoke bench-faults-smoke bench-bulk-smoke bench-obs-smoke bench-rebalance-smoke bench-cluster-smoke bench-slo-smoke obs-smoke examples figures clean
+.PHONY: install test coverage fuzz-smoke fuzz-long billing-smoke slo-smoke bench bench-smoke figures-check bench-faults-smoke bench-bulk-smoke bench-obs-smoke bench-rebalance-smoke bench-cluster-smoke bench-slo-smoke obs-smoke examples figures clean
 
 install:
 	pip install -e '.[dev]'
@@ -55,6 +55,15 @@ bench:
 bench-smoke:
 	rm -rf $(SMOKE_RESULTS)
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_backend_batching.py --benchmark-only -q
+
+# paper-figure gate: regenerate every fig*.csv with the four bench_fig*
+# benches (plus bench_cfs_fairness and its §IV-A2 asserts) and require
+# each byte-identical to the committed export in benchmarks/results/
+# (CI gate: any changed byte, or a figure not regenerated, fails)
+figures-check:
+	rm -rf $(SMOKE_RESULTS)
+	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest $(wildcard benchmarks/bench_fig*.py) benchmarks/bench_cfs_fairness.py --benchmark-only -q
+	for f in benchmarks/results/fig*.csv; do cmp "$$f" "$(SMOKE_RESULTS)/$$(basename "$$f")" || exit 1; done
 
 # quick chaos drill (CI gate: under the standard fault mix + one crash
 # the control plane never dies unrecovered, healthy nodes tick every

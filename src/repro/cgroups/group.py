@@ -27,6 +27,11 @@ class CgroupNode:
         self.children: Dict[str, CgroupNode] = {}
         self.threads: List[int] = []
         self.cpu = CpuController()
+        self._root: CgroupNode = self if parent is None else parent._root
+        #: Tree-shape counter, kept on the root: every ``add_child`` and
+        #: ``remove_child`` below it bumps it, so a cached walk of the
+        #: tree (the scheduler's compiled plan) knows when it is stale.
+        self.generation = 0
 
     # -- tree structure ---------------------------------------------------------
 
@@ -43,6 +48,7 @@ class CgroupNode:
             raise FileExistsError(f"cgroup already exists: {self.path}/{name}")
         child = CgroupNode(name, parent=self)
         self.children[name] = child
+        self._root.generation += 1
         return child
 
     def remove_child(self, name: str) -> None:
@@ -54,6 +60,7 @@ class CgroupNode:
         if child.threads:
             raise OSError(f"cgroup still has threads: {child.path}")
         del self.children[name]
+        self._root.generation += 1
 
     def walk(self) -> Iterator["CgroupNode"]:
         """Depth-first iteration over this node and all descendants."""

@@ -21,7 +21,7 @@ from repro.hw.cpu import DvfsModel
 from repro.hw.energy import EnergyMeter, PowerModel
 from repro.hw.nodespecs import NodeSpec
 from repro.sched.affinity import AffinityModel
-from repro.sched.cfs import CfsScheduler, GroupAllocation
+from repro.sched.cfs import CfsScheduler
 from repro.sched.entity import SchedEntity
 
 #: KVM/libvirt machine slice where VM cgroups live.
@@ -85,17 +85,20 @@ class Node:
 
     # -- simulation ---------------------------------------------------------------
 
-    def step(self, dt: float) -> Dict[str, GroupAllocation]:
+    def step(self, dt: float) -> None:
         """Advance the machine by ``dt`` wall-seconds.
 
         Entity demands must have been set by the workload layer before
         the call; on return every entity's ``allocated`` holds the CPU
-        time it received, all kernel surfaces are refreshed, and the
-        energy meter has integrated the interval.
+        time it received, every cgroup's ``cpu.stat`` is charged, the
+        /proc and cpufreq surfaces are refreshed, and the energy meter
+        has integrated the interval.  The scheduler reuses its compiled
+        cgroup plan unless a cgroup was created or removed or an entity
+        registered, unregistered or moved since the last step.
         """
         entities = self.entities
         self.runnable_threads = sum(1 for e in entities if e.demand > 0.05)
-        allocations = self.scheduler.schedule(entities, dt)
+        self.scheduler.schedule(entities, dt)
 
         tids = [e.tid for e in entities]
         utils = [e.allocated / dt for e in entities]
@@ -105,14 +108,13 @@ class Node:
         for tid, core in zip(tids, cores):
             self.procfs.set_processor(tid, core)
 
-        core_load = self.affinity.load_per_core(tids, utils)
+        core_load = self.affinity.load_per_core(cores, utils)
         self.dvfs.step(core_load, dt)
         self.sysfs.update(self.dvfs.freqs_khz())
 
         node_util = float(np.mean(core_load)) if len(core_load) else 0.0
         self.energy.step(node_util, self.dvfs.mean_mhz(), dt)
         self.clock_s += dt
-        return allocations
 
     # -- controller-facing helpers ---------------------------------------------------
 

@@ -11,13 +11,12 @@ configuration A favour the numerous small VMs.
 
 from repro.sched.fairshare import weighted_fair_share
 from repro.sched.entity import SchedEntity
-from repro.sched.cfs import CfsScheduler, GroupAllocation
+from repro.sched.cfs import CfsScheduler
 from repro.sched.affinity import AffinityModel
 
 __all__ = [
     "weighted_fair_share",
     "SchedEntity",
     "CfsScheduler",
-    "GroupAllocation",
     "AffinityModel",
 ]

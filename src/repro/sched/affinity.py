@@ -66,17 +66,18 @@ class AffinityModel:
             cores.append(self._placement[tid])
         return cores
 
-    def load_per_core(self, tids: Sequence[int], utilisations: Sequence[float]) -> np.ndarray:
+    def load_per_core(self, cores: Sequence[int], utilisations: Sequence[float]) -> np.ndarray:
         """Aggregate thread utilisation onto cores (for the DVFS model).
 
-        CFS load-balances continuously, so in addition to the discrete
-        placement we spread each thread's load over its core with any
-        overflow shared evenly — giving smooth per-core utilisation that
-        still correlates with placement.
+        ``cores`` are the threads' placements as :meth:`step` returned
+        them, in the same order as ``utilisations``.  CFS load-balances
+        continuously, so in addition to the discrete placement we spread
+        each thread's load over its core with any overflow shared evenly
+        — giving smooth per-core utilisation that still correlates with
+        placement.
         """
         load = np.zeros(self.num_cpus)
-        for tid, util in zip(tids, utilisations):
-            load[self.core_of(tid)] += util
+        np.add.at(load, np.asarray(cores, dtype=np.intp), np.asarray(utilisations, dtype=np.float64))
         # Kernel load balancing: shave overload above 1.0 and spread it.
         overflow = np.clip(load - 1.0, 0.0, None).sum()
         load = np.clip(load, 0.0, 1.0)

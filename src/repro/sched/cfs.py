@@ -11,6 +11,8 @@ CPU-seconds of machine capacity for one simulation tick:
    among its children by weighted max-min fairness
    (:func:`repro.sched.fairshare.weighted_fair_share`) using the
    children's ``cpu.weight``.
+3. *Accounting* — charge every cgroup's ``cpu.stat`` with the CPU time
+   its subtree received.
 
 This reproduces the two properties the paper's evaluation hinges on:
 
@@ -18,39 +20,34 @@ This reproduces the two properties the paper's evaluation hinges on:
   first, so 20 two-vCPU VMs collectively out-receive 10 four-vCPU VMs.
 * **Quota enforcement**: a vCPU cgroup with ``cpu.max = q p`` never
   exceeds ``q/p`` cores, which is the knob the controller actuates.
+
+The tree is not walked every tick.  :class:`CfsScheduler` compiles it
+into a flat plan — the cgroups in pre-order, each with its child indices,
+its thread indices (positions in the entity list) and its
+``CpuController`` — and recompiles only when the tree's shape changes
+(``CgroupNode.generation``, bumped by every mkdir/rmdir) or an entity
+changes cgroup, arrives or leaves.  Each tick then runs three plain loops
+over the plan; quotas, weights and demands are re-read every tick because
+the controllers rewrite them every period.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cgroups.cpu import CpuController
 from repro.cgroups.fs import CgroupFS
 from repro.cgroups.group import CgroupNode
 from repro.sched.entity import SchedEntity
 from repro.sched.fairshare import weighted_fair_share
 
 
-@dataclass
-class GroupAllocation:
-    """Per-cgroup outcome of one scheduling tick."""
-
-    path: str
-    limit: float
-    granted: float
-    throttled: bool
-
-
-@dataclass
-class _NodeState:
-    group: CgroupNode
-    entities: List[SchedEntity] = field(default_factory=list)
-    children: List["_NodeState"] = field(default_factory=list)
-    limit: float = 0.0
-    raw_limit: float = 0.0  # before this cgroup's own quota cap
-    granted: float = 0.0
+#: One cgroup of the compiled plan: its pre-order slot, its controller,
+#: its threads (positions in the entity list, in list order) and its
+#: children's slots.
+_Group = Tuple[int, CpuController, Tuple[int, ...], Tuple[int, ...]]
 
 
 class CfsScheduler:
@@ -61,121 +58,136 @@ class CfsScheduler:
             raise ValueError(f"num_cpus must be positive, got {num_cpus}")
         self.fs = fs
         self.num_cpus = num_cpus
+        # The compiled plan and the tree/entity layout it was compiled
+        # from; see _compile.
+        self._generation = -1
+        self._paths: List[str] = []
+        self._plan: List[_Group] = []
 
-    def schedule(
-        self,
-        entities: List[SchedEntity],
-        dt: float,
-        *,
-        charge_accounting: bool = True,
-    ) -> Dict[str, GroupAllocation]:
+    def schedule(self, entities: List[SchedEntity], dt: float) -> None:
         """Run one tick; grants CPU time to ``entities`` in place.
 
-        Returns per-cgroup allocation info keyed by cgroup path.
+        Entities whose ``cgroup_path`` names no cgroup in the tree are
+        left at ``allocated == 0``.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        by_path: Dict[str, List[SchedEntity]] = {}
+        root = self.fs.root
+        paths = [e.cgroup_path for e in entities]
+        if root.generation != self._generation or paths != self._paths:
+            self._compile(root, paths)
+        plan = self._plan
+        n = len(plan)
+
+        # What each thread could absorb this tick: its demand, capped at
+        # one core.
+        want = []
         for ent in entities:
             ent.allocated = 0.0
-            by_path.setdefault(ent.cgroup_path, []).append(ent)
+            want.append(min(ent.demand, 1.0) * dt)
 
-        root_state = self._build(self.fs.root, by_path, dt)
-        capacity = min(self.num_cpus * dt, root_state.limit)
-        self._distribute(root_state, capacity, dt)
+        # Pass 1, bottom-up (reversed pre-order visits children before
+        # their parent): raw subtree demand, then this cgroup's own cap.
+        # The per-group loops spell min(a, b) as ``b if b < a else a``:
+        # the same value (min keeps its first argument on ties) without
+        # the call.
+        raw = [0.0] * n
+        limit = [0.0] * n
+        for k, cpu, tids, kids in reversed(plan):
+            r = 0.0
+            for i in tids:
+                r += want[i]
+            for c in kids:
+                r += limit[c]
+            raw[k] = r
+            cap = cpu.quota.ratio() * dt  # inf when unlimited: never binds
+            limit[k] = cap if cap < r else r
 
-        result: Dict[str, GroupAllocation] = {}
-        self._collect(root_state, dt, charge_accounting, result)
-        return result
+        # Pass 2, top-down (pre-order visits a parent before its
+        # children): each cgroup splits what its parent offered it.
+        offer = [0.0] * n
+        offer[0] = min(self.num_cpus * dt, limit[0])
+        for k, cpu, tids, kids in plan:
+            granted = limit[k] if limit[k] < offer[k] else offer[k]
+            n_groups = len(kids)
+            n_threads = len(tids)
+            if n_groups + n_threads == 0:
+                continue
+            # Fast paths for the dominant shapes: a vCPU cgroup holds
+            # exactly one thread and a VM cgroup often has one child —
+            # max-min over a single entity is just min(granted, limit).
+            if n_groups == 0 and n_threads == 1:
+                i = tids[0]
+                entities[i].grant(want[i] if want[i] < granted else granted)
+                continue
+            if n_groups == 1 and n_threads == 0:
+                offer[kids[0]] = granted
+                continue
+            # Ample capacity: when the grant covers the whole raw demand
+            # of this subtree, every child simply receives its own limit.
+            if granted >= raw[k] - 1e-12 and raw[k] <= limit[k]:
+                for c in kids:
+                    offer[c] = limit[c]
+                for i in tids:
+                    entities[i].grant(want[i])
+                continue
 
-    # -- pass 1: bottom-up limits ------------------------------------------------
+            weights = np.empty(n_groups + n_threads)
+            limits = np.empty(n_groups + n_threads)
+            for j, c in enumerate(kids):
+                weights[j] = plan[c][1].weight  # the child's cpu.weight
+                limits[j] = limit[c]
+            for j, i in enumerate(tids):
+                # A bare thread competes like a default-weight sibling
+                # cgroup, scaled by its own sched weight (nice level
+                # analogue).
+                weights[n_groups + j] = 100.0 * entities[i].weight
+                limits[n_groups + j] = want[i]
+            alloc = weighted_fair_share(granted, weights, limits)
+            for j, c in enumerate(kids):
+                offer[c] = float(alloc[j])
+            for j, i in enumerate(tids):
+                entities[i].grant(float(alloc[n_groups + j]))
 
-    def _build(
-        self,
-        group: CgroupNode,
-        by_path: Dict[str, List[SchedEntity]],
-        dt: float,
-    ) -> _NodeState:
-        state = _NodeState(group=group, entities=by_path.get(group.path, []))
-        raw = sum(min(e.demand, 1.0) * dt for e in state.entities)
-        for child in group.children.values():
-            child_state = self._build(child, by_path, dt)
-            state.children.append(child_state)
-            raw += child_state.limit
-        state.raw_limit = raw
-        cap = group.cpu.quota.ratio() * dt
-        state.limit = min(raw, cap) if cap != float("inf") else raw
-        return state
+        # Pass 3, bottom-up: charge every cgroup with its subtree's use.
+        used = [0.0] * n
+        for k, cpu, tids, kids in reversed(plan):
+            u = 0.0
+            for i in tids:
+                u += entities[i].allocated
+            for c in kids:
+                u += used[c]
+            used[k] = u
+            cpu.charge(u * 1e6)
 
-    # -- pass 2: top-down distribution --------------------------------------------
+    def _compile(self, root: CgroupNode, paths: List[str]) -> None:
+        """Flatten the tree into a pre-order plan for ``paths``' entities."""
+        nodes: List[CgroupNode] = []
+        children: List[Tuple[int, ...]] = []
+        slot: Dict[str, int] = {}
 
-    def _distribute(self, state: _NodeState, granted: float, dt: float) -> None:
-        state.granted = min(granted, state.limit)
-        n_groups = len(state.children)
-        n_threads = len(state.entities)
-        if n_groups + n_threads == 0:
-            return
-        # Fast paths for the dominant shapes: a vCPU cgroup holds exactly
-        # one thread and a VM cgroup often has one child — max-min over a
-        # single entity is just min(granted, limit), no array machinery.
-        if n_groups == 0 and n_threads == 1:
-            ent = state.entities[0]
-            ent.grant(min(state.granted, min(ent.demand, 1.0) * dt))
-            return
-        if n_groups == 1 and n_threads == 0:
-            self._distribute(state.children[0], state.granted, dt)
-            return
-        # Ample capacity: when the grant covers the whole raw demand of
-        # this subtree, every child simply receives its own limit.
-        if state.granted >= state.raw_limit - 1e-12 and state.raw_limit <= state.limit:
-            for child in state.children:
-                self._distribute(child, child.limit, dt)
-            for ent in state.entities:
-                ent.grant(min(ent.demand, 1.0) * dt)
-            return
+        def visit(node: CgroupNode, path: str) -> int:
+            # ``path`` is built from the parent's as CgroupNode.path
+            # builds it, once per node instead of re-derived per node.
+            k = len(nodes)
+            nodes.append(node)
+            children.append(())
+            slot[path] = k
+            prefix = path if path == "/" else path + "/"
+            children[k] = tuple([visit(child, prefix + name) for name, child in node.children.items()])
+            return k
 
-        weights = np.empty(n_groups + n_threads)
-        limits = np.empty(n_groups + n_threads)
-        for k, child in enumerate(state.children):
-            weights[k] = child.group.cpu.weight
-            limits[k] = child.limit
-        for k, ent in enumerate(state.entities):
-            # A bare thread competes like a default-weight sibling cgroup,
-            # scaled by its own sched weight (nice level analogue).
-            weights[n_groups + k] = 100.0 * ent.weight
-            limits[n_groups + k] = min(ent.demand, 1.0) * dt
-
-        alloc = weighted_fair_share(state.granted, weights, limits)
-        for k, child in enumerate(state.children):
-            self._distribute(child, float(alloc[k]), dt)
-        for k, ent in enumerate(state.entities):
-            ent.grant(float(alloc[n_groups + k]))
-
-    # -- pass 3: accounting ----------------------------------------------------------
-
-    def _collect(
-        self,
-        state: _NodeState,
-        dt: float,
-        charge: bool,
-        out: Dict[str, GroupAllocation],
-    ) -> float:
-        subtree_used = sum(e.allocated for e in state.entities)
-        for child in state.children:
-            subtree_used += self._collect(child, dt, charge, out)
-        throttled = (
-            state.group.cpu.quota.ratio() != float("inf")
-            and state.raw_limit > state.limit + 1e-12
-        )
-        if charge:
-            state.group.cpu.charge(subtree_used * 1e6)
-        out[state.group.path] = GroupAllocation(
-            path=state.group.path,
-            limit=state.limit,
-            granted=state.granted,
-            throttled=throttled,
-        )
-        return subtree_used
+        visit(root, root.path)
+        members: List[List[int]] = [[] for _ in nodes]
+        for i, path in enumerate(paths):
+            k = slot.get(path)
+            if k is not None:
+                members[k].append(i)
+        self._plan = [
+            (k, node.cpu, tuple(members[k]), children[k]) for k, node in enumerate(nodes)
+        ]
+        self._generation = root.generation
+        self._paths = paths
 
 
 def flat_fair_split(

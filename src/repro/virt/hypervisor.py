@@ -103,13 +103,3 @@ class Hypervisor:
             self.node.unregister_entity(vcpu.tid)
             self.node.fs.rmdir(vcpu.cgroup_path)
         self.node.fs.rmdir(vm.cgroup_path)
-
-    # -- controller discovery helper -----------------------------------------------------
-
-    def vcpu_cgroup_paths(self) -> Dict[str, List[str]]:
-        """Map vm name -> vCPU cgroup paths, as a controller walking
-        /machine.slice would discover them."""
-        out: Dict[str, List[str]] = {}
-        for name, vm in self._vms.items():
-            out[name] = [v.cgroup_path for v in vm.vcpus]
-        return out

@@ -135,13 +135,3 @@ class BurstyWorkload(Workload):
         idx = int(np.searchsorted(self._edges, rel, side="right"))
         on = idx % 2 == 1  # phases alternate off, on, off, ...
         return self.on_level if on else self.off_level
-
-
-def demand_series(
-    workload: Workload,
-    times: Sequence[float],
-    vcpu: int = 0,
-) -> np.ndarray:
-    """Sample a workload's demand at the given times (test helper)."""
-    return np.asarray([workload.demand(vcpu, float(t)) for t in times])
-

@@ -63,16 +63,18 @@ class TestLoadPerCore:
         a = AffinityModel(4, seed=2)
         tids = list(range(8))
         utils = [0.5] * 8
-        load = a.load_per_core(tids, utils)
+        load = a.load_per_core(a.step(tids, utils, 1.0), utils)
         assert load.sum() == pytest.approx(4.0, rel=0.01)
 
     def test_clipped_to_unit_interval(self):
         a = AffinityModel(2, seed=2)
-        load = a.load_per_core(list(range(10)), [1.0] * 10)
+        utils = [1.0] * 10
+        load = a.load_per_core(a.step(list(range(10)), utils, 1.0), utils)
         assert np.all(load <= 1.0 + 1e-9)
         assert np.all(load >= 0.0)
 
     def test_saturated_node_all_cores_full(self):
         a = AffinityModel(4, seed=2)
-        load = a.load_per_core(list(range(16)), [1.0] * 16)
+        utils = [1.0] * 16
+        load = a.load_per_core(a.step(list(range(16)), utils, 1.0), utils)
         assert np.allclose(load, 1.0)

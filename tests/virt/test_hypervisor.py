@@ -84,12 +84,3 @@ class TestDestroy:
         hv.destroy("l0")
         assert hv.committed_mhz() == 0.0
         hv.provision(LARGE, "l1")  # fits again
-
-
-class TestDiscovery:
-    def test_vcpu_cgroup_paths(self, hypervisor):
-        hypervisor.provision(SMALL, "vm-a")
-        paths = hypervisor.vcpu_cgroup_paths()
-        assert paths == {
-            "vm-a": [f"{MACHINE_SLICE}/vm-a/vcpu0", f"{MACHINE_SLICE}/vm-a/vcpu1"]
-        }

@@ -9,8 +9,13 @@ from repro.workloads.synthetic import (
     IdleWorkload,
     SineWorkload,
     StepWorkload,
-    demand_series,
 )
+from repro.workloads.base import Workload
+
+
+def demand_series(workload: Workload, times, vcpu: int = 0) -> np.ndarray:
+    """Sample a workload's demand at the given times."""
+    return np.asarray([workload.demand(vcpu, float(t)) for t in times])
 
 
 class TestConstant:
