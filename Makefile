@@ -6,7 +6,7 @@ PYTHON ?= python
 # it first, so check_perf_regression.py gates only what that target wrote.
 SMOKE_RESULTS = benchmarks/smoke-results
 
-.PHONY: install test coverage fuzz-smoke fuzz-long billing-smoke slo-smoke bench bench-smoke figures-check bench-faults-smoke bench-bulk-smoke bench-obs-smoke bench-rebalance-smoke bench-cluster-smoke bench-slo-smoke obs-smoke examples figures clean
+.PHONY: install test coverage fuzz-smoke fuzz-long billing-smoke slo-smoke bench bench-smoke figures-check perfbench-digests bench-faults-smoke bench-bulk-smoke bench-obs-smoke bench-rebalance-smoke bench-cluster-smoke bench-slo-smoke obs-smoke examples figures clean
 
 install:
 	pip install -e '.[dev]'
@@ -64,6 +64,14 @@ figures-check:
 	rm -rf $(SMOKE_RESULTS)
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest $(wildcard benchmarks/bench_fig*.py) benchmarks/bench_cfs_fairness.py --benchmark-only -q
 	for f in benchmarks/results/fig*.csv; do cmp "$$f" "$(SMOKE_RESULTS)/$$(basename "$$f")" || exit 1; done
+
+# bit-identity lines for the perfbench workloads: runs perfbench/run.py
+# --seed 5 --seconds 1 --trace 0 for dense, fleet and churn and prints
+# each timed run's allocation digest and guarantee_miss_ratio (~1 min);
+# a change claiming identical behaviour must print the same lines as
+# its parent commit
+perfbench-digests:
+	$(PYTHON) benchmarks/perfbench_digests.py
 
 # quick chaos drill (CI gate: under the standard fault mix + one crash
 # the control plane never dies unrecovered, healthy nodes tick every

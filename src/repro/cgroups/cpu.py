@@ -17,6 +17,7 @@ the cumulative cycle counter the controller diffs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 #: Sentinel quota meaning "no bandwidth limit" (``max`` in v2, ``-1`` in v1).
@@ -55,9 +56,13 @@ class QuotaSpec:
 
     def ratio(self) -> float:
         """Rate cap expressed in CPU cores (``inf`` when unlimited)."""
-        if self.unlimited:
-            return float("inf")
-        return self.quota_us / self.period_us
+        # The scheduler reads this for every cgroup every tick, so it
+        # skips the ``unlimited`` property.  It is not cached at
+        # construction: the controller rewrites about a third of the
+        # vCPU caps each period, so specs are built a third to a half
+        # as often as they are read, and caching cost more than it saved.
+        quota = self.quota_us
+        return math.inf if quota == UNLIMITED else quota / self.period_us
 
     # -- v2 ``cpu.max`` format ------------------------------------------------
 

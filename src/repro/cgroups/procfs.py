@@ -74,14 +74,19 @@ class ProcFS:
         """Read ``/proc/<tid>/stat`` content."""
         return self.stat(tid).render()
 
-    def set_processor(self, tid: int, core: int) -> None:
-        self.stat(tid).processor = core
+    def account(self, tid: int, cpu_seconds: float, processor: int) -> None:
+        """Record one tick of a thread: CPU time and the core it last ran on.
 
-    def charge(self, tid: int, cpu_seconds: float) -> None:
-        """Account CPU time to the thread's utime (in USER_HZ ticks)."""
+        ``cpu_seconds`` is added to utime (in USER_HZ ticks) and
+        ``processor`` becomes field 39, with one lookup of the thread.
+        """
+        st = self._stats.get(tid)
+        if st is None:
+            raise ProcessLookupError(f"no such thread: {tid}")
         if cpu_seconds < 0:
             raise ValueError("negative CPU time")
-        self.stat(tid).utime_ticks += int(round(cpu_seconds * USER_HZ))
+        st.utime_ticks += int(round(cpu_seconds * USER_HZ))
+        st.processor = processor
 
 
 def parse_stat_line(line: str) -> ThreadStat:

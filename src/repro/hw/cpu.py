@@ -13,7 +13,8 @@ naturally: saturated cores all sit at ``fmax +- jitter``.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +26,17 @@ TRACKING_RATE: float = 8.0
 
 
 class DvfsModel:
-    """Vectorised frequency dynamics for all cores of one node."""
+    """Frequency dynamics for all cores of one node.
+
+    Per-core frequencies are a list of floats and :meth:`step` makes one
+    pass per frequency domain: a host has 4-64 cores, where a NumPy
+    call's fixed cost outweighs its arithmetic.  Every core of a domain
+    starts at ``fmin`` and receives the same updates, so one value per
+    domain is computed and copied to its cores.  Cross-core reductions
+    (:meth:`mean_mhz`, :meth:`std_mhz`) stay NumPy reductions: NumPy
+    sums eight or more values pairwise, and a sequential sum would
+    differ in the last bits.
+    """
 
     def __init__(
         self,
@@ -52,54 +63,67 @@ class DvfsModel:
         self.jitter_mhz = jitter_mhz
         self.domain_size = domain_size
         self._rng = np.random.default_rng(seed)
-        self._freqs = np.full(num_cpus, fmin_mhz, dtype=np.float64)
+        self._freqs: List[float] = [float(fmin_mhz)] * num_cpus
+        # alpha = 1 - exp(-TRACKING_RATE * dt), cached for the last dt.
+        self._alpha_dt: Optional[float] = None
+        self._alpha = 0.0
 
     @property
     def freqs_mhz(self) -> np.ndarray:
-        """Current per-core frequencies (read-only view)."""
-        view = self._freqs.view()
-        view.flags.writeable = False
-        return view
+        """Current per-core frequencies (a read-only array)."""
+        freqs = np.array(self._freqs)
+        freqs.flags.writeable = False
+        return freqs
 
-    def freqs_khz(self) -> np.ndarray:
-        return self.freqs_mhz * 1000.0
+    def freqs_khz(self) -> List[float]:
+        return [f * 1000.0 for f in self._freqs]
 
-    def step(self, core_utilisation: Sequence[float], dt: float) -> np.ndarray:
+    def step(self, core_utilisation: Sequence[float], dt: float) -> None:
         """Advance one tick given per-core utilisation in [0, 1]."""
-        util = np.asarray(core_utilisation, dtype=np.float64)
-        if util.shape != (self.num_cpus,):
-            raise ValueError(
-                f"expected {self.num_cpus} utilisations, got shape {util.shape}"
-            )
-        if np.any(util < -1e-9) or np.any(util > 1.0 + 1e-9):
+        util = core_utilisation
+        n, ds = self.num_cpus, self.domain_size
+        if len(util) != n:
+            raise ValueError(f"expected {n} utilisations, got {len(util)}")
+        if min(util) < -1e-9 or max(util) > 1.0 + 1e-9:
             raise ValueError("core utilisation must be within [0, 1]")
-        util = np.clip(util, 0.0, 1.0)
-        if self.domain_size > 1:
-            # Cores in one DVFS domain share a clock; the governor picks
-            # the domain frequency for its *hottest* core (as Zen does
-            # per CCX), so a single busy core drags its siblings up.
-            domains = util.reshape(-1, self.domain_size)
-            util = np.repeat(domains.max(axis=1), self.domain_size)
-        target = np.clip(
-            GOVERNOR_HEADROOM * self.fmax_mhz * util, self.fmin_mhz, self.fmax_mhz
-        )
-        alpha = 1.0 - np.exp(-TRACKING_RATE * dt)
-        self._freqs += alpha * (target - self._freqs)
-        if self.jitter_mhz > 0:
-            n_domains = self.num_cpus // self.domain_size
-            noise = np.repeat(
-                self._rng.normal(0.0, self.jitter_mhz, n_domains), self.domain_size
-            )
-            self._freqs = np.clip(
-                self._freqs + noise * np.sqrt(min(dt, 1.0)),
-                self.fmin_mhz,
-                self.fmax_mhz,
-            )
-        return self.freqs_mhz
+        if dt != self._alpha_dt:
+            self._alpha = float(1.0 - np.exp(-TRACKING_RATE * dt))
+            self._alpha_dt = dt
+        alpha = self._alpha
+        lo, hi = float(self.fmin_mhz), float(self.fmax_mhz)
+        headroom_mhz = GOVERNOR_HEADROOM * hi
+        # Cores in one DVFS domain share a clock; the governor picks the
+        # domain frequency for its *hottest* core (as Zen does per CCX),
+        # so a single busy core drags its siblings up.
+        peaks = util if ds == 1 else [max(util[i : i + ds]) for i in range(0, n, ds)]
+        jitter = self.jitter_mhz > 0
+        if jitter:
+            noise = self._rng.normal(0.0, self.jitter_mhz, n // ds).tolist()
+            spread = math.sqrt(min(dt, 1.0))
+        else:
+            noise = [0.0] * (n // ds)
+        out: List[float] = []
+        for u, f, e in zip(peaks, self._freqs[::ds], noise):
+            # Clipping u to [0, 1] first would change nothing: the
+            # target is clipped to [fmin, fmax] and fmin > 0.
+            target = headroom_mhz * u
+            target = lo if target < lo else (hi if target > hi else target)
+            f += alpha * (target - f)
+            if jitter:
+                f += e * spread
+                f = lo if f < lo else (hi if f > hi else f)
+            out.append(f)
+        if ds > 1:
+            freqs = [0.0] * n
+            for j in range(ds):
+                freqs[j::ds] = out
+            out = freqs
+        self._freqs = out
 
     def mean_mhz(self) -> float:
-        return float(self._freqs.mean())
+        # np.mean's own reduction and division, without its wrapper.
+        return float(np.add.reduce(self._freqs)) / self.num_cpus
 
     def std_mhz(self) -> float:
         """Cross-core frequency spread (the paper's 'average variance')."""
-        return float(self._freqs.std())
+        return float(np.std(self._freqs))

@@ -65,8 +65,3 @@ class EnergyMeter:
     @property
     def energy_wh(self) -> float:
         return self.energy_j / 3600.0
-
-    def average_power_w(self) -> float:
-        if self.elapsed_s == 0:
-            return 0.0
-        return self.energy_j / self.elapsed_s

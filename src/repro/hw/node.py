@@ -97,33 +97,33 @@ class Node:
         registered, unregistered or moved since the last step.
         """
         entities = self.entities
-        self.runnable_threads = sum(1 for e in entities if e.demand > 0.05)
         self.scheduler.schedule(entities, dt)
 
-        tids = [e.tid for e in entities]
-        utils = [e.allocated / dt for e in entities]
+        runnable = 0
+        tids: List[int] = []
+        utils: List[float] = []
         for ent in entities:
-            self.procfs.charge(ent.tid, ent.allocated)
+            if ent.demand > 0.05:
+                runnable += 1
+            tids.append(ent.tid)
+            utils.append(ent.allocated / dt)
+        self.runnable_threads = runnable
+
         cores = self.affinity.step(tids, utils, dt)
-        for tid, core in zip(tids, cores):
-            self.procfs.set_processor(tid, core)
+        account = self.procfs.account
+        for ent, core in zip(entities, cores):
+            account(ent.tid, ent.allocated, core)
 
         core_load = self.affinity.load_per_core(cores, utils)
         self.dvfs.step(core_load, dt)
         self.sysfs.update(self.dvfs.freqs_khz())
 
-        node_util = float(np.mean(core_load)) if len(core_load) else 0.0
+        # np.mean's own reduction and division, without its wrapper.
+        node_util = float(np.add.reduce(core_load)) / len(core_load)
         self.energy.step(node_util, self.dvfs.mean_mhz(), dt)
         self.clock_s += dt
 
     # -- controller-facing helpers ---------------------------------------------------
-
-    def utilisation(self) -> float:
-        """Whole-node utilisation over the last tick (for reporting)."""
-        if not self._entities:
-            return 0.0
-        total = sum(e.allocated for e in self._entities.values())
-        return total  # caller divides by (num_cpus * dt) as needed
 
     def core_frequency_mhz(self, core: int) -> float:
         """Frequency of one core in MHz (reads through sysfs like the controller)."""

@@ -25,7 +25,14 @@ IDLE_MIGRATION_P: float = 0.5
 
 
 class AffinityModel:
-    """Tracks which core each thread last ran on."""
+    """Tracks which core each thread last ran on.
+
+    Per-tick work is plain Python over the host's threads and cores: at
+    4-64 cores a NumPy call's fixed cost outweighs its arithmetic.  The
+    RNG draws are whole-tick vectors, and only a tick with an overloaded
+    core takes array arithmetic, whose overflow and headroom totals must
+    stay NumPy sums (pairwise from eight values up).
+    """
 
     def __init__(self, num_cpus: int, seed: int = 0) -> None:
         if num_cpus <= 0:
@@ -33,14 +40,6 @@ class AffinityModel:
         self.num_cpus = num_cpus
         self._rng = np.random.default_rng(seed)
         self._placement: Dict[int, int] = {}
-
-    def core_of(self, tid: int) -> int:
-        """Last core the thread ran on (threads start on a random core)."""
-        core = self._placement.get(tid)
-        if core is None:
-            core = int(self._rng.integers(self.num_cpus))
-            self._placement[tid] = core
-        return core
 
     def forget(self, tid: int) -> None:
         self._placement.pop(tid, None)
@@ -50,23 +49,28 @@ class AffinityModel:
 
         ``utilisations`` are per-thread fractions of one core consumed in
         the elapsed tick.  Migration probabilities are scaled by ``dt`` so
-        the model is tick-size independent.
+        the model is tick-size independent.  A thread seen for the first
+        time takes its drawn core.
         """
-        if len(tids) != len(utilisations):
+        n = len(tids)
+        if n != len(utilisations):
             raise ValueError("tids and utilisations length mismatch")
+        scale = min(dt, 1.0)
+        p_busy = BUSY_MIGRATION_P * scale
+        p_idle = IDLE_MIGRATION_P * scale
+        draws = self._rng.random(n).tolist()
+        targets = self._rng.integers(self.num_cpus, size=n).tolist()
+        placement = self._placement
         cores: List[int] = []
-        util = np.asarray(utilisations, dtype=np.float64)
-        busy = util >= BUSY_THRESHOLD
-        p_move = np.where(busy, BUSY_MIGRATION_P, IDLE_MIGRATION_P) * min(dt, 1.0)
-        moves = self._rng.random(len(tids)) < p_move
-        targets = self._rng.integers(self.num_cpus, size=len(tids))
-        for tid, mv, target in zip(tids, moves, targets):
-            if mv or tid not in self._placement:
-                self._placement[tid] = int(target)
-            cores.append(self._placement[tid])
+        for tid, u, r, core in zip(tids, utilisations, draws, targets):
+            if r < (p_busy if u >= BUSY_THRESHOLD else p_idle) or tid not in placement:
+                placement[tid] = core
+            else:
+                core = placement[tid]
+            cores.append(core)
         return cores
 
-    def load_per_core(self, cores: Sequence[int], utilisations: Sequence[float]) -> np.ndarray:
+    def load_per_core(self, cores: Sequence[int], utilisations: Sequence[float]) -> List[float]:
         """Aggregate thread utilisation onto cores (for the DVFS model).
 
         ``cores`` are the threads' placements as :meth:`step` returned
@@ -76,13 +80,24 @@ class AffinityModel:
         — giving smooth per-core utilisation that still correlates with
         placement.
         """
-        load = np.zeros(self.num_cpus)
-        np.add.at(load, np.asarray(cores, dtype=np.intp), np.asarray(utilisations, dtype=np.float64))
+        if len(cores) != len(utilisations):
+            raise ValueError("cores and utilisations length mismatch")
+        load = [0.0] * self.num_cpus
+        for core, u in zip(cores, utilisations):
+            load[core] += u
+        if max(load) <= 1.0 and min(load) >= 0.0:
+            return load  # nothing to shave: the overflow is exactly 0
         # Kernel load balancing: shave overload above 1.0 and spread it.
-        overflow = np.clip(load - 1.0, 0.0, None).sum()
-        load = np.clip(load, 0.0, 1.0)
-        headroom = 1.0 - load
-        total_headroom = headroom.sum()
+        # (np.add.reduce is the pairwise sum np.sum runs, minus its wrapper.)
+        clipped = np.array(load)
+        excess = clipped - 1.0
+        np.maximum(excess, 0.0, out=excess)
+        np.minimum(clipped, 1.0, out=clipped)
+        np.maximum(clipped, 0.0, out=clipped)
+        headroom = 1.0 - clipped
+        overflow = np.add.reduce(excess)
+        total_headroom = np.add.reduce(headroom)
         if overflow > 0 and total_headroom > 0:
-            load += headroom * min(1.0, overflow / total_headroom)
-        return load
+            headroom *= min(1.0, overflow / total_headroom)
+            clipped += headroom
+        return clipped.tolist()

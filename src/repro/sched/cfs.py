@@ -33,7 +33,7 @@ the controllers rewrite them every period.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -188,23 +188,3 @@ class CfsScheduler:
         ]
         self._generation = root.generation
         self._paths = paths
-
-
-def flat_fair_split(
-    num_cpus: int,
-    dt: float,
-    demands: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Non-hierarchical reference: fair-share directly among threads.
-
-    Used in tests to contrast with the hierarchical behaviour the paper
-    demonstrates (experiments a/b in §IV-A2).
-    """
-    demands = np.asarray(demands, dtype=np.float64)
-    if weights is None:
-        weights = np.ones_like(demands)
-    from repro.sched.fairshare import weighted_fair_share
-
-    limits = np.minimum(demands, 1.0) * dt
-    return weighted_fair_share(num_cpus * dt, weights, limits)

@@ -45,18 +45,25 @@ class TestStatFormat:
 
     def test_charge_accumulates_user_hz_ticks(self, procfs):
         tid = procfs.spawn("x")
-        procfs.charge(tid, 1.5)
-        assert procfs.stat(tid).utime_ticks == int(1.5 * USER_HZ)
+        procfs.account(tid, 1.5, 0)
+        procfs.account(tid, 1.5, 0)
+        assert procfs.stat(tid).utime_ticks == 2 * int(1.5 * USER_HZ)
 
     def test_charge_negative_rejected(self, procfs):
         tid = procfs.spawn("x")
         with pytest.raises(ValueError):
-            procfs.charge(tid, -0.1)
+            procfs.account(tid, -0.1, 0)
+        assert procfs.stat(tid).utime_ticks == 0
+
+    def test_account_unknown_thread(self, procfs):
+        with pytest.raises(ProcessLookupError):
+            procfs.account(1, 0.5, 0)
 
     def test_set_processor(self, procfs):
         tid = procfs.spawn("x")
-        procfs.set_processor(tid, 3)
+        procfs.account(tid, 0.0, 3)
         assert procfs.stat(tid).processor == 3
+        assert procfs.stat(tid).utime_ticks == 0
 
 
 class TestParseStatLine:

@@ -123,14 +123,14 @@ class TestCoreTracking:
     def test_core_comes_from_procfs(self):
         node, hv, mon = make_host()
         vm = hv.provision(SMALL, "vm-a")
-        node.procfs.set_processor(vm.vcpus[0].tid, 3)
+        node.procfs.account(vm.vcpus[0].tid, 0.0, 3)
         samples = {s.vcpu_index: s for s in mon.sample()}
         assert samples[0].core == 3
 
     def test_core_freq_comes_from_sysfs(self):
         node, hv, mon = make_host()
         vm = hv.provision(SMALL, "vm-a")
-        node.procfs.set_processor(vm.vcpus[0].tid, 1)
+        node.procfs.account(vm.vcpus[0].tid, 0.0, 1)
         samples = {s.vcpu_index: s for s in mon.sample()}
         assert samples[0].core_freq_mhz == pytest.approx(
             node.sysfs.scaling_cur_freq(1) / 1000.0

@@ -125,6 +125,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             make().step([-0.5] * 4, dt=0.5)
 
+    def test_rejected_step_changes_nothing(self):
+        a, b = make(jitter=50.0, seed=4), make(jitter=50.0, seed=4)
+        with pytest.raises(ValueError):
+            a.step([0.5, 0.5, 0.5, 1.5], dt=0.5)
+        # neither the frequencies nor the jitter stream moved
+        a.step([0.5] * 4, dt=0.5)
+        b.step([0.5] * 4, dt=0.5)
+        assert list(a.freqs_mhz) == list(b.freqs_mhz)
+
     def test_ctor_validation(self):
         with pytest.raises(ValueError):
             DvfsModel(0, 2400, 1200)

@@ -51,10 +51,12 @@ class TestEnergyMeter:
         meter = EnergyMeter(model)
         meter.step(0.0, 1200.0, dt=10.0)
         meter.step(1.0, 2400.0, dt=10.0)
-        assert meter.average_power_w() == pytest.approx(150.0)
+        assert meter.energy_j / meter.elapsed_s == pytest.approx(150.0)
 
     def test_empty_meter(self, model):
-        assert EnergyMeter(model).average_power_w() == 0.0
+        meter = EnergyMeter(model)
+        assert meter.energy_j == 0.0
+        assert meter.elapsed_s == 0.0
 
     def test_negative_dt_rejected(self, model):
         with pytest.raises(ValueError):

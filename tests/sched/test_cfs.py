@@ -10,9 +10,17 @@ import pytest
 
 from repro.cgroups.cpu import QuotaSpec
 from repro.cgroups.fs import CgroupFS, CgroupVersion
-from repro.sched.cfs import CfsScheduler, flat_fair_split
+from repro.sched.cfs import CfsScheduler
 from repro.sched.entity import SchedEntity
+from repro.sched.fairshare import weighted_fair_share
 from tests.sched.cfs_reference import CfsScheduler as ReferenceScheduler
+
+
+def flat_fair_split(num_cpus, dt, demands):
+    """Non-hierarchical contrast: fair-share directly among threads."""
+    demands = np.asarray(demands, dtype=np.float64)
+    limits = np.minimum(demands, 1.0) * dt
+    return weighted_fair_share(num_cpus * dt, np.ones_like(demands), limits)
 
 
 def build_host(num_vms, vcpus_per_vm, num_cpus, version=CgroupVersion.V2):
