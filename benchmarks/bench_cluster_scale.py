@@ -42,7 +42,7 @@ from repro.sim.scenario import ClusterScenario, chaos_churn_xl
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.template import VMTemplate
 
-from conftest import emit, results_path
+from conftest import bench_env, emit, results_path, spread
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
@@ -164,7 +164,9 @@ def test_chaos1000_control_loop_budget(once):
 
 NODE_COUNTS = (8,) if SMOKE else (64, 256, 1000)
 VMS_PER_NODE = 2
-CLUSTER_TICKS = 3
+#: measured ticks per point (after one warm tick); enough for a p50
+#: and its quartiles
+CLUSTER_TICKS = 10
 
 #: deliberately small host: the curve scales the *node count*, so each
 #: node carries just enough controller work to make the plane visible
@@ -246,7 +248,7 @@ def _measure_threaded(num_nodes):
         walls.append(time.perf_counter() - t0)
     stats = manager.backend_stats()
     manager.close()
-    return median(walls), max(walls), stats
+    return walls, stats
 
 
 def _measure_sharded(num_nodes):
@@ -261,7 +263,7 @@ def _measure_sharded(num_nodes):
         # The compact telemetry must still serve full reports on demand.
         report = manager.fetch_report("node-0")
         assert report is not None and report.allocations
-    return median(walls), max(walls), stats
+    return walls, stats
 
 
 def test_node_scaling_curve(once):
@@ -273,17 +275,19 @@ def test_node_scaling_curve(once):
         curve = {}
         shm_worst_at_max = None
         for n in NODE_COUNTS:
-            threaded, _, threaded_stats = _measure_threaded(n)
-            shm, shm_worst, shm_stats = _measure_sharded(n)
+            threaded, threaded_stats = _measure_threaded(n)
+            shm, shm_stats = _measure_sharded(n)
             # Both planes drove identical clusters: the backend
             # counters they aggregate must match exactly.
             assert threaded_stats == shm_stats, f"{n} nodes: planes diverged"
             curve[str(n)] = {
                 "num_shards": min(n, 8),
-                "threaded_seconds_per_tick": threaded,
-                "sharded_shm_seconds_per_tick": shm,
+                "threaded_seconds_per_tick": median(threaded),
+                "sharded_shm_seconds_per_tick": median(shm),
+                "threaded_spread": spread(threaded),
+                "sharded_shm_spread": spread(shm),
             }
-            shm_worst_at_max = shm_worst
+            shm_worst_at_max = max(shm)
         return curve, shm_worst_at_max
 
     curve, shm_worst_at_max = once(run)
@@ -293,6 +297,7 @@ def test_node_scaling_curve(once):
         "vms_per_node": VMS_PER_NODE,
         "ticks": CLUSTER_TICKS,
         "cpu_count": os.cpu_count(),
+        "env": bench_env(CLUSTER_TICKS),
         "control_period_s": CONTROL_PERIOD_S,
         "max_nodes": int(max_nodes),
         "sharded_shm_max_tick_seconds": shm_worst_at_max,

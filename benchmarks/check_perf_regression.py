@@ -82,6 +82,14 @@ def _check_pair(baseline_path, fresh_path, tolerance, failures):
     shared = sorted(set(baseline) & set(fresh))
     compared = 0
     for section in shared:
+        base_env = baseline[section].get("env")
+        fresh_env = fresh[section].get("env")
+        if base_env != fresh_env:
+            # Not a gate: numbers from other conditions are still
+            # compared, but the reader sees which conditions differ.
+            print(f"{section:>12} env differs from the baseline's:")
+            print(f"{'':>12}   baseline {json.dumps(base_env, sort_keys=True)}")
+            print(f"{'':>12}   now      {json.dumps(fresh_env, sort_keys=True)}")
         base_flat = _flatten(baseline[section])
         fresh_flat = _flatten(fresh[section])
         for metric in sorted(set(base_flat) & set(fresh_flat)):

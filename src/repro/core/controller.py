@@ -29,7 +29,7 @@ from repro.core.backend import HostBackend, vm_component
 from repro.core.config import ControllerConfig
 from repro.core.credits import CreditLedger, apply_base_capping
 from repro.core.distribute import distribute_leftovers
-from repro.core.enforcer import MIN_QUOTA_US, Enforcer
+from repro.core.enforcer import Enforcer
 from repro.core.estimator import EstimatorDecision, TrendEstimator
 from repro.core.monitor import Monitor, VCpuSample
 from repro.core.resilience import (
@@ -38,12 +38,10 @@ from repro.core.resilience import (
     ResilienceStats,
     fallback_caps,
 )
-from repro.core.soa import VcpuTable, build_decisions, decide_batch, seqsum
-from repro.core.soa import gather_free_shares
+from repro.core.soa import SlotArena, VcpuTable
 from repro.core.timings import StageTimings
 from repro.core.units import cycles_per_period, guaranteed_cycles, period_us
 from repro.obs.logging import get_logger
-from repro.sched.fairshare import proportional_share
 
 import numpy as np
 
@@ -157,6 +155,8 @@ class VirtualFrequencyController:
         #: means the gathered TickView can be reused as-is).
         self._registry_version = 0
         self._bulk_cache = None
+        #: The bulk engine's one-host executor (built on first tick).
+        self._executor = None
         self._cap_epoch_seen = backend.cap_epoch
         self._current_cap: Dict[str, float] = {}
         self._degraded: Dict[str, DegradedVcpu] = {}
@@ -364,14 +364,24 @@ class VirtualFrequencyController:
                 return self._tick_bulk(t)
             return self._tick_scalar(t)
         except Exception as exc:
-            from repro.checking.invariants import InvariantViolationError
-
-            if not isinstance(exc, InvariantViolationError):
-                # Violations dump in _finish (the failing report is in
-                # the ring by then); everything else — e.g. an injected
-                # ControllerCrash — dumps here on the way out.
-                self.obs.on_tick_error(self, exc, self._tick_count)
+            self.tick_failed(exc)
             raise
+
+    def tick_failed(self, exc: BaseException) -> None:
+        """Flight-recorder hook for a tick that raised ``exc``.
+
+        :meth:`tick` calls it on the way out; a node manager that ran
+        this controller in a batched group calls it for the same effect.
+        """
+        if self.obs is None:
+            return
+        from repro.checking.invariants import InvariantViolationError
+
+        if not isinstance(exc, InvariantViolationError):
+            # Violations dump in _finish (the failing report is in
+            # the ring by then); everything else — e.g. an injected
+            # ControllerCrash — dumps here on the way out.
+            self.obs.on_tick_error(self, exc, self._tick_count)
 
     def _tick_scalar(self, t: float) -> ControllerReport:
         """The per-vCPU reference implementation (``engine="scalar"``)."""
@@ -484,158 +494,36 @@ class VirtualFrequencyController:
     def _tick_bulk(self, t: float) -> ControllerReport:
         """Structure-of-arrays fast path (``engine="bulk"``).
 
-        One iteration over NumPy columns instead of per-vCPU dict
-        loops; see :mod:`repro.core.soa` for why every array is
-        gathered in sample order and how reductions keep the scalar
-        engine's operation order (and therefore its exact bits).
-        Stages 1 and 6 go through the backend's array interface
-        (:meth:`~repro.core.backend.HostBackend.sample_all` /
-        ``write_caps`` with a dirty mask) and stage 2 through the
-        dirty-set cache.
+        The one-host case of :class:`repro.core.bulk.BulkExecutor`,
+        which also runs whole node groups for
+        :class:`~repro.sim.node_manager.NodeManager`; see
+        :mod:`repro.core.soa` for why every array is gathered in sample
+        order and how reductions keep the scalar engine's operation
+        order (and therefore its exact bits).
         """
-        cfg = self.config
+        if self._executor is None:
+            # Import deferred: repro.core.bulk imports this module.
+            from repro.core.bulk import BulkExecutor
+
+            self._executor = BulkExecutor()
+        outcome = self._executor.tick([self], t)[0]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def use_arena(self, arena: Optional[SlotArena]) -> None:
+        """Move the bulk engine's per-vCPU state into ``arena``.
+
+        ``None`` gives the controller a private arena again.  A node
+        manager shares one arena across its serial node group so the
+        group's stages run as single array passes; the values move
+        unchanged, so no report changes.
+        """
         table = self._table
-        p_us = period_us(cfg.period_s)
-        report = ControllerReport(t=t)
-
-        # Stage 1 — monitoring; samples land directly in table slots.
-        # Stale-sample carry-forward is inherently per-path, so an
-        # active resilience policy keeps the list-based monitor.
-        t0 = time.perf_counter()
-        if self.resilience is None:
-            samples, view = self._bulk_sample(table)
-        else:
-            samples = [
-                s for s in self.monitor.sample() if s.vm_name in self._vm_vfreq
-            ]
-            view = table.ingest(
-                samples, self._guarantee.__getitem__, self._current_cap
-            )
-            self._update_health(samples)
-        report.samples = samples
-        report.timings.monitor = time.perf_counter() - t0
-
-        # Stage 2 — estimation (histories always updated, as in config A).
-        t0 = time.perf_counter()
-        table.observe(view.rows, view.consumed)
-        if not cfg.control_enabled:
-            report.timings.estimate = time.perf_counter() - t0
-            self._finish(report)
-            return report
-        estimates, trends, cases = decide_batch(table, view, cfg)
-        if self._need_detail():
-            # The per-path decision objects are report detail only; the
-            # stages below consume the arrays directly.
-            report.decisions = build_decisions(
-                view.paths, estimates, trends, cases
-            )
-        report.timings.estimate = time.perf_counter() - t0
-
-        # Stage 3 — credits (Eq. 4) and base capping (Eq. 5).
-        t0 = time.perf_counter()
-        guarantees = table.guarantee[view.rows]
-        vm_ids = table.vm_ids[view.rows]
-        # Eq. 4 per-VM segment reduction: bincount adds contributions in
-        # sample order, exactly like the scalar per-VM sums (the masked
-        # zeros are exact no-ops).
-        contrib = np.where(view.consumed < guarantees,
-                           guarantees - view.consumed, 0.0)
-        gains = np.bincount(vm_ids, weights=contrib,
-                            minlength=table.num_vm_ids)
-        gains_list = gains.tolist()
-        self.ledger.apply_gains(
-            (vm, gains_list[vid]) for vm, vid in view.vm_order
-        )
-        alloc = np.minimum(estimates, guarantees)  # Eq. 5
-        if cfg.reserve_guarantee:
-            alloc = np.maximum(alloc, guarantees)
-        report.timings.credits = time.perf_counter() - t0
-
-        # Stage 4 — auction (Eq. 6 + Algorithm 1, shared heap version).
-        t0 = time.perf_counter()
-        total_cycles = cycles_per_period(cfg.period_s, self.num_cpus)
-        market = max(0.0, total_cycles - seqsum(alloc))
-        report.market_initial = market
-        residual = np.minimum(estimates, p_us) - alloc
-        if market > 0 and not self.ledger.any_funded():
-            # Nobody can pay: run_auction would return empty-handed
-            # after scanning every buyer, so synthesise its exact result
-            # (rounds included) without building the per-path dicts.
-            outcome = AuctionOutcome(market_left=market)
-            outcome.rounds = 1 if bool(np.any(residual > 1e-9)) else 0
-        else:
-            buyers = np.flatnonzero(estimates > alloc)
-            residual_list = residual.tolist()
-            demands = {}
-            vm_of = {}
-            for i in buyers.tolist():
-                path = view.paths[i]
-                demands[path] = residual_list[i]
-                vm_of[path] = view.vms[i]
-            priorities = (
-                {vm: self._vm_vfreq[vm] for vm, _ in view.vm_order}
-                if cfg.auction_priority == "frequency"
-                else None
-            )
-            window = cfg.auction_window_frac * p_us
-            outcome = run_auction(
-                market, demands, vm_of, self.ledger, window,
-                priorities=priorities,
-            )
-            for path, bought in outcome.purchased.items():
-                i = view.pos[path]
-                alloc[i] += bought
-                residual[i] -= bought
-        report.auction = outcome
-        report.timings.auction = time.perf_counter() - t0
-
-        # Stage 5 — free distribution of what the auction could not sell.
-        t0 = time.perf_counter()
-        if outcome.market_left > 0:
-            needy = np.flatnonzero(residual > 1e-9)
-        else:
-            needy = np.empty(0, dtype=np.intp)
-        if needy.size:
-            shares = proportional_share(outcome.market_left, residual[needy])
-            given = shares > 0
-            alloc[needy[given]] += shares[given]
-            report.freely_distributed = seqsum(shares[given])
-            report.free_shares = gather_free_shares(view.paths, needy, shares)
-        report.timings.distribute = time.perf_counter() - t0
-
-        # Stage 6 — apply the capping.
-        t0 = time.perf_counter()
-        np.minimum(alloc, p_us, out=alloc)
-        extra: Dict[str, float] = {}
-        if self.resilience is not None and self._degraded:
-            overrides = fallback_caps(
-                self.resilience, self._degraded, self._vm_vfreq,
-                self._current_cap, self.guaranteed_cycles_of, p_us,
-            )
-            report.degraded.update(overrides)
-            # One cap per vCPU, as in the scalar dict update: a degraded
-            # path that still has a (carried-forward) row takes its
-            # fallback in place; only paths with no row are appended.
-            for path, cycles in overrides.items():
-                i = view.pos.get(path)
-                if i is None:
-                    extra[path] = cycles
-                else:
-                    alloc[i] = cycles
-        allocations = dict(zip(view.paths, alloc.tolist()))
-        allocations.update(extra)
-        self._bulk_enforce(table, view, alloc, extra)
-        if self.resilience is not None:
-            self._retry_failed_writes(allocations)
-        self._current_cap.update(allocations)
-        table.set_caps(view.rows, alloc)
-        for path, cycles in extra.items():
-            table.set_cap_path(path, cycles)
-        report.allocations = allocations
-        report.timings.enforce = time.perf_counter() - t0
-
-        self._finish(report)
-        return report
+        if table is None or (arena is not None and table.arena is arena):
+            return
+        table.move_to(arena or SlotArena(table.history_len))
+        self._bulk_cache = None
 
     # -- bulk-array engine helpers ------------------------------------------------
 
@@ -650,17 +538,29 @@ class VirtualFrequencyController:
             or self.invariant_checker is not None
         )
 
-    def _bulk_sample(self, table: VcpuTable):
-        """Stage 1 through :meth:`HostBackend.sample_all`.
+    def _bulk_sample(self):
+        """Bulk stage 1: this tick's samples and their :class:`TickView`.
 
-        While the backend batch keeps the same slot order (``paths`` is
-        the identical list object) and the VM registry is unchanged,
-        the gathered :class:`TickView` is reused with only its
-        ``consumed`` column swapped — the steady-state tick carries no
-        per-vCPU Python work at all.  Per-sample objects are only
-        materialised when :meth:`_need_detail` says something consumes
-        them.
+        Goes through :meth:`HostBackend.sample_all`.  While the backend
+        batch keeps the same slot order (``paths`` is the identical list
+        object) and the VM registry is unchanged, the gathered view is
+        reused with only its ``consumed`` column swapped — the
+        steady-state tick carries no per-vCPU Python work at all.
+        Per-sample objects are only materialised when
+        :meth:`_need_detail` says something consumes them.
+        Stale-sample carry-forward is inherently per-path, so an active
+        resilience policy keeps the list-based monitor.
         """
+        table = self._table
+        if self.resilience is not None:
+            samples = [
+                s for s in self.monitor.sample() if s.vm_name in self._vm_vfreq
+            ]
+            view = table.ingest(
+                samples, self._guarantee.__getitem__, self._current_cap
+            )
+            self._update_health(samples)
+            return samples, view
         batch = self.backend.sample_all(self.config.period_s)
         cache = self._bulk_cache
         if (
@@ -691,68 +591,6 @@ class VirtualFrequencyController:
         )
         self._bulk_cache = (batch.paths, self._registry_version, keep, view)
         return samples, view
-
-    def _bulk_enforce(
-        self,
-        table: VcpuTable,
-        view,
-        alloc: np.ndarray,
-        extra: Dict[str, float],
-    ) -> None:
-        """Stage 6 through :meth:`HostBackend.write_caps`.
-
-        Quotas are scaled exactly like :meth:`Enforcer.quota_us`
-        (multiply before divide, banker's rounding, kernel floor), and
-        only rows whose quota differs from the one known to be in
-        force are handed to the backend.  A moved backend
-        ``cap_epoch`` (out-of-band cap invalidation) marks every row
-        dirty; failed or vanished writes reset to "unknown" so they
-        are rewritten next tick.  ``extra`` holds the degraded-mode
-        fallbacks of paths with no row this tick; they are always
-        handed over.
-        """
-        cfg = self.config
-        backend = self.backend
-        p_us = period_us(cfg.period_s)
-        enf = float(cfg.enforcement_period_us)
-        quota_f = np.rint(alloc * enf / p_us)
-        np.maximum(quota_f, MIN_QUOTA_US, out=quota_f)
-        quota = quota_f.astype(np.int64)
-        rows = view.rows
-        if backend.cap_epoch != self._cap_epoch_seen:
-            dirty_view = np.ones(rows.size, dtype=bool)
-            self._cap_epoch_seen = backend.cap_epoch
-        else:
-            dirty_view = table.last_quota[rows] != quota
-        paths = view.paths
-        dirty = dirty_view
-        quota_all = quota
-        extra_paths: List[str] = []
-        if extra:
-            extra_paths = list(extra)
-            extra_quota = np.fromiter(
-                (self.enforcer.quota_us(c) for c in extra.values()),
-                dtype=np.int64,
-                count=len(extra_paths),
-            )
-            paths = paths + extra_paths
-            quota_all = np.concatenate([quota, extra_quota])
-            dirty = np.concatenate(
-                [dirty_view, np.ones(len(extra_paths), dtype=bool)]
-            )
-        written = backend.write_caps(
-            paths, quota_all, cfg.enforcement_period_us, dirty
-        )
-        # Commit what actually landed; failed or vanished rows become
-        # unknown (-1) so the next tick rewrites them unconditionally.
-        lq = table.last_quota
-        for i in np.flatnonzero(dirty_view).tolist():
-            path = view.paths[i]
-            lq[rows[i]] = quota[i] if path in written else -1
-        for j, path in enumerate(extra_paths):
-            slot = table.slot_of(path)
-            if slot is not None:
-                lq[slot] = int(extra_quota[j]) if path in written else -1
 
     # -- degraded-mode resilience -------------------------------------------------
 

@@ -9,6 +9,16 @@ arrays — consumption-history ring buffers, current caps and cached
 Eq. 2 guarantees — so stages 2, 3 and 5 become a handful of
 vectorised array operations regardless of population size.
 
+The arrays live in a :class:`SlotArena`.  A table normally owns one,
+but the tables of a node group run by one
+:class:`~repro.sim.node_manager.NodeManager` share a single arena: each
+table keeps its own path -> slot and VM -> id maps and draws the
+integers from the shared pool, so VM ids are unique across the group
+and the group's rows index one set of columns.  That is what lets
+:class:`~repro.core.bulk.BulkExecutor` run a stage as one array pass
+over many hosts; every operation here is per row (or a per-VM
+``bincount``), so mixing the rows of several tables changes no value.
+
 Bit-identity with the scalar oracle
 -----------------------------------
 The bulk engine (``ControllerConfig.engine = "bulk"``) must produce
@@ -22,7 +32,8 @@ guarantees by construction:
   exact operands the scalar loops see;
 * reductions across the *population* that the scalar code performs
   sequentially (``sum()`` over dict values, per-VM credit sums) use
-  :func:`seqsum` (``np.add.accumulate``) or ``np.bincount`` — both add
+  :func:`seqsum` (``np.add.accumulate``), :func:`segment_seqsums` (one
+  such sum per host of a group) or ``np.bincount`` — all add
   left-to-right exactly like the Python loops, and adding the ``0.0``
   placeholders of masked-out elements is exact;
 * reductions across the *history window* (Eq. 3 slope) loop over the
@@ -48,7 +59,10 @@ from repro.core.config import ControllerConfig
 from repro.core.estimator import Case, EstimatorDecision
 from repro.core.units import period_us
 
-__all__ = ["VcpuTable", "TickView", "seqsum", "decide_batch", "build_decisions"]
+__all__ = [
+    "SlotArena", "VcpuTable", "TickView", "seqsum", "decide_batch",
+    "build_decisions",
+]
 
 #: Integer case codes used inside the vectorised estimator (int8 array).
 _WARMUP, _INCREASE, _DECREASE, _STABLE = 0, 1, 2, 3
@@ -113,14 +127,25 @@ class TickView:
     vm_order: List[Tuple[str, int]]  # first-seen VM order, with dense ids
 
 
-class VcpuTable:
-    """Stable integer slots + NumPy columns for per-vCPU controller state.
+class SlotArena:
+    """Per-vCPU NumPy columns plus the slot and VM-id free lists.
 
-    Slots are assigned lazily at a vCPU's first sample and survive until
-    the path (or its whole VM) is released, so gathered views stay valid
-    across ticks; freed slots are recycled.  VM names get dense integer
-    ids for ``np.bincount`` segment reductions in the credit stage.
+    One arena can back several :class:`VcpuTable` s — the tables of a
+    node group run by one :class:`~repro.sim.node_manager.NodeManager`
+    — so a stage can be one array pass over every host's rows (see
+    :mod:`repro.core.bulk`).  The arena knows nothing about paths or VM
+    names; each table keeps its own maps and only draws integers here.
+    Every column is elementwise per slot, and VM ids are unique across
+    the arena, so indexing a mix of tables' rows computes exactly what
+    indexing each table's rows alone would.
     """
+
+    #: Every per-slot column (grown and re-homed together).
+    COLUMNS = (
+        "hist", "hist_n", "cap", "has_cap", "guarantee", "vm_ids",
+        "run_len", "decide_valid", "last_est", "last_trend", "last_case",
+        "last_decide_cap", "last_quota",
+    )
 
     def __init__(self, history_len: int, capacity: int = 64) -> None:
         if history_len < 2:
@@ -149,20 +174,10 @@ class VcpuTable:
         #: Quota (µs) this slot's cap scaled to at the last bulk write;
         #: ``-1`` = unknown/failed, always dirty.
         self.last_quota = np.full(capacity, -1, dtype=np.int64)
-        # -- slot bookkeeping ------------------------------------------------
-        self._slot: Dict[str, int] = {}
-        self._path_of: List[Optional[str]] = [None] * capacity
         self._free: List[int] = list(range(capacity - 1, -1, -1))
-        # -- VM id space -----------------------------------------------------
-        self._vm_id: Dict[str, int] = {}
-        self._vm_names: List[str] = []
         self._vm_free: List[int] = []
-        self._vm_slots: Dict[str, List[int]] = {}
-
-    # -- capacity ---------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._slot)
+        #: Size of the dense VM-id space (``np.bincount`` minlength).
+        self.num_vm_ids = 0
 
     @property
     def capacity(self) -> int:
@@ -171,40 +186,101 @@ class VcpuTable:
     def _grow(self) -> None:
         old = self.capacity
         new = old * 2
-        for name in ("hist", "hist_n", "cap", "has_cap", "guarantee",
-                     "vm_ids", "run_len", "decide_valid",
-                     "last_est", "last_trend", "last_case",
-                     "last_decide_cap", "last_quota"):
+        for name in self.COLUMNS:
             arr = getattr(self, name)
             shape = (new,) + arr.shape[1:]
             grown = np.zeros(shape, dtype=arr.dtype)
             grown[:old] = arr
             setattr(self, name, grown)
-        self._path_of.extend([None] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
+
+    def take_slot(self) -> int:
+        """A free slot (growing the columns if none is left)."""
+        if not self._free:
+            self._grow()
+        return self._free.pop()
+
+    def give_slot(self, slot: int) -> None:
+        """Return a slot; its state reads as empty until re-seeded."""
+        self.hist_n[slot] = 0
+        self.has_cap[slot] = False
+        self.run_len[slot] = 0
+        self.decide_valid[slot] = False
+        self.last_quota[slot] = -1
+        self._free.append(slot)
+
+    def take_vm_id(self) -> int:
+        if self._vm_free:
+            return self._vm_free.pop()
+        self.num_vm_ids += 1
+        return self.num_vm_ids - 1
+
+    def give_vm_id(self, vid: int) -> None:
+        self._vm_free.append(vid)
+
+    def observe(self, rows: np.ndarray, consumed: np.ndarray) -> None:
+        """Append one consumption per row (stage 2 history update)."""
+        if rows.size == 0:
+            return
+        # Uniform-tail tracking must look at the newest sample *before*
+        # the shift: extend the run when the incoming value repeats it.
+        same = (self.hist_n[rows] > 0) & (self.hist[rows, -1] == consumed)
+        self.run_len[rows] = np.where(same, self.run_len[rows] + 1, 1)
+        self.hist[rows, :-1] = self.hist[rows, 1:]
+        self.hist[rows, -1] = consumed
+        self.hist_n[rows] = np.minimum(self.hist_n[rows] + 1, self.history_len)
+
+    def set_caps(self, rows: np.ndarray, caps: np.ndarray) -> None:
+        """Scatter enforced caps back into the slot columns."""
+        self.cap[rows] = caps
+        self.has_cap[rows] = True
+
+
+class VcpuTable:
+    """One controller's path -> slot and VM -> id maps over a :class:`SlotArena`.
+
+    Slots are assigned lazily at a vCPU's first sample and survive until
+    the path (or its whole VM) is released, so gathered views stay valid
+    across ticks; freed slots are recycled.  VM names get integer ids
+    for ``np.bincount`` segment reductions in the credit stage.  A table
+    owns a private arena unless given one; :meth:`move_to` re-homes it.
+    """
+
+    def __init__(
+        self,
+        history_len: int,
+        capacity: int = 64,
+        *,
+        arena: Optional[SlotArena] = None,
+    ) -> None:
+        if arena is None:
+            arena = SlotArena(history_len, capacity)
+        elif arena.history_len != history_len:
+            raise ValueError("arena history_len differs from the table's")
+        self.arena = arena
+        self.history_len = history_len
+        self._slot: Dict[str, int] = {}
+        self._path_of: Dict[int, str] = {}
+        self._vm_id: Dict[str, int] = {}
+        self._vm_names: Dict[int, str] = {}
+        self._vm_slots: Dict[str, List[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._slot)
 
     # -- VM ids -----------------------------------------------------------------
 
     def _vm_id_for(self, vm_name: str) -> int:
         vid = self._vm_id.get(vm_name)
         if vid is None:
-            if self._vm_free:
-                vid = self._vm_free.pop()
-                self._vm_names[vid] = vm_name
-            else:
-                vid = len(self._vm_names)
-                self._vm_names.append(vm_name)
+            vid = self.arena.take_vm_id()
             self._vm_id[vm_name] = vid
+            self._vm_names[vid] = vm_name
             self._vm_slots[vm_name] = []
         return vid
 
-    @property
-    def num_vm_ids(self) -> int:
-        """Size of the dense VM-id space (``np.bincount`` minlength)."""
-        return len(self._vm_names)
-
     def vm_name_of_slot(self, slot: int) -> str:
-        return self._vm_names[int(self.vm_ids[slot])]
+        return self._vm_names[int(self.arena.vm_ids[slot])]
 
     # -- slot lifecycle ---------------------------------------------------------
 
@@ -222,25 +298,23 @@ class VcpuTable:
         slot = self._slot.get(path)
         if slot is not None:
             return slot
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
+        arena = self.arena
+        slot = arena.take_slot()
         self._slot[path] = slot
         self._path_of[slot] = path
-        self.hist[slot] = 0.0
-        self.hist_n[slot] = 0
-        self.guarantee[slot] = guarantee
-        self.run_len[slot] = 0
-        self.decide_valid[slot] = False
-        self.last_quota[slot] = -1
+        arena.hist[slot] = 0.0
+        arena.hist_n[slot] = 0
+        arena.guarantee[slot] = guarantee
+        arena.run_len[slot] = 0
+        arena.decide_valid[slot] = False
+        arena.last_quota[slot] = -1
         if initial_cap is None:
-            self.cap[slot] = 0.0
-            self.has_cap[slot] = False
+            arena.cap[slot] = 0.0
+            arena.has_cap[slot] = False
         else:
-            self.cap[slot] = initial_cap
-            self.has_cap[slot] = True
-        vid = self._vm_id_for(vm_name)
-        self.vm_ids[slot] = vid
+            arena.cap[slot] = initial_cap
+            arena.has_cap[slot] = True
+        arena.vm_ids[slot] = self._vm_id_for(vm_name)
         self._vm_slots[vm_name].append(slot)
         return slot
 
@@ -250,44 +324,61 @@ class VcpuTable:
         if slot is None:
             return
         vm_name = self.vm_name_of_slot(slot)
-        self._path_of[slot] = None
-        self.hist_n[slot] = 0
-        self.has_cap[slot] = False
-        self.run_len[slot] = 0
-        self.decide_valid[slot] = False
-        self.last_quota[slot] = -1
-        self._free.append(slot)
+        del self._path_of[slot]
+        self.arena.give_slot(slot)
         slots = self._vm_slots.get(vm_name)
         if slots is not None:
             slots.remove(slot)
 
     def release_vm(self, vm_name: str) -> None:
-        """Free every slot of a VM and recycle its dense id."""
+        """Free every slot of a VM and recycle its id."""
         for slot in list(self._vm_slots.get(vm_name, ())):
-            path = self._path_of[slot]
-            if path is not None:
-                self.release_path(path)
+            self.release_path(self._path_of[slot])
         vid = self._vm_id.pop(vm_name, None)
         if vid is not None:
             self._vm_slots.pop(vm_name, None)
-            self._vm_names[vid] = ""
-            self._vm_free.append(vid)
+            del self._vm_names[vid]
+            self.arena.give_vm_id(vid)
 
     def clear(self) -> None:
         """Drop everything (controller reset before snapshot restore)."""
-        capacity = self.capacity
-        self.hist_n[:] = 0
-        self.has_cap[:] = False
-        self.run_len[:] = 0
-        self.decide_valid[:] = False
-        self.last_quota[:] = -1
-        self._slot.clear()
-        self._path_of = [None] * capacity
-        self._free = list(range(capacity - 1, -1, -1))
-        self._vm_id.clear()
-        self._vm_names = []
-        self._vm_free = []
-        self._vm_slots.clear()
+        for vm_name in list(self._vm_id):
+            self.release_vm(vm_name)
+
+    def move_to(self, arena: SlotArena) -> None:
+        """Re-home every slot and VM id into ``arena``, values kept.
+
+        The old arena gets its slots and ids back.  Slot and id numbers
+        change, so any view gathered before the move is stale.
+        """
+        old = self.arena
+        if arena is old:
+            return
+        if arena.history_len != self.history_len:
+            raise ValueError("arena history_len differs from the table's")
+        vid_map = {vid: arena.take_vm_id() for vid in self._vm_id.values()}
+        src = list(self._slot.values())
+        dst = [arena.take_slot() for _ in src]
+        if src:
+            s = np.asarray(src, dtype=np.intp)
+            d = np.asarray(dst, dtype=np.intp)
+            for name in SlotArena.COLUMNS:
+                getattr(arena, name)[d] = getattr(old, name)[s]
+            arena.vm_ids[d] = [vid_map[v] for v in old.vm_ids[s].tolist()]
+        for slot in src:
+            old.give_slot(slot)
+        for vid in vid_map:
+            old.give_vm_id(vid)
+        slot_map = dict(zip(src, dst))
+        self._slot = {p: slot_map[s] for p, s in self._slot.items()}
+        self._path_of = {slot_map[s]: p for s, p in self._path_of.items()}
+        self._vm_id = {n: vid_map[v] for n, v in self._vm_id.items()}
+        self._vm_names = {vid_map[v]: n for v, n in self._vm_names.items()}
+        self._vm_slots = {
+            n: [slot_map[s] for s in slots]
+            for n, slots in self._vm_slots.items()
+        }
+        self.arena = arena
 
     # -- guarantees (cached Eq. 2) ----------------------------------------------
 
@@ -295,65 +386,50 @@ class VcpuTable:
         """Refresh the cached ``C_i`` of a VM's live slots (set_vfreq)."""
         slots = self._vm_slots.get(vm_name)
         if slots:
-            self.guarantee[np.asarray(slots, dtype=np.intp)] = guarantee
+            self.arena.guarantee[np.asarray(slots, dtype=np.intp)] = guarantee
 
     # -- histories --------------------------------------------------------------
-
-    def observe(self, rows: np.ndarray, consumed: np.ndarray) -> None:
-        """Append one consumption per row (stage 2 history update)."""
-        if rows.size == 0:
-            return
-        # Uniform-tail tracking must look at the newest sample *before*
-        # the shift: extend the run when the incoming value repeats it.
-        same = (self.hist_n[rows] > 0) & (self.hist[rows, -1] == consumed)
-        self.run_len[rows] = np.where(same, self.run_len[rows] + 1, 1)
-        self.hist[rows, :-1] = self.hist[rows, 1:]
-        self.hist[rows, -1] = consumed
-        self.hist_n[rows] = np.minimum(self.hist_n[rows] + 1, self.history_len)
 
     def history_of(self, path: str) -> List[float]:
         """Chronological consumption window of one vCPU (oldest first)."""
         slot = self._slot.get(path)
         if slot is None:
             return []
-        n = int(self.hist_n[slot])
-        return self.hist[slot, self.history_len - n:].tolist()
+        n = int(self.arena.hist_n[slot])
+        return self.arena.hist[slot, self.history_len - n:].tolist()
 
     def histories(self) -> Dict[str, List[float]]:
         """All non-empty windows, keyed by path (snapshot schema)."""
+        hist, hist_n = self.arena.hist, self.arena.hist_n
         out: Dict[str, List[float]] = {}
         for path, slot in self._slot.items():
-            n = int(self.hist_n[slot])
+            n = int(hist_n[slot])
             if n:
-                out[path] = self.hist[slot, self.history_len - n:].tolist()
+                out[path] = hist[slot, self.history_len - n:].tolist()
         return out
 
     def load_history(self, path: str, values: Sequence[float]) -> None:
         """Replace one vCPU's window (snapshot restore); keeps the tail."""
         slot = self._slot[path]
+        arena = self.arena
         vals = [float(v) for v in values][-self.history_len:]
         n = len(vals)
-        self.hist[slot] = 0.0
+        arena.hist[slot] = 0.0
         if n:
-            self.hist[slot, self.history_len - n:] = vals
-        self.hist_n[slot] = n
+            arena.hist[slot, self.history_len - n:] = vals
+        arena.hist_n[slot] = n
         # The window was replaced wholesale: the uniform-tail counter no
         # longer describes it, so the decision cache must not serve.
-        self.run_len[slot] = 0
-        self.decide_valid[slot] = False
+        arena.run_len[slot] = 0
+        arena.decide_valid[slot] = False
 
     # -- caps -------------------------------------------------------------------
-
-    def set_caps(self, rows: np.ndarray, caps: np.ndarray) -> None:
-        """Scatter this tick's enforced caps back into the slot columns."""
-        self.cap[rows] = caps
-        self.has_cap[rows] = True
 
     def set_cap_path(self, path: str, cap: float) -> None:
         slot = self._slot.get(path)
         if slot is not None:
-            self.cap[slot] = cap
-            self.has_cap[slot] = True
+            self.arena.cap[slot] = cap
+            self.arena.has_cap[slot] = True
 
     # -- the per-tick gather ----------------------------------------------------
 
@@ -407,7 +483,7 @@ class VcpuTable:
 
 
 def _decide_core(
-    table: VcpuTable,
+    arena: SlotArena,
     rows: np.ndarray,
     u: np.ndarray,
     n_arr: np.ndarray,
@@ -438,13 +514,13 @@ def _decide_core(
     # dense (group, n) matrix.  The accumulations loop over the ≤
     # history_len columns, adding population vectors in the scalar
     # loop's order (num and mean both start from 0.0 exactly).
-    L = table.history_len
+    L = arena.history_len
     for win in range(2, L + 1):
         mask = n_arr == win
         if not mask.any():
             continue
         idx = rows[mask]
-        window = table.hist[idx][:, L - win:]
+        window = arena.hist[idx][:, L - win:]
         dx, denom = centering_weights(win, cfg.literal_trend)
         acc = np.zeros(idx.size)
         for k in range(win):
@@ -484,17 +560,19 @@ def _decide_core(
 
 
 def decide_batch(
-    table: VcpuTable,
-    view: TickView,
+    arena: SlotArena,
+    rows: np.ndarray,
+    consumed: np.ndarray,
     config: ControllerConfig,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage-2 decisions for every sampled vCPU at once.
+    """Stage-2 decisions for every given row at once.
 
-    Returns ``(estimates, trends, case_codes)`` in sample order,
+    Returns ``(estimates, trends, case_codes)`` in row order,
     bit-identical to calling
     :meth:`repro.core.estimator.TrendEstimator.decide` per path.
     Histories must already include this tick's observation
-    (:meth:`VcpuTable.observe` first), mirroring the scalar order.
+    (:meth:`SlotArena.observe` first), mirroring the scalar order.
+    ``rows`` may mix the rows of every table on the arena.
 
     Dirty-set recompute: rows whose decision inputs provably did not
     change since their last decision — the consumption window shifted
@@ -510,41 +588,40 @@ def decide_batch(
     p_us = period_us(cfg.period_s)
     floor = cfg.min_cap_frac * p_us
     eps = cfg.trend_epsilon * p_us
-    rows = view.rows
-    u = view.consumed
+    u = consumed
     n = rows.size
 
-    n_arr = table.hist_n[rows]
-    cap_raw = np.where(table.has_cap[rows], table.cap[rows], p_us)
+    n_arr = arena.hist_n[rows]
+    cap_raw = np.where(arena.has_cap[rows], arena.cap[rows], p_us)
     cap = np.maximum(cap_raw, floor)
 
     clean = (
-        table.decide_valid[rows]
-        & (table.run_len[rows] > table.history_len)
-        & (table.last_decide_cap[rows] == cap)
+        arena.decide_valid[rows]
+        & (arena.run_len[rows] > arena.history_len)
+        & (arena.last_decide_cap[rows] == cap)
     )
     est = np.empty(n)
     trend = np.empty(n)
     case = np.empty(n, dtype=np.int8)
     if clean.any():
         r = rows[clean]
-        est[clean] = table.last_est[r]
-        trend[clean] = table.last_trend[r]
-        case[clean] = table.last_case[r]
+        est[clean] = arena.last_est[r]
+        trend[clean] = arena.last_trend[r]
+        case[clean] = arena.last_case[r]
     dirty = ~clean
     if dirty.any():
         e, tr, ca = _decide_core(
-            table, rows[dirty], u[dirty], n_arr[dirty], cap[dirty],
+            arena, rows[dirty], u[dirty], n_arr[dirty], cap[dirty],
             cfg, p_us, floor, eps,
         )
         est[dirty] = e
         trend[dirty] = tr
         case[dirty] = ca
-    table.last_est[rows] = est
-    table.last_trend[rows] = trend
-    table.last_case[rows] = case
-    table.last_decide_cap[rows] = cap
-    table.decide_valid[rows] = True
+    arena.last_est[rows] = est
+    arena.last_trend[rows] = trend
+    arena.last_case[rows] = case
+    arena.last_decide_cap[rows] = cap
+    arena.decide_valid[rows] = True
     return est, trend, case
 
 
@@ -569,18 +646,40 @@ def build_decisions(
     }
 
 
+def segment_seqsums(
+    values: np.ndarray,
+    seg: np.ndarray,
+    col: np.ndarray,
+    n_seg: int,
+    width: int,
+) -> np.ndarray:
+    """:func:`seqsum` of every segment of ``values`` in one pass.
+
+    ``seg``/``col`` give each value's segment and position in it.  The
+    segments are laid out as the rows of a ``(n_seg, width)`` matrix
+    padded with ``-0.0`` (adding ``-0.0`` is exact for every float), and
+    one row-wise ``np.add.accumulate`` adds each row left to right, so
+    every sum is the one :func:`seqsum` gives for that segment alone;
+    an empty segment sums to ``0.0``.
+    """
+    mat = np.full((n_seg, max(1, width)), -0.0)
+    mat[:, 0] = 0.0
+    mat[seg, col] = values
+    return np.add.accumulate(mat, axis=1)[:, -1]
+
+
 def gather_free_shares(
-    paths: List[str], needy: np.ndarray, shares: np.ndarray
+    paths: List[str], needy: np.ndarray, shares: np.ndarray, lo: int = 0
 ) -> Dict[str, float]:
     """Materialise stage-5 shares as the scalar engine's leftover dict.
 
-    ``needy`` indexes ``paths`` in sample order (``np.flatnonzero`` is
-    ascending), matching the scalar ``distribute_leftovers`` insertion
-    order; zero shares are dropped exactly like its ``share > 0``
-    filter, so both engines report the identical mapping.
+    ``needy - lo`` indexes ``paths`` in sample order (``np.flatnonzero``
+    is ascending), matching the scalar ``distribute_leftovers``
+    insertion order; zero shares are dropped exactly like its
+    ``share > 0`` filter, so both engines report the identical mapping.
     """
     return {
-        paths[i]: share
+        paths[i - lo]: share
         for i, share in zip(needy.tolist(), shares.tolist())
         if share > 0
     }

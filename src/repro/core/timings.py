@@ -16,7 +16,18 @@ STAGES = ("monitor", "estimate", "credits", "auction", "distribute", "enforce")
 @dataclass
 class StageTimings:
     """Wall-clock seconds spent per stage in one iteration (§IV-A2
-    reports 5 ms total, 4 ms of it monitoring, for the C++ original)."""
+    reports 5 ms total, 4 ms of it monitoring, for the C++ original).
+
+    When a node manager runs a group of hosts through one
+    :class:`~repro.core.bulk.BulkExecutor`, a stage is partly one array
+    pass over the whole group.  Each host is then charged its own
+    per-host work plus a share of the batched passes in proportion to
+    its vCPU rows, so the hosts' timings of a stage still sum to that
+    stage's wall time (the per-shard sums, the TSDB per-node deadline
+    count and the benchmark's layer split all rely on this).  Such a
+    split is the host's share of a simulated cluster's period, not what
+    the host's own controller would spend alone.
+    """
 
     monitor: float = 0.0
     estimate: float = 0.0

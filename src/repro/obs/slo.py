@@ -343,7 +343,9 @@ class SLOPlane:
 
         A sharded manager is read objectlessly through its mapped
         :class:`ShardTelemetryReader` blocks; an in-process manager
-        through ``last_reports`` + controller registries.
+        through ``last_reports`` + controller registries.  A shard whose
+        snapshot stays torn is skipped for this scrape and its nodes
+        are marked failed on the manager, as a dead shard process is.
         Returns the alert transitions this tick produced.
         """
         store = self.store
@@ -351,9 +353,11 @@ class SLOPlane:
         readers = getattr(manager, "readers", None)
         if readers:
             for shard_id in sorted(readers):
-                store.ingest_shard_reader(
+                torn = store.ingest_shard_reader(
                     readers[shard_id], shard=shard_id, deadline_s=deadline
                 )
+                if torn is not None:
+                    manager.shard_failed(shard_id, torn)
         else:
             controllers = getattr(manager, "controllers", {})
             for node_id in sorted(manager.last_reports):

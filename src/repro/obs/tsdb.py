@@ -376,7 +376,7 @@ class SeriesStore:
     def ingest_shard_reader(
         self, reader, *, shard: str = "shard-0",
         deadline_s: Optional[float] = None,
-    ) -> None:
+    ) -> Optional[BaseException]:
         """One shard's published tick, straight off the mapped arrays.
 
         Objectless by construction: per-node tick seconds are a single
@@ -384,10 +384,27 @@ class SeriesStore:
         deadline without per-node objects, dicts, or report
         materialization.  Uses the seqlock snapshot so a concurrently
         publishing writer can never tear the rows mid-read.
+
+        A shard whose snapshot stays torn through every retry (its
+        writer died mid-publish) is skipped: none of its series are
+        appended, every node of its catalog counts as a missed
+        deadline, and the :class:`~repro.sim.shard_telemetry.
+        TornSnapshotError` is returned instead of raised, so one wedged
+        shard cannot take down the cluster scrape.  Returns ``None``
+        when the shard was ingested.
         """
-        node_ids, nodes, backend, _invariants = reader.stable_snapshot()
+        from repro.sim.shard_telemetry import BACKEND_FIELDS, TornSnapshotError
+
+        try:
+            node_ids, nodes, backend, _invariants = reader.stable_snapshot()
+        except TornSnapshotError as exc:
+            if deadline_s is not None and reader.node_ids:
+                failed = float(len(reader.node_ids))
+                self.accumulate(S_DEADLINE_BAD, failed)
+                self.accumulate(S_DEADLINE_CHECKS, failed)
+            return exc
         if not node_ids:
-            return
+            return None
         stage_sums = nodes[:, 0:6].sum(axis=0)
         for k, stage in enumerate(STAGES):
             self.append(
@@ -402,13 +419,12 @@ class SeriesStore:
         # Backend counters: reader order follows BACKEND_FIELDS; errors
         # are the two *_errors fields (kept in sync with
         # ingest_backend_stats via the shared field names).
-        from repro.sim.shard_telemetry import BACKEND_FIELDS
-
         errors = 0.0
         for field, value in zip(BACKEND_FIELDS, backend.tolist()):
             if field.endswith("_errors"):
                 errors += value
         self.append(S_BACKEND_ERRORS, errors, {"source": shard})
+        return None
 
     # -- ingest: attachments -----------------------------------------------
 

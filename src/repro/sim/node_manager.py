@@ -15,6 +15,16 @@ back.  One ``tick(t)`` is a barrier: it returns only when every node's
 iteration has finished, mirroring the per-period cadence of the
 single-node engines.
 
+Serially, the manager runs its bulk-engine controllers of equal
+config as one group through a :class:`~repro.core.bulk.BulkExecutor`:
+their per-vCPU state moves into one shared
+:class:`~repro.core.soa.SlotArena`, and the array stages become one
+pass over the group instead of one per host.  Each host keeps its own
+controller, market and report, and the reports are those of ticking
+the hosts one by one; only a batched stage's wall time is shared out,
+by vCPU rows (see :class:`~repro.core.timings.StageTimings`).  This
+speeds up a simulated cluster; a real host runs its own controller.
+
 Controllers are any :class:`~repro.core.api.Controller`; the manager
 additionally surfaces backend batch statistics for controllers that
 expose a :class:`~repro.core.backend.HostBackend` (duck-typed — a
@@ -30,7 +40,14 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.api import Controller
 from repro.core.backend import BackendStats
-from repro.core.controller import ControllerReport, StageTimings
+from repro.core.bulk import BulkExecutor, Outcome
+from repro.core.config import ControllerConfig
+from repro.core.controller import (
+    ControllerReport,
+    StageTimings,
+    VirtualFrequencyController,
+)
+from repro.core.soa import SlotArena
 from repro.obs.logging import get_logger
 from repro.sim.shard_telemetry import (
     Catalog,
@@ -58,9 +75,11 @@ class TickResult(Dict[str, ControllerReport]):
 class NodeManager:
     """Runs N per-node controllers as one control plane.
 
-    ``parallel=False`` (or a single node) degrades to a plain serial
-    loop in registration order — useful both as the reference for
-    determinism tests and to avoid thread overhead for tiny clusters.
+    ``parallel=False`` (or a single node) ticks serially in
+    registration order, running batchable controllers as groups (see
+    the module docstring) — cheaper than threads for the small hosts of
+    a shard.  ``parallel=True`` ticks every controller's own ``tick``
+    on a thread pool.
     """
 
     def __init__(
@@ -81,6 +100,10 @@ class NodeManager:
         self.error_counts: Dict[str, int] = {}
         self.ticks = 0
         self._executor: Optional[ThreadPoolExecutor] = None
+        #: Shared slot arenas of the serial batched path, by history
+        #: length, and the group executors, by first node id.
+        self._arenas: Dict[int, SlotArena] = {}
+        self._executors: Dict[str, BulkExecutor] = {}
 
     # -- node registry ----------------------------------------------------------
 
@@ -93,6 +116,7 @@ class NodeManager:
         controller = self.controllers.pop(node_id)
         self.last_reports.pop(node_id, None)
         self.last_errors.pop(node_id, None)
+        self._leave_arena(controller)
         return controller
 
     def replace_node(self, node_id: str, controller: Controller) -> Controller:
@@ -106,6 +130,7 @@ class NodeManager:
         old = self.controllers[node_id]
         self.controllers[node_id] = controller
         self.last_errors.pop(node_id, None)
+        self._leave_arena(old)
         log.info(
             "node controller replaced",
             extra={
@@ -158,6 +183,8 @@ class NodeManager:
         result = TickResult()
         self.last_errors = {}
         if self.parallel and len(ids) > 1:
+            # Threads must not share arena columns.
+            self._release_arenas()
             futures = {
                 node_id: self._pool().submit(self.controllers[node_id].tick, t)
                 for node_id in ids
@@ -168,17 +195,88 @@ class NodeManager:
                 except Exception as exc:
                     self._record_error(node_id, exc, result)
         else:
+            outcomes = self._tick_serial(ids, t)
             for node_id in ids:
-                try:
-                    result[node_id] = self.controllers[node_id].tick(t)
-                except Exception as exc:
-                    self._record_error(node_id, exc, result)
+                outcome = outcomes[node_id]
+                if isinstance(outcome, BaseException):
+                    self._record_error(node_id, outcome, result)
+                else:
+                    result[node_id] = outcome
         self.last_reports = dict(result)
         self.ticks += 1
         return result
 
+    def _tick_serial(self, ids: List[str], t: float) -> Dict[str, Outcome]:
+        """One serial barrier tick; batchable nodes run as groups.
+
+        A bulk-engine :class:`VirtualFrequencyController` without a
+        resilience policy or a patched ``tick`` joins the group of
+        nodes with an equal config, whose stages a
+        :class:`~repro.core.bulk.BulkExecutor` runs as array passes over
+        the group's shared :class:`~repro.core.soa.SlotArena`.  Every
+        other controller runs its own ``tick``.  Reports are identical
+        either way (the executor's contract).
+        """
+        outcomes: Dict[str, Outcome] = {}
+        groups: List[Tuple[ControllerConfig, List[str]]] = []
+        for node_id in ids:
+            ctrl = self.controllers[node_id]
+            if (
+                type(ctrl) is VirtualFrequencyController
+                and ctrl._table is not None
+                and ctrl.resilience is None
+                and "tick" not in ctrl.__dict__
+            ):
+                cfg = ctrl.config
+                for group_cfg, members in groups:
+                    if group_cfg is cfg or group_cfg == cfg:
+                        members.append(node_id)
+                        break
+                else:
+                    groups.append((cfg, [node_id]))
+                continue
+            try:
+                outcomes[node_id] = ctrl.tick(t)
+            except Exception as exc:
+                outcomes[node_id] = exc
+        executors: Dict[str, BulkExecutor] = {}
+        for cfg, members in groups:
+            arena = self._arenas.get(cfg.history_len)
+            if arena is None:
+                arena = self._arenas[cfg.history_len] = SlotArena(
+                    cfg.history_len
+                )
+            ctrls = [self.controllers[node_id] for node_id in members]
+            for ctrl in ctrls:
+                ctrl.use_arena(arena)
+            executor = executors[members[0]] = (
+                self._executors.get(members[0]) or BulkExecutor()
+            )
+            for node_id, ctrl, outcome in zip(
+                members, ctrls, executor.tick(ctrls, t)
+            ):
+                if isinstance(outcome, BaseException):
+                    ctrl.tick_failed(outcome)
+                outcomes[node_id] = outcome
+        self._executors = executors
+        return outcomes
+
+    def _leave_arena(self, controller: Controller) -> None:
+        """Give a controller on a shared arena a private one again."""
+        table = getattr(controller, "_table", None)
+        if table is not None and table.arena in self._arenas.values():
+            controller.use_arena(None)
+
+    def _release_arenas(self) -> None:
+        """Take every controller off the shared arenas."""
+        if self._arenas:
+            for controller in self.controllers.values():
+                self._leave_arena(controller)
+            self._arenas = {}
+            self._executors = {}
+
     def _record_error(
-        self, node_id: str, exc: Exception, result: TickResult
+        self, node_id: str, exc: BaseException, result: TickResult
     ) -> None:
         result.errors[node_id] = exc
         self.last_errors[node_id] = exc
@@ -603,8 +701,7 @@ class ShardedNodeManager:
             try:
                 errors, segment, version, catalog = future.result()
             except Exception as exc:
-                for node_id in self.nodes_by_shard.get(shard_id, []):
-                    self._record_error(node_id, exc, result)
+                self.shard_failed(shard_id, exc, result)
                 continue
             reader = self.readers.get(shard_id)
             if reader is None:
@@ -645,6 +742,23 @@ class ShardedNodeManager:
         if report is not None:
             self.last_reports[node_id] = report
         return report
+
+    def shard_failed(
+        self,
+        shard_id: str,
+        exc: BaseException,
+        result: Optional[TickResult] = None,
+    ) -> None:
+        """Mark every node of a shard failed for the latest tick.
+
+        A shard whose process died, or whose telemetry could not be
+        read (a torn shared-memory snapshot, see
+        :meth:`repro.obs.slo.SLOPlane.observe_cluster`), lands in
+        :attr:`last_errors` and :attr:`error_counts` node by node.
+        """
+        result = TickResult() if result is None else result
+        for node_id in self.nodes_by_shard.get(shard_id, []):
+            self._record_error(node_id, exc, result)
 
     def _record_error(
         self, node_id: str, exc: BaseException, result: TickResult

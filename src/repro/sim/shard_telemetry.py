@@ -247,6 +247,14 @@ class ShardTelemetryWriter:
         return self._shm.name, self.catalog_version, catalog  # type: ignore[union-attr]
 
 
+class TornSnapshotError(RuntimeError):
+    """A shard's seqlock stayed odd or moving through every retry.
+
+    The writer died mid-publish or publishes without pause; the
+    shard's rows cannot be read this scrape.
+    """
+
+
 class ShardTelemetryReader:
     """Parent-side view over one shard's segment (re-maps on growth)."""
 
@@ -330,8 +338,8 @@ class ShardTelemetryReader:
         mid-``publish`` (odd counter, or the counter moved while we
         copied) the read retries, calling ``on_retry(attempt)`` first
         when given (the torn-read tests use that hook to complete the
-        in-flight publish deterministically).  Raises ``RuntimeError``
-        after ``max_retries`` failed attempts.
+        in-flight publish deterministically).  Raises
+        :class:`TornSnapshotError` after ``max_retries`` failed attempts.
         """
         blocks = self._blocks
         assert blocks is not None, "reader not attached"
@@ -349,7 +357,7 @@ class ShardTelemetryReader:
             if on_retry is not None:
                 on_retry(attempt)
         self.snapshot_retries += max_retries
-        raise RuntimeError(
+        raise TornSnapshotError(
             f"shard telemetry snapshot torn {max_retries} times in a row "
             "(writer publishing continuously?)"
         )

@@ -32,17 +32,17 @@ class TestSlots:
         t = table(capacity=2)
         t.ensure_slot("/p0", "a", 1.0)
         t.ensure_slot("/p1", "a", 1.0)
-        t.observe(np.array([0, 1], dtype=np.intp), np.array([5.0, 6.0]))
+        t.arena.observe(np.array([0, 1], dtype=np.intp), np.array([5.0, 6.0]))
         t.ensure_slot("/p2", "b", 2.0)  # forces a grow
-        assert t.capacity >= 3
+        assert t.arena.capacity >= 3
         assert t.history_of("/p0") == [5.0]
         assert t.history_of("/p1") == [6.0]
-        assert t.guarantee[t.slot_of("/p2")] == 2.0
+        assert t.arena.guarantee[t.slot_of("/p2")] == 2.0
 
     def test_release_recycles_slot(self):
         t = table()
         s = t.ensure_slot("/p0", "a", 1.0)
-        t.observe(np.array([s], dtype=np.intp), np.array([5.0]))
+        t.arena.observe(np.array([s], dtype=np.intp), np.array([5.0]))
         t.release_path("/p0")
         assert t.slot_of("/p0") is None
         s2 = t.ensure_slot("/p1", "b", 2.0)
@@ -54,22 +54,22 @@ class TestSlots:
         t.ensure_slot("/a/v0", "a", 1.0)
         t.ensure_slot("/a/v1", "a", 1.0)
         t.ensure_slot("/b/v0", "b", 2.0)
-        n_ids = t.num_vm_ids
+        n_ids = t.arena.num_vm_ids
         t.release_vm("a")
         assert t.slot_of("/a/v0") is None
         assert t.slot_of("/a/v1") is None
         assert t.slot_of("/b/v0") is not None
         # the dense id is recycled by the next new VM
         t.ensure_slot("/c/v0", "c", 3.0)
-        assert t.num_vm_ids == n_ids
+        assert t.arena.num_vm_ids == n_ids
 
     def test_set_vm_guarantee_refreshes_live_slots(self):
         t = table()
         s0 = t.ensure_slot("/a/v0", "a", 1.0)
         s1 = t.ensure_slot("/a/v1", "a", 1.0)
         t.set_vm_guarantee("a", 42.0)
-        assert t.guarantee[s0] == 42.0
-        assert t.guarantee[s1] == 42.0
+        assert t.arena.guarantee[s0] == 42.0
+        assert t.arena.guarantee[s1] == 42.0
 
 
 class TestHistories:
@@ -78,7 +78,7 @@ class TestHistories:
         s = t.ensure_slot("/p", "a", 1.0)
         rows = np.array([s], dtype=np.intp)
         for v in (1.0, 2.0, 3.0, 4.0):
-            t.observe(rows, np.array([v]))
+            t.arena.observe(rows, np.array([v]))
         assert t.history_of("/p") == [2.0, 3.0, 4.0]
         assert t.histories() == {"/p": [2.0, 3.0, 4.0]}
 
@@ -119,8 +119,8 @@ class TestDecideBatch:
             # scalar: observe then decide, exactly like the controller
             for i, path in enumerate(paths):
                 est.observe(path, float(consumed[i]))
-            t.observe(rows, consumed)
-            estimates, trends, cases = decide_batch(t, view, cfg)
+            t.arena.observe(rows, consumed)
+            estimates, trends, cases = decide_batch(t.arena, view.rows, view.consumed, cfg)
             from repro.core.soa import _CASE_OF_CODE
 
             for i, path in enumerate(paths):
@@ -137,10 +137,10 @@ class TestDecideBatch:
         s = t.ensure_slot("/p", "a", 1.0)
         rows = np.array([s], dtype=np.intp)
         consumed = np.array([5e5])
-        t.observe(rows, consumed)
+        t.arena.observe(rows, consumed)
         view = TickView(rows=rows, consumed=consumed, paths=["/p"],
                         pos={"/p": 0}, vms=["a"], vm_order=[("a", 0)])
-        _, _, cases = decide_batch(t, view, cfg)
+        _, _, cases = decide_batch(t.arena, view.rows, view.consumed, cfg)
         from repro.core.soa import _CASE_OF_CODE
 
         assert _CASE_OF_CODE[int(cases[0])] is Case.WARMUP

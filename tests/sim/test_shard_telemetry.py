@@ -317,6 +317,55 @@ class TestSeqlockConsistency:
             writer.close(unlink=True)
             manager.close()
 
+    def test_wedged_writer_skips_the_shard_and_counts_its_nodes_failed(self):
+        """A writer held at an odd sequence number through every retry
+        (it died mid-publish) costs the scrape that shard, not the
+        scrape: no series of it are appended, its nodes count as missed
+        deadlines, and the torn error is returned, not raised."""
+        from repro.obs.tsdb import SeriesStore
+        from repro.sim.shard_telemetry import TornSnapshotError
+
+        hosts = _build_group(["n0", "n1"], 3)
+        manager = NodeManager(
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+        )
+        writer = ShardTelemetryWriter()
+        reader = ShardTelemetryReader()
+        store = SeriesStore(capacity=16)
+        try:
+            self._publish_once(hosts, manager, writer, reader, 1.0)
+            assert store.ingest_shard_reader(
+                reader, shard="s0", deadline_s=10.0
+            ) is None
+            header = writer._blocks.header
+            attempts = []
+
+            def hold_odd(attempt):
+                # The writer keeps "publishing": odd, and moving.
+                attempts.append(attempt)
+                header[H_SEQ] = reader.seq + 2
+
+            header[H_SEQ] = reader.seq + 1
+            reader.stable_snapshot = functools.partial(
+                reader.stable_snapshot, on_retry=hold_odd
+            )
+            stages_before = sum(s.total for s in store.select("stage_seconds"))
+            torn = store.ingest_shard_reader(
+                reader, shard="s0", deadline_s=10.0
+            )
+            assert isinstance(torn, TornSnapshotError)
+            assert attempts == list(range(64))
+            assert reader.seq % 2 == 1
+            assert store.get("tick_deadline_bad_total").last == 2.0
+            assert store.get("tick_deadline_checks_total").last == 4.0
+            assert sum(
+                s.total for s in store.select("stage_seconds")
+            ) == stages_before
+        finally:
+            reader.close()
+            writer.close(unlink=True)
+            manager.close()
+
     def test_close_then_reattach_against_live_writer(self):
         hosts = _build_group(["n0", "n1"], 3)
         manager = NodeManager(

@@ -31,6 +31,8 @@ def _signature(report):
         report.auction,
         report.freely_distributed,
         dict(report.wallets),
+        dict(report.free_shares),
+        dict(report.degraded),
     )
 
 
@@ -124,6 +126,49 @@ class TestShardedParity:
             assert agg.total > 0
         threaded.close()
 
+    def test_batched_shards_match_one_by_one_through_vm_churn(self):
+        """Each worker's serial manager runs its nodes as one batched
+        group; every node still reports exactly what the same
+        controller reports ticked alone, through ``fetch_report``,
+        while VMs leave and re-register mid-run."""
+        ref_hosts = {
+            **_build_group(["node-a", "node-b"], 7),
+            **_build_group(["node-c"], 9),
+        }
+        churn = {
+            2: ("unregister", "node-b", "node-b-vm-1", None),
+            4: ("register", "node-b", "node-b-vm-1", 900.0),
+            5: ("unregister", "node-a", "node-a-vm-0", None),
+        }
+        with ShardedNodeManager(_SHARDS) as sharded:
+            for k in range(7):
+                event = churn.get(k)
+                if event is not None:
+                    op, node_id, vm_name, vfreq = event
+                    ctrl = ref_hosts[node_id][2]
+                    if op == "register":
+                        ctrl.register_vm(vm_name, vfreq)
+                        sharded.register_vm(node_id, vm_name, vfreq)
+                    else:
+                        ctrl.unregister_vm(vm_name)
+                        sharded.unregister_vm(node_id, vm_name)
+                t = float(k + 1)
+                for node, _, _ in ref_hosts.values():
+                    node.step(1.0)
+                ref = {
+                    node_id: ctrl.tick(t)
+                    for node_id, (_, _, ctrl) in ref_hosts.items()
+                }
+                got = sharded.tick(t)
+                assert not got.errors
+                for node_id, report in ref.items():
+                    fetched = sharded.fetch_report(node_id)
+                    assert _signature(fetched) == _signature(report)
+            stats = BackendStats()
+            for _, _, ctrl in ref_hosts.values():
+                stats = stats + ctrl.backend.stats
+            assert sharded.backend_stats() == stats
+
     def test_unknown_node_rejected(self):
         with ShardedNodeManager(_SHARDS) as sharded:
             with pytest.raises(KeyError):
@@ -155,6 +200,39 @@ class TestShardedFaultIsolation:
             assert sharded.error_counts["bad-node"] == 1
             result = sharded.tick(2.0)
             assert sharded.error_counts["bad-node"] == 2
+
+    def test_torn_shard_is_skipped_by_the_cluster_scrape(self):
+        """A shard whose telemetry segment stays mid-publish is left out
+        of that scrape and its nodes are marked failed, exactly like a
+        dead shard process; the other shard is ingested, and the next
+        publish heals the segment."""
+        from repro.obs.slo import SLOConfig, SLOPlane
+        from repro.sim.shard_telemetry import H_SEQ, TornSnapshotError
+
+        plane = SLOPlane(SLOConfig(period_s=1.0))
+        with ShardedNodeManager(_SHARDS) as sharded:
+            sharded.tick(1.0)
+            plane.observe_cluster(sharded, 1, t=1.0)
+            reader = sharded.readers["shard-0"]
+            header = reader._blocks.header
+            header[H_SEQ] = reader.seq + 1  # writer died mid-publish
+            plane.observe_cluster(sharded, 2, t=2.0)
+            assert set(sharded.last_errors) == {"node-a", "node-b"}
+            assert all(
+                isinstance(exc, TornSnapshotError)
+                for exc in sharded.last_errors.values()
+            )
+            assert sharded.error_counts == {"node-a": 1, "node-b": 1}
+            shards = {
+                dict(s.labels)["shard"]
+                for s in plane.store.select("stage_seconds")
+                if s.total == 2
+            }
+            assert shards == {"shard-1"}
+            result = sharded.tick(3.0)
+            assert not result.errors and not sharded.last_errors
+            assert plane.store.ingest_shard_reader(reader) is None
+        plane.close()
 
     def test_restart_shard_rebuilds_worker(self):
         with ShardedNodeManager(_SHARDS) as sharded:
