@@ -810,7 +810,7 @@ class HostBackend:
         if dirty is None:
             rows: Sequence[int] = range(len(paths))
         else:
-            rows = np.flatnonzero(dirty)
+            rows = dirty.nonzero()[0]
             self.stats.cap_writes_skipped += len(paths) - len(rows)
         enf = int(enforcement_period_us)
         for i in rows:

@@ -95,6 +95,7 @@ class _Layout:
         self.keys = [v.rows for v in views]
         counts = [v.rows.size for v in views]
         self.bounds = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+        self.bounds_list = self.bounds.tolist()
         self.rows = (
             views[0].rows if len(views) == 1
             else np.concatenate(self.keys).astype(np.intp, copy=False)
@@ -118,6 +119,9 @@ def _charge(hosts: List[_Host], stage: str, wall: float,
     of the rest — the batched passes — in proportion to its rows (an
     even share when no host has rows), so the charges sum to ``wall``.
     """
+    if len(hosts) == 1:
+        setattr(hosts[0].report.timings, stage, wall)
+        return
     if not hosts:
         return
     shared = wall - (sum(own) if own else 0.0)
@@ -171,7 +175,7 @@ class BulkExecutor:
         layout = self._layout
         if layout is None or not layout.matches(views):
             layout = self._layout = _Layout(views)
-        bounds = layout.bounds.tolist()
+        bounds = layout.bounds_list
         for i, h in enumerate(hosts):
             h.lo, h.hi = bounds[i], bounds[i + 1]
         rows = layout.rows
@@ -222,28 +226,34 @@ class BulkExecutor:
         # one market per host.
         t0 = _perf()
         n = len(hosts)
-        spent = segment_seqsums(
-            alloc, layout.seg, layout.col, n, layout.width
-        ).tolist()
+        spent = segment_seqsums(alloc, layout.seg, layout.col, n, layout.width)
         residual = np.minimum(estimates, p_us) - alloc
-        wanting = np.zeros(n, dtype=bool)
-        wanting[layout.seg[residual > 1e-9]] = True
-        buyers = np.flatnonzero(estimates > alloc)
-        buyer_bounds = np.searchsorted(buyers, layout.bounds).tolist()
-        buyers_list = buyers.tolist()
-        residual_list = residual.tolist()
+        markets: List[float] = []
+        broke: List[bool] = []
+        for i, h in enumerate(hosts):
+            total_cycles = cycles_per_period(cfg.period_s, h.ctrl.num_cpus)
+            market = max(0.0, total_cycles - spent[i])
+            # Nobody can pay: run_auction would return empty-handed
+            # after scanning every buyer, so its exact result (rounds
+            # included) is synthesised below without the per-path dicts.
+            markets.append(market)
+            broke.append(market > 0 and not h.ctrl.ledger.any_funded())
+        if True in broke:
+            wanting = np.zeros(n, dtype=bool)
+            wanting[layout.seg[residual > 1e-9]] = True
+        if False in broke:
+            buyers = (estimates > alloc).nonzero()[0]
+            buyer_bounds = buyers.searchsorted(layout.bounds).tolist()
+            buyers_list = buyers.tolist()
+            residual_list = residual.tolist()
         window = cfg.auction_window_frac * p_us
         by_frequency = cfg.auction_priority == "frequency"
         marks = [_perf()]
         for i, h in enumerate(hosts):
             ctrl, view, lo = h.ctrl, h.view, h.lo
-            total_cycles = cycles_per_period(cfg.period_s, ctrl.num_cpus)
-            market = max(0.0, total_cycles - spent[i])
+            market = markets[i]
             h.report.market_initial = market
-            if market > 0 and not ctrl.ledger.any_funded():
-                # Nobody can pay: run_auction would return empty-handed
-                # after scanning every buyer, so synthesise its exact
-                # result (rounds included) without the per-path dicts.
+            if broke[i]:
                 outcome = AuctionOutcome(market_left=market)
                 outcome.rounds = 1 if wanting[i] else 0
             else:
@@ -275,8 +285,8 @@ class BulkExecutor:
         # sell; proportional_share's total is a per-host np.sum.
         t0 = _perf()
         if any(h.report.auction.market_left > 0 for h in hosts):
-            needy_all = np.flatnonzero(residual > 1e-9)
-            needy_bounds = np.searchsorted(needy_all, layout.bounds).tolist()
+            needy_all = (residual > 1e-9).nonzero()[0]
+            needy_bounds = needy_all.searchsorted(layout.bounds).tolist()
         marks = [_perf()]
         for i, h in enumerate(hosts):
             market_left = h.report.auction.market_left
@@ -313,7 +323,7 @@ class BulkExecutor:
                         h.extra[path] = cycles
                     else:
                         alloc[h.lo + j] = cycles
-        own = self._enforce(hosts, out, arena, rows, alloc)
+        own = self._enforce(hosts, out, arena, layout, alloc)
         # Hosts whose cap writes raised leave the group here.
         kept = [i for i, h in enumerate(hosts) if out[h.k] is None]
         _charge([hosts[i] for i in kept], "enforce", _perf() - t0,
@@ -325,7 +335,7 @@ class BulkExecutor:
         hosts: List[_Host],
         out: List[Optional[Outcome]],
         arena,
-        rows: np.ndarray,
+        layout: _Layout,
         alloc: np.ndarray,
     ) -> List[float]:
         """Stage 6's writes through each host's ``write_caps``.
@@ -346,17 +356,22 @@ class BulkExecutor:
         quota_f = np.rint(alloc * enf / p_us)
         np.maximum(quota_f, MIN_QUOTA_US, out=quota_f)
         quota = quota_f.astype(np.int64)
+        rows = layout.rows
         dirty = arena.last_quota[rows] != quota
         for h in hosts:
             backend = h.ctrl.backend
             if backend.cap_epoch != h.ctrl._cap_epoch_seen:
                 dirty[h.lo:h.hi] = True
                 h.ctrl._cap_epoch_seen = backend.cap_epoch
+        n_dirty = (
+            [int(np.count_nonzero(dirty))] if len(hosts) == 1
+            else np.bincount(layout.seg[dirty], minlength=len(hosts)).tolist()
+        )
         alloc_list = alloc.tolist()
         unwritten: List[int] = []
         failed = False
         marks = [_perf()]
-        for h in hosts:
+        for i, h in enumerate(hosts):
             ctrl, view, lo, hi = h.ctrl, h.view, h.lo, h.hi
             paths = view.paths
             quota_h = quota[lo:hi]
@@ -377,16 +392,14 @@ class BulkExecutor:
                 )
             except Exception as exc:
                 out[h.k] = exc
-                dirty[lo:hi] = False
                 failed = True
                 marks.append(_perf())
                 continue
             # Commit what actually landed (below, in one pass); failed
-            # or vanished rows become unknown so the next tick rewrites
-            # them unconditionally.
-            n_dirty = int(np.count_nonzero(dirty[lo:hi]))
-            if len(written) != n_dirty + len(extra_paths):
-                for j in np.flatnonzero(dirty[lo:hi]).tolist():
+            # or vanished rows become unknown (-1) so the next tick
+            # rewrites them unconditionally.
+            if len(written) != n_dirty[i] + len(extra_paths):
+                for j in dirty[lo:hi].nonzero()[0].tolist():
                     if view.paths[j] not in written:
                         unwritten.append(lo + j)
             allocations = dict(zip(view.paths, alloc_list[lo:hi]))
@@ -403,18 +416,20 @@ class BulkExecutor:
                     )
             h.report.allocations = allocations
             marks.append(_perf())
-        lq = arena.last_quota
-        lq[rows[dirty]] = quota[dirty]
-        if unwritten:
-            lq[rows[unwritten]] = -1
         if failed:
+            # A host whose write raised commits nothing, as its own
+            # tick() would not have.
             keep = np.ones(rows.size, dtype=bool)
             for h in hosts:
                 if out[h.k] is not None:
                     keep[h.lo:h.hi] = False
-            arena.set_caps(rows[keep], alloc[keep])
-        else:
-            arena.set_caps(rows, alloc)
+            rows, quota, alloc = rows[keep], quota[keep], alloc[keep]
+        # A clean row's quota is already the one in force, so every
+        # row takes its quota.
+        arena.last_quota[rows] = quota
+        if unwritten:
+            arena.last_quota[layout.rows[unwritten]] = -1
+        arena.set_caps(rows, alloc)
         for h in hosts:
             if out[h.k] is None:
                 for path, cycles in h.extra.items():

@@ -652,7 +652,7 @@ def segment_seqsums(
     col: np.ndarray,
     n_seg: int,
     width: int,
-) -> np.ndarray:
+) -> List[float]:
     """:func:`seqsum` of every segment of ``values`` in one pass.
 
     ``seg``/``col`` give each value's segment and position in it.  The
@@ -662,10 +662,12 @@ def segment_seqsums(
     every sum is the one :func:`seqsum` gives for that segment alone;
     an empty segment sums to ``0.0``.
     """
+    if n_seg == 1:
+        return [seqsum(values)]
     mat = np.full((n_seg, max(1, width)), -0.0)
     mat[:, 0] = 0.0
     mat[seg, col] = values
-    return np.add.accumulate(mat, axis=1)[:, -1]
+    return np.add.accumulate(mat, axis=1)[:, -1].tolist()
 
 
 def gather_free_shares(

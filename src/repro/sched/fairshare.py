@@ -100,7 +100,7 @@ def proportional_share(capacity: float, demands: np.ndarray) -> np.ndarray:
     demands = np.asarray(demands, dtype=np.float64)
     if demands.ndim != 1:
         raise ValueError("demands must be 1-D")
-    if np.any(demands < 0) or np.any(np.isnan(demands)):
+    if (demands < 0).any() or np.isnan(demands).any():
         raise ValueError("demands must be >= 0 and not NaN")
     total = float(demands.sum())
     if total <= 0.0 or capacity <= 0.0:
