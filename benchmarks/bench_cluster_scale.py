@@ -13,11 +13,15 @@ rebalance views and the vectorized planner fast path:
 
 2. ``node_curve`` — seconds per full cluster tick as the node count
    grows (64 / 256 / 1000), for the threaded ``NodeManager`` and the
-   process-sharded, shared-memory ``ShardedNodeManager``.  The sharded
-   tick at the largest point carries the same 1 s hard budget.  The threaded vs
-   sharded crossover is asserted only on multi-core machines — shards
-   cannot beat a thread pool on one core, so ``cpu_count`` is recorded
-   with the curve.  Lands in ``benchmarks/results/BENCH_controller.json``.
+   process-sharded, shared-memory ``ShardedNodeManager`` (whose workers
+   run their node groups through the batched serial path).  Each point
+   is the median of 10 ticks after a warm one, with its quartiles, and
+   the section carries an ``env`` block (cores, Python and NumPy
+   versions, commit, ticks).  The sharded tick at the largest point
+   carries the same 1 s hard budget.  The threaded vs sharded crossover
+   is asserted only on multi-core machines — shards cannot beat a
+   thread pool on one core.  Lands in
+   ``benchmarks/results/BENCH_controller.json``.
 
 Both sections (and their ``*_smoke`` twins under ``BENCH_SMOKE=1``, the
 ``make bench-cluster-smoke`` gate, which land in the same file names

@@ -23,6 +23,10 @@ tick (``tick10k``), the 1000-node control loop's snapshot+plan p50
 curve's largest point (``node_curve``), and the SLO plane's
 ingest+evaluate scrape p50 (``slo1000`` / ``slo_smoke``).
 
+A section may carry an ``env`` block (cores, Python and NumPy versions,
+commit, ticks); when the fresh one differs from the baseline's, both are
+printed next to the comparison, which still runs unchanged.
+
 Absolute timings wobble across machines; the committed baselines are
 refreshed together with any intentional perf change (see
 docs/performance.md), so the diff only has to catch order-of-magnitude

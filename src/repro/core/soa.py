@@ -243,21 +243,11 @@ class VcpuTable:
     the path (or its whole VM) is released, so gathered views stay valid
     across ticks; freed slots are recycled.  VM names get integer ids
     for ``np.bincount`` segment reductions in the credit stage.  A table
-    owns a private arena unless given one; :meth:`move_to` re-homes it.
+    starts on a private arena; :meth:`move_to` re-homes it.
     """
 
-    def __init__(
-        self,
-        history_len: int,
-        capacity: int = 64,
-        *,
-        arena: Optional[SlotArena] = None,
-    ) -> None:
-        if arena is None:
-            arena = SlotArena(history_len, capacity)
-        elif arena.history_len != history_len:
-            raise ValueError("arena history_len differs from the table's")
-        self.arena = arena
+    def __init__(self, history_len: int, capacity: int = 64) -> None:
+        self.arena = SlotArena(history_len, capacity)
         self.history_len = history_len
         self._slot: Dict[str, int] = {}
         self._path_of: Dict[int, str] = {}
@@ -671,7 +661,7 @@ def segment_seqsums(
 
 
 def gather_free_shares(
-    paths: List[str], needy: np.ndarray, shares: np.ndarray, lo: int = 0
+    paths: List[str], needy: np.ndarray, shares: np.ndarray, lo: int
 ) -> Dict[str, float]:
     """Materialise stage-5 shares as the scalar engine's leftover dict.
 
