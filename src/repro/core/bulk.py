@@ -98,7 +98,7 @@ class _Layout:
         self.bounds_list = self.bounds.tolist()
         self.rows = (
             views[0].rows if len(views) == 1
-            else np.concatenate(self.keys).astype(np.intp, copy=False)
+            else np.concatenate(self.keys)
         )
         self.seg = np.repeat(np.arange(len(views), dtype=np.intp), counts)
         self.col = np.arange(self.rows.size, dtype=np.intp) - self.bounds[self.seg]
@@ -121,8 +121,6 @@ def _charge(hosts: List[_Host], stage: str, wall: float,
     """
     if len(hosts) == 1:
         setattr(hosts[0].report.timings, stage, wall)
-        return
-    if not hosts:
         return
     shared = wall - (sum(own) if own else 0.0)
     total = sum(h.hi - h.lo for h in hosts)
