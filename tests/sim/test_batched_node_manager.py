@@ -228,6 +228,17 @@ class TestBatchedEqualsOneByOne:
                 assert bat.caps() == ref.caps()
                 assert bat.stats() == ref.stats()
                 assert bat.dumps() == ref.dumps()
+            # The batched path really ran: one arena per config group.
+            arenas = {
+                kind: {
+                    id(ctrl._table.arena)
+                    for nid, ctrl in bat.controllers().items()
+                    if nid.endswith(suffixes)
+                }
+                for kind, suffixes in (("a", ("-a", "-fault")), ("b", ("-b",)))
+            }
+            assert len(arenas["a"]) == len(arenas["b"]) == 1
+            assert arenas["a"] != arenas["b"]
             # The fault host crashed at stage 1 and at stage 6.
             assert failures == len(set(crash_ticks))
             fault_id = next(n for n in bat.hosts if n.endswith("fault"))
