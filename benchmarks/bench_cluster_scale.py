@@ -12,15 +12,13 @@ rebalance views and the vectorized planner fast path:
    Lands in ``benchmarks/results/BENCH_rebalance.json``.
 
 2. ``node_curve`` — seconds per full cluster tick as the node count
-   grows (64 / 256 / 1000), for the threaded ``NodeManager`` and the
+   grows (64 / 256 / 1000), for one in-process ``NodeManager`` and the
    process-sharded, shared-memory ``ShardedNodeManager`` (whose workers
-   run their node groups through the batched serial path).  Each point
-   is the median of 10 ticks after a warm one, with its quartiles, and
-   the section carries an ``env`` block (cores, Python and NumPy
-   versions, commit, ticks).  The sharded tick at the largest point
-   carries the same 1 s hard budget.  The threaded vs sharded crossover
-   is asserted only on multi-core machines — shards cannot beat a
-   thread pool on one core.  Lands in
+   each run a ``NodeManager`` over their node group).  Each point is
+   the median of 10 ticks after a warm one, with its quartiles, and the
+   section carries an ``env`` block (cores, Python and NumPy versions,
+   commit, ticks).  The sharded tick at the largest point carries the
+   same 1 s hard budget.  Lands in
    ``benchmarks/results/BENCH_controller.json``.
 
 Both sections (and their ``*_smoke`` twins under ``BENCH_SMOKE=1``, the
@@ -164,7 +162,7 @@ def test_chaos1000_control_loop_budget(once):
     )
 
 
-# -- 2. node_curve: threaded vs sharded full cluster tick ------------------------
+# -- 2. node_curve: in-process vs sharded full cluster tick ----------------------
 
 NODE_COUNTS = (8,) if SMOKE else (64, 256, 1000)
 VMS_PER_NODE = 2
@@ -234,10 +232,10 @@ def _shard_map(num_nodes):
     }
 
 
-def _measure_threaded(num_nodes):
+def _measure_serial(num_nodes):
     node_ids = [f"node-{i}" for i in range(num_nodes)]
     nodes, controllers = _build_group(node_ids)
-    manager = NodeManager(controllers, parallel=True)
+    manager = NodeManager(controllers)
 
     def one_tick(t):
         for node in nodes:
@@ -271,24 +269,24 @@ def _measure_sharded(num_nodes):
 
 
 def test_node_scaling_curve(once):
-    """Threaded vs sharded (shared-memory telemetry) full cluster tick
-    at growing node counts; the sharded tick at the largest point must
-    fit one control period."""
+    """In-process vs sharded (shared-memory telemetry) full cluster
+    tick at growing node counts; the sharded tick at the largest point
+    must fit one control period."""
 
     def run():
         curve = {}
         shm_worst_at_max = None
         for n in NODE_COUNTS:
-            threaded, threaded_stats = _measure_threaded(n)
+            serial, serial_stats = _measure_serial(n)
             shm, shm_stats = _measure_sharded(n)
             # Both planes drove identical clusters: the backend
             # counters they aggregate must match exactly.
-            assert threaded_stats == shm_stats, f"{n} nodes: planes diverged"
+            assert serial_stats == shm_stats, f"{n} nodes: planes diverged"
             curve[str(n)] = {
                 "num_shards": min(n, 8),
-                "threaded_seconds_per_tick": median(threaded),
+                "serial_seconds_per_tick": median(serial),
                 "sharded_shm_seconds_per_tick": median(shm),
-                "threaded_spread": spread(threaded),
+                "serial_spread": spread(serial),
                 "sharded_shm_spread": spread(shm),
             }
             shm_worst_at_max = max(shm)
@@ -311,12 +309,12 @@ def test_node_scaling_curve(once):
 
     emit(
         render_table(
-            ["nodes", "shards", "threaded", "sharded (shm)"],
+            ["nodes", "shards", "serial", "sharded (shm)"],
             [
                 [
                     n,
                     row["num_shards"],
-                    f"{row['threaded_seconds_per_tick'] * 1e3:.1f} ms",
+                    f"{row['serial_seconds_per_tick'] * 1e3:.1f} ms",
                     f"{row['sharded_shm_seconds_per_tick'] * 1e3:.1f} ms",
                 ]
                 for n, row in curve.items()
@@ -332,12 +330,3 @@ def test_node_scaling_curve(once):
         f"sharded/shm tick at {max_nodes} nodes: worst "
         f"{shm_worst_at_max:.3f}s blows the {CONTROL_PERIOD_S}s period"
     )
-    cores = os.cpu_count() or 1
-    if cores >= 2 and not SMOKE:
-        # With real parallelism the process shards must win at scale —
-        # the crossover the curve exists to show.  One core cannot.
-        top = curve[max_nodes]
-        assert (
-            top["sharded_shm_seconds_per_tick"]
-            < top["threaded_seconds_per_tick"]
-        ), f"no crossover at {max_nodes} nodes on {cores} cores"

@@ -118,9 +118,7 @@ def _run_cluster():
         node_id: _build_node(node_id, plan, node_id.split("-", 1)[1])
         for node_id, plan in plans.items()
     }
-    manager = NodeManager(
-        {nid: h[3] for nid, h in hosts.items()}, parallel=False
-    )
+    manager = NodeManager({nid: h[3] for nid, h in hosts.items()})
     snapshots = {}
     reports_by_node = {nid: [] for nid in hosts}
     crashes = recoveries = 0

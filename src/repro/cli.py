@@ -71,10 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p5.add_argument("--horizon", type=float, default=600.0)
     p5.add_argument("--rate", type=float, default=0.06, help="VM arrivals per second")
     p5.add_argument("--seed", type=int, default=42)
-    p5.add_argument("--workers", type=int, default=None,
-                    help="thread-pool size for the node-manager control plane")
-    p5.add_argument("--serial", action="store_true",
-                    help="tick nodes one by one instead of in parallel")
     _add_controller_flags(p5)
 
     p6 = sub.add_parser(
@@ -663,8 +659,6 @@ def _cmd_operator(args) -> int:
             controlled=controlled,
             dt=0.5,
             enforce_admission=admission,
-            parallel=not args.serial,
-            max_workers=args.workers,
             controller_config=_build_config(args),
         )
         outcome = CloudOperator(sim, constraint, workload_for).run(
@@ -1190,7 +1184,7 @@ def _demo_cluster(nodes: int, vms_per_node: int, tenants: int, seed: int,
     node-id order, ready for :func:`_step_demand`."""
     from repro.sim.node_manager import NodeManager
 
-    manager = NodeManager(parallel=False)
+    manager = NodeManager()
     hosts = {}
     for n in range(nodes):
         node_id = f"node-{n}"

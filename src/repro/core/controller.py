@@ -515,7 +515,7 @@ class VirtualFrequencyController:
         """Move the bulk engine's per-vCPU state into ``arena``.
 
         ``None`` gives the controller a private arena again.  A node
-        manager shares one arena across its serial node group so the
+        manager shares one arena across its node group so the
         group's stages run as single array passes; the values move
         unchanged, so no report changes.
         """

@@ -36,6 +36,14 @@ class StageTimings:
     distribute: float = 0.0
     enforce: float = 0.0
 
+    def __add__(self, other: "StageTimings") -> "StageTimings":
+        return StageTimings(
+            **{
+                stage: getattr(self, stage) + getattr(other, stage)
+                for stage in STAGES
+            }
+        )
+
     @property
     def total(self) -> float:
         return (

@@ -78,7 +78,11 @@ class _InFlightMigration:
 
 
 class ClusterSimulation:
-    """Drives a whole cluster tick by tick."""
+    """Drives a whole cluster tick by tick.
+
+    ``parallel`` only accepts ``False``; the keyword stays because the
+    benchmark driver passes it.
+    """
 
     def __init__(
         self,
@@ -93,12 +97,13 @@ class ClusterSimulation:
         migration_policy: Optional[ThresholdMigrationPolicy] = None,
         enforce_admission: bool = True,
         keep_reports: bool = False,
-        parallel: bool = True,
-        max_workers: Optional[int] = None,
+        parallel: bool = False,
         rebalancer=None,
     ) -> None:
         if dt <= 0:
             raise ValueError("dt must be positive")
+        if parallel:
+            raise ValueError(f"parallel must be False, got {parallel!r}")
         self.dt = dt
         self.t = 0.0
         self.controlled = controlled
@@ -138,15 +143,13 @@ class ClusterSimulation:
                 controller=controller,
             )
         # The control plane: per-period ticks of all powered-on nodes
-        # run through one NodeManager (thread pool; controllers are
-        # share-nothing so parallel order cannot change the reports).
+        # run through one NodeManager, which batches the equal-config
+        # controllers; each report is the one its host gives alone.
         self.node_manager = NodeManager(
             {
                 node_id: runtime.controller
                 for node_id, runtime in self.runtimes.items()
-            },
-            parallel=parallel,
-            max_workers=max_workers,
+            }
         )
 
     # -- deployment ---------------------------------------------------------------

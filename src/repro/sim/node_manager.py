@@ -7,23 +7,19 @@ N per-node controllers, fires their iterations together, and exposes
 aggregate health (stage timings, syscall budgets) to the operator.
 :class:`NodeManager` is that layer.
 
-Because controllers are share-nothing — each one touches only its own
-node's cgroupfs/procfs/sysfs — their ticks can run concurrently on a
-thread pool without any cross-node ordering concerns: the reports of a
-parallel tick are identical to running the same controllers back to
-back.  One ``tick(t)`` is a barrier: it returns only when every node's
+One ``tick(t)`` is a barrier: it returns only when every node's
 iteration has finished, mirroring the per-period cadence of the
-single-node engines.
-
-Serially, the manager runs its bulk-engine controllers of equal
-config as one group through a :class:`~repro.core.bulk.BulkExecutor`:
-their per-vCPU state moves into one shared
-:class:`~repro.core.soa.SlotArena`, and the array stages become one
-pass over the group instead of one per host.  Each host keeps its own
-controller, market and report, and the reports are those of ticking
-the hosts one by one; only a batched stage's wall time is shared out,
-by vCPU rows (see :class:`~repro.core.timings.StageTimings`).  This
-speeds up a simulated cluster; a real host runs its own controller.
+single-node engines.  The manager runs its bulk-engine controllers of
+equal config as one group through a
+:class:`~repro.core.bulk.BulkExecutor`: their per-vCPU state moves
+into one shared :class:`~repro.core.soa.SlotArena`, and the array
+stages become one pass over the group instead of one per host.  Each
+host keeps its own controller, market and report, and the reports are
+those of ticking the hosts one by one; only a batched stage's wall
+time is shared out, by vCPU rows (see
+:class:`~repro.core.timings.StageTimings`).  This speeds up a simulated
+cluster; a real host runs its own controller.  To put node groups on
+separate cores, shard them (:class:`ShardedNodeManager`).
 
 Controllers are any :class:`~repro.core.api.Controller`; the manager
 additionally surfaces backend batch statistics for controllers that
@@ -35,7 +31,7 @@ from __future__ import annotations
 
 import multiprocessing
 from multiprocessing import resource_tracker
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.api import Controller
@@ -75,23 +71,20 @@ class TickResult(Dict[str, ControllerReport]):
 class NodeManager:
     """Runs N per-node controllers as one control plane.
 
-    ``parallel=False`` (or a single node) ticks serially in
-    registration order, running batchable controllers as groups (see
-    the module docstring) — cheaper than threads for the small hosts of
-    a shard.  ``parallel=True`` ticks every controller's own ``tick``
-    on a thread pool.
+    Each tick runs every selected node once, batchable controllers as
+    groups (see the module docstring).  ``parallel`` only accepts
+    ``False``; the keyword stays because the benchmark driver passes it.
     """
 
     def __init__(
         self,
         controllers: Optional[Dict[str, Controller]] = None,
         *,
-        parallel: bool = True,
-        max_workers: Optional[int] = None,
+        parallel: bool = False,
     ) -> None:
+        if parallel:
+            raise ValueError(f"parallel must be False, got {parallel!r}")
         self.controllers: Dict[str, Controller] = dict(controllers or {})
-        self.parallel = parallel
-        self.max_workers = max_workers
         self.last_reports: Dict[str, ControllerReport] = {}
         #: Exceptions of the latest tick, keyed by node id (reset each
         #: tick) — a failed node never aborts the barrier.
@@ -99,9 +92,8 @@ class NodeManager:
         #: Cumulative failed-tick count per node id.
         self.error_counts: Dict[str, int] = {}
         self.ticks = 0
-        self._executor: Optional[ThreadPoolExecutor] = None
-        #: Shared slot arenas of the serial batched path, by history
-        #: length, and the group executors, by first node id.
+        #: Shared slot arenas of the batched groups, by history length,
+        #: and the group executors, by first node id.
         self._arenas: Dict[int, SlotArena] = {}
         self._executors: Dict[str, BulkExecutor] = {}
 
@@ -168,9 +160,9 @@ class NodeManager:
         Returns the per-node reports (a :class:`TickResult` — a dict,
         as before), also kept in :attr:`last_reports`, which holds this
         tick's reports only: a node whose tick raised, or that was left
-        out of ``node_ids``, has none there.  Reports are
-        independent of execution order because controllers share no
-        state — verified by the node-manager integration tests.
+        out of ``node_ids``, has none there.  Each report is the one the
+        controller gives when ticked alone, as the batched node-manager
+        tests check.
 
         Faults are isolated per node: a controller whose tick raises
         (crashed process, dead kernel surface) is recorded in
@@ -182,32 +174,19 @@ class NodeManager:
         ids = list(self.controllers) if node_ids is None else list(node_ids)
         result = TickResult()
         self.last_errors = {}
-        if self.parallel and len(ids) > 1:
-            # Threads must not share arena columns.
-            self._release_arenas()
-            futures = {
-                node_id: self._pool().submit(self.controllers[node_id].tick, t)
-                for node_id in ids
-            }
-            for node_id, future in futures.items():
-                try:
-                    result[node_id] = future.result()
-                except Exception as exc:
-                    self._record_error(node_id, exc, result)
-        else:
-            outcomes = self._tick_serial(ids, t)
-            for node_id in ids:
-                outcome = outcomes[node_id]
-                if isinstance(outcome, BaseException):
-                    self._record_error(node_id, outcome, result)
-                else:
-                    result[node_id] = outcome
+        outcomes = self._tick_nodes(ids, t)
+        for node_id in ids:
+            outcome = outcomes[node_id]
+            if isinstance(outcome, BaseException):
+                self._record_error(node_id, outcome, result)
+            else:
+                result[node_id] = outcome
         self.last_reports = dict(result)
         self.ticks += 1
         return result
 
-    def _tick_serial(self, ids: List[str], t: float) -> Dict[str, Outcome]:
-        """One serial barrier tick; batchable nodes run as groups.
+    def _tick_nodes(self, ids: List[str], t: float) -> Dict[str, Outcome]:
+        """One barrier tick; batchable nodes run as groups.
 
         A bulk-engine :class:`VirtualFrequencyController` without a
         resilience policy or a patched ``tick`` joins the group of
@@ -267,14 +246,6 @@ class NodeManager:
         if table is not None and table.arena in self._arenas.values():
             controller.use_arena(None)
 
-    def _release_arenas(self) -> None:
-        """Take every controller off the shared arenas."""
-        if self._arenas:
-            for controller in self.controllers.values():
-                self._leave_arena(controller)
-            self._arenas = {}
-            self._executors = {}
-
     def _record_error(
         self, node_id: str, exc: BaseException, result: TickResult
     ) -> None:
@@ -296,39 +267,25 @@ class NodeManager:
         if obs is not None:
             obs.on_node_error(node_id, exc)
 
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            workers = self.max_workers or min(32, max(1, len(self.controllers)))
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="node-tick"
-            )
-        return self._executor
-
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Take every controller off the shared arenas.
 
-    def __enter__(self) -> "NodeManager":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        The next tick, if any, puts the batchable ones back.
+        """
+        if self._arenas:
+            for controller in self.controllers.values():
+                self._leave_arena(controller)
+            self._arenas = {}
+            self._executors = {}
 
     # -- aggregate telemetry ----------------------------------------------------
 
     def aggregate_timings(self) -> StageTimings:
         """Summed per-stage wall-clock across the latest reports."""
-        total = StageTimings()
-        for report in self.last_reports.values():
-            t = report.timings
-            total.monitor += t.monitor
-            total.estimate += t.estimate
-            total.credits += t.credits
-            total.auction += t.auction
-            total.distribute += t.distribute
-            total.enforce += t.enforce
-        return total
+        return sum(
+            (report.timings for report in self.last_reports.values()),
+            StageTimings(),
+        )
 
     def backend_stats(self) -> BackendStats:
         """Summed syscall counters across all nodes' backends."""
@@ -371,10 +328,9 @@ class NodeManager:
 
 # -- sharded (multi-process) control plane --------------------------------------
 #
-# Above a few hundred nodes the thread-pool barrier saturates on the
-# GIL: every controller tick is pure Python over NumPy arrays, so
-# threads serialize exactly where the work is.  The sharded manager
-# splits the node set into groups, builds each group *inside* a worker
+# One process ticks its node groups one after another on one core.
+# The sharded manager puts node groups on separate cores: it splits
+# the node set into groups, builds each group *inside* a worker
 # process (controllers hold kernel-surface handles and RNG state that
 # must never cross a pickle boundary), and ticks the groups in a
 # :class:`~concurrent.futures.ProcessPoolExecutor`.
@@ -423,7 +379,7 @@ def _shard_build(
     global _WORKER_SHARD
     built = factory()
     shard = built if isinstance(built, Shard) else Shard(dict(built))
-    _WORKER_SHARD = (shard, NodeManager(shard.controllers, parallel=False))
+    _WORKER_SHARD = (shard, NodeManager(shard.controllers))
     return sorted(shard.controllers)
 
 
@@ -779,16 +735,10 @@ class ShardedNodeManager:
     def aggregate_timings(self) -> StageTimings:
         """Summed per-stage wall-clock across the latest tick, read
         from the mapped telemetry blocks — no round trips."""
-        total = StageTimings()
-        for reader in self.readers.values():
-            shard = reader.stage_timings()
-            total.monitor += shard.monitor
-            total.estimate += shard.estimate
-            total.credits += shard.credits
-            total.auction += shard.auction
-            total.distribute += shard.distribute
-            total.enforce += shard.enforce
-        return total
+        return sum(
+            (reader.stage_timings() for reader in self.readers.values()),
+            StageTimings(),
+        )
 
     def backend_stats(self) -> BackendStats:
         """Cluster-wide syscall counters (as of the latest tick)."""

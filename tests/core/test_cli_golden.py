@@ -109,7 +109,7 @@ COMMANDS = {
         "rebalance run --nodes 6 --vms 200 --duration 60 "
         "--degrade-rate 0.3 --baseline --ledger DIR/rebalance.jsonl"
     ),
-    "operator": "operator --horizon 60 --serial",
+    "operator": "operator --horizon 60",
     "serve-metrics": "serve-metrics --self-test",
     "serve-metrics-obs": "serve-metrics --self-test --obs-dir DIR/obs",
     "serve-metrics-cluster": "serve-metrics --self-test --cluster 2",

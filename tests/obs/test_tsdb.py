@@ -192,7 +192,7 @@ class TestIngestShardReader:
 
         hosts = _build_group(["n0", "n1"], 3)
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         writer = ShardTelemetryWriter()
         reader = ShardTelemetryReader()

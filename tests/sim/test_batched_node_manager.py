@@ -205,7 +205,7 @@ class TestBatchedEqualsOneByOne:
                     cluster.add_vm(host, False, 0.5)
                 for event in initial:
                     _apply(cluster, event)
-            manager = NodeManager(bat.controllers(), parallel=False)
+            manager = NodeManager(bat.controllers())
             failures = 0
             for k in range(ticks):
                 t = float(k + 1)
@@ -252,7 +252,7 @@ class TestArenaLifecycle:
         cluster = _Cluster(["a", "a"], 3, (100, 100), "")
         for host in range(2):
             cluster.add_vm(host, False, 0.7)
-        manager = NodeManager(cluster.controllers(), parallel=False)
+        manager = NodeManager(cluster.controllers())
         cluster.step([0.7], 0)
         manager.tick(1.0)
         first, second = cluster.controllers().values()
@@ -264,16 +264,17 @@ class TestArenaLifecycle:
         cluster.step([0.7], 1)
         assert removed.tick(2.0).allocations
 
-    def test_parallel_tick_releases_the_shared_arena(self):
+    def test_close_releases_the_shared_arena(self):
         cluster = _Cluster(["a", "a"], 5, (100, 100), "")
         for host in range(2):
             cluster.add_vm(host, True, 0.9)
-        manager = NodeManager(cluster.controllers(), parallel=False)
+        manager = NodeManager(cluster.controllers())
         cluster.step([0.9], 0)
         manager.tick(1.0)
-        manager.parallel = True
-        cluster.step([0.9], 1)
-        manager.tick(2.0)
         first, second = cluster.controllers().values()
-        assert first._table.arena is not second._table.arena
+        history = first.histories()
         manager.close()
+        assert first._table.arena is not second._table.arena
+        assert first.histories() == history
+        cluster.step([0.9], 1)
+        assert first.tick(2.0).allocations

@@ -4,23 +4,13 @@ import pytest
 
 from repro.core.api import Controller
 from repro.core.backend import BackendStats
+from repro.core.timings import STAGES
+from repro.hw.cluster import Cluster
+from repro.hw.nodespecs import CHETEMI
+from repro.sim.cluster_engine import ClusterSimulation
 from repro.sim.node_manager import NodeManager
 from repro.virt.template import SMALL
 from tests.conftest import make_host
-
-
-def _signature(report):
-    """Everything one iteration decided, minus wall-clock timings."""
-    return (
-        report.t,
-        tuple(report.samples),
-        dict(report.decisions),
-        dict(report.allocations),
-        report.market_initial,
-        report.auction,
-        report.freely_distributed,
-        dict(report.wallets),
-    )
 
 
 def _two_node_setup(seed_offset=0):
@@ -45,36 +35,10 @@ def _drive(hosts, manager, ticks=4):
     return reports
 
 
-class TestParallelDeterminism:
-    def test_parallel_equals_sequential(self):
-        """Two nodes ticked on the thread pool report exactly what the
-        same two nodes report when ticked back to back."""
-        par_hosts = _two_node_setup()
-        seq_hosts = _two_node_setup()
-        par = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in par_hosts.items()},
-            parallel=True,
-        )
-        seq = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in seq_hosts.items()},
-            parallel=False,
-        )
-        par_reports = _drive(par_hosts, par)
-        seq_reports = _drive(seq_hosts, seq)
-        par.close()
-        assert set(par_reports) == set(seq_reports) == {"node-a", "node-b"}
-        for node_id in par_reports:
-            assert _signature(par_reports[node_id]) == _signature(
-                seq_reports[node_id]
-            )
-        # And the aggregate syscall budget is identical too.
-        assert par.backend_stats() == seq.backend_stats()
-
-
 class TestRegistry:
     def test_add_remove(self):
         hosts = _two_node_setup()
-        manager = NodeManager(parallel=False)
+        manager = NodeManager()
         for nid, (_, _, ctrl) in hosts.items():
             manager.add_node(nid, ctrl)
         assert manager.num_nodes == 2
@@ -87,7 +51,7 @@ class TestRegistry:
     def test_vm_routing(self):
         hosts = _two_node_setup()
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         node, hv, ctrl = hosts["node-a"]
         vm = hv.provision(SMALL, "routed")
@@ -104,17 +68,30 @@ class TestRegistry:
         for _, _, ctrl in hosts.values():
             assert isinstance(ctrl, Controller)
 
+    def test_parallel_rejected(self):
+        assert NodeManager(parallel=False).num_nodes == 0
+        with pytest.raises(ValueError, match="parallel"):
+            NodeManager(parallel=True)
+        cluster = Cluster.from_counts({CHETEMI: 1})
+        sim = ClusterSimulation(cluster, parallel=False)
+        assert sim.node_manager.num_nodes == 1
+        with pytest.raises(ValueError, match="parallel"):
+            ClusterSimulation(cluster, parallel=True)
+
 
 class TestAggregates:
     def test_timings_and_stats_summed(self):
         hosts = _two_node_setup()
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         _drive(hosts, manager, ticks=2)
         agg = manager.aggregate_timings()
         per_node = [r.timings for r in manager.last_reports.values()]
-        assert agg.monitor == pytest.approx(sum(t.monitor for t in per_node))
+        for stage in STAGES:  # summed per stage, in report order
+            assert getattr(agg, stage) == sum(
+                getattr(t, stage) for t in per_node
+            )
         assert agg.total == pytest.approx(sum(t.total for t in per_node))
         stats = manager.backend_stats()
         assert isinstance(stats, BackendStats)
@@ -127,20 +104,11 @@ class TestAggregates:
     def test_tick_subset(self):
         hosts = _two_node_setup()
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         reports = manager.tick(1.0, node_ids=["node-a"])
         assert set(reports) == {"node-a"}
         assert set(manager.last_reports) == {"node-a"}
-
-    def test_context_manager_closes_pool(self):
-        hosts = _two_node_setup()
-        with NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=True
-        ) as manager:
-            _drive(hosts, manager, ticks=1)
-            assert manager._executor is not None
-        assert manager._executor is None
 
 
 class TestFaultIsolation:
@@ -169,12 +137,10 @@ class TestFaultIsolation:
 
             return ControllerReport(t=t)
 
-    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "pool"])
-    def test_one_dead_node_does_not_stop_the_others(self, parallel):
+    def test_one_dead_node_does_not_stop_the_others(self):
         hosts = _two_node_setup()
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()},
-            parallel=parallel,
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         manager.add_node("node-bad", self._Crashy(fail_ticks={2}))
         for k in range(4):
@@ -191,13 +157,12 @@ class TestFaultIsolation:
                 assert result.errors == {}
         assert manager.error_counts == {"node-bad": 1}
         assert manager.last_errors == {}
-        manager.close()
 
     def test_tick_result_is_a_dict(self):
         """Existing callers treat the return as Dict[str, report]."""
         hosts = _two_node_setup()
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         result = _drive(hosts, manager, ticks=1)
         assert isinstance(result, dict)
@@ -206,7 +171,7 @@ class TestFaultIsolation:
 
     def test_replace_node_after_crash(self):
         manager = NodeManager(
-            {"node-x": self._Crashy(fail_ticks={1, 2, 3, 4})}, parallel=False
+            {"node-x": self._Crashy(fail_ticks={1, 2, 3, 4})}
         )
         manager.tick(1.0)
         assert manager.error_counts["node-x"] == 1
@@ -222,9 +187,7 @@ class TestFaultIsolation:
     def test_errors_surface_in_prometheus_export(self):
         from repro.core.metrics_export import render_node_manager
 
-        manager = NodeManager(
-            {"node-x": self._Crashy(fail_ticks={1})}, parallel=False
-        )
+        manager = NodeManager({"node-x": self._Crashy(fail_ticks={1})})
         manager.tick(1.0)
         text = render_node_manager(manager)
         assert 'vfreq_node_tick_errors_total{node="node-x"} 1' in text

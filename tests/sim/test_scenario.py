@@ -165,7 +165,6 @@ class TestFaultPlanWiring:
             controller_config=ControllerConfig.paper_evaluation(
                 fault_plan_path=plan_file
             ),
-            parallel=False,
         )
         backends = [rt.controller.backend for rt in sim.runtimes.values()]
         assert all(isinstance(b, FaultInjector) for b in backends)

@@ -46,21 +46,20 @@ class TestSharedTelemetryParity:
             **_build_group(["node-a", "node-b"], 7),
             **_build_group(["node-c"], 9),
         }
-        threaded = NodeManager(
+        in_process = NodeManager(
             {nid: ctrl for nid, (_, _, ctrl) in ref_hosts.items()},
-            parallel=False,
         )
         with ShardedNodeManager(_SHARDS, telemetry="shared") as sharded:
             for k in range(3):
                 for node, _, _ in ref_hosts.values():
                     node.step(1.0)
-                ref = threaded.tick(float(k + 1))
+                ref = in_process.tick(float(k + 1))
                 got = sharded.tick(float(k + 1))
                 # Compact lane: no reports cross the boundary.
                 assert dict(got) == {}
                 assert not got.errors
-            assert sharded.backend_stats() == threaded.backend_stats()
-            assert sharded.invariant_totals() == threaded.invariant_totals()
+            assert sharded.backend_stats() == in_process.backend_stats()
+            assert sharded.invariant_totals() == in_process.invariant_totals()
             assert sharded.aggregate_timings().total > 0
 
             # Per-node Eq. 7 accounts and allocations, via the blocks.
@@ -79,7 +78,7 @@ class TestSharedTelemetryParity:
                 assert row[CAPACITY] == ctrl.num_cpus * ctrl.fmax_mhz
                 assert row[NUM_VMS] == len(ctrl._vm_vfreq)
                 assert row[ERRORED] == 0.0
-        threaded.close()
+        in_process.close()
 
     def test_fetch_report_lazy(self):
         """The explain escape hatch pulls one full report on demand."""
@@ -87,14 +86,13 @@ class TestSharedTelemetryParity:
             **_build_group(["node-a", "node-b"], 7),
             **_build_group(["node-c"], 9),
         }
-        threaded = NodeManager(
+        in_process = NodeManager(
             {nid: ctrl for nid, (_, _, ctrl) in ref_hosts.items()},
-            parallel=False,
         )
         with ShardedNodeManager(_SHARDS, telemetry="shared") as sharded:
             for node, _, _ in ref_hosts.values():
                 node.step(1.0)
-            ref = threaded.tick(1.0)
+            ref = in_process.tick(1.0)
             sharded.tick(1.0)
             assert sharded.last_reports == {}
             report = sharded.fetch_report("node-b")
@@ -103,7 +101,7 @@ class TestSharedTelemetryParity:
             assert set(sharded.last_reports) == {"node-b"}
             with pytest.raises(KeyError):
                 sharded.fetch_report("node-zz")
-        threaded.close()
+        in_process.close()
 
     def test_violations_by_node_zero_round_trips(self):
         with ShardedNodeManager(_SHARDS, telemetry="shared") as sharded:
@@ -125,7 +123,7 @@ class TestWriterInProcess:
     def _manager(n_vms_per_node=1):
         hosts = _build_group(["n0", "n1"], 3)
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         return hosts, manager
 
@@ -217,9 +215,7 @@ class TestWriterInProcess:
                 raise RuntimeError("boom")
 
         hosts = _build_group(["n0"], 3)
-        manager = NodeManager(
-            {"n0": hosts["n0"][2], "n1": _Boom()}, parallel=False
-        )
+        manager = NodeManager({"n0": hosts["n0"][2], "n1": _Boom()})
         writer = ShardTelemetryWriter()
         reader = ShardTelemetryReader()
         try:
@@ -248,7 +244,7 @@ class TestSeqlockConsistency:
     def test_torn_read_retries_until_publish_completes(self):
         hosts = _build_group(["n0", "n1"], 3)
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         writer = ShardTelemetryWriter()
         reader = ShardTelemetryReader()
@@ -296,7 +292,7 @@ class TestSeqlockConsistency:
 
     def test_snapshot_gives_up_after_max_retries(self):
         hosts = _build_group(["n0"], 3)
-        manager = NodeManager({"n0": hosts["n0"][2]}, parallel=False)
+        manager = NodeManager({"n0": hosts["n0"][2]})
         writer = ShardTelemetryWriter()
         reader = ShardTelemetryReader()
         try:
@@ -327,7 +323,7 @@ class TestSeqlockConsistency:
 
         hosts = _build_group(["n0", "n1"], 3)
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         writer = ShardTelemetryWriter()
         reader = ShardTelemetryReader()
@@ -369,7 +365,7 @@ class TestSeqlockConsistency:
     def test_close_then_reattach_against_live_writer(self):
         hosts = _build_group(["n0", "n1"], 3)
         manager = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}, parallel=False
+            {nid: ctrl for nid, (_, _, ctrl) in hosts.items()}
         )
         writer = ShardTelemetryWriter()
         reader = ShardTelemetryReader()

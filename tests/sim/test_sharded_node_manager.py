@@ -94,17 +94,16 @@ _SHARDS = {
 
 
 class TestShardedParity:
-    def test_sharded_matches_threaded(self):
+    def test_sharded_matches_in_process(self):
         """The same three nodes, split over two worker processes,
-        report exactly what the in-process thread pool reports — per
-        node and per tick, pulled through ``fetch_report``."""
+        report exactly what one in-process manager reports — per node
+        and per tick, pulled through ``fetch_report``."""
         ref_hosts = {
             **_build_group(["node-a", "node-b"], 7),
             **_build_group(["node-c"], 9),
         }
-        threaded = NodeManager(
-            {nid: ctrl for nid, (_, _, ctrl) in ref_hosts.items()},
-            parallel=True,
+        in_process = NodeManager(
+            {nid: ctrl for nid, (_, _, ctrl) in ref_hosts.items()}
         )
         with ShardedNodeManager(_SHARDS) as sharded:
             assert sharded.num_nodes == 3
@@ -113,7 +112,7 @@ class TestShardedParity:
             for k in range(4):
                 for node, _, _ in ref_hosts.values():
                     node.step(1.0)
-                ref = threaded.tick(float(k + 1))
+                ref = in_process.tick(float(k + 1))
                 got = sharded.tick(float(k + 1))
                 assert not got.errors
                 assert dict(got) == {}  # reports stay in the workers
@@ -121,10 +120,10 @@ class TestShardedParity:
                     report = sharded.fetch_report(node_id)
                     assert _signature(report) == _signature(ref[node_id])
             # Aggregate telemetry crosses the process boundary intact.
-            assert sharded.backend_stats() == threaded.backend_stats()
+            assert sharded.backend_stats() == in_process.backend_stats()
             agg = sharded.aggregate_timings()
             assert agg.total > 0
-        threaded.close()
+        in_process.close()
 
     def test_batched_shards_match_one_by_one_through_vm_churn(self):
         """Each worker's serial manager runs its nodes as one batched
