@@ -109,7 +109,7 @@ bench-rebalance-smoke:
 	BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) benchmarks/check_perf_regression.py
 
 # quick cluster-plane scale pass: 64-node chaos control loop on the
-# array snapshot + 8-node in-process vs shared-memory sharded tick parity
+# array snapshot + 64-node in-process vs shared-memory sharded tick parity
 # (CI gates: snapshot+plan p50 and the sharded shm tick fit one control
 # period; no gated leaf regresses against the committed baselines)
 bench-cluster-smoke:

@@ -539,12 +539,13 @@ PLAN_TOL_MHZ = 1e-3
 def check_plan_admissible(view, plan, *, allocation_ratio: float = 1.0) -> List[Violation]:
     """Independent Eq. 7 oracle for one rebalance plan.
 
-    ``view`` / ``plan`` are duck-typed (:class:`repro.rebalance.view.
-    ClusterStateView` / :class:`repro.rebalance.planner.MigrationPlan`)
-    so this module stays import-cycle-free; the arithmetic is done
-    inline, NOT via the planner's own ``SimulatedState`` — that is the
-    point: a planner bug in its what-if bookkeeping must not be able to
-    certify its own plan.
+    ``view`` / ``plan`` are duck-typed (the
+    :class:`repro.rebalance.arrays.ClusterStateArrays` snapshot, read
+    through its lazy ``nodes`` / ``vms`` maps, and a
+    :class:`repro.rebalance.planner.MigrationPlan`) so this module stays
+    import-cycle-free; the arithmetic is done inline, NOT via the
+    planner's own ``SimulatedArrays`` — that is the point: a planner bug
+    in its what-if bookkeeping must not be able to certify its own plan.
 
     Checks, per plan: every moved VM exists and starts on the recorded
     source; no VM moves twice; no move touches a VM already migrating

@@ -34,20 +34,13 @@ from repro.rebalance.planner import (
     PlannedMove,
     PlannerConfig,
 )
-from repro.rebalance.simstate import SimulatedNode, SimulatedState
-from repro.rebalance.view import (
-    ClusterStateView,
-    InFlightView,
-    NodeView,
-    VmView,
-)
+from repro.rebalance.view import InFlightView, NodeView, VmView
 
 __all__ = [
     "ChaosConfig",
     "ChaosResult",
     "ChurnChaosCluster",
     "ClusterStateArrays",
-    "ClusterStateView",
     "GOALS",
     "InFlightView",
     "MigrationPlan",
@@ -59,8 +52,6 @@ __all__ = [
     "RebalanceLedger",
     "RebalanceLoop",
     "SimulatedArrays",
-    "SimulatedNode",
-    "SimulatedState",
     "VmView",
     "explain_move",
     "explain_move_from_entries",

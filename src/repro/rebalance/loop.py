@@ -6,8 +6,7 @@ implement (both :class:`~repro.sim.cluster_engine.ClusterSimulation`
 and the benchmark's :class:`~repro.rebalance.chaos.ChurnChaosCluster`
 do):
 
-* ``rebalance_arrays() -> ClusterStateArrays`` — frozen snapshot
-  (``.to_view()`` gives the dataclass spelling for explain tooling);
+* ``rebalance_arrays() -> ClusterStateArrays`` — frozen snapshot;
 * ``start_migration(vm_name, target_id)`` — begin one live migration,
   returning an event with ``duration_s`` (the driver owns the blackout:
   source+target pinned while in flight, VM paused ``downtime_s`` at

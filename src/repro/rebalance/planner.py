@@ -1,10 +1,8 @@
 """Frequency-guarantee-aware migration planning.
 
 Each round the planner turns one frozen
-:class:`~repro.rebalance.arrays.ClusterStateArrays` snapshot (or its
-:class:`~repro.rebalance.view.ClusterStateView` spelling, the scalar
-reference) into a bounded
-:class:`MigrationPlan` serving three goals, in priority order:
+:class:`~repro.rebalance.arrays.ClusterStateArrays` snapshot into a
+bounded :class:`MigrationPlan` serving three goals, in priority order:
 
 1. **pressure** — relieve Eq. 7 deficits: a node whose committed
    guarantees exceed its (possibly degraded) capacity sheds VMs until
@@ -19,29 +17,32 @@ reference) into a bounded
 
 Targets are always chosen best-fit (least headroom left after the
 move, seeded tie-break) against the what-if
-:class:`~repro.rebalance.simstate.SimulatedState`, so a plan can never
-over-commit a node even when several moves share a target.  Every move
+:class:`~repro.rebalance.arrays.SimulatedArrays`, so a plan can never
+over-commit a node even when several moves share a target.  The goal
+passes read its columns by node slot, and the target scan is one masked
+NumPy reduction per move.  Every move
 is costed with the existing pre-copy
 :class:`~repro.placement.migration.MigrationModel` and scored as
 relieved/freed guarantee MHz per second of migration cost.
 
 Plans are deterministic: all candidate iteration is sorted, and the
-only randomness is a seeded tie-break rank — same view + same seed
-gives the identical plan, bit for bit.
+only randomness is a seeded tie-break rank — same snapshot + same seed
+gives the identical plan, bit for bit.  A scalar reference planner in
+``tests/rebalance/planner_reference.py`` replays the same passes on
+per-node objects; the tests fuzz the two for bit-identical plans.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.placement.migration import MigrationModel
-from repro.rebalance.arrays import ClusterStateArrays, SimulatedArrays
-from repro.rebalance.simstate import SimulatedState
-from repro.rebalance.view import ClusterStateView, VmView
+from repro.rebalance.arrays import ClusterStateArrays, SimulatedArrays, _seq_sum
+from repro.rebalance.view import VmView
 
 #: The planner's three goals, in execution priority order.
 GOALS = ("pressure", "drain", "consolidate")
@@ -119,6 +120,17 @@ class PlannerConfig:
             raise ValueError("consolidate_below must be in (0, 1)")
 
 
+def _pressure_by_slot(state: SimulatedArrays) -> np.ndarray:
+    """Current Eq. 7 deficit per node slot (0 where capacity covers)."""
+    return np.maximum(0.0, state.committed_mhz - state.capacity_mhz)
+
+
+def _pressure_at(state: SimulatedArrays, slot: int) -> float:
+    return max(
+        0.0, float(state.committed_mhz[slot]) - float(state.capacity_mhz[slot])
+    )
+
+
 class MigrationPlanner:
     """Produces one bounded, deterministic plan per cluster snapshot."""
 
@@ -132,58 +144,30 @@ class MigrationPlanner:
 
     def plan(
         self,
-        view: Union[ClusterStateView, ClusterStateArrays],
+        snapshot: ClusterStateArrays,
         *,
         drain: Sequence[str] = (),
         seed: int = 0,
     ) -> MigrationPlan:
-        """Score one round of moves against the frozen snapshot.
-
-        Accepts either snapshot dialect: the frozen-dataclass
-        :class:`ClusterStateView` plans through the scalar
-        :class:`SimulatedState`; the SoA :class:`ClusterStateArrays`
-        through :class:`SimulatedArrays`, whose best-fit target scan is
-        one masked NumPy reduction per move instead of a Python loop
-        over every node.  Both paths emit bit-identical plans for the
-        same snapshot + seed (fuzzed in ``tests/rebalance``).
-        """
+        """Score one round of moves against the frozen snapshot."""
         for node_id in drain:
-            if node_id not in view.nodes:
+            if node_id not in snapshot.node_index:
                 raise KeyError(f"unknown drain node: {node_id}")
-        vectorized = isinstance(view, ClusterStateArrays)
-        if vectorized:
-            state: Union[SimulatedState, SimulatedArrays] = SimulatedArrays(
-                view, allocation_ratio=self.config.allocation_ratio
-            )
-        else:
-            state = SimulatedState(
-                view, allocation_ratio=self.config.allocation_ratio
-            )
-        plan = MigrationPlan(
-            t=view.t,
-            seed=seed,
-            pressure_before_mhz=view.total_pressure_mhz(),
-            fragmentation_before=view.fragmentation_score(),
+        state = SimulatedArrays(
+            snapshot, allocation_ratio=self.config.allocation_ratio
         )
-        # Seeded tie-break rank per node: stable within the round, so
-        # equal-headroom targets resolve by seed instead of dict order.
-        # Both dialects draw the rank stream over the same sorted ids,
-        # so rank[node] is seed-equal across scalar and vectorized runs.
+        plan = MigrationPlan(
+            t=snapshot.t,
+            seed=seed,
+            pressure_before_mhz=snapshot.total_pressure_mhz(),
+            fragmentation_before=snapshot.fragmentation_score(),
+        )
+        # Seeded tie-break rank per node slot: stable within the round,
+        # so equal-headroom targets resolve by seed.  Slots are in
+        # sorted-id order, so the stream is drawn over sorted ids.
         rng = random.Random(seed)
-        self._rank = {node_id: rng.random() for node_id in sorted(state.nodes)}
-        self._node_moves: Dict[str, int] = {}
-        if vectorized:
-            self._slot_of: Optional[Dict[str, int]] = state.node_index
-            self._rank_arr: Optional[np.ndarray] = np.asarray(
-                [self._rank[node_id] for node_id in state.node_ids]
-            )
-            self._moves_arr: Optional[np.ndarray] = np.zeros(
-                len(state.node_ids), dtype=np.int64
-            )
-        else:
-            self._slot_of = None
-            self._rank_arr = None
-            self._moves_arr = None
+        self._rank = np.asarray([rng.random() for _ in state.node_ids])
+        self._moves = np.zeros(len(state.node_ids), dtype=np.int64)
         drain_set = set(drain)
 
         self._plan_pressure(state, plan, drain_set)
@@ -191,30 +175,27 @@ class MigrationPlanner:
         if self.config.consolidate:
             self._plan_consolidate(state, plan, drain_set)
 
-        plan.pressure_after_mhz = sum(
-            n.pressure_mhz for n in state.nodes.values()
-        )
+        plan.pressure_after_mhz = _seq_sum(_pressure_by_slot(state).tolist())
         return plan
 
     # -- goal passes ----------------------------------------------------------
 
     def _plan_pressure(
-        self, state: SimulatedState, plan: MigrationPlan, drain: set
+        self, state: SimulatedArrays, plan: MigrationPlan, drain: set
     ) -> None:
-        pressured = sorted(
-            (n for n in state.nodes.values() if n.pressure_mhz > 0),
-            key=lambda n: (-n.pressure_mhz, n.node_id),
-        )
-        for node in pressured:
-            if node.node_id in state.pinned:
+        pressure = _pressure_by_slot(state)
+        slots = np.flatnonzero(pressure > 0)
+        # Worst first; the stable sort keeps ascending slot (= id) on ties.
+        for slot in slots[np.argsort(-pressure[slots], kind="stable")].tolist():
+            if state.pinned_mask[slot]:
                 plan._skip("source_pinned")
                 continue
-            while node.pressure_mhz > 0 and not self._exhausted(plan):
-                victim = self._pick_pressure_victim(state, node.node_id)
+            while _pressure_at(state, slot) > 0 and not self._exhausted(plan):
+                victim = self._pick_pressure_victim(state, slot)
                 if victim is None:
                     plan._skip("no_victim")
                     break
-                relief = min(victim.demand_mhz, node.pressure_mhz)
+                relief = min(victim.demand_mhz, _pressure_at(state, slot))
                 if not self._move(
                     state, plan, victim, reason="pressure",
                     relief_mhz=relief, drain=drain,
@@ -222,7 +203,7 @@ class MigrationPlanner:
                     break
 
     def _plan_drain(
-        self, state: SimulatedState, plan: MigrationPlan, drain: set
+        self, state: SimulatedArrays, plan: MigrationPlan, drain: set
     ) -> None:
         for node_id in sorted(drain):
             if node_id in state.pinned:
@@ -239,32 +220,39 @@ class MigrationPlanner:
                 )
 
     def _plan_consolidate(
-        self, state: SimulatedState, plan: MigrationPlan, drain: set
+        self, state: SimulatedArrays, plan: MigrationPlan, drain: set
     ) -> None:
-        candidates = sorted(
-            (
-                n
-                for n in state.nodes.values()
-                if n.powered_on
-                and n.num_vms > 0
-                and n.node_id not in state.pinned
-                and n.node_id not in drain
-                and 0.0 < n.utilisation <= self.config.consolidate_below
-            ),
-            key=lambda n: (n.committed_mhz, n.node_id),
-        )
+        committed = state.committed_mhz.tolist()
+        capacity = state.capacity_mhz.tolist()
+        candidates = []
+        for slot, node_id in enumerate(state.node_ids):
+            if (
+                not state.powered_on[slot]
+                or state.vm_count[slot] == 0
+                or state.pinned_mask[slot]
+                or node_id in drain
+            ):
+                continue
+            if capacity[slot] <= 0:
+                utilisation = float("inf") if committed[slot] > 0 else 0.0
+            else:
+                utilisation = committed[slot] / capacity[slot]
+            if 0.0 < utilisation <= self.config.consolidate_below:
+                candidates.append(slot)
+        candidates.sort(key=lambda slot: (committed[slot], slot))
         emptied: set = set()
-        for node in candidates:
+        for slot in candidates:
             if self._exhausted(plan):
                 return
-            vms = state.movable_vms_on(node.node_id)
-            if not vms or len(vms) != node.num_vms:
+            node_id = state.node_ids[slot]
+            vms = state.movable_vms_on(node_id)
+            if not vms or len(vms) != state.vm_count[slot]:
                 plan._skip("consolidate_pinned_vm")
                 continue
             # Trial on a clone: the node must empty completely within
             # the remaining budget, else the moves buy nothing.
             trial = state.clone()
-            routes: List[Tuple[VmView, str]] = []
+            routes: List[Tuple[VmView, int]] = []
             ok = True
             budget = self.config.max_moves_per_round - len(plan.moves)
             for vm in vms:
@@ -273,112 +261,70 @@ class MigrationPlanner:
                     break
                 target = self._pick_target(
                     trial, vm,
-                    exclude=emptied | {node.node_id},
+                    exclude=emptied | {node_id},
                     used_only=True,
                 )
                 if target is None:
                     ok = False
                     break
-                trial.apply_move(vm.name, target)
+                trial.apply_move(vm.name, state.node_ids[target])
                 routes.append((vm, target))
             if not ok:
                 plan._skip("consolidate_unplaceable")
                 continue
             for vm, target in routes:
-                state.apply_move(vm.name, target)
+                state.apply_move(vm.name, state.node_ids[target])
                 self._record(
-                    plan, vm, source=node.node_id, target=target,
+                    state, plan, vm, source=slot, target=target,
                     reason="consolidate", relief_mhz=vm.demand_mhz,
-                    headroom_after=state.nodes[target].headroom_mhz,
                 )
-            emptied.add(node.node_id)
+            emptied.add(node_id)
 
     # -- shared mechanics -----------------------------------------------------
 
     def _pick_pressure_victim(
-        self, state: SimulatedState, node_id: str
+        self, state: SimulatedArrays, slot: int
     ) -> Optional[VmView]:
         """Smallest VM covering the deficit, else the largest
         (the ThresholdMigrationPolicy rule, in guarantee MHz)."""
-        node = state.nodes[node_id]
-        vms = state.movable_vms_on(node_id)
+        vms = state.movable_vms_on(state.node_ids[slot])
         if not vms:
             return None
-        covering = [v for v in vms if v.demand_mhz >= node.pressure_mhz]
+        pressure = _pressure_at(state, slot)
+        covering = [v for v in vms if v.demand_mhz >= pressure]
         if covering:
             return min(covering, key=lambda v: (v.demand_mhz, v.name))
         return max(vms, key=lambda v: (v.demand_mhz, v.name))
 
     def _pick_target(
         self,
-        state: Union[SimulatedState, SimulatedArrays],
-        vm: VmView,
-        *,
-        exclude: set = frozenset(),
-        used_only: bool = False,
-    ) -> Optional[str]:
-        """Best-fit: admissible node keeping the least headroom after
-        the move; ties break by seeded rank, then id."""
-        if isinstance(state, SimulatedArrays):
-            return self._pick_target_arrays(
-                state, vm, exclude=exclude, used_only=used_only
-            )
-        best: Optional[Tuple[float, float, str]] = None
-        for node_id in sorted(state.nodes):
-            node = state.nodes[node_id]
-            if node_id in exclude:
-                continue
-            if used_only and not node.vm_names:
-                continue
-            if self._node_moves.get(node_id, 0) >= self.config.max_moves_per_node:
-                continue
-            if node.pressure_mhz > 0:
-                continue  # never add load to a node already in deficit
-            if not state.can_accept(vm.name, node_id):
-                continue
-            key = (
-                state.fit_after_mhz(vm.name, node_id),
-                self._rank[node_id],
-                node_id,
-            )
-            if best is None or key < best:
-                best = key
-        return best[2] if best is not None else None
-
-    def _pick_target_arrays(
-        self,
         state: SimulatedArrays,
         vm: VmView,
         *,
         exclude: set = frozenset(),
         used_only: bool = False,
-    ) -> Optional[str]:
-        """Vectorized best-fit — one masked NumPy pass over all nodes.
-
-        Replays the scalar selection exactly: the scalar loop keeps the
-        lexicographic minimum of ``(fit, rank, node_id)`` over sorted
-        ids, which equals min-fit → min-rank → lowest slot here because
-        node slots are in sorted-id order and both dialects compute
-        ``fit`` with the same subtraction order.
-        """
+    ) -> Optional[int]:
+        """Best-fit target slot: the admissible node keeping the least
+        headroom after the move; ties break by seeded rank, then lowest
+        slot (= lowest id)."""
         candidates, fit = state.admissible_fit(
             vm.name,
             exclude=exclude,
             used_only=used_only,
-            node_moves=self._moves_arr,
+            node_moves=self._moves,
             max_moves_per_node=self.config.max_moves_per_node,
         )
         if candidates.size == 0:
             return None
         tied = candidates[fit == fit.min()]
         if tied.size > 1:
-            ranks = self._rank_arr[tied]
+            ranks = self._rank[tied]
             tied = tied[ranks == ranks.min()]
-        return state.node_ids[int(tied[0])]
+        return int(tied[0])
 
     def _move(
         self,
-        state: SimulatedState,
+        state: SimulatedArrays,
         plan: MigrationPlan,
         vm: VmView,
         *,
@@ -387,42 +333,44 @@ class MigrationPlanner:
         drain: set,
         ignore_source_cap: bool = False,
     ) -> bool:
-        source = state.host_of(vm.name)
+        source = int(state.vm_node[state.vm_index[vm.name]])
         if not ignore_source_cap and (
-            self._node_moves.get(source, 0) >= self.config.max_moves_per_node
+            self._moves[source] >= self.config.max_moves_per_node
         ):
             plan._skip("source_budget")
             return False
-        target = self._pick_target(state, vm, exclude=drain | {source})
+        target = self._pick_target(
+            state, vm, exclude=drain | {state.node_ids[source]}
+        )
         if target is None:
             plan._skip("no_target")
             return False
-        state.apply_move(vm.name, target)
+        state.apply_move(vm.name, state.node_ids[target])
         self._record(
-            plan, vm, source=source, target=target,
+            state, plan, vm, source=source, target=target,
             reason=reason, relief_mhz=relief_mhz,
-            headroom_after=state.nodes[target].headroom_mhz,
         )
         return True
 
     def _record(
         self,
+        state: SimulatedArrays,
         plan: MigrationPlan,
         vm: VmView,
         *,
-        source: str,
-        target: str,
+        source: int,
+        target: int,
         reason: str,
         relief_mhz: float,
-        headroom_after: float,
     ) -> None:
+        """Cost and log one move already applied to ``state``."""
         transfer = self.model.transfer_seconds(vm.memory_mb)
         cost = self.model.total_seconds(vm.memory_mb)
         plan.moves.append(
             PlannedMove(
                 vm_name=vm.name,
-                source=source,
-                target=target,
+                source=state.node_ids[source],
+                target=state.node_ids[target],
                 reason=reason,
                 demand_mhz=vm.demand_mhz,
                 memory_mb=vm.memory_mb,
@@ -431,15 +379,13 @@ class MigrationPlanner:
                 cost_s=cost,
                 relief_mhz=relief_mhz,
                 score=relief_mhz / cost if cost > 0 else float("inf"),
-                target_headroom_after_mhz=headroom_after,
+                target_headroom_after_mhz=float(state.capacity_mhz[target])
+                - float(state.committed_mhz[target]),
             )
         )
         plan.considered += 1
-        self._node_moves[source] = self._node_moves.get(source, 0) + 1
-        self._node_moves[target] = self._node_moves.get(target, 0) + 1
-        if self._moves_arr is not None:
-            self._moves_arr[self._slot_of[source]] += 1
-            self._moves_arr[self._slot_of[target]] += 1
+        self._moves[source] += 1
+        self._moves[target] += 1
 
     def _exhausted(self, plan: MigrationPlan) -> bool:
         return len(plan.moves) >= self.config.max_moves_per_round

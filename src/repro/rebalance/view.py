@@ -8,18 +8,16 @@ everything downstream (the what-if state, the
 :mod:`~repro.rebalance.planner`) works only on that frozen copy.
 
 Cluster ports emit the snapshot as a
-:class:`~repro.rebalance.arrays.ClusterStateArrays`.
-:class:`ClusterStateView` is its readable frozen-dataclass spelling,
-reached through ``arrays.to_view()``: explain tooling prints it, and
-the scalar planner reference (:class:`~repro.rebalance.simstate.
-SimulatedState`) plans on it so the bit-identity tests have an
-independent path to compare the array planner against.
+:class:`~repro.rebalance.arrays.ClusterStateArrays`.  The frozen
+records here are what its lazy ``nodes`` / ``vms`` maps hand out one
+at a time, what :attr:`ClusterStateArrays.in_flight` holds, and what
+the planner records each planned move's VM as.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -84,61 +82,3 @@ class NodeView:
         if self.capacity_mhz <= 0:
             return float("inf") if self.committed_mhz > 0 else 0.0
         return self.committed_mhz / self.capacity_mhz
-
-
-@dataclass(frozen=True)
-class ClusterStateView:
-    """Frozen cluster snapshot one planner round works on."""
-
-    t: float
-    nodes: Dict[str, NodeView]
-    vms: Dict[str, VmView]
-    in_flight: Tuple[InFlightView, ...] = ()
-    #: Cluster-wide (checks, violations) from the control plane.
-    invariant_totals: Tuple[int, int] = (0, 0)
-
-    # -- derived signals ------------------------------------------------------
-
-    def pressured_nodes(self) -> List[NodeView]:
-        """Nodes with an Eq. 7 deficit, worst first (ties by id)."""
-        out = [n for n in self.nodes.values() if n.pressure_mhz > 0]
-        out.sort(key=lambda n: (-n.pressure_mhz, n.node_id))
-        return out
-
-    def total_pressure_mhz(self) -> float:
-        return sum(n.pressure_mhz for n in self.nodes.values())
-
-    def pinned_nodes(self) -> frozenset:
-        """Nodes blacked out by an in-flight migration (source+target)."""
-        pinned = set()
-        for mig in self.in_flight:
-            pinned.add(mig.source)
-            pinned.add(mig.target)
-        return frozenset(pinned)
-
-    def migrating_vms(self) -> frozenset:
-        return frozenset(m.vm_name for m in self.in_flight)
-
-    def fragmentation_score(self) -> float:
-        """Stranded-headroom fraction in [0, 1].
-
-        Headroom slivers smaller than the smallest hosted VM's demand
-        cannot host anything currently running, so they are *stranded*:
-        ``score = stranded_headroom / total_headroom`` over powered-on
-        nodes.  0 means every free MHz is usable; 1 means the free
-        capacity is scattered in unusably small pieces — the signal the
-        consolidation goal acts on.
-        """
-        demands = [v.demand_mhz for v in self.vms.values()]
-        if not demands:
-            return 0.0
-        quantum = min(demands)
-        total = stranded = 0.0
-        for node in self.nodes.values():
-            if not node.powered_on:
-                continue
-            h = node.headroom_mhz
-            total += h
-            if h < quantum:
-                stranded += h
-        return stranded / total if total > 0 else 0.0

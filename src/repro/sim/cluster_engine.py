@@ -389,7 +389,7 @@ class ClusterSimulation:
 
     def rebalance_arrays(self):
         """Snapshot for the rebalance control plane (the port's one
-        snapshot method; ``.to_view()`` gives the dataclass spelling)."""
+        snapshot method)."""
         from repro.rebalance.arrays import ClusterStateArrays
 
         return ClusterStateArrays.from_cluster_sim(self)

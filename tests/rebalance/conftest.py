@@ -4,15 +4,12 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import pytest
 
-from repro.rebalance.view import (
-    ClusterStateView,
-    InFlightView,
-    NodeView,
-    VmView,
-)
+from repro.rebalance.arrays import ClusterStateArrays
+from repro.rebalance.view import InFlightView, NodeView, VmView
+from tests.rebalance.planner_reference import ClusterStateView, from_view
 
 
-def make_view(
+def make_reference_view(
     assignments: Dict[str, Iterable[Tuple[str, int, float, int]]],
     *,
     capacity_mhz: float = 9600.0,
@@ -60,12 +57,20 @@ def make_view(
     )
 
 
+def make_view(
+    assignments: Dict[str, Iterable[Tuple[str, int, float, int]]],
+    **kwargs,
+) -> ClusterStateArrays:
+    """The production snapshot of :func:`make_reference_view`'s cluster."""
+    return from_view(make_reference_view(assignments, **kwargs))
+
+
 def vm(name: str, vcpus: int = 1, vfreq: float = 1200.0, mb: int = 512):
     return (name, vcpus, vfreq, mb)
 
 
 @pytest.fixture
-def pressured_view() -> ClusterStateView:
+def pressured_view() -> ClusterStateArrays:
     """n0 over-committed by 2400 MHz (degraded capacity), n1/n2 roomy."""
     return make_view(
         {

@@ -1,10 +1,11 @@
-"""ClusterStateArrays / SimulatedArrays: equivalence with the views.
+"""ClusterStateArrays / SimulatedArrays against the scalar reference.
 
-The SoA snapshot is only allowed to be the planner's fast path because
-it is indistinguishable from its frozen-dataclass spelling: identical
-derived signals, identical planner output bit for bit, and the
-independent plan oracle runs unchanged on it.  These tests fuzz that
-equivalence on seeded random clusters, including a 200-node shape.
+The production planner plans on arrays only, so its output is checked
+against the per-node reference spelling in
+``tests/rebalance/planner_reference.py``: identical derived signals,
+identical what-if queries, identical plans bit for bit, and the
+independent plan oracle accepts every arrays plan.  These tests fuzz
+that equivalence on seeded random clusters, including a 200-node shape.
 """
 
 import random
@@ -14,14 +15,15 @@ import pytest
 from repro.checking.invariants import check_plan_admissible
 from repro.rebalance.arrays import ClusterStateArrays, SimulatedArrays
 from repro.rebalance.planner import MigrationPlanner, PlannerConfig
-from repro.rebalance.simstate import SimulatedState
-from repro.rebalance.view import (
+from repro.rebalance.view import InFlightView, NodeView, VmView
+from tests.rebalance.conftest import make_reference_view, make_view, vm
+from tests.rebalance.planner_reference import (
     ClusterStateView,
-    InFlightView,
-    NodeView,
-    VmView,
+    ReferencePlanner,
+    SimulatedState,
+    from_view,
+    to_view,
 )
-from tests.rebalance.conftest import make_view, vm
 
 
 def random_view(
@@ -109,15 +111,17 @@ class TestSignalEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_derived_signals_bit_identical(self, seed):
         view = random_view(seed)
-        arrays = ClusterStateArrays.from_view(view)
+        arrays = from_view(view)
         assert arrays.total_pressure_mhz() == view.total_pressure_mhz()
         assert arrays.fragmentation_score() == view.fragmentation_score()
         assert arrays.pinned_nodes() == view.pinned_nodes()
         assert arrays.migrating_vms() == view.migrating_vms()
-        assert [n.node_id for n in arrays.pressured_nodes()] == [
-            n.node_id for n in view.pressured_nodes()
+        assert arrays.pressure_by_slot().tolist() == [
+            view.nodes[node_id].pressure_mhz for node_id in arrays.node_ids
         ]
-        for got, want in zip(arrays.pressured_nodes(), view.pressured_nodes()):
+        assert view.pressured_nodes(), "fuzz shape should have pressure"
+        for want in view.pressured_nodes():
+            got = arrays.node_view(arrays.node_index[want.node_id])
             assert got == want
             assert got.pressure_mhz == want.pressure_mhz
             assert got.headroom_mhz == want.headroom_mhz
@@ -125,7 +129,7 @@ class TestSignalEquivalence:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_lazy_mappings_match_view(self, seed):
         view = random_view(seed)
-        arrays = ClusterStateArrays.from_view(view)
+        arrays = from_view(view)
         assert set(arrays.nodes) == set(view.nodes)
         assert set(arrays.vms) == set(view.vms)
         for node_id, node in view.nodes.items():
@@ -137,14 +141,13 @@ class TestSignalEquivalence:
 
     def test_to_view_round_trip(self):
         view = random_view(1)
-        assert ClusterStateArrays.from_view(view).to_view() == view
+        assert to_view(from_view(view)) == view
 
     def test_empty_cluster(self):
-        view = make_view({"n0": [], "n1": []})
-        arrays = ClusterStateArrays.from_view(view)
+        arrays = make_view({"n0": [], "n1": []})
         assert arrays.fragmentation_score() == 0.0
         assert arrays.total_pressure_mhz() == 0.0
-        assert arrays.pressured_nodes() == []
+        assert not arrays.pressure_by_slot().any()
 
     def test_unsorted_slots_rejected(self):
         import numpy as np
@@ -165,22 +168,15 @@ class TestSimulatedArraysContract:
     def test_matches_simulated_state_queries(self):
         view = random_view(2)
         scalar = SimulatedState(view, allocation_ratio=1.2)
-        soa = SimulatedArrays(
-            ClusterStateArrays.from_view(view), allocation_ratio=1.2
-        )
+        soa = SimulatedArrays(from_view(view), allocation_ratio=1.2)
         assert soa.pinned == scalar.pinned
         assert soa.immovable == scalar.immovable
-        for node_id in view.nodes:
-            assert soa.nodes[node_id].pressure_mhz == (
-                scalar.nodes[node_id].pressure_mhz
-            )
-            assert soa.nodes[node_id].headroom_mhz == (
-                scalar.nodes[node_id].headroom_mhz
-            )
-            assert soa.nodes[node_id].utilisation == (
-                scalar.nodes[node_id].utilisation
-            )
-            assert soa.nodes[node_id].num_vms == scalar.nodes[node_id].num_vms
+        for slot, node_id in enumerate(soa.node_ids):
+            node = scalar.nodes[node_id]
+            assert soa.capacity_mhz[slot] == node.capacity_mhz
+            assert soa.committed_mhz[slot] == node.committed_mhz
+            assert soa.committed_memory_mb[slot] == node.committed_memory_mb
+            assert soa.vm_count[slot] == node.num_vms
             assert soa.movable_vms_on(node_id) == scalar.movable_vms_on(node_id)
         for name in view.vms:
             assert soa.host_of(name) == scalar.host_of(name)
@@ -188,22 +184,33 @@ class TestSimulatedArraysContract:
                 assert soa.can_accept(name, node_id) == (
                     scalar.can_accept(name, node_id)
                 ), (name, node_id)
-                if soa.can_accept(name, node_id):
-                    assert soa.fit_after_mhz(name, node_id) == (
-                        scalar.fit_after_mhz(name, node_id)
-                    )
+            # The vectorized target scan keeps exactly the nodes the
+            # reference would consider, with the same best-fit keys.
+            candidates, fit = soa.admissible_fit(name)
+            want = {
+                node_id: scalar.fit_after_mhz(name, node_id)
+                for node_id in sorted(view.nodes)
+                if scalar.can_accept(name, node_id)
+                and scalar.nodes[node_id].pressure_mhz == 0
+            }
+            got = {
+                soa.node_ids[slot]: key
+                for slot, key in zip(candidates.tolist(), fit.tolist())
+            }
+            assert got == want, name
 
     def test_apply_move_and_clone_isolation(self):
-        view = make_view({"n0": [vm("a", 2, 1800.0)], "n1": [], "n2": []})
-        soa = SimulatedArrays(ClusterStateArrays.from_view(view))
+        soa = SimulatedArrays(
+            make_view({"n0": [vm("a", 2, 1800.0)], "n1": [], "n2": []})
+        )
         trial = soa.clone()
         trial.apply_move("a", "n1")
         assert trial.host_of("a") == "n1"
         assert soa.host_of("a") == "n0"
-        assert soa.nodes["n1"].num_vms == 0
+        assert soa.vm_count[soa.node_index["n1"]] == 0
         soa.apply_move("a", "n2")
-        assert soa.nodes["n2"].committed_mhz == 3600.0
-        assert soa.nodes["n0"].committed_mhz == 0.0
+        assert soa.committed_mhz[soa.node_index["n2"]] == 3600.0
+        assert soa.committed_mhz[soa.node_index["n0"]] == 0.0
         with pytest.raises(ValueError):
             soa.apply_move("a", "n2")  # already there
 
@@ -212,19 +219,22 @@ class TestSimulatedArraysContract:
             {"n0": [vm("a")], "n1": [], "n2": []},
             in_flight=[InFlightView("a", "n0", "n1", arrives_at=5.0)],
         )
-        soa = SimulatedArrays(ClusterStateArrays.from_view(view))
+        soa = SimulatedArrays(view)
         with pytest.raises(ValueError, match="in-flight"):
             soa.apply_move("a", "n2")
 
 
 class TestPlannerIdentity:
-    """The headline guarantee: scalar and vectorized plans are equal."""
+    """The headline guarantee: the arrays planner and the scalar
+    reference produce equal plans."""
 
     @staticmethod
     def assert_plans_identical(view, *, drain=(), seed=0, config=None):
         planner = MigrationPlanner(config=config)
-        arrays = ClusterStateArrays.from_view(view)
-        scalar_plan = planner.plan(view, drain=drain, seed=seed)
+        arrays = from_view(view)
+        scalar_plan = ReferencePlanner(config=config).plan(
+            view, drain=drain, seed=seed
+        )
         soa_plan = planner.plan(arrays, drain=drain, seed=seed)
         assert soa_plan.moves == scalar_plan.moves
         assert soa_plan.skipped == scalar_plan.skipped
@@ -271,8 +281,8 @@ class TestPlannerIdentity:
 
     def test_consolidation_identical(self):
         # Low-utilisation nodes trigger the consolidate goal's trial
-        # clone machinery on both dialects.
-        view = make_view(
+        # clone machinery on both paths.
+        view = make_reference_view(
             {
                 "n0": [vm("a", 1, 900.0)],
                 "n1": [vm("b", 1, 900.0), vm("c", 1, 600.0)],

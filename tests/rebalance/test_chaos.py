@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.rebalance.arrays import ClusterStateArrays
 from repro.rebalance.chaos import ChaosConfig, ChurnChaosCluster
 from repro.rebalance.loop import RebalanceLoop
 from repro.rebalance.planner import MigrationPlanner, PlannerConfig
@@ -13,6 +12,11 @@ from repro.sim.scenario import (
     chaos_churn_small,
     chaos_churn_xl,
 )
+from tests.rebalance.planner_reference import (
+    ReferencePlanner,
+    from_view,
+    to_view,
+)
 
 SMALL = dict(nodes=6, duration_s=60.0, seed=3, initial_vms=200,
              degrade_rate_per_s=0.05)
@@ -22,12 +26,12 @@ def small_cluster(**overrides):
     return ChurnChaosCluster(ChaosConfig(**{**SMALL, **overrides}))
 
 
-class ScalarReferencePlanner(MigrationPlanner):
-    """Plans on ``view.to_view()``: the frozen-dataclass snapshot and the
-    scalar :class:`~repro.rebalance.simstate.SimulatedState` path."""
+class ScalarReferencePlanner(ReferencePlanner):
+    """Plans each arrays snapshot through its frozen-dataclass spelling
+    and the scalar reference planner."""
 
-    def plan(self, view, *, drain=(), seed=0):
-        return super().plan(view.to_view(), drain=drain, seed=seed)
+    def plan(self, snapshot, *, drain=(), seed=0):
+        return super().plan(to_view(snapshot), drain=drain, seed=seed)
 
 
 def small_loop(every=2, seed=3):
@@ -142,8 +146,8 @@ class TestSnapshotDialects:
         cluster = small_cluster()
         cluster.run()
         arrays = cluster.rebalance_arrays()
-        view = arrays.to_view()
-        assert ClusterStateArrays.from_view(view).to_view() == view
+        view = to_view(arrays)
+        assert to_view(from_view(view)) == view
         assert view.total_pressure_mhz() == arrays.total_pressure_mhz()
         assert view.fragmentation_score() == arrays.fragmentation_score()
         assert sorted(view.vms) == sorted(arrays.vm_names)
@@ -151,7 +155,7 @@ class TestSnapshotDialects:
     def test_arrays_cache_survives_migration_but_not_churn(self):
         cluster = small_cluster(initial_vms=60)
         a1 = cluster.rebalance_arrays()
-        view = a1.to_view()
+        view = to_view(a1)
         vm_name = next(iter(view.vms))
         target = max(
             (n for n in view.nodes.values()

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs.tracing import RingSink, Tracer
-from repro.rebalance.arrays import ClusterStateArrays
 from repro.rebalance.chaos import ChaosConfig, ChurnChaosCluster
 from repro.rebalance.loop import RebalanceLoop
 from repro.rebalance.planner import (
@@ -26,7 +25,7 @@ class FakeCluster:
         self.started = []
 
     def rebalance_arrays(self):
-        return ClusterStateArrays.from_view(self.view)
+        return self.view
 
     def start_migration(self, vm_name, target_id):
         if vm_name in self.fail_for:

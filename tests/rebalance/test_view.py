@@ -1,8 +1,9 @@
-"""ClusterStateView derived signals and the ClusterSimulation snapshot.
+"""NodeView, the reference ClusterStateView's derived signals, and the
+ClusterSimulation snapshot.
 
 ``ClusterSimulation.rebalance_arrays()`` is the full-fidelity port's
-one snapshot (the churn benchmark plans on it); the view is reached
-from it as ``.to_view()``.
+one snapshot (the churn benchmark plans on it); the reference view of
+it is ``planner_reference.to_view(arrays)``.
 """
 
 import pytest
@@ -16,7 +17,8 @@ from repro.sim.cluster_engine import ClusterSimulation
 from repro.virt.template import VMTemplate
 from repro.workloads.synthetic import ConstantWorkload
 from tests.conftest import TINY
-from tests.rebalance.conftest import make_view, vm
+from tests.rebalance.conftest import make_reference_view, vm
+from tests.rebalance.planner_reference import to_view
 
 
 class TestNodeView:
@@ -47,7 +49,7 @@ class TestNodeView:
 
 class TestDerivedSignals:
     def test_pressured_nodes_sorted_worst_first(self):
-        view = make_view(
+        view = make_reference_view(
             {
                 "n0": [vm("a", 2, 1800.0)],  # committed 3600
                 "n1": [vm("b", 4, 1800.0)],  # committed 7200
@@ -60,7 +62,7 @@ class TestDerivedSignals:
         assert view.total_pressure_mhz() == pytest.approx(1200.0 + 4800.0)
 
     def test_pinned_and_migrating_from_in_flight(self):
-        view = make_view(
+        view = make_reference_view(
             {"n0": [vm("a")], "n1": [], "n2": []},
             in_flight=[InFlightView("a", "n0", "n1", arrives_at=5.0)],
         )
@@ -68,21 +70,21 @@ class TestDerivedSignals:
         assert view.migrating_vms() == frozenset({"a"})
 
     def test_fragmentation_zero_when_headroom_usable(self):
-        view = make_view({"n0": [vm("a")], "n1": []})
+        view = make_reference_view({"n0": [vm("a")], "n1": []})
         # both nodes keep >= 1200 MHz free: nothing stranded
         assert view.fragmentation_score() == 0.0
 
     def test_fragmentation_counts_slivers(self):
         # n0 keeps 600 MHz free — less than the smallest VM (1200 MHz),
         # so that headroom is stranded; n1 keeps 9600 usable.
-        view = make_view(
+        view = make_reference_view(
             {"n0": [vm("a", 1, 1200.0)], "n1": []},
             capacities={"n0": 1800.0},
         )
         assert view.fragmentation_score() == pytest.approx(600.0 / 10200.0)
 
     def test_fragmentation_empty_cluster_is_zero(self):
-        view = make_view({"n0": [], "n1": []})
+        view = make_reference_view({"n0": [], "n1": []})
         assert view.fragmentation_score() == 0.0
 
 
@@ -122,10 +124,10 @@ class TestFromClusterSim:
         arrays = sim.rebalance_arrays()
         assert arrays.migrating_vms() == frozenset({"a"})
         assert arrays.pinned_nodes() == frozenset({"n0", "n1"})
-        assert arrays.to_view().pinned_nodes() == frozenset({"n0", "n1"})
+        assert to_view(arrays).pinned_nodes() == frozenset({"n0", "n1"})
 
     def test_snapshot_is_frozen(self):
-        view = self._sim().rebalance_arrays().to_view()
+        view = to_view(self._sim().rebalance_arrays())
         with pytest.raises(AttributeError):
             view.t = 99.0
         with pytest.raises(AttributeError):

@@ -144,7 +144,6 @@ EXPECTED = {
         "ChaosResult",
         "ChurnChaosCluster",
         "ClusterStateArrays",
-        "ClusterStateView",
         "GOALS",
         "InFlightView",
         "MigrationPlan",
@@ -156,8 +155,6 @@ EXPECTED = {
         "RebalanceLedger",
         "RebalanceLoop",
         "SimulatedArrays",
-        "SimulatedNode",
-        "SimulatedState",
         "VmView",
         "explain_move",
         "explain_move_from_entries",
