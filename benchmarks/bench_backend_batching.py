@@ -6,13 +6,14 @@ attacks exactly that term: the tid→cgroup topology is immutable between
 VM churn events, so it is scanned once and cached (one listdir per tick
 acts as the churn guard); per-core frequency reads are deduplicated
 within a batch; and ``cpu.max`` rewrites of an unchanged quota are
-skipped.  ``batched=False`` reproduces the seed access pattern — a full
+skipped.  The test reference ``tests/core/backend_reference.py``
+(``SeedBackend``) reproduces the seed access pattern — a full
 directory walk plus per-vCPU tid/frequency reads and unconditional
-writes — so the two modes are directly comparable on the same workload.
-The host runs the scalar engine: it reads through ``read_vcpu_samples``
-and writes through ``write_caps`` with no dirty mask, so ``batched``
-governs both sides, while the bulk engine skips unchanged quotas with
-its own dirty mask in either mode.
+writes — so the two backends are directly comparable on the same
+workload.  The host runs the scalar engine: it reads through
+``sample_all`` and writes through ``write_caps`` with no dirty mask, so
+the backend governs both sides, while the bulk engine skips unchanged
+quotas with its own dirty mask on either backend.
 
 Three claims, all asserted:
 
@@ -25,12 +26,14 @@ Three claims, all asserted:
   churn tick reads ``cgroup.threads`` only for the arriving vCPUs, and
   the report stream is still identical to the seed walk's.
 
-``BENCH_SMOKE=1`` shrinks both runs to a few ticks for CI.
+``BENCH_SMOKE=1`` shrinks both runs to a few ticks for CI.  Run from
+the repository root (the seed reference is imported from ``tests``).
 """
 
 import os
 
 from repro.cgroups.fs import CgroupVersion
+from repro.core.backend import HostBackend
 from repro.core.config import ControllerConfig
 from repro.core.controller import VirtualFrequencyController
 from repro.hw.node import Node
@@ -41,6 +44,7 @@ from repro.virt.hypervisor import Hypervisor
 from repro.virt.template import VMTemplate
 from repro.workloads.base import attach
 from repro.workloads.synthetic import ConstantWorkload
+from tests.core.backend_reference import SeedBackend
 
 from conftest import emit
 
@@ -55,18 +59,23 @@ TICKS = 3 if SMOKE else 20
 FIG6_DURATION = 40.0 if SMOKE else 120.0
 
 
+def _backend(node, batched):
+    """The batched backend, or the seed's access pattern."""
+    return (HostBackend if batched else SeedBackend)(
+        node.fs, node.procfs, node.sysfs
+    )
+
+
 def _build_host(batched):
     node = Node(CHETEMI, cgroup_version=CgroupVersion.V2, seed=3)
     hypervisor = Hypervisor(node)
     controller = VirtualFrequencyController(
         node.fs,
-        node.procfs,
-        node.sysfs,
         num_cpus=node.spec.logical_cpus,
         fmax_mhz=node.spec.fmax_mhz,
         config=ControllerConfig.paper_evaluation(engine="scalar"),
+        backend=_backend(node, batched),
     )
-    controller.backend.batched = batched
     for k in range(NUM_VMS):
         vm = hypervisor.provision(TEMPLATE, f"bench-{k}")
         controller.register_vm(vm.name, TEMPLATE.vfreq_mhz)
@@ -144,7 +153,12 @@ def _fig6_reports(batched):
         duration=FIG6_DURATION, time_scale=0.1, iterations=3, dt=0.5
     )
     sim = scenario.build(controlled=True)
-    sim.controller.backend.batched = batched
+    if not batched:
+        # Before the first tick the controller's backend holds no state
+        # yet: swap in the seed's access pattern for reads and writes.
+        sim.controller.backend = sim.controller.enforcer.backend = _backend(
+            sim.node, batched
+        )
     sim.run(scenario.duration)
     return [_report_signature(r) for r in sim.controller.reports]
 
@@ -183,13 +197,11 @@ def _churn_run(batched):
     hypervisor = Hypervisor(node)
     controller = VirtualFrequencyController(
         node.fs,
-        node.procfs,
-        node.sysfs,
         num_cpus=node.spec.logical_cpus,
         fmax_mhz=node.spec.fmax_mhz,
         config=ControllerConfig.paper_evaluation(engine="bulk"),
+        backend=_backend(node, batched),
     )
-    controller.backend.batched = batched
 
     def arrive(k):
         # "churn-10" sorts between "churn-1" and "churn-2": arrivals

@@ -10,7 +10,8 @@ rebalance snapshot and the arrays planner:
    one 1 s control period at p50.  A one-round cross-check against the
    scalar reference planner (``tests/rebalance/planner_reference.py``,
    so run from the repo root) asserts the arrays planner's plan is the
-   reference's, move for move.
+   reference's, move for move.  The section carries an ``env`` block
+   (cores, Python and NumPy versions, commit, rebalance rounds).
    Lands in ``benchmarks/results/BENCH_rebalance.json``.
 
 2. ``node_curve`` — seconds per full cluster tick as the node count
@@ -130,6 +131,7 @@ def test_chaos1000_control_loop_budget(once):
         "vms": rebalanced.final_vms,
         "duration_s": static.duration_s,
         "cpu_count": os.cpu_count(),
+        "env": bench_env(loop.rounds_total),
         "dialect": "arrays",
         "control_period_s": CONTROL_PERIOD_S,
         "static": static.to_dict(),

@@ -2,7 +2,7 @@
 
 Six-stage feedback loop (paper Fig. 2), triggered every ``p`` seconds:
 
-1. :mod:`repro.core.monitor`   — read vCPU consumption + estimate vfreq
+1. :mod:`repro.core.backend`   — read vCPU consumption + estimate vfreq
 2. :mod:`repro.core.estimator` — predict upcoming utilisation (Eq. 3)
 3. :mod:`repro.core.credits`   — credits (Eq. 4) + base capping (Eq. 5)
 4. :mod:`repro.core.auction`   — market (Eq. 6) + cycle auction (Alg. 1)
@@ -14,10 +14,9 @@ it runs unchanged against any host exposing those files.
 """
 
 from repro.core.api import Controller
-from repro.core.backend import BackendStats, HostBackend, SampleBatch
+from repro.core.backend import BackendStats, HostBackend, SampleBatch, VCpuSample
 from repro.core.config import ControllerConfig
 from repro.core.units import cycles_per_period, guaranteed_cycles, cycles_to_mhz, mhz_to_cycles
-from repro.core.monitor import Monitor, VCpuSample
 from repro.core.estimator import TrendEstimator, EstimatorDecision
 from repro.core.credits import CreditLedger, apply_base_capping
 from repro.core.auction import run_auction, AuctionOutcome
@@ -52,7 +51,6 @@ __all__ = [
     "guaranteed_cycles",
     "cycles_to_mhz",
     "mhz_to_cycles",
-    "Monitor",
     "VCpuSample",
     "TrendEstimator",
     "EstimatorDecision",

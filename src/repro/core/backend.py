@@ -4,32 +4,32 @@ The paper reports that ~4 ms of the 5 ms iteration cost is *monitoring*
 (§IV-A2): per-vCPU ``cpu.stat``, ``/proc/<tid>/stat`` and
 ``scaling_cur_freq`` reads dominate the loop.  The seed port repeated
 that pattern — one filesystem call per file per tick, a fresh directory
-walk every iteration, and an unconditional ``cpu.max`` write per vCPU.
+walk every iteration, and an unconditional ``cpu.max`` write per vCPU
+(kept as the test reference ``tests/core/backend_reference.py``).
 
 :class:`HostBackend` owns every read and write the controller issues
 against one node's kernel surfaces and batches them:
 
-* :meth:`read_vcpu_samples` — a single-pass cgroup scan backed by a
-  cached tid→cgroup map.  After the first full walk, a tick costs one
-  ``readdir`` of the machine slice (the churn guard), one ``cpu.stat``
-  read and one ``/proc/<tid>/stat`` read per vCPU, and one
-  ``scaling_cur_freq`` read per *distinct core* — ``cgroup.threads``
-  is never re-read while the topology is stable.  On VM churn
-  (register/unregister, a changed VM set, or a teardown race observed
-  mid-scan) this list path re-walks every VM.
-* :meth:`sample_all` — the bulk-array spelling of the same pass: one
+* :meth:`sample_all` — stage 1 of both engines: one
   :class:`SampleBatch` of NumPy columns in a stable slot order (the
   cached topology order, shared with :class:`~repro.core.soa.VcpuTable`).
   The fast path reads the cgroup/proc/sysfs surfaces through cached
   per-slot handles — the simulated equivalent of an io_uring-batched
-  read — with no per-vCPU string parse; it degrades to the list-based
-  scan whenever the topology is unknown, the cgroup hierarchy is v1, or
-  a fault plan is armed (faults inject at the per-file seam, which the
-  handle path would bypass).  VM churn does not cost it a full walk: the
-  cached topology is patched from the last handle cache, walking only
-  the VMs that are new or whose cgroup changed (one ``readdir`` plus one
-  ``cgroup.threads`` read per vCPU) and dropping the departed VMs' slots,
-  so churn costs scale with the VMs that changed.
+  read — with no per-vCPU string parse.  VM churn does not cost it a
+  full walk: the cached topology is patched from the last handle cache,
+  walking only the VMs that are new or whose cgroup changed (one
+  ``readdir`` plus one ``cgroup.threads`` read per vCPU) and dropping
+  the departed VMs' slots.
+* the per-file scan that :meth:`sample_all` falls back to whenever the
+  topology is unknown, the cgroup hierarchy is v1, or a fault plan is
+  armed (faults inject at the per-file seam, which the handle path
+  would bypass).  After one full walk (discovery), a scan costs one
+  ``readdir`` of the machine slice (the churn guard), one ``cpu.stat``
+  read and one ``/proc/<tid>/stat`` read per vCPU, and one
+  ``scaling_cur_freq`` read per *distinct core* — ``cgroup.threads``
+  is never re-read while the topology is stable.  On VM churn (a
+  changed VM set, or a teardown race observed mid-scan) it re-walks
+  every VM.
 * :meth:`write_caps` — the one cap-write pass for both engines:
   coalesced ``cpu.max`` (v1: quota/period) writes over parallel
   path/quota columns that skip values already in place, so a converged
@@ -39,13 +39,8 @@ against one node's kernel surfaces and batches them:
   saving is measurable, not asserted; a caller wanting one batch's
   delta subtracts a copy taken before it.
 
-``batched=False`` reproduces the seed access pattern exactly (fresh
-walk, per-vCPU ``cgroup.threads`` read, unconditional writes) with the
-same counters — the A/B used by ``benchmarks/bench_backend_batching.py``
-and the backend unit tests.
-
-The sample *values* are bit-identical in both modes: caching only
-removes re-reads of immutable data (a vCPU cgroup's single KVM tid) and
+The sample *values* are the same on every path: caching only removes
+re-reads of immutable data (a vCPU cgroup's single KVM tid) and
 duplicate reads of the same core's frequency within one batch.
 """
 
@@ -98,9 +93,9 @@ class SampleBatch:
     Rows follow the backend's cached topology order and stay stable
     tick over tick while the VM set is unchanged — ``paths`` is the
     *same list object* across such ticks, so callers may key caches on
-    its identity.  Values are bit-identical to the
-    :class:`VCpuSample` list of :meth:`HostBackend.read_vcpu_samples`
-    on the same node state (proved by the bulk parity tests).
+    its identity.  The fast path and the per-file scan give
+    bit-identical values on the same node state (proved by the bulk
+    parity tests).
     """
 
     period_s: float
@@ -251,13 +246,11 @@ class HostBackend:
         sysfs: Optional[CpuFreqSysFS] = None,
         *,
         machine_slice: str = DEFAULT_MACHINE_SLICE,
-        batched: bool = True,
     ) -> None:
         self.fs = fs
         self.procfs = procfs
         self.sysfs = sysfs
         self.machine_slice = machine_slice
-        self.batched = batched
         #: Absorb transient kernel-surface errors (EIO/EBUSY) instead of
         #: raising out of the batch: failed sample reads skip the vCPU,
         #: failed cap writes land in :attr:`last_write_errors`.  Off by
@@ -307,7 +300,7 @@ class HostBackend:
     def invalidate(self) -> None:
         """Mark the cached tid→cgroup map stale (call on VM churn).
 
-        The list path re-walks every VM on its next pass.  The bulk fast
+        The per-file scan re-walks every VM on its next pass.  The fast
         path patches the map from its last handle cache instead: VMs
         whose cgroups are unchanged keep their slots, and only new or
         recreated VMs are walked.
@@ -336,9 +329,8 @@ class HostBackend:
     # -- batch-entry hooks (fault-injection seam) -------------------------------
 
     def _begin_sample_batch(self, period_s: float) -> float:
-        """Called exactly once when a monitoring batch starts — whether
-        the caller entered through :meth:`read_vcpu_samples` or
-        :meth:`sample_all`.  Subclasses (the fault injector) advance
+        """Called exactly once when a :meth:`sample_all` batch starts,
+        whichever path serves it.  Subclasses (the fault injector) advance
         their tick clock and perturb the effective period here; the
         base backend passes the period through unchanged.
         """
@@ -354,38 +346,17 @@ class HostBackend:
         handles would never consult."""
         return True
 
-    # -- batched monitoring -----------------------------------------------------
+    # -- per-file scan ----------------------------------------------------------
 
-    def read_vcpu_samples(self, period_s: float = 1.0) -> List[VCpuSample]:
-        """One monitoring pass over all hosted vCPUs.
+    def _sample_batched(self, period_s: float) -> List[VCpuSample]:
+        """The per-file scan over the cached topology (see module doc).
 
-        VM teardown races with the walk on a real host (a cgroup listed
+        VM teardown races with the scan on a real host (a cgroup listed
         by readdir may be gone by the time its files are opened, and a
         tid may have exited before its ``/proc/<tid>/stat`` is read);
         such vCPUs are silently skipped, exactly as a production monitor
         must.
         """
-        period_s = self._begin_sample_batch(period_s)
-        return self._read_samples(period_s)
-
-    def _read_samples(self, period_s: float) -> List[VCpuSample]:
-        """The body of :meth:`read_vcpu_samples` (hook already run)."""
-        try:
-            if self.batched:
-                return self._sample_batched(period_s)
-            return self._sample_walk(period_s)
-        except OSError:
-            # A failure outside the per-vCPU loops (e.g. the machine
-            # slice readdir itself).  Tolerant mode degrades to "nothing
-            # observed this tick" — the resilience layer carries samples
-            # forward — instead of killing the controller.
-            if not self.tolerate_errors:
-                raise
-            self.stats.read_errors += 1
-            self.invalidate()
-            return []
-
-    def _sample_batched(self, period_s: float) -> List[VCpuSample]:
         if not self.fs.exists(self.machine_slice):
             self.invalidate()
             return []
@@ -400,15 +371,19 @@ class HostBackend:
         freq_khz_by_core: Dict[int, int] = {}
         dead: List[str] = []
         for slot in self._topology:
+            path = slot.cgroup_path
             try:
-                samples.append(
-                    self._sample_slot(slot, period_s, freq_khz_by_core)
-                )
+                usage = self._read_usage_usec(path)
+                prev = self._prev_usage.get(path, usage)
+                self._prev_usage[path] = usage
+                samples.append(self._finish_sample(
+                    slot, max(0.0, usage - prev), period_s, freq_khz_by_core
+                ))
             except OSError as exc:
                 if isinstance(exc, (FileNotFoundError, ProcessLookupError)):
                     # vCPU torn down between scans: drop its state.
                     self.stats.vcpu_skips += 1
-                    dead.append(slot.cgroup_path)
+                    dead.append(path)
                 elif self.tolerate_errors:
                     # Transient error (EIO and kin): skip this vCPU for
                     # one tick but keep its topology slot and baseline.
@@ -423,19 +398,15 @@ class HostBackend:
         return samples
 
     def _sample_walk(self, period_s: float) -> List[VCpuSample]:
-        """Full directory walk; caches the topology when complete.
-
-        In unbatched mode this is exactly the seed monitor's access
-        pattern: per-VM readdirs, a ``cgroup.threads`` read per vCPU and
-        one sysfs read per vCPU (no per-core dedup).
-        """
+        """Full directory walk (discovery); caches the topology when
+        complete."""
         samples: List[VCpuSample] = []
         slots: List[VCpuSlot] = []
         complete = True
         if not self.fs.exists(self.machine_slice):
             return samples
         vm_names = self.listdir(self.machine_slice)
-        freq_khz_by_core: Optional[Dict[int, int]] = {} if self.batched else None
+        freq_khz_by_core: Dict[int, int] = {}
         for vm_name in vm_names:
             vm_path = f"{self.machine_slice}/{vm_name}"
             try:
@@ -480,38 +451,23 @@ class HostBackend:
                     complete = False
                     continue
                 slots.append(slot)
-        if self.batched and complete:
+        if complete:
             self._topology = slots
             self._topology_vms = vm_names
         return samples
-
-    def _sample_slot(
-        self,
-        slot: VCpuSlot,
-        period_s: float,
-        freq_khz_by_core: Dict[int, int],
-    ) -> VCpuSample:
-        usage = self._read_usage_usec(slot.cgroup_path)
-        prev = self._prev_usage.get(slot.cgroup_path, usage)
-        self._prev_usage[slot.cgroup_path] = usage
-        consumed = max(0.0, usage - prev)
-        return self._finish_sample(slot, consumed, period_s, freq_khz_by_core)
 
     def _finish_sample(
         self,
         slot: VCpuSlot,
         consumed: float,
         period_s: float,
-        freq_khz_by_core: Optional[Dict[int, int]],
+        freq_khz_by_core: Dict[int, int],
     ) -> VCpuSample:
         core = parse_stat_line(self.read_thread_stat(slot.tid)).processor
-        if freq_khz_by_core is None:
+        khz = freq_khz_by_core.get(core)
+        if khz is None:
             khz = self.core_freq_khz(core)
-        else:
-            khz = freq_khz_by_core.get(core)
-            if khz is None:
-                khz = self.core_freq_khz(core)
-                freq_khz_by_core[core] = khz
+            freq_khz_by_core[core] = khz
         core_freq_mhz = khz / 1000.0
         share = min(consumed / period_us(period_s), 1.0)
         return VCpuSample(
@@ -545,20 +501,18 @@ class HostBackend:
     # -- bulk-array monitoring --------------------------------------------------
 
     def sample_all(self, period_s: float = 1.0) -> SampleBatch:
-        """One monitoring pass as a :class:`SampleBatch` of columns.
+        """One monitoring pass over all hosted vCPUs, as columns.
 
-        Identical values to :meth:`read_vcpu_samples` on the same node
-        state.  The fast path amortises the per-vCPU work into a few
-        array operations over cached cgroup/proc handles and patches
-        the topology on VM churn; whenever the topology is unknown
-        (first tick, teardown race, failed patch), the hierarchy is v1,
-        or direct I/O is vetoed (armed fault plan), the batch is built
-        from the list-based scan instead.
+        The fast path amortises the per-vCPU work into a few array
+        operations over cached cgroup/proc handles and patches the
+        topology on VM churn; whenever the topology is unknown (first
+        tick, teardown race, failed patch), the hierarchy is v1, or
+        direct I/O is vetoed (armed fault plan), the batch is built
+        from the per-file scan instead, with the same values.
         """
         period_s = self._begin_sample_batch(period_s)
         if (
-            self.batched
-            and self.fs.version is CgroupVersion.V2
+            self.fs.version is CgroupVersion.V2
             and self.procfs is not None
             and self.sysfs is not None
             and self._direct_io_ok()
@@ -569,7 +523,19 @@ class HostBackend:
             # The scan re-walks from scratch; a stale handle cache is no
             # base to patch from later.
             self._bulk_handles = None
-        return SampleBatch.from_samples(self._read_samples(period_s), period_s)
+        try:
+            samples = self._sample_batched(period_s)
+        except OSError:
+            # A failure outside the per-vCPU loops (e.g. the machine
+            # slice readdir itself).  Tolerant mode degrades to "nothing
+            # observed this tick" — the resilience layer carries samples
+            # forward — instead of killing the controller.
+            if not self.tolerate_errors:
+                raise
+            self.stats.read_errors += 1
+            self.invalidate()
+            samples = []
+        return SampleBatch.from_samples(samples, period_s)
 
     def _sample_all_fast(self, period_s: float) -> Optional[SampleBatch]:
         """Array sampling over cached handles; ``None`` → use the scan."""
@@ -578,7 +544,7 @@ class HostBackend:
             return None
         if not self.fs.exists(self.machine_slice):
             return None
-        # Churn guard, same single readdir as the list path.  A changed
+        # Churn guard, same single readdir as the scan.  A changed
         # listing (or an invalidate() since the last batch) patches the
         # topology from the last handle cache instead of re-walking.
         vm_names = self.listdir(self.machine_slice)
@@ -613,7 +579,7 @@ class HostBackend:
             )
         except ProcessLookupError:
             # A vCPU thread exited between scans; nothing committed yet,
-            # so the list path resamples and skips it exactly as usual.
+            # so the per-file scan resamples and skips it as usual.
             self.invalidate()
             return None
         self.stats.fs_reads += n
@@ -624,7 +590,7 @@ class HostBackend:
         np.maximum(consumed, 0.0, out=consumed)
         cache["prev"] = usage
         self._prev_usage.update(zip(cache["paths"], usage.tolist()))
-        # One frequency read per distinct core, as in the list path.
+        # One frequency read per distinct core, as in the scan.
         khz_of = np.zeros(int(cores.max()) + 1 if n else 1, dtype=np.float64)
         for core in np.unique(cores):
             khz_of[core] = self.core_freq_khz(int(core))
@@ -765,7 +731,7 @@ class HostBackend:
         drops the stale cache entry so a recreated cgroup is rewritten).
         """
         key = (int(quota_us), int(enforcement_period_us))
-        if self.batched and self._last_cap.get(vcpu_path) == key:
+        if self._last_cap.get(vcpu_path) == key:
             self.stats.cap_writes_skipped += 1
             return
         try:

@@ -33,11 +33,11 @@ its own per-host work plus a share of the batched work in proportion
 to its rows, so the hosts' stage timings still sum to the stage's wall
 time.
 
-A host whose tick raises (a crashed monitor pass, a failed cap write,
-an invariant violation in ``_finish``) gets its exception as its
-outcome; the others finish their iteration.  Its rows leave the batch
-at the stage it failed in, so its state changes stop exactly where its
-own ``tick()`` would have stopped them.
+A host whose tick raises (a crashed monitor pass, a failed cap write
+or write retry, an invariant violation in ``_finish``) gets its
+exception as its outcome; the others finish their iteration.  Its rows
+leave the batch at the stage it failed in, so its state changes stop
+exactly where its own ``tick()`` would have stopped them.
 """
 
 from __future__ import annotations
@@ -384,10 +384,14 @@ class BulkExecutor:
                 dirty_h = np.concatenate(
                     [dirty_h, np.ones(len(extra_paths), dtype=bool)]
                 )
+            allocations = dict(zip(view.paths, alloc_list[lo:hi]))
+            allocations.update(h.extra)
             try:
                 written = ctrl.backend.write_caps(
                     paths, quota_h, cfg.enforcement_period_us, dirty_h
                 )
+                if ctrl.resilience is not None:
+                    ctrl._retry_failed_writes(allocations)
             except Exception as exc:
                 out[h.k] = exc
                 failed = True
@@ -400,10 +404,6 @@ class BulkExecutor:
                 for j in dirty[lo:hi].nonzero()[0].tolist():
                     if view.paths[j] not in written:
                         unwritten.append(lo + j)
-            allocations = dict(zip(view.paths, alloc_list[lo:hi]))
-            allocations.update(h.extra)
-            if ctrl.resilience is not None:
-                ctrl._retry_failed_writes(allocations)
             ctrl._current_cap.update(allocations)
             table = ctrl._table
             for j, path in enumerate(extra_paths):
@@ -415,8 +415,8 @@ class BulkExecutor:
             h.report.allocations = allocations
             marks.append(_perf())
         if failed:
-            # A host whose write raised commits nothing, as its own
-            # tick() would not have.
+            # A host whose writes (or write retries) raised commits
+            # nothing, as its own tick() would not have.
             keep = np.ones(rows.size, dtype=bool)
             for h in hosts:
                 if out[h.k] is not None:

@@ -25,17 +25,17 @@ from repro.cgroups.fs import CgroupFS
 from repro.cgroups.procfs import ProcFS
 from repro.cgroups.sysfs import CpuFreqSysFS
 from repro.core.auction import AuctionOutcome, compute_market, run_auction
-from repro.core.backend import HostBackend, vm_component
+from repro.core.backend import HostBackend, SampleBatch, VCpuSample, vm_component
 from repro.core.config import ControllerConfig
 from repro.core.credits import CreditLedger, apply_base_capping
 from repro.core.distribute import distribute_leftovers
 from repro.core.enforcer import Enforcer
 from repro.core.estimator import EstimatorDecision, TrendEstimator
-from repro.core.monitor import Monitor, VCpuSample
 from repro.core.resilience import (
     DegradedVcpu,
     ResiliencePolicy,
     ResilienceStats,
+    StaleSamples,
     fallback_caps,
 )
 from repro.core.soa import SlotArena, VcpuTable
@@ -123,15 +123,11 @@ class VirtualFrequencyController:
             resilience if resilience is not None else self.config.resilience
         )
         self.resilience_stats = ResilienceStats()
+        #: Stage-1 carry-forward and missing-age tracking (policy only).
+        self._stale: Optional[StaleSamples] = None
         if self.resilience is not None:
             backend.tolerate_errors = True
-        self.monitor = Monitor(
-            backend,
-            period_s=self.config.period_s,
-            stale_max_age=(
-                self.resilience.stale_sample_max_age if self.resilience else 0
-            ),
-        )
+            self._stale = StaleSamples(self.resilience.stale_sample_max_age)
         self.estimator = TrendEstimator(self.config)
         self.ledger = CreditLedger(self.config)
         self.enforcer = Enforcer(backend, self.config)
@@ -281,12 +277,14 @@ class VirtualFrequencyController:
         for path in matches:
             self._current_cap.pop(path, None)
             self.estimator.forget(path)
-            self.monitor.forget(path)
             self.backend.forget_vcpu(path)
+            if self._stale is not None:
+                self._stale.forget(path)
         for path in list(self._degraded):
             if vm_component(path, self.machine_slice) == vm_name:
                 del self._degraded[path]
-                self.monitor.forget(path)
+                self.backend.forget_usage(path)
+                self._stale.forget(path)
         self._registry_version += 1
         self.backend.invalidate()
 
@@ -309,7 +307,9 @@ class VirtualFrequencyController:
         self._degraded.clear()
         self.ledger.clear()
         self.estimator.reset()
-        self.monitor.reset()
+        self.backend._prev_usage.clear()
+        if self._stale is not None:
+            self._stale.clear()
         self._registry_version += 1
         self._bulk_cache = None
         self.backend.invalidate()
@@ -391,9 +391,11 @@ class VirtualFrequencyController:
 
         # Stage 1 — monitoring.
         t0 = time.perf_counter()
-        samples = [s for s in self.monitor.sample() if s.vm_name in self._vm_vfreq]
-        if self.resilience is not None:
-            self._update_health(samples)
+        batch = self.backend.sample_all(cfg.period_s)
+        if self._stale is not None:
+            batch = self._stale.carry(batch)
+            self._update_health(batch)
+        samples = [s for s in batch.to_samples() if s.vm_name in self._vm_vfreq]
         report.samples = samples
         report.timings.monitor = time.perf_counter() - t0
 
@@ -547,21 +549,15 @@ class VirtualFrequencyController:
         reused with only its ``consumed`` column swapped — the
         steady-state tick carries no per-vCPU Python work at all.
         Per-sample objects are only materialised when
-        :meth:`_need_detail` says something consumes them.
-        Stale-sample carry-forward is inherently per-path, so an active
-        resilience policy keeps the list-based monitor.
+        :meth:`_need_detail` says something consumes them.  Under a
+        resilience policy the batch first gets its carried-forward rows
+        (a batch with carried rows is a new slot order, so its view is
+        rebuilt).
         """
-        table = self._table
-        if self.resilience is not None:
-            samples = [
-                s for s in self.monitor.sample() if s.vm_name in self._vm_vfreq
-            ]
-            view = table.ingest(
-                samples, self._guarantee.__getitem__, self._current_cap
-            )
-            self._update_health(samples)
-            return samples, view
         batch = self.backend.sample_all(self.config.period_s)
+        if self._stale is not None:
+            batch = self._stale.carry(batch)
+            self._update_health(batch)
         cache = self._bulk_cache
         if (
             cache is not None
@@ -574,7 +570,7 @@ class VirtualFrequencyController:
             )
             samples = batch.to_samples(keep) if self._need_detail() else []
             return samples, view
-        # View (re)build: same filter + gather as the list-based path.
+        # View (re)build: the registered VMs' rows, in batch order.
         samples_all = batch.to_samples()
         registered = self._vm_vfreq
         keep_idx = [
@@ -586,7 +582,7 @@ class VirtualFrequencyController:
         else:
             samples = [samples_all[i] for i in keep_idx]
             keep = np.asarray(keep_idx, dtype=np.intp)
-        view = table.ingest(
+        view = self._table.ingest(
             samples, self._guarantee.__getitem__, self._current_cap
         )
         self._bulk_cache = (batch.paths, self._registry_version, keep, view)
@@ -594,21 +590,21 @@ class VirtualFrequencyController:
 
     # -- degraded-mode resilience -------------------------------------------------
 
-    def _update_health(self, samples: List[VCpuSample]) -> None:
+    def _update_health(self, batch: SampleBatch) -> None:
         """Track per-vCPU observability; enter/leave degraded mode.
 
-        Called once per tick, right after monitoring, only when a
-        :class:`ResiliencePolicy` is active.
+        Called once per tick with stage 1's batch (carried rows
+        included), only when a :class:`ResiliencePolicy` is active.
         """
         policy = self.resilience
         stats = self.resilience_stats
-        stats.stale_samples_used += self.monitor.last_carried
-        missing = self.monitor.missing_ages()
+        stats.stale_samples_used += self._stale.last_carried
+        missing = self._stale.missing_ages()
+        registered = self._vm_vfreq
         if (
-            not samples
-            and self._vm_vfreq
+            registered
             and missing
-            and all(age > 0 for age in missing.values())
+            and not any(vm in registered for vm in batch.vm_names)
         ):
             stats.monitor_failures += 1
         # Recoveries first: a path observed again this tick has no

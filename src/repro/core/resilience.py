@@ -12,10 +12,11 @@ module is the knob set that buys that stability:
   a transient error (EIO/EBUSY) — the backend reports per-path write
   failures instead of aborting the batch, and the controller retries
   the failed subset up to ``write_retries`` times;
-* **stale-sample tolerance** in the monitor — a vCPU missing from one
+* **stale-sample tolerance** in stage 1 — a vCPU missing from one
   scan is carried forward (its last sample is repeated) for up to
   ``stale_sample_max_age`` ticks instead of silently disappearing from
-  stages 2-6;
+  stages 2-6 (:class:`StaleSamples`, over the backend's
+  :class:`~repro.core.backend.SampleBatch` columns);
 * **degraded mode** — a vCPU unobservable for ``degraded_after_ticks``
   consecutive ticks stops being estimated and falls back to a safe cap:
   its Eq. 2 guarantee (``degraded_action="guarantee"``) or the last cap
@@ -31,9 +32,12 @@ out of ``tick()`` or are silently swallowed, exactly as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict
 
+import numpy as np
+
+from repro.core.backend import SampleBatch
 from repro.obs.logging import get_logger
 
 log = get_logger("repro.resilience")
@@ -145,3 +149,124 @@ def fallback_caps(
             extra={"path": path, "vm": rec.vm_name},
         )
     return out
+
+
+#: The array columns of a :class:`SampleBatch`.
+_COLUMNS = (
+    "vcpu_indices", "tids", "consumed", "cores", "core_freq_mhz", "vfreq_mhz",
+)
+
+
+def _take(batch: SampleBatch, rows: np.ndarray) -> SampleBatch:
+    """The given rows of ``batch``, as a new batch."""
+    idx = rows.tolist()
+    return SampleBatch(
+        period_s=batch.period_s,
+        paths=[batch.paths[i] for i in idx],
+        vm_names=[batch.vm_names[i] for i in idx],
+        **{c: getattr(batch, c)[rows] for c in _COLUMNS},
+    )
+
+
+def _concat(first: SampleBatch, rest: SampleBatch) -> SampleBatch:
+    """``first``'s rows followed by ``rest``'s, in new columns."""
+    return SampleBatch(
+        period_s=first.period_s,
+        paths=first.paths + rest.paths,
+        vm_names=first.vm_names + rest.vm_names,
+        **{
+            c: np.concatenate((getattr(first, c), getattr(rest, c)))
+            for c in _COLUMNS
+        },
+    )
+
+
+class StaleSamples:
+    """Stale-sample carry-forward and missing-age tracking for stage 1.
+
+    Holds the last sample of every vCPU seen so far as
+    :class:`SampleBatch` columns, in first-seen order, and per row the
+    consecutive ticks it has gone unobserved.  :meth:`carry` appends
+    the last sample of every vCPU missing for at most ``max_age``
+    ticks to a fresh batch, in that order.  Ages keep counting beyond
+    ``max_age`` (and with ``max_age=0``, which carries nothing): they
+    are what sends a vCPU into degraded mode.
+
+    The store writes only into columns it built itself, so a fresh
+    batch it adopts as the store may share arrays with the backend.
+    """
+
+    def __init__(self, max_age: int) -> None:
+        self.max_age = max_age
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every vCPU (snapshot restore onto a used instance)."""
+        self._seen = SampleBatch.from_samples([], 0.0)
+        self._row: Dict[str, int] = {}
+        self._age = np.zeros(0, dtype=np.int64)
+        #: The pass in which each row last went missing (orders
+        #: :meth:`missing_ages`; ties keep row order).
+        self._since = np.zeros(0, dtype=np.int64)
+        self._passes = 0
+        #: Rows carried forward by the latest :meth:`carry`.
+        self.last_carried = 0
+
+    def carry(self, batch: SampleBatch) -> SampleBatch:
+        """``batch`` plus the carried rows; ages move on by one tick."""
+        self.last_carried = 0
+        seen = self._seen
+        if batch.paths is seen.paths or batch.paths == seen.paths:
+            # Every known vCPU observed, no new one: the steady state.
+            self._seen = batch
+            self._age[:] = 0
+            return batch
+        row = self._row
+        n_old = len(seen)
+        at = np.fromiter(
+            (row.get(p, -1) for p in batch.paths), dtype=np.intp,
+            count=len(batch),
+        )
+        new = (at < 0).nonzero()[0]
+        for k, j in enumerate(new.tolist()):
+            row[batch.paths[j]] = n_old + k
+        at[new] = np.arange(n_old, n_old + new.size)
+        store = _concat(seen, _take(batch, new))
+        for c in _COLUMNS:
+            getattr(store, c)[at] = getattr(batch, c)
+        pad = np.zeros(new.size, dtype=np.int64)
+        age = np.concatenate((self._age, pad))
+        since = np.concatenate((self._since, pad))
+        missing = np.ones(len(store), dtype=bool)
+        missing[at] = False
+        since[missing & (age == 0)] = self._passes
+        self._passes += 1
+        age[missing] += 1
+        age[at] = 0
+        self._seen, self._age, self._since = store, age, since
+        carried = (missing & (age <= self.max_age)).nonzero()[0]
+        if not carried.size:
+            return batch
+        self.last_carried = int(carried.size)
+        return _concat(batch, _take(store, carried))
+
+    def missing_ages(self) -> Dict[str, int]:
+        """Consecutive ticks each known, currently unobserved vCPU has
+        gone missing, in the order they went missing."""
+        rows = self._age.nonzero()[0]
+        rows = rows[np.argsort(self._since[rows], kind="stable")]
+        paths = self._seen.paths
+        return dict(
+            zip([paths[i] for i in rows.tolist()], self._age[rows].tolist())
+        )
+
+    def forget(self, path: str) -> None:
+        """Drop a destroyed vCPU."""
+        row = self._row.pop(path, None)
+        if row is None:
+            return
+        keep = np.delete(np.arange(len(self._seen)), row)
+        self._seen = _take(self._seen, keep)
+        self._age = self._age[keep]
+        self._since = self._since[keep]
+        self._row = {p: i for i, p in enumerate(self._seen.paths)}

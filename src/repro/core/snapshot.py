@@ -29,7 +29,7 @@ def snapshot(controller: VirtualFrequencyController) -> Dict:
         "wallets": controller.ledger.wallets(),
         "current_caps": dict(controller._current_cap),
         "histories": controller.histories(),
-        "prev_usage": dict(controller.monitor._prev_usage),
+        "prev_usage": dict(controller.backend._prev_usage),
     }
 
 
@@ -99,7 +99,7 @@ def restore(controller: VirtualFrequencyController, state: Dict) -> None:
     )
     for path, history in state["histories"].items():
         controller.load_history(path, [float(v) for v in history])
-    controller.monitor._prev_usage.update(
+    controller.backend._prev_usage.update(
         {path: float(u) for path, u in state["prev_usage"].items()}
     )
     if controller.invariant_checker is not None:

@@ -2,9 +2,9 @@
 
 :class:`FaultInjector` *is* a :class:`~repro.core.backend.HostBackend`
 — it subclasses the backend and overrides its counted primitives, so
-the monitor, enforcer and controller run against it completely
-unmodified (every ``isinstance`` check and batching optimisation is
-inherited).  Each primitive consults the :class:`~repro.faults.plan.
+the enforcer and controller run against it completely unmodified
+(every ``isinstance`` check and batching optimisation is inherited).
+Each primitive consults the :class:`~repro.faults.plan.
 FaultPlan` for the current tick and either perturbs the operation or
 falls straight through to the real implementation.
 
@@ -56,11 +56,8 @@ class FaultInjector(HostBackend):
         sysfs: Optional[CpuFreqSysFS] = None,
         *,
         machine_slice: str = DEFAULT_MACHINE_SLICE,
-        batched: bool = True,
     ) -> None:
-        super().__init__(
-            fs, procfs, sysfs, machine_slice=machine_slice, batched=batched
-        )
+        super().__init__(fs, procfs, sysfs, machine_slice=machine_slice)
         self.plan = plan
         #: Count of fired faults by kind (exported to Prometheus).
         self.injected: Dict[str, int] = {}
@@ -69,27 +66,6 @@ class FaultInjector(HostBackend):
         #: Current controller iteration; advanced at each monitoring
         #: pass so spec tick windows line up with controller ticks.
         self.tick_index = -1
-
-    @classmethod
-    def wrap(cls, backend: HostBackend, plan: FaultPlan) -> "FaultInjector":
-        """Build an injector over an existing backend's surfaces.
-
-        Warm state (usage baselines, cap cache, tolerance flag) carries
-        over so wrapping mid-run does not perturb the next sample.
-        """
-        inj = cls(
-            plan,
-            backend.fs,
-            backend.procfs,
-            backend.sysfs,
-            machine_slice=backend.machine_slice,
-            batched=backend.batched,
-        )
-        inj.tolerate_errors = backend.tolerate_errors
-        inj._prev_usage = dict(backend._prev_usage)
-        inj._last_cap = dict(backend._last_cap)
-        inj.cap_epoch = backend.cap_epoch
-        return inj
 
     def _fire(self, kind: str, target: str) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
@@ -171,11 +147,10 @@ class FaultInjector(HostBackend):
 
     # -- batch entry points: crash boundaries and clock jitter -----------------
     #
-    # The sample hook fires exactly once per monitoring batch no matter
-    # which spelling the caller used (``read_vcpu_samples`` or
-    # ``sample_all``), so the tick clock never double-advances when a
-    # bulk entry point falls back to the list-based scan internally.
-    # The write hook fires once per ``write_caps`` batch.
+    # The sample hook fires exactly once per ``sample_all`` batch, so
+    # the tick clock never double-advances when the batch falls back to
+    # the per-file scan internally.  The write hook fires once per
+    # ``write_caps`` batch.
 
     def _begin_sample_batch(self, period_s: float) -> float:
         if not self.plan.specs:

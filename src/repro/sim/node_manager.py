@@ -189,7 +189,7 @@ class NodeManager:
         """One barrier tick; batchable nodes run as groups.
 
         A bulk-engine :class:`VirtualFrequencyController` without a
-        resilience policy or a patched ``tick`` joins the group of
+        patched ``tick`` joins the group of
         nodes with an equal config, whose stages a
         :class:`~repro.core.bulk.BulkExecutor` runs as array passes over
         the group's shared :class:`~repro.core.soa.SlotArena`.  Every
@@ -203,7 +203,6 @@ class NodeManager:
             if (
                 type(ctrl) is VirtualFrequencyController
                 and ctrl._table is not None
-                and ctrl.resilience is None
                 and "tick" not in ctrl.__dict__
             ):
                 cfg = ctrl.config

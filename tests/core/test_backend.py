@@ -1,12 +1,16 @@
-"""Tests for the batched host-backend I/O layer."""
+"""Tests for the batched host-backend I/O layer.
 
-import pytest
+The per-file scan that ``sample_all`` falls back to (armed fault plan,
+cgroup v1, unknown topology) is driven directly through ``_scan``; the
+seed's unbatched access pattern is ``tests/core/backend_reference.py``.
+"""
 
 from repro.cgroups.fs import CgroupVersion
 from repro.core.backend import BackendStats, HostBackend, vm_component
 from repro.hw.node import MACHINE_SLICE, Node
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.template import SMALL
+from tests.core.backend_reference import SeedBackend
 
 
 def make_backend(cgroup_version=CgroupVersion.V2, *, batched=True):
@@ -14,10 +18,15 @@ def make_backend(cgroup_version=CgroupVersion.V2, *, batched=True):
 
     node = Node(TINY, cgroup_version=cgroup_version, seed=1)
     hv = Hypervisor(node)
-    backend = HostBackend(
-        node.fs, node.procfs, node.sysfs, batched=batched
+    backend = (HostBackend if batched else SeedBackend)(
+        node.fs, node.procfs, node.sysfs
     )
     return node, hv, backend
+
+
+def _scan(backend):
+    """One pass of the per-file scan, as sample objects."""
+    return backend._sample_batched(1.0)
 
 
 class TestVmComponent:
@@ -38,7 +47,7 @@ class TestVmComponent:
 
 
 class TestSampleValues:
-    """Batched and seed-walk modes must observe identical values."""
+    """The batched backend and the seed walk observe identical values."""
 
     def test_same_samples_both_modes(self, cgroup_version):
         node_a, hv_a, batched = make_backend(cgroup_version, batched=True)
@@ -47,17 +56,18 @@ class TestSampleValues:
             hv.provision(SMALL, "vm-a")
             hv.provision(SMALL, "vm-b")
         for node, backend in ((node_a, batched), (node_b, walk)):
-            backend.read_vcpu_samples(1.0)
+            backend.sample_all(1.0)
             for vm in ("vm-a", "vm-b"):
                 node.fs.node(f"{MACHINE_SLICE}/{vm}/vcpu0").cpu.charge(250_000)
-        assert batched.read_vcpu_samples(1.0) == walk.read_vcpu_samples(1.0)
+        want = walk.read_vcpu_samples(1.0)
+        assert batched.sample_all(1.0).to_samples() == want
 
 
 class TestCounters:
     def test_walk_counts_seed_pattern(self):
         node, hv, backend = make_backend(batched=False)
         hv.provision(SMALL, "vm-a")  # 2 vCPUs
-        backend.read_vcpu_samples(1.0)
+        backend.sample_all(1.0)
         s = backend.stats
         # slice readdir + per-VM readdir; usage + tid read per vCPU;
         # one proc and one sysfs read per vCPU, no dedup.
@@ -70,10 +80,10 @@ class TestCounters:
     def test_batched_steady_state_skips_tid_reads(self):
         node, hv, backend = make_backend(batched=True)
         hv.provision(SMALL, "vm-a")
-        backend.read_vcpu_samples(1.0)  # cold: full walk + rescan count
+        _scan(backend)  # cold: full walk + rescan count
         assert backend.stats.topology_rescans == 1
         before = backend.stats.copy()
-        backend.read_vcpu_samples(1.0)
+        _scan(backend)
         delta = backend.stats - before
         # churn-guard readdir + usage read per vCPU; tids come from the
         # cache, and both vCPUs on the same core share one sysfs read.
@@ -87,7 +97,7 @@ class TestCounters:
         node, hv, backend = make_backend()
         hv.provision(SMALL, "vm-a")
         before = backend.stats.copy()
-        backend.read_vcpu_samples(1.0)
+        backend.sample_all(1.0)
         delta = backend.stats - before
         assert delta.fs_reads > 0
         assert delta.fs_writes == 0
@@ -105,35 +115,35 @@ class TestCacheInvalidation:
     def test_late_provision_appears(self, cgroup_version):
         node, hv, backend = make_backend(cgroup_version)
         hv.provision(SMALL, "vm-a")
-        assert len(backend.read_vcpu_samples(1.0)) == 2
+        assert len(_scan(backend)) == 2
         hv.provision(SMALL, "vm-b")  # churn guard must notice
-        samples = backend.read_vcpu_samples(1.0)
+        samples = _scan(backend)
         assert {s.vm_name for s in samples} == {"vm-a", "vm-b"}
 
     def test_destroy_disappears(self, cgroup_version):
         node, hv, backend = make_backend(cgroup_version)
         hv.provision(SMALL, "vm-a")
         hv.provision(SMALL, "vm-b")
-        backend.read_vcpu_samples(1.0)
+        _scan(backend)
         hv.destroy("vm-b")
-        samples = backend.read_vcpu_samples(1.0)
+        samples = _scan(backend)
         assert {s.vm_name for s in samples} == {"vm-a"}
 
     def test_explicit_invalidate_forces_rescan(self):
         node, hv, backend = make_backend()
         hv.provision(SMALL, "vm-a")
-        backend.read_vcpu_samples(1.0)
-        backend.read_vcpu_samples(1.0)
+        _scan(backend)
+        _scan(backend)
         assert backend.stats.topology_rescans == 1
         backend.invalidate()
-        backend.read_vcpu_samples(1.0)
+        _scan(backend)
         assert backend.stats.topology_rescans == 2
 
     def test_same_vm_set_does_not_rescan(self):
         node, hv, backend = make_backend()
         hv.provision(SMALL, "vm-a")
         for _ in range(5):
-            backend.read_vcpu_samples(1.0)
+            backend.sample_all(1.0)
         assert backend.stats.topology_rescans == 1
 
 

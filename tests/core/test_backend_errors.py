@@ -18,16 +18,18 @@ from repro.virt.template import SMALL
 from tests.conftest import TINY
 
 
-def make_backend(cgroup_version=CgroupVersion.V2, *, batched=True, plan=None):
+def make_backend(cgroup_version=CgroupVersion.V2, *, plan=None):
     node = Node(TINY, cgroup_version=cgroup_version, seed=1)
     hv = Hypervisor(node)
     if plan is None:
-        backend = HostBackend(node.fs, node.procfs, node.sysfs, batched=batched)
+        backend = HostBackend(node.fs, node.procfs, node.sysfs)
     else:
-        backend = FaultInjector(
-            plan, node.fs, node.procfs, node.sysfs, batched=batched
-        )
+        backend = FaultInjector(plan, node.fs, node.procfs, node.sysfs)
     return node, hv, backend
+
+
+def sample(backend):
+    return backend.sample_all(1.0).to_samples()
 
 
 class TestBatchedDeadTid:
@@ -37,7 +39,7 @@ class TestBatchedDeadTid:
         node, hv, backend = make_backend(cgroup_version)
         hv.provision(SMALL, "vm-a")
         hv.provision(SMALL, "vm-b")
-        backend.read_vcpu_samples(1.0)  # warm topology
+        sample(backend)  # warm topology
         assert backend._topology is not None
         fname = (
             "cgroup.threads"
@@ -46,7 +48,7 @@ class TestBatchedDeadTid:
         )
         tid = int(node.fs.read(f"{MACHINE_SLICE}/vm-a/vcpu0/{fname}").split()[0])
         node.procfs.kill(tid)
-        samples = backend.read_vcpu_samples(1.0)
+        samples = sample(backend)
         paths = {s.cgroup_path for s in samples}
         assert f"{MACHINE_SLICE}/vm-a/vcpu0" not in paths
         assert f"{MACHINE_SLICE}/vm-b/vcpu0" in paths
@@ -64,7 +66,7 @@ class TestWalkVanishedDirs:
         node, hv, backend = make_backend(plan=plan)
         hv.provision(SMALL, "vm-a")
         hv.provision(SMALL, "vm-b")
-        samples = backend.read_vcpu_samples(1.0)
+        samples = sample(backend)
         assert {s.vm_name for s in samples} == {"vm-b"}
         assert backend.stats.vm_skips == 1
         assert backend.stats.vcpu_skips == 0
@@ -78,7 +80,7 @@ class TestWalkVanishedDirs:
         )
         node, hv, backend = make_backend(plan=plan)
         hv.provision(SMALL, "vm-a")
-        samples = backend.read_vcpu_samples(1.0)
+        samples = sample(backend)
         paths = {s.cgroup_path for s in samples}
         assert f"{MACHINE_SLICE}/vm-a/vcpu0" not in paths
         assert f"{MACHINE_SLICE}/vm-a/vcpu1" in paths
@@ -93,7 +95,7 @@ class TestTolerantVsFailFast:
         hv.provision(SMALL, "vm-a")
         assert backend.tolerate_errors is False
         with pytest.raises(OSError):
-            backend.read_vcpu_samples(1.0)
+            sample(backend)
 
     def test_eio_tolerant_keeps_topology_slot(self, cgroup_version):
         """Transient EIO in tolerant mode skips the vCPU for one tick
@@ -106,14 +108,14 @@ class TestTolerantVsFailFast:
         node, hv, backend = make_backend(cgroup_version, plan=plan)
         backend.tolerate_errors = True
         hv.provision(SMALL, "vm-a")
-        first = backend.read_vcpu_samples(1.0)  # tick 0: clean, cache warm
+        first = sample(backend)  # tick 0: clean, cache warm
         assert len(first) == SMALL.vcpus
-        during = backend.read_vcpu_samples(1.0)  # tick 1: EIO on vcpu0
+        during = sample(backend)  # tick 1: EIO on vcpu0
         assert len(during) == SMALL.vcpus - 1
         assert backend.stats.read_errors == 1
         assert backend.stats.vcpu_skips == 1
         assert backend._topology is not None  # slot kept, no rescan
-        after = backend.read_vcpu_samples(1.0)  # tick 2: recovered
+        after = sample(backend)  # tick 2: recovered
         assert len(after) == SMALL.vcpus
 
     def test_listdir_failure_tolerant_degrades_to_empty(self):
@@ -121,7 +123,7 @@ class TestTolerantVsFailFast:
         node, hv, backend = make_backend(plan=plan)
         backend.tolerate_errors = True
         hv.provision(SMALL, "vm-a")
-        assert backend.read_vcpu_samples(1.0) == []
+        assert sample(backend) == []
         assert backend.stats.read_errors == 1
 
     def test_write_errors_reported_per_path(self):

@@ -1,13 +1,14 @@
-"""Bulk-array backend parity: ``sample_all`` versus the list spelling
-``read_vcpu_samples``, plus the dirty-mask form of ``write_caps``.
+"""Bulk-array backend parity: ``sample_all`` versus the per-file scan
+it falls back to, plus the dirty-mask form of ``write_caps``.
 
 Twin identical hosts (same spec, seed, VM population, workloads) are
-driven in lockstep; one backend is read through the list interface, the
-other through the array interface.  The contract under test: identical
-sample values every tick and — under an armed FaultPlan of any kind —
-identical perturbations, including crashes at the same tick, because
-the batch entry hook fires exactly once per batch regardless of
-spelling.
+driven in lockstep; one backend is read through the per-file scan
+entered directly, the other through ``sample_all``.  The contract under
+test: identical sample values every tick and — under an armed FaultPlan
+of any kind — identical perturbations, including crashes at the same
+tick, because ``sample_all`` then *is* the per-file scan: faults are
+drawn per file, in the scan's order, and the batch entry hook fires
+exactly once per batch.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from repro.core.backend import HostBackend, SampleBatch
 from repro.core.config import ControllerConfig
 from repro.core.controller import VirtualFrequencyController
-from repro.core.monitor import Monitor
 from repro.core.snapshot import restore, snapshot
 from repro.faults import ControllerCrash, FaultInjector, FaultPlan, FaultSpec
 from repro.faults.plan import FAULT_KINDS
@@ -41,9 +41,10 @@ CHURN_OPS = (
 def _host(seed=11, plan=None):
     """One host with 3 two-vCPU VMs and a standalone backend."""
     node, hv, _ = make_host(seed=seed)
-    backend = HostBackend(node.fs, node.procfs, node.sysfs)
-    if plan is not None:
-        backend = FaultInjector.wrap(backend, plan)
+    if plan is None:
+        backend = HostBackend(node.fs, node.procfs, node.sysfs)
+    else:
+        backend = FaultInjector(plan, node.fs, node.procfs, node.sysfs)
     for k in range(3):
         vm = hv.provision(TMPL, f"vm-{k}")
         attach(vm, ConstantWorkload(2, level=0.3 + 0.2 * k))
@@ -54,6 +55,18 @@ def _sig(samples):
     return sorted(tuple(sorted(s.__dict__.items())) for s in samples)
 
 
+def _scan(backend, period_s=1.0):
+    """One pass of the per-file scan entered directly, with
+    ``sample_all``'s batch hook and tolerant-mode outer handling."""
+    period_s = backend._begin_sample_batch(period_s)
+    try:
+        return backend._sample_batched(period_s)
+    except OSError:
+        if not backend.tolerate_errors:
+            raise
+        return []
+
+
 class TestSampleParity:
     def test_bulk_matches_list_over_ticks(self):
         node_a, _, back_a = _host()
@@ -61,7 +74,7 @@ class TestSampleParity:
         for _ in range(8):
             node_a.step(1.0)
             node_b.step(1.0)
-            list_samples = back_a.read_vcpu_samples(1.0)
+            list_samples = _scan(back_a)
             batch = back_b.sample_all(1.0)
             assert isinstance(batch, SampleBatch)
             assert _sig(list_samples) == _sig(batch.to_samples())
@@ -95,14 +108,14 @@ class TestSampleParity:
     def test_roundtrip_from_samples(self):
         node, _, backend = _host()
         node.step(1.0)
-        samples = backend.read_vcpu_samples(1.0)
+        samples = _scan(backend)
         batch = SampleBatch.from_samples(samples, 1.0)
         assert _sig(batch.to_samples()) == _sig(samples)
 
 
 class TestApplyCapsParity:
     def _caps(self, backend):
-        node_paths = [s.cgroup_path for s in backend.read_vcpu_samples(1.0)]
+        node_paths = backend.sample_all(1.0).paths
         return {p: 20_000 + 1_000 * i for i, p in enumerate(sorted(node_paths))}
 
     def test_dirty_mask_skips_clean_rows(self):
@@ -147,7 +160,7 @@ def _plan(kind):
 
 
 class TestFaultParity:
-    """Every fault kind perturbs both sampling spellings identically."""
+    """Under every fault kind ``sample_all`` is the per-file scan."""
 
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_samples_identical_under_fault(self, kind):
@@ -158,7 +171,7 @@ class TestFaultParity:
         for tick in range(6):
             node_a.step(1.0)
             node_b.step(1.0)
-            a, a_exc = self._try(lambda: back_a.read_vcpu_samples(1.0))
+            a, a_exc = self._try(lambda: _scan(back_a))
             b, b_exc = self._try(lambda: back_b.sample_all(1.0).to_samples())
             if a_exc is not None or b_exc is not None:
                 assert type(a_exc) is type(b_exc), (kind, tick, a_exc, b_exc)
@@ -166,7 +179,7 @@ class TestFaultParity:
             else:
                 assert _sig(a) == _sig(b), (kind, tick)
             # The batch hook advanced both injectors' clocks in lockstep
-            # even when sample_all fell back to the list scan internally.
+            # and every fault was drawn per file, in the scan's order.
             assert back_a.tick_index == back_b.tick_index
             assert back_a.injected == back_b.injected
 
@@ -177,7 +190,7 @@ class TestFaultParity:
         for tick in range(6):
             node_a.step(1.0)
             node_b.step(1.0)
-            _, a_exc = self._try(lambda: back_a.read_vcpu_samples(1.0))
+            _, a_exc = self._try(lambda: _scan(back_a))
             _, b_exc = self._try(lambda: back_b.sample_all(1.0))
             if isinstance(a_exc, ControllerCrash):
                 crashed_a.append(tick)
@@ -386,8 +399,10 @@ class TestChurnPatch:
                 for b in backends:
                     b.forget_usage(path)
             elif op == "reset":
+                # What VirtualFrequencyController.reset tells a backend.
                 for b in backends:
-                    Monitor(b).reset()
+                    b._prev_usage.clear()
+                    b.invalidate()
             tick_and_compare()
         assert walk.stats.topology_rescans == len(ops) + 2
         # Every churn step above was patched, none re-walked.

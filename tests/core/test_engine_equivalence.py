@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 
+from repro.core.backend import SampleBatch
 from repro.core.config import ControllerConfig
 from repro.core.controller import VirtualFrequencyController
 from repro.core.resilience import ResiliencePolicy
@@ -46,9 +47,9 @@ TICKS = 200
 class _DroppingBackend:
     """Deterministically hide some vCPU samples (drives degraded mode).
 
-    Wraps ``read_vcpu_samples`` only; every other attribute passes
-    through to the real backend, so both engines see the exact same
-    filtered stream.
+    Wraps ``sample_all`` only; every other attribute passes through to
+    the real backend, so both engines see the exact same filtered
+    stream.
     """
 
     def __init__(self, backend, drop_plan):
@@ -65,17 +66,20 @@ class _DroppingBackend:
         else:
             setattr(self._backend, name, value)
 
-    def read_vcpu_samples(self, period_s):
-        samples = self._backend.read_vcpu_samples(period_s)
+    def sample_all(self, period_s):
+        batch = self._backend.sample_all(period_s)
         drops = self._plan.get(self._tick, ())
         self._tick += 1
         if not drops:
-            return samples
-        return [
-            s
-            for s in samples
-            if not any(frag in s.cgroup_path for frag in drops)
-        ]
+            return batch
+        return SampleBatch.from_samples(
+            [
+                s
+                for s in batch.to_samples()
+                if not any(frag in s.cgroup_path for frag in drops)
+            ],
+            period_s,
+        )
 
 
 def _build(engine):
@@ -98,9 +102,9 @@ def _build(engine):
         fmax_mhz=SPEC.fmax_mhz,
         config=cfg,
     )
-    # The monitor reads through the dropping wrapper; the enforcer keeps
-    # writing through the real backend (drops only affect observability).
-    ctrl.monitor.backend = _DroppingBackend(ctrl.backend, drop_plan)
+    # Stage 1 reads through the dropping wrapper; writes pass through to
+    # the real backend (drops only affect observability).
+    ctrl.backend = _DroppingBackend(ctrl.backend, drop_plan)
     return node, hv, ctrl
 
 

@@ -1,9 +1,13 @@
-"""Tests for stage 1 — monitoring (consumption diffs + vfreq estimation)."""
+"""Tests for stage 1 — monitoring (consumption diffs + vfreq estimation).
+
+Both engines read stage 1 through ``HostBackend.sample_all``; the
+samples below are its batch materialised with ``to_samples()``.
+"""
 
 import pytest
 
 from repro.cgroups.fs import CgroupVersion
-from repro.core.monitor import Monitor
+from repro.core.backend import HostBackend
 from repro.hw.node import MACHINE_SLICE, Node
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.template import SMALL
@@ -14,8 +18,20 @@ def make_host(cgroup_version=CgroupVersion.V2, tiny=None):
 
     node = Node(tiny or TINY, cgroup_version=cgroup_version, seed=1)
     hv = Hypervisor(node)
-    mon = Monitor(node.fs, node.procfs, node.sysfs, period_s=1.0)
-    return node, hv, mon
+    return node, hv, _Stage1(HostBackend(node.fs, node.procfs, node.sysfs))
+
+
+class _Stage1:
+    """One backend's stage-1 passes as sample lists."""
+
+    def __init__(self, backend):
+        self.backend = backend
+
+    def sample(self):
+        return self.backend.sample_all(1.0).to_samples()
+
+    def forget(self, path):
+        self.backend.forget_usage(path)
 
 
 class TestConsumptionDiff:

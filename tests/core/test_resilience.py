@@ -83,14 +83,15 @@ class TestStaleCarryForward:
         assert injector.injected["read_error"] == 2
 
     def test_no_policy_means_no_carry(self):
-        """Without a resilience policy the monitor is the seed monitor."""
+        """Without a resilience policy stage 1 is the seed's: nothing is
+        carried forward and read errors are not absorbed."""
         node = Node(TINY, seed=42)
         ctrl = VirtualFrequencyController(
             node.fs, node.procfs, node.sysfs,
             num_cpus=TINY.logical_cpus, fmax_mhz=TINY.fmax_mhz,
         )
         assert ctrl.resilience is None
-        assert ctrl.monitor.stale_max_age == 0
+        assert ctrl._stale is None
         assert ctrl.backend.tolerate_errors is False
 
 
@@ -164,6 +165,20 @@ class TestDegradedMode:
         for t, (a, b) in enumerate(zip(scalar, bulk)):
             assert _compare_reports(a, b, ("scalar", "bulk"), float(t)) == []
         assert writes_scalar == writes_bulk
+
+    @pytest.mark.parametrize("engine", ["scalar", "bulk"])
+    def test_degrades_without_carry_forward(self, engine):
+        """``stale_sample_max_age=0`` carries nothing forward, yet a
+        vCPU that stays unobservable still enters degraded mode."""
+        policy = ResiliencePolicy(stale_sample_max_age=0, degraded_after_ticks=2)
+        node, _, injector, ctrl = resilient_host(
+            FaultPlan(self.OCCLUDE), policy, engine=engine
+        )
+        reports = drive(node, ctrl, 8)
+        stats = ctrl.resilience_stats
+        assert stats.degraded_transitions == 1
+        assert stats.stale_samples_used == 0
+        assert any(VCPU0 in r.degraded for r in reports)
 
     def test_unregistered_vm_never_degrades(self):
         policy = ResiliencePolicy(stale_sample_max_age=1, degraded_after_ticks=2)

@@ -1,7 +1,7 @@
 """Snapshot round-trips under an active FaultPlan (ISSUE 4, satellite 3).
 
-The monitor's carry-forward cache (``_last_seen`` / ``_missing_age``)
-is deliberately NOT part of the snapshot schema: a stale sample is a
+The controller's carry-forward cache (its ``StaleSamples``: last-seen
+rows and missing ages) is deliberately NOT part of the snapshot schema: a stale sample is a
 claim about the *previous process's* last observation, and restoring it
 would let the new controller re-serve (double-apply) a consumption
 sample that the old controller already accrued credits for.  These
@@ -71,8 +71,8 @@ class TestRestoreMidFault:
         for t in range(3):
             report = _tick(node, ctrl, t)
         # Tick 2 was inside the window: the sample was served stale.
-        assert ctrl.monitor.last_carried == 1
-        stale_path = next(iter(ctrl.monitor._last_seen))
+        assert ctrl._stale.last_carried == 1
+        stale_path = ctrl._stale._seen.paths[0]
         state = snapshot(ctrl)
 
         restored = VirtualFrequencyController(
@@ -83,12 +83,12 @@ class TestRestoreMidFault:
         )
         restore(restored, state)
         # The cache did not survive the snapshot...
-        assert restored.monitor._last_seen == {}
-        assert restored.monitor._missing_age == {}
+        assert restored._stale._seen.paths == []
+        assert restored._stale.missing_ages() == {}
         # ...so the next in-window tick has nothing to re-serve: the
         # faulted path is absent rather than double-applied.
         report = _tick(node, restored, 3)
-        assert restored.monitor.last_carried == 0
+        assert restored._stale.last_carried == 0
         assert all(s.cgroup_path != stale_path for s in report.samples)
 
     def test_wallet_not_inflated_by_restore(self):

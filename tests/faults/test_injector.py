@@ -210,12 +210,3 @@ class TestFaultKinds:
         with pytest.raises(ControllerCrash):
             ctrl.tick(1.0)
 
-
-class TestWrap:
-    def test_wrap_carries_warm_state(self):
-        node, _, ctrl = bare_host()
-        drive(node, ctrl, 3)
-        backend = ctrl.backend
-        injector = FaultInjector.wrap(backend, FaultPlan())
-        assert injector._prev_usage == backend._prev_usage
-        assert injector._last_cap == backend._last_cap

@@ -4,13 +4,15 @@ A serial :class:`NodeManager` runs its bulk-engine controllers of equal
 config as one :class:`~repro.core.bulk.BulkExecutor` group over a shared
 slot arena.  The reference is the same hosts (same seeds, same demand,
 same VM churn) ticked one by one through ``controller.tick()``.  The
-cluster mixes two batched config groups (different history lengths,
-so two arenas), a scalar-engine host, a host with a
-``ResiliencePolicy`` and a host whose backend crashes at stage 1 or
-stage 6 under a ``FaultPlan``.  Every tick, every node's report fields,
-cap files and backend counters must be identical (``==`` on floats),
-and a failing node must fail the same way, dump its flight recorder
-the same way, and leave the others untouched.
+cluster mixes three batched config groups (different history lengths,
+so two arenas), a scalar-engine host, a host whose backend crashes at
+stage 1 or stage 6 under a ``FaultPlan``, and a group of hosts with a
+``ResiliencePolicy``: one clean, one whose ``FaultPlan`` fails cap
+writes (retries) and hides a vCPU (carry-forward, degraded fallback).
+Every tick, every node's report fields, cap files, backend and
+resilience counters must be identical (``==`` on floats), and a
+failing node must fail the same way, dump its flight recorder the same
+way, and leave the others untouched.
 """
 
 import os
@@ -83,9 +85,29 @@ class _Cluster:
                               end_tick=enforce_tick + 1),
                 ])
                 backend = FaultInjector(plan, node.fs, node.procfs, node.sysfs)
+            elif kind == "rcrash":
+                # Every cap write fails at tick 0, and the crash draw
+                # misses the first write batch and hits the first retry
+                # (plan seed 15: draws 0.965, then 0.012).
+                plan = FaultPlan([
+                    FaultSpec("write_error", target="*/cpu.max",
+                              start_tick=0, end_tick=1, error="EBUSY"),
+                    FaultSpec("crash", target="stage:enforce",
+                              start_tick=0, end_tick=1, probability=0.5),
+                ], seed=15)
+                backend = FaultInjector(plan, node.fs, node.procfs, node.sysfs)
+            elif kind == "rfault":
+                plan = FaultPlan([
+                    FaultSpec("write_error", target="*/cpu.max",
+                              probability=0.5, error="EBUSY"),
+                    FaultSpec("read_error", target="*/vm0/vcpu0/cpu.stat",
+                              start_tick=1, end_tick=6),
+                ], seed=seed)
+                backend = FaultInjector(plan, node.fs, node.procfs, node.sysfs)
             config = {
                 "a": GROUP_A, "b": GROUP_B, "fault": GROUP_A,
-                "scalar": SCALAR, "resilient": RESILIENT,
+                "scalar": SCALAR, "resilient": RESILIENT, "rfault": RESILIENT,
+                "rcrash": RESILIENT,
             }[kind]
             ctrl = VirtualFrequencyController(
                 node.fs, node.procfs, node.sysfs,
@@ -142,8 +164,13 @@ class _Cluster:
         return out
 
     def stats(self):
+        """Backend, resilience and fault counters, per node."""
         return {
-            node_id: ctrl.backend.stats
+            node_id: (
+                ctrl.backend.stats,
+                ctrl.resilience_stats,
+                getattr(ctrl.backend, "injected", None),
+            )
             for node_id, (_, _, ctrl) in self.hosts.items()
         }
 
@@ -175,6 +202,45 @@ events = st.tuples(
 )
 
 
+def _run_lockstep(kinds, seed, ticks, crash_ticks, initial, churn, levels,
+                  out_dir):
+    """Tick one cluster one by one and its twin through a NodeManager,
+    asserting every tick that the two agree; returns the batched twin,
+    its manager and the count of failed node ticks."""
+    ref = _Cluster(kinds, seed, crash_ticks, os.path.join(out_dir, "ref"))
+    bat = _Cluster(kinds, seed, crash_ticks, os.path.join(out_dir, "bat"))
+    for cluster in (ref, bat):
+        # Every host starts with one VM, then the drawn extras.
+        for host in range(len(kinds)):
+            cluster.add_vm(host, False, 0.5)
+        for event in initial:
+            _apply(cluster, event)
+    manager = NodeManager(bat.controllers())
+    failures = 0
+    for k in range(ticks):
+        t = float(k + 1)
+        for event in churn.get(k, ()):
+            _apply(ref, event)
+            _apply(bat, event)
+        ref.step(levels, k)
+        bat.step(levels, k)
+        expected = {}
+        for node_id, ctrl in ref.controllers().items():
+            try:
+                expected[node_id] = ctrl.tick(t)
+            except Exception as exc:
+                expected[node_id] = exc
+        result = manager.tick(t)
+        for node_id, want in expected.items():
+            got = result.errors.get(node_id, result.get(node_id))
+            assert _outcome(got) == _outcome(want), (node_id, k)
+        failures += len(result.errors)
+        assert bat.caps() == ref.caps()
+        assert bat.stats() == ref.stats()
+        assert bat.dumps() == ref.dumps()
+    return bat, manager, failures
+
+
 class TestBatchedEqualsOneByOne:
     @given(
         n_a=st.integers(1, 3),
@@ -194,56 +260,69 @@ class TestBatchedEqualsOneByOne:
         self, n_a, n_b, order, seed, ticks, crash_ticks, initial, churn,
         levels,
     ):
-        kinds = ["a"] * n_a + ["b"] * n_b + ["scalar", "resilient", "fault"]
+        kinds = ["a"] * n_a + ["b"] * n_b + [
+            "scalar", "resilient", "rfault", "fault",
+        ]
         order.shuffle(kinds)
         with tempfile.TemporaryDirectory() as tmp:
-            ref = _Cluster(kinds, seed, crash_ticks, os.path.join(tmp, "ref"))
-            bat = _Cluster(kinds, seed, crash_ticks, os.path.join(tmp, "bat"))
-            for cluster in (ref, bat):
-                # Every host starts with one VM, then the drawn extras.
-                for host in range(len(kinds)):
-                    cluster.add_vm(host, False, 0.5)
-                for event in initial:
-                    _apply(cluster, event)
-            manager = NodeManager(bat.controllers())
-            failures = 0
-            for k in range(ticks):
-                t = float(k + 1)
-                for event in churn.get(k, ()):
-                    _apply(ref, event)
-                    _apply(bat, event)
-                ref.step(levels, k)
-                bat.step(levels, k)
-                expected = {}
-                for node_id, ctrl in ref.controllers().items():
-                    try:
-                        expected[node_id] = ctrl.tick(t)
-                    except Exception as exc:
-                        expected[node_id] = exc
-                result = manager.tick(t)
-                for node_id, want in expected.items():
-                    got = result.errors.get(node_id, result.get(node_id))
-                    assert _outcome(got) == _outcome(want), (node_id, k)
-                failures += len(result.errors)
-                assert bat.caps() == ref.caps()
-                assert bat.stats() == ref.stats()
-                assert bat.dumps() == ref.dumps()
-            # The batched path really ran: one arena per config group.
+            bat, manager, failures = _run_lockstep(
+                kinds, seed, ticks, crash_ticks, initial, churn, levels, tmp
+            )
+            # The batched path really ran: one arena per history length,
+            # resilient hosts included.
             arenas = {
                 kind: {
                     id(ctrl._table.arena)
                     for nid, ctrl in bat.controllers().items()
                     if nid.endswith(suffixes)
                 }
-                for kind, suffixes in (("a", ("-a", "-fault")), ("b", ("-b",)))
+                for kind, suffixes in (
+                    ("a", ("-a", "-fault", "-resilient", "-rfault")),
+                    ("b", ("-b",)),
+                )
             }
             assert len(arenas["a"]) == len(arenas["b"]) == 1
             assert arenas["a"] != arenas["b"]
             # The fault host crashed at stage 1 and at stage 6.
             assert failures == len(set(crash_ticks))
-            fault_id = next(n for n in bat.hosts if n.endswith("fault"))
+            fault_id = next(n for n in bat.hosts if n.endswith("-fault"))
             written, name = bat.dumps()[fault_id]
             assert written >= 1 and name.startswith("flight_tick_error_")
+        manager.close()
+
+
+class TestResilientGroup:
+    """Hosts with a ResiliencePolicy tick as one executor group."""
+
+    def test_retries_and_fallbacks_run_in_the_group(self, tmp_path):
+        bat, manager, failures = _run_lockstep(
+            ["resilient", "rfault", "rfault"], 1, 8, (100, 100),
+            [("add", 1, False, 0.9), ("add", 2, True, 0.4)], {},
+            [0.9, 0.4], str(tmp_path),
+        )
+        assert failures == 0
+        assert list(manager._executors) == ["n0-resilient"]
+        for node_id in ("n1-rfault", "n2-rfault"):
+            stats = bat.hosts[node_id][2].resilience_stats
+            assert stats.write_retries > 0
+            assert stats.stale_samples_used > 0
+            assert stats.degraded_transitions == 1
+        manager.close()
+
+    def test_crash_on_a_write_retry_stays_in_its_host(self, tmp_path):
+        """An injected ``stage:enforce`` crash drawn on the retry batch
+        fails that host's tick only; the host commits nothing, as its
+        own ``tick()`` would, and its group peer finishes the tick."""
+        bat, manager, failures = _run_lockstep(
+            ["rcrash", "rfault"], 2, 4, (100, 100), [], {}, [0.8, 0.6],
+            str(tmp_path),
+        )
+        assert failures == 1
+        assert list(manager._executors) == ["n0-rcrash"]
+        crashed = bat.hosts["n0-rcrash"][2]
+        assert crashed.backend.injected["crash"] == 1
+        assert crashed.resilience_stats.write_retries > 0
+        assert manager.error_counts == {"n0-rcrash": 1}
         manager.close()
 
 

@@ -61,7 +61,6 @@ EXPECTED = {
         "guaranteed_cycles",
         "cycles_to_mhz",
         "mhz_to_cycles",
-        "Monitor",
         "VCpuSample",
         "TrendEstimator",
         "EstimatorDecision",
