@@ -156,9 +156,7 @@ def _fig6_reports(batched):
     if not batched:
         # Before the first tick the controller's backend holds no state
         # yet: swap in the seed's access pattern for reads and writes.
-        sim.controller.backend = sim.controller.enforcer.backend = _backend(
-            sim.node, batched
-        )
+        sim.controller.backend = _backend(sim.node, batched)
     sim.run(scenario.duration)
     return [_report_signature(r) for r in sim.controller.reports]
 

@@ -68,6 +68,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.core import enforcer
 from repro.core.units import cycles_per_period, period_us
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -405,8 +406,8 @@ def check_ledger(ctx: TickContext) -> List[Violation]:
 def check_enforcement(ctx: TickContext) -> List[Violation]:
     """Every decided allocation matches the quota the backend holds."""
     controller = ctx.controller
-    backend = controller.enforcer.backend
-    enforcer = controller.enforcer
+    backend = controller.backend
+    cfg = controller.config
     failed = getattr(backend, "last_write_errors", {})
     out: List[Violation] = []
     for path, alloc in ctx.report.allocations.items():
@@ -416,7 +417,7 @@ def check_enforcement(ctx: TickContext) -> List[Violation]:
         if in_force is None:
             continue  # cgroup vanished mid-tick (teardown race)
         quota, _period = in_force
-        expected = enforcer.quota_us(alloc)
+        expected = enforcer.quota_us(alloc, cfg)
         if quota != expected:
             out.append(Violation(
                 "enforcement",

@@ -7,7 +7,7 @@ Six-stage feedback loop (paper Fig. 2), triggered every ``p`` seconds:
 3. :mod:`repro.core.credits`   — credits (Eq. 4) + base capping (Eq. 5)
 4. :mod:`repro.core.auction`   — market (Eq. 6) + cycle auction (Alg. 1)
 5. :mod:`repro.core.distribute`— free distribution of leftovers
-6. :mod:`repro.core.enforcer`  — write ``cpu.max``
+6. ``core/enforcer.py``       — the ``cpu.max`` quota rule
 
 The controller only touches kernel surfaces (cgroupfs, /proc, sysfs), so
 it runs unchanged against any host exposing those files.
@@ -21,7 +21,6 @@ from repro.core.estimator import TrendEstimator, EstimatorDecision
 from repro.core.credits import CreditLedger, apply_base_capping
 from repro.core.auction import run_auction, AuctionOutcome
 from repro.core.distribute import distribute_leftovers
-from repro.core.enforcer import Enforcer
 from repro.core.controller import VirtualFrequencyController, ControllerReport
 from repro.core.resilience import DegradedVcpu, ResiliencePolicy, ResilienceStats
 from repro.core.snapshot import snapshot, restore, to_json, from_json
@@ -59,7 +58,6 @@ __all__ = [
     "run_auction",
     "AuctionOutcome",
     "distribute_leftovers",
-    "Enforcer",
     "VirtualFrequencyController",
     "ControllerReport",
     "ResiliencePolicy",

@@ -235,8 +235,8 @@ def vm_component(path: str, machine_slice: str = DEFAULT_MACHINE_SLICE) -> Optio
 class HostBackend:
     """Batched, counted access to one node's kernel surfaces.
 
-    ``procfs``/``sysfs`` may be ``None`` for write-only users (the
-    enforcer standalone); monitoring through such a backend raises.
+    ``procfs``/``sysfs`` may be ``None`` for write-only users (cap
+    writes alone); monitoring through such a backend raises.
     """
 
     def __init__(
@@ -266,11 +266,9 @@ class HostBackend:
         self._topology_vms: Optional[List[str]] = None
         self._prev_usage: Dict[str, float] = {}
         self._last_cap: Dict[str, Tuple[int, int]] = {}
-        #: Bumped whenever cap state is dropped out of band (``uncap``,
-        #: ``forget_vcpu``) — callers tracking their own "quota already
-        #: in force" view (the bulk dirty mask) must treat every row as
-        #: dirty after the epoch moves.
-        self.cap_epoch = 0
+        #: ``paths`` of the latest per-file scan batch, handed out again
+        #: while the scan sees the same vCPUs (see :class:`SampleBatch`).
+        self._scan_paths: Optional[List[str]] = None
         self._bulk_handles: Optional[Dict[str, Any]] = None
 
     # -- counted primitives -----------------------------------------------------
@@ -324,7 +322,6 @@ class HostBackend:
         """Drop all cached state (usage baseline + cap) for a vCPU."""
         self.forget_usage(vcpu_path)
         self._last_cap.pop(vcpu_path, None)
-        self.cap_epoch += 1
 
     # -- batch-entry hooks (fault-injection seam) -------------------------------
 
@@ -535,7 +532,12 @@ class HostBackend:
             self.stats.read_errors += 1
             self.invalidate()
             samples = []
-        return SampleBatch.from_samples(samples, period_s)
+        batch = SampleBatch.from_samples(samples, period_s)
+        if batch.paths == self._scan_paths:
+            batch.paths = self._scan_paths
+        else:
+            self._scan_paths = batch.paths
+        return batch
 
     def _sample_all_fast(self, period_s: float) -> Optional[SampleBatch]:
         """Array sampling over cached handles; ``None`` → use the scan."""
@@ -754,54 +756,42 @@ class HostBackend:
         quota_us: Sequence[int],
         enforcement_period_us: int,
         dirty: Optional[np.ndarray] = None,
-    ) -> Dict[str, int]:
-        """Coalesced quota writes; returns the quotas now in force (µs).
+    ) -> List[int]:
+        """Coalesced quota writes; returns the rows not in force after it.
 
         ``paths``/``quota_us`` are parallel.  Each row goes through
-        :meth:`write_cap_one`, so a quota already in force is skipped
-        and counts as applied.  A caller that tracks the quotas in force
-        itself (the bulk engine) may pass a ``dirty`` mask: only true
-        rows are written and the result covers only them, while clean
-        rows count as :attr:`BackendStats.cap_writes_skipped` without
-        the per-path lookup.  Paths whose cgroup vanished mid-batch
-        (teardown races the loop on a real host) are silently dropped
-        from the result.  In tolerant mode a transient write error
-        (EIO/EBUSY) is recorded per path in :attr:`last_write_errors`
-        instead of aborting the batch, so the controller can retry
-        exactly the failed subset.
+        :meth:`write_cap_one`, so a quota already in force is skipped.
+        A caller that tracks the quotas in force itself (the bulk
+        engine) may pass a ``dirty`` mask: only true rows are handed
+        over, while clean rows count as
+        :attr:`BackendStats.cap_writes_skipped` without the per-path
+        lookup.  The result lists the indices of handed-over rows whose
+        quota is not in force afterwards: cgroups that vanished
+        mid-batch (teardown races the loop on a real host) and, in
+        tolerant mode, transient write errors (EIO/EBUSY), which are
+        also recorded per path in :attr:`last_write_errors` instead of
+        aborting the batch, so the controller can retry exactly the
+        failed subset.
         """
         self._begin_write_batch()
-        written: Dict[str, int] = {}
+        missed: List[int] = []
         self.last_write_errors = {}
         if dirty is None:
             rows: Sequence[int] = range(len(paths))
         else:
-            rows = dirty.nonzero()[0]
+            rows = dirty.nonzero()[0].tolist()
             self.stats.cap_writes_skipped += len(paths) - len(rows)
         enf = int(enforcement_period_us)
         for i in rows:
             path = paths[i]
-            quota = int(quota_us[i])
             try:
-                self.write_cap_one(path, quota, enf)
+                self.write_cap_one(path, int(quota_us[i]), enf)
             except FileNotFoundError:
-                continue
+                missed.append(i)
             except OSError as exc:
                 if not self.tolerate_errors:
                     raise
                 self.stats.write_errors += 1
                 self.last_write_errors[path] = exc
-                continue
-            written[path] = quota
-        return written
-
-    def uncap(self, vcpu_path: str, enforcement_period_us: int) -> None:
-        """Remove a vCPU's bandwidth limit (configuration A / teardown)."""
-        if self.fs.version is CgroupVersion.V2:
-            self.write_file(
-                f"{vcpu_path}/cpu.max", f"max {enforcement_period_us}"
-            )
-        else:
-            self.write_file(f"{vcpu_path}/cpu.cfs_quota_us", "-1")
-        self._last_cap.pop(vcpu_path, None)
-        self.cap_epoch += 1
+                missed.append(i)
+        return missed

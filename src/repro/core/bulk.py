@@ -47,9 +47,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core import enforcer
 from repro.core.auction import AuctionOutcome, run_auction
 from repro.core.controller import ControllerReport, VirtualFrequencyController
-from repro.core.enforcer import MIN_QUOTA_US
 from repro.core.resilience import fallback_caps
 from repro.core.soa import (
     build_decisions,
@@ -338,45 +338,34 @@ class BulkExecutor:
     ) -> List[float]:
         """Stage 6's writes through each host's ``write_caps``.
 
-        Quotas are scaled exactly like :meth:`Enforcer.quota_us`
-        (multiply before divide, banker's rounding, kernel floor), and
-        only rows whose quota differs from the one known to be in
-        force are handed to the backend.  A moved backend ``cap_epoch``
-        (out-of-band cap invalidation) marks every row of that host
-        dirty; failed or vanished writes reset to "unknown" (-1) so
-        they are rewritten next tick.  A host's degraded-mode
-        fallbacks for paths with no row are always handed over.
-        Returns each host's own time in its write loop.
+        Quotas follow the quota rule's array form
+        (``enforcer.quota_us_array``), and only rows whose quota differs
+        from the one known to be in force (``SlotArena.last_quota``) are
+        handed to the backend; rows the backend reports as not in force
+        (failed or vanished writes) reset to "unknown" (-1) so they are
+        rewritten next tick.  The backend's record is dropped outside a
+        write only by the controller's ``forget_vcpu``, which releases
+        the same paths' slots, so the mask never holds a quota the
+        backend forgot.  A host's degraded-mode fallbacks for paths with
+        no row are always handed over.  Returns each host's own time in
+        its write loop.
         """
         cfg = hosts[0].ctrl.config
-        p_us = period_us(cfg.period_s)
-        enf = float(cfg.enforcement_period_us)
-        quota_f = np.rint(alloc * enf / p_us)
-        np.maximum(quota_f, MIN_QUOTA_US, out=quota_f)
-        quota = quota_f.astype(np.int64)
+        quota = enforcer.quota_us_array(alloc, cfg)
         rows = layout.rows
         dirty = arena.last_quota[rows] != quota
-        for h in hosts:
-            backend = h.ctrl.backend
-            if backend.cap_epoch != h.ctrl._cap_epoch_seen:
-                dirty[h.lo:h.hi] = True
-                h.ctrl._cap_epoch_seen = backend.cap_epoch
-        n_dirty = (
-            [int(np.count_nonzero(dirty))] if len(hosts) == 1
-            else np.bincount(layout.seg[dirty], minlength=len(hosts)).tolist()
-        )
         alloc_list = alloc.tolist()
         unwritten: List[int] = []
         failed = False
         marks = [_perf()]
-        for i, h in enumerate(hosts):
+        for h in hosts:
             ctrl, view, lo, hi = h.ctrl, h.view, h.lo, h.hi
             paths = view.paths
             quota_h = quota[lo:hi]
             dirty_h = dirty[lo:hi]
             extra_paths = list(h.extra)
             if extra_paths:
-                extra_quota = [ctrl.enforcer.quota_us(c) for c in h.extra.values()]
+                extra_quota = [enforcer.quota_us(c, cfg) for c in h.extra.values()]
                 paths = paths + extra_paths
                 quota_h = np.concatenate(
                     [quota_h, np.asarray(extra_quota, dtype=np.int64)]
@@ -387,7 +376,7 @@ class BulkExecutor:
             allocations = dict(zip(view.paths, alloc_list[lo:hi]))
             allocations.update(h.extra)
             try:
-                written = ctrl.backend.write_caps(
+                missed = ctrl.backend.write_caps(
                     paths, quota_h, cfg.enforcement_period_us, dirty_h
                 )
                 if ctrl.resilience is not None:
@@ -397,20 +386,18 @@ class BulkExecutor:
                 failed = True
                 marks.append(_perf())
                 continue
-            # Commit what actually landed (below, in one pass); failed
-            # or vanished rows become unknown (-1) so the next tick
-            # rewrites them unconditionally.
-            if len(written) != n_dirty[i] + len(extra_paths):
-                for j in dirty[lo:hi].nonzero()[0].tolist():
-                    if view.paths[j] not in written:
-                        unwritten.append(lo + j)
+            # Commit what actually landed (below, in one pass); missed
+            # rows become unknown (-1) so the next tick rewrites them
+            # unconditionally.
+            n = hi - lo
+            unwritten.extend(lo + j for j in missed if j < n)
             ctrl._current_cap.update(allocations)
             table = ctrl._table
             for j, path in enumerate(extra_paths):
                 slot = table.slot_of(path)
                 if slot is not None:
                     arena.last_quota[slot] = (
-                        extra_quota[j] if path in written else -1
+                        -1 if n + j in missed else extra_quota[j]
                     )
             h.report.allocations = allocations
             marks.append(_perf())

@@ -24,12 +24,12 @@ from typing import Dict, List, Optional
 from repro.cgroups.fs import CgroupFS
 from repro.cgroups.procfs import ProcFS
 from repro.cgroups.sysfs import CpuFreqSysFS
+from repro.core import enforcer
 from repro.core.auction import AuctionOutcome, compute_market, run_auction
 from repro.core.backend import HostBackend, SampleBatch, VCpuSample, vm_component
 from repro.core.config import ControllerConfig
 from repro.core.credits import CreditLedger, apply_base_capping
 from repro.core.distribute import distribute_leftovers
-from repro.core.enforcer import Enforcer
 from repro.core.estimator import EstimatorDecision, TrendEstimator
 from repro.core.resilience import (
     DegradedVcpu,
@@ -130,7 +130,6 @@ class VirtualFrequencyController:
             self._stale = StaleSamples(self.resilience.stale_sample_max_age)
         self.estimator = TrendEstimator(self.config)
         self.ledger = CreditLedger(self.config)
-        self.enforcer = Enforcer(backend, self.config)
         self._vm_vfreq: Dict[str, float] = {}
         #: Billing owner per VM.  Purely descriptive metadata: no stage
         #: reads it, so tenancy can never perturb allocation decisions.
@@ -153,7 +152,6 @@ class VirtualFrequencyController:
         self._bulk_cache = None
         #: The bulk engine's one-host executor (built on first tick).
         self._executor = None
-        self._cap_epoch_seen = backend.cap_epoch
         self._current_cap: Dict[str, float] = {}
         self._degraded: Dict[str, DegradedVcpu] = {}
         self._tick_count = 0
@@ -196,16 +194,8 @@ class VirtualFrequencyController:
         self.billing = None
         #: SLO/alerting plane (``repro.obs.slo.SLOPlane``); same deal:
         #: one attribute check when absent, pure observer when present.
-        #: Attach declaratively via ``ObsConfig.slo`` or at runtime with
-        #: ``SLOPlane.attach(controller)``.
+        #: Attach at runtime with ``SLOPlane.attach(controller)``.
         self.slo = None
-        if (
-            self.config.observability is not None
-            and self.config.observability.slo is not None
-        ):
-            from repro.obs.slo import SLOPlane
-
-            SLOPlane.attach(self, self.config.observability.slo)
 
     @property
     def period_s(self) -> float:
@@ -483,7 +473,11 @@ class VirtualFrequencyController:
             )
             allocations.update(overrides)
             report.degraded.update(overrides)
-        self.enforcer.apply(allocations)
+        self.backend.write_caps(
+            list(allocations),
+            [enforcer.quota_us(c, cfg) for c in allocations.values()],
+            cfg.enforcement_period_us,
+        )
         if self.resilience is not None:
             self._retry_failed_writes(allocations)
         self._current_cap.update(allocations)
@@ -640,6 +634,7 @@ class VirtualFrequencyController:
         """Bounded retry-with-backoff for transiently failed cap writes."""
         policy = self.resilience
         stats = self.resilience_stats
+        cfg = self.config
         failed = dict(self.backend.last_write_errors)
         for attempt in range(1, policy.write_retries + 1):
             if not failed:
@@ -647,8 +642,12 @@ class VirtualFrequencyController:
             stats.write_retries += len(failed)
             if policy.write_backoff_s:
                 time.sleep(policy.write_backoff_s * attempt)
-            retry = {p: allocations[p] for p in failed if p in allocations}
-            self.enforcer.apply(retry)
+            retry = [p for p in failed if p in allocations]
+            self.backend.write_caps(
+                retry,
+                [enforcer.quota_us(allocations[p], cfg) for p in retry],
+                cfg.enforcement_period_us,
+            )
             failed = dict(self.backend.last_write_errors)
         stats.write_failures += len(failed)
         if failed:

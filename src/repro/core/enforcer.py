@@ -1,27 +1,29 @@
-"""Stage 6 — applying vCPU capping (paper §III-B6).
+"""Stage 6 — applying vCPU capping (paper §III-B6): the quota rule.
 
-Translates a cycle allocation (µs of CPU per controller period ``p``)
-into a cgroup bandwidth quota and writes it:
+A cycle allocation (µs of CPU per controller period ``p``) becomes a
+cgroup bandwidth quota:
 
 * v2 — ``echo "<quota> <period>" > cpu.max``
 * v1 — ``echo <quota> > cpu.cfs_quota_us`` (+ period file)
 
 The cgroup enforcement period (default 100 ms) is shorter than the
 controller period, so the quota is the allocation scaled by
-``enforcement_period / p``.  The kernel rejects quotas below 1 ms; the
-enforcer floors writes accordingly.
+``enforcement_period / p`` (multiply before divide, banker's rounding).
+The kernel rejects quotas below 1 ms; quotas are floored accordingly.
 
-The actual writes go through a :class:`~repro.core.backend.HostBackend`,
-which coalesces them: a quota already in force is not rewritten, so a
-converged controller issues zero write syscalls per tick.
+The rule has two forms that agree bit for bit: :func:`quota_us` for one
+allocation (the scalar engine, the decision ledger, the enforcement
+oracle) and :func:`quota_us_array` for a column of them (the bulk
+engine).  The writes themselves go through
+:meth:`~repro.core.backend.HostBackend.write_caps`, which skips quotas
+already in force, so a converged controller issues zero write syscalls
+per tick.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+import numpy as np
 
-from repro.cgroups.fs import CgroupFS
-from repro.core.backend import HostBackend
 from repro.core.config import ControllerConfig
 from repro.core.units import period_us
 
@@ -29,44 +31,18 @@ from repro.core.units import period_us
 MIN_QUOTA_US = 1_000
 
 
-class Enforcer:
-    """Writes cycle allocations as cgroup quotas through the backend."""
+def quota_us(cycles: float, config: ControllerConfig) -> int:
+    """Scale one per-period cycle count to the enforcement period."""
+    if cycles < 0:
+        raise ValueError(f"negative allocation: {cycles}")
+    scaled = cycles * config.enforcement_period_us / period_us(config.period_s)
+    return max(MIN_QUOTA_US, int(round(scaled)))
 
-    def __init__(self, fs, config: ControllerConfig) -> None:
-        if isinstance(fs, HostBackend):
-            self.backend = fs
-        else:
-            self.backend = HostBackend(fs)
-        self.config = config
 
-    @property
-    def fs(self) -> CgroupFS:
-        return self.backend.fs
-
-    def apply(self, allocations: Mapping[str, float]) -> Dict[str, int]:
-        """Write every vCPU's allocation; returns quotas in force (µs).
-
-        A vCPU cgroup may vanish between stages of the same iteration
-        (VM teardown races the loop on a real host); such paths are
-        skipped silently, like a production controller must.  Writes
-        are batched through :meth:`HostBackend.write_caps`, which skips
-        values already in place.
-        """
-        quotas: List[int] = []
-        for path, cycles in allocations.items():
-            if cycles < 0:
-                raise ValueError(f"negative allocation for {path}: {cycles}")
-            quotas.append(self.quota_us(cycles))
-        return self.backend.write_caps(
-            list(allocations), quotas, self.config.enforcement_period_us
-        )
-
-    def uncap(self, vcpu_path: str) -> None:
-        """Remove the bandwidth limit (configuration A / teardown)."""
-        self.backend.uncap(vcpu_path, self.config.enforcement_period_us)
-
-    def quota_us(self, cycles: float) -> int:
-        """Scale a per-period cycle count to the enforcement period."""
-        p_us = period_us(self.config.period_s)
-        scaled = cycles * self.config.enforcement_period_us / p_us
-        return max(MIN_QUOTA_US, int(round(scaled)))
+def quota_us_array(cycles: np.ndarray, config: ControllerConfig) -> np.ndarray:
+    """:func:`quota_us` over a float64 column, as int64."""
+    scaled = np.rint(
+        cycles * float(config.enforcement_period_us) / period_us(config.period_s)
+    )
+    np.maximum(scaled, MIN_QUOTA_US, out=scaled)
+    return scaled.astype(np.int64)

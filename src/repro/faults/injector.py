@@ -2,7 +2,7 @@
 
 :class:`FaultInjector` *is* a :class:`~repro.core.backend.HostBackend`
 — it subclasses the backend and overrides its counted primitives, so
-the enforcer and controller run against it completely unmodified
+the controller runs against it completely unmodified
 (every ``isinstance`` check and batching optimisation is inherited).
 Each primitive consults the :class:`~repro.faults.plan.
 FaultPlan` for the current tick and either perturbs the operation or

@@ -16,10 +16,7 @@ uninstrumented build (proved by ``tests/obs/test_transparency.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.obs.slo import SLOConfig
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -46,10 +43,6 @@ class ObsConfig:
     #: Ticks of ledger records retained in memory (the JSONL file, when
     #: ``out_dir`` is set, keeps everything).
     ledger_ring_ticks: int = 1024
-    #: Attach a :class:`repro.obs.slo.SLOPlane` declaratively: the SLO
-    #: catalogue + burn-rate alerting evaluated at every tick boundary.
-    #: ``None`` (the default) skips the plane entirely.
-    slo: Optional["SLOConfig"] = None
 
     def __post_init__(self) -> None:
         if self.flight_recorder_ticks < 0:

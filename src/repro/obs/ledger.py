@@ -67,9 +67,11 @@ def decision_rows(controller, report) -> List[Dict]:
 def _build_rows(controller, report) -> List[Dict]:
     if not report.allocations:
         return []  # config A / empty host: nothing enforced
+    from repro.core import enforcer
+
     cfg = controller.config
     reserve = cfg.reserve_guarantee
-    quota_us = controller.enforcer.quota_us
+    quota_us = enforcer.quota_us
     vfreqs = controller._vm_vfreq
     guarantees = controller._guarantee
     purchased = report.auction.purchased if report.auction else {}
@@ -107,7 +109,7 @@ def _build_rows(controller, report) -> List[Dict]:
             "free_share": free.get(path, 0.0),
             "fallback": degraded.get(path),
             "allocation": alloc,
-            "quota_us": quota_us(alloc),
+            "quota_us": quota_us(alloc, cfg),
         })
     if len(seen) == len(report.allocations):
         return rows
@@ -133,7 +135,7 @@ def _build_rows(controller, report) -> List[Dict]:
             "free_share": free.get(path, 0.0),
             "fallback": degraded.get(path, alloc),
             "allocation": alloc,
-            "quota_us": quota_us(alloc),
+            "quota_us": quota_us(alloc, cfg),
         })
     return rows
 

@@ -260,8 +260,7 @@ def _ingest_tick(store: SeriesStore, controller, report) -> None:
 class SLOPlane:
     """The cluster SLO/alerting plane: one store, one rule engine.
 
-    Attach to a controller like the obs hub (:meth:`attach`, or
-    declaratively via ``ObsConfig.slo``), feed it cluster planes with
+    Attach to a controller with :meth:`attach`, feed it cluster planes with
     :meth:`observe_cluster` / :meth:`observe_shard_reader`, or drive it
     fully post hoc from finished reports — it only ever *reads*, so
     report/ledger streams are bit-identical with it on or off.

@@ -136,8 +136,8 @@ class TestTolerantVsFailFast:
         hv.provision(SMALL, "vm-a")
         paths = [f"{MACHINE_SLICE}/vm-a/vcpu0", f"{MACHINE_SLICE}/vm-a/vcpu1"]
         quotas = [40_000, 40_000]
-        written = backend.write_caps(paths, quotas, 100_000)
-        assert set(written) == {f"{MACHINE_SLICE}/vm-a/vcpu1"}
+        missed = backend.write_caps(paths, quotas, 100_000)
+        assert missed == [0]
         assert set(backend.last_write_errors) == {f"{MACHINE_SLICE}/vm-a/vcpu0"}
         assert backend.stats.write_errors == 1
         # next batch resets the error map
@@ -161,6 +161,6 @@ class TestTolerantVsFailFast:
         assert path in backend.last_write_errors
         assert path not in backend._last_cap
         backend.tick_index = 1  # fault window over
-        written = backend.write_caps([path], [40_000], 100_000)
-        assert written == {path: 40_000}
+        missed = backend.write_caps([path], [40_000], 100_000)
+        assert missed == []
         assert backend.stats.cap_writes_skipped == 0  # not skipped-stale

@@ -130,8 +130,8 @@ class TestApplyCapsParity:
         quotas2 = quotas.copy()
         quotas2[2] += 5_000
         dirty = quotas2 != quotas
-        written = backend.write_caps(paths, quotas2, ENF_US, dirty)
-        assert written == {paths[2]: int(quotas2[2])}
+        missed = backend.write_caps(paths, quotas2, ENF_US, dirty)
+        assert missed == []
         assert backend.stats.cap_writes_skipped == skipped_before + len(paths) - 1
         assert node.fs.read(f"{paths[2]}/cpu.max").split() == [
             str(quotas2[2]), str(ENF_US),
@@ -139,6 +139,19 @@ class TestApplyCapsParity:
         # And the clean rows still hold their previous quota.
         assert node.fs.read(f"{paths[0]}/cpu.max").split() == [
             str(quotas[0]), str(ENF_US),
+        ]
+
+    def test_dirty_mask_reports_missed_rows_by_full_index(self):
+        node, _, backend = _host()
+        node.step(1.0)
+        paths = list(self._caps(backend)) + ["/machine.slice/gone/vcpu0"]
+        quotas = np.full(len(paths), 30_000, dtype=np.int64)
+        dirty = np.zeros(len(paths), dtype=bool)
+        dirty[[1, len(paths) - 1]] = True
+        missed = backend.write_caps(paths, quotas, ENF_US, dirty)
+        assert missed == [len(paths) - 1]
+        assert node.fs.read(f"{paths[1]}/cpu.max").split() == [
+            "30000", str(ENF_US),
         ]
 
 

@@ -1,0 +1,157 @@
+"""Differential property test: stage 6 leaves the same bytes on both engines.
+
+The bulk engine hands the backend only the rows whose quota differs
+from ``SlotArena.last_quota``; the scalar oracle hands over every row
+and lets ``HostBackend.write_cap_one`` skip the ones in force.  The two
+agree only while ``last_quota`` never claims a quota the backend has
+forgotten.  The backend forgets one on a failed or vanished write,
+which the bulk engine marks -1, or through ``forget_vcpu``, which the
+controller calls only where it also releases the vCPU's slot.
+
+Twin hosts, one per engine, go through the churn that stresses exactly
+that: a VM unregistered, destroyed and re-provisioned under the same
+name; ``set_vfreq``; a VM destroyed without being unregistered (its
+cgroup vanishes under a registered VM); and ``write_error`` plans under
+a ``ResiliencePolicy``.  After every tick both hosts must hold the same
+``cpu.max`` bytes and the same ``fs_writes``, ``cap_writes_skipped`` and
+``write_errors``, on top of identical reports and a clean invariant
+catalogue.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.checking.trace import Trace, _compare_reports, _Replica
+
+NAMES = ("vm-a", "vm-b", "vm-c")
+COUNTERS = ("fs_writes", "cap_writes_skipped", "write_errors")
+#: Ticks run before the drawn steps, so quotas have converged (and most
+#: rows are clean) by the time churn and write faults start.
+WARMUP = 8
+
+_name = st.sampled_from(NAMES)
+_vm = st.tuples(
+    _name, st.integers(1, 2), st.sampled_from([300.0, 600.0, 1200.0])
+)
+_step = st.one_of(
+    st.just(("tick",)),
+    st.just(("tick",)),
+    st.just(("tick",)),
+    _vm.map(lambda v: ("reprovision",) + v),
+    _vm.map(lambda v: ("provision",) + v),
+    st.tuples(st.just("destroy"), _name),
+    st.tuples(st.just("vanish"), _name),
+    st.tuples(st.just("set_vfreq"), _name, st.sampled_from([250.0, 900.0])),
+    st.tuples(st.just("demand"), _name, st.sampled_from([0.0, 0.3, 1.0])),
+)
+_write_fault = st.builds(
+    lambda target, start, length, probability, error: {
+        "kind": "write_error", "target": target, "start_tick": start,
+        "end_tick": start + length, "probability": probability,
+        "error": error,
+    },
+    st.sampled_from(["*/cpu.max", "*/vm-a/*", "*/vm-b/vcpu0/*"]),
+    st.integers(WARMUP, WARMUP + 8),
+    st.integers(1, 4),
+    st.sampled_from([1.0, 0.5]),
+    st.sampled_from(["EBUSY", "EIO"]),
+)
+_plan = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({
+        "seed": st.integers(0, 2**16),
+        "specs": st.lists(_write_fault, min_size=1, max_size=2),
+    }),
+)
+
+
+def _apply(replica, step) -> None:
+    kind, name = step[0], step[1]
+    if kind == "reprovision":
+        # Unregister and destroy, then the same name comes back.
+        replica.apply({"kind": "destroy", "vm": name})
+        _apply(replica, ("provision",) + step[1:])
+    elif kind == "provision":
+        replica.apply({"kind": "provision", "vm": name, "vcpus": step[2],
+                       "vfreq": step[3], "level": 0.8})
+    elif kind == "vanish":
+        # The cgroup goes; the controller is never told.
+        if any(vm.name == name for vm in replica.hypervisor.vms):
+            replica.hypervisor.destroy(name)
+    elif kind == "set_vfreq":
+        replica.apply({"kind": "set_vfreq", "vm": name, "vfreq": step[2]})
+    elif kind == "demand":
+        replica.apply({"kind": "demand", "vm": name, "level": step[2]})
+    else:
+        replica.apply({"kind": kind, "vm": name})
+
+
+def _cpu_max(replica):
+    fs = replica.node.fs
+    return {
+        vcpu.cgroup_path: fs.read(f"{vcpu.cgroup_path}/cpu.max")
+        for vm in replica.hypervisor.vms
+        for vcpu in vm.vcpus
+    }
+
+
+_TICKS = [("tick",)] * 6
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+# Pinned: the same name returns with a fresh slot and no backend record.
+@example(plan=None, resilience=False,
+         steps=[("reprovision", "vm-a", 2, 600.0)] + _TICKS)
+# Pinned: writes fail while a quota moves, then it settles on the quota
+# whose write failed; that row must still be rewritten.
+@example(
+    plan={"seed": 1, "specs": [{
+        "kind": "write_error", "target": "*/cpu.max",
+        "start_tick": WARMUP + 1, "end_tick": WARMUP + 5,
+        "probability": 1.0, "error": "EBUSY",
+    }]},
+    resilience=True,
+    steps=[("demand", "vm-a", 0.3)] + _TICKS,
+)
+# Pinned: a registered VM's cgroup vanishes, then the name comes back.
+@example(plan=None, resilience=True,
+         steps=[("vanish", "vm-b")] + _TICKS
+         + [("provision", "vm-b", 1, 300.0)] + _TICKS)
+@given(
+    plan=_plan,
+    resilience=st.booleans(),
+    steps=st.lists(_step, min_size=1, max_size=30),
+)
+def test_cap_writes_identical_across_engines(plan, resilience, steps):
+    header = Trace.make_header(
+        seed=3, resilience=resilience, fault_plan=plan
+    )
+    trace = Trace(header=header)
+    scalar, bulk = _Replica(trace, "scalar"), _Replica(trace, "bulk")
+    for name in NAMES[:2]:
+        for r in (scalar, bulk):
+            _apply(r, ("provision", name, 2, 600.0))
+    t = 0.0
+    for step in [("tick",)] * WARMUP + steps:
+        if step[0] != "tick":
+            for r in (scalar, bulk):
+                _apply(r, step)
+            continue
+        t += 1.0
+        report_s, bad_s = scalar.tick(t)
+        report_b, bad_b = bulk.tick(t)
+        assert bad_s == [] and bad_b == [], [str(v) for v in bad_s + bad_b]
+        diffs = _compare_reports(report_s, report_b, ("scalar", "bulk"), t)
+        assert diffs == [], [str(v) for v in diffs]
+        stats_s = scalar.controller.backend.stats
+        stats_b = bulk.controller.backend.stats
+        for counter in COUNTERS:
+            assert getattr(stats_s, counter) == getattr(stats_b, counter), (
+                f"tick {t}: {counter}"
+            )
+        assert _cpu_max(scalar) == _cpu_max(bulk), f"tick {t}: cpu.max"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.enforcer import quota_us
 from repro.core.snapshot import from_json, restore, snapshot, to_json
 from repro.core.units import guaranteed_cycles
 from repro.sim.engine import Simulation
@@ -223,11 +224,10 @@ class TestDynamicQoS:
 
     def test_enforcer_skips_vanished_cgroup(self):
         node, hv, ctrl, sim = warmed_host()
-        from repro.core.enforcer import Enforcer
-
-        enforcer = Enforcer(node.fs, ctrl.config)
-        written = enforcer.apply(
-            {"/machine.slice/busy/vcpu0": 5e5, "/machine.slice/ghost/vcpu0": 5e5}
+        paths = ["/machine.slice/busy/vcpu0", "/machine.slice/ghost/vcpu0"]
+        missed = ctrl.backend.write_caps(
+            paths, [quota_us(5e5, ctrl.config)] * 2,
+            ctrl.config.enforcement_period_us,
         )
-        assert "/machine.slice/busy/vcpu0" in written
-        assert "/machine.slice/ghost/vcpu0" not in written
+        assert missed == [1]
+        assert node.fs.read(f"{paths[0]}/cpu.max") == "50000 100000\n"

@@ -96,6 +96,33 @@ class TestEmptyPlanIsFree:
         assert plan._rng.random() == FaultPlan(seed=5)._rng.random()
 
 
+class TestArmedPlanKeepsTheView:
+    def test_scan_reuses_paths_so_the_view_is_kept(self, monkeypatch):
+        """A plan armed only from tick 1000 already forces the per-file
+        scan.  While the scan sees the same vCPUs it hands out the same
+        ``paths`` list, so the bulk view is built as rarely as on the
+        fast path, and nothing else changes."""
+        runs = []
+        armed = FaultPlan([FaultSpec("read_error", start_tick=1000)])
+        for plan in (FaultPlan(), armed):
+            node, _, injector, ctrl = injected_host(plan)
+            calls = []
+            ingest = ctrl._table.ingest
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return ingest(*args, **kwargs)
+
+            monkeypatch.setattr(ctrl._table, "ingest", counted)
+            reports = drive(node, ctrl, 10)
+            runs.append(([signature(r) for r in reports], len(calls)))
+        assert not injector._direct_io_ok()  # the armed run scanned
+        (empty, empty_calls), (scanned, scanned_calls) = runs
+        assert empty_calls <= 2
+        assert scanned_calls <= 2
+        assert scanned == empty
+
+
 class TestFaultKinds:
     def test_read_error_failfast_raises(self):
         plan = FaultPlan([FaultSpec("read_error", "*/cpu.stat")])
@@ -168,8 +195,8 @@ class TestFaultKinds:
         injector.tolerate_errors = True
         injector.tick_index = 0
         path = "/machine.slice/fault-0/vcpu0"
-        written = injector.write_caps([path], [50_000], 100_000)
-        assert written == {}
+        missed = injector.write_caps([path], [50_000], 100_000)
+        assert missed == [0]
         assert path in injector.last_write_errors
         assert injector.stats.write_errors == 1
 

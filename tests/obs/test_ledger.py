@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.enforcer import quota_us
 from repro.core.units import guaranteed_cycles
 from repro.obs import ObsConfig, recompute_allocation
 from repro.obs.ledger import (
@@ -69,7 +70,7 @@ class TestLedgerArithmetic:
         ctrl, obs = driven
         entry = obs.ledger.ticks[-1]
         for d in entry["decisions"]:
-            assert d["quota_us"] == ctrl.enforcer.quota_us(d["allocation"])
+            assert d["quota_us"] == quota_us(d["allocation"], ctrl.config)
 
 
 class TestLookupAndExplain:

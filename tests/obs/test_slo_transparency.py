@@ -70,34 +70,6 @@ def test_reports_identical_with_and_without_plane(engine):
         ]
 
 
-def test_config_attached_plane_is_wired_and_transparent():
-    from repro.obs import ObsConfig
-
-    bare, _ = run("bulk", attach_plane=False)
-    config = ControllerConfig.paper_evaluation(
-        engine="bulk",
-        observability=ObsConfig(slo=SLOConfig()),
-    )
-    node, hv, ctrl = make_host(config=config)
-    assert ctrl.slo is not None  # declarative wiring worked
-    vms = []
-    for k in range(3):
-        vfreq = 500.0 + 200.0 * k
-        vm = hv.provision(VMTemplate(f"t{k}", vcpus=1, vfreq_mhz=vfreq),
-                          f"vm-{k}")
-        ctrl.register_vm(vm.name, vfreq, tenant=f"tenant-{k % 2}")
-        vms.append(vm)
-    rng = random.Random(99)
-    for t in range(TICKS):
-        for vm in vms:
-            vm.set_uniform_demand(rng.random())
-        node.step(1.0)
-        ctrl.tick(float(t))
-    assert ctrl.slo.last_tick == TICKS - 1
-    for t, (a, b) in enumerate(zip(bare.reports, ctrl.reports)):
-        assert _compare_reports(a, b, ("bare", "configured"), float(t)) == []
-
-
 def _replay_with_plane(trace, engines):
     """One attached replay; returns (result, planes-by-engine)."""
     planes = {}

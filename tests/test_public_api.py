@@ -69,7 +69,6 @@ EXPECTED = {
         "run_auction",
         "AuctionOutcome",
         "distribute_leftovers",
-        "Enforcer",
         "VirtualFrequencyController",
         "ControllerReport",
         "ResiliencePolicy",
