@@ -40,10 +40,13 @@ Invariant catalogue (names are stable — tests, docs and the
     credit cap, and evolve exactly as Eq. 4 accrual minus auction
     spending predicts from the previous tick's balances.
 ``enforcement``
-    Every allocation the tick decided is consistent with the quota the
-    backend holds in force: ``cpu.max`` content inverts (through the
-    enforcer's scaling and kernel floor) to the allocated cycles,
-    except for paths whose write failed and is tracked for retry.
+    Every allocation the tick decided is in force on the kernel
+    surface: the cgroup's ``cpu.max`` (or the v1
+    ``cpu.cfs_quota_us``/``cpu.cfs_period_us`` pair), read back from
+    the filesystem rather than from the backend's own record, holds the
+    quota the enforcer's scaling and kernel floor give the allocated
+    cycles, except for paths whose write failed and is tracked for
+    retry and cgroups that vanished mid-tick.
 ``resilience_fallback``
     Degraded-mode fallback caps stay within bounds: exactly the Eq. 2
     guarantee under ``degraded_action="guarantee"``, never above one
@@ -68,6 +71,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.cgroups.fs import CgroupVersion
 from repro.core import enforcer
 from repro.core.units import cycles_per_period, period_us
 
@@ -403,26 +407,36 @@ def check_ledger(ctx: TickContext) -> List[Violation]:
     return out
 
 
+def _quota_in_force(fs, path: str) -> str:
+    """The ``"<quota> <period>"`` a cgroup's files hold (v2 spelling)."""
+    if fs.version is CgroupVersion.V2:
+        return fs.read(f"{path}/cpu.max").strip()
+    quota = fs.read(f"{path}/cpu.cfs_quota_us").strip()
+    period = fs.read(f"{path}/cpu.cfs_period_us").strip()
+    return f"{'max' if quota == '-1' else quota} {period}"
+
+
 def check_enforcement(ctx: TickContext) -> List[Violation]:
-    """Every decided allocation matches the quota the backend holds."""
+    """Every decided allocation matches the quota the cgroup holds."""
     controller = ctx.controller
-    backend = controller.backend
     cfg = controller.config
-    failed = getattr(backend, "last_write_errors", {})
+    failed = getattr(controller.backend, "last_write_errors", {})
     out: List[Violation] = []
     for path, alloc in ctx.report.allocations.items():
         if path in failed:
             continue  # tracked for retry by the resilience layer
-        in_force = backend._last_cap.get(path)
-        if in_force is None:
+        try:
+            in_force = _quota_in_force(controller.fs, path)
+        except FileNotFoundError:
             continue  # cgroup vanished mid-tick (teardown race)
-        quota, _period = in_force
-        expected = enforcer.quota_us(alloc, cfg)
-        if quota != expected:
+        expected = (
+            f"{enforcer.quota_us(alloc, cfg)} {cfg.enforcement_period_us}"
+        )
+        if in_force != expected:
             out.append(Violation(
                 "enforcement",
-                f"cpu.max quota in force is {quota} µs but allocation "
-                f"{alloc:.3f} cycles scales to {expected} µs",
+                f"cpu.max in force is {in_force!r} but allocation "
+                f"{alloc:.3f} cycles scales to {expected!r}",
                 t=ctx.report.t, path=path,
             ))
         current = controller._current_cap.get(path)
@@ -511,6 +525,14 @@ class InvariantChecker:
     def resync(self) -> None:
         """Re-baseline stateful oracles (call after a snapshot restore)."""
         self._prev_wallets = dict(self.controller.ledger.wallets())
+
+    def forget_vm(self, vm_name: str) -> None:
+        """Drop a VM's previous balance (call when it is unregistered).
+
+        A VM registered again under the same name before the next tick
+        starts from an empty wallet, not from the old one's balance.
+        """
+        self._prev_wallets.pop(vm_name, None)
 
     def check(self, report: "ControllerReport") -> List[Violation]:
         """Run every oracle against one tick; returns the violations."""

@@ -250,6 +250,7 @@ class _Replica:
             if name not in vms:
                 return
             self.controller.unregister_vm(name)
+            self.checker.forget_vm(name)
             self.hypervisor.destroy(name)
             self.templates.pop(name, None)
         elif kind == "set_vfreq":

@@ -111,7 +111,8 @@ def run_auction(
         raise ValueError("window must be positive")
 
     outcome = AuctionOutcome(market_left=market)
-    if market <= 0:
+    if market <= 1e-9:
+        # Below the sale threshold the per-round loop enters no round.
         return outcome
     # Residual demand grouped by VM, preserving per-vCPU detail.  Paths
     # of VMs that cannot pay at all are dropped here: their wallet only

@@ -266,6 +266,12 @@ class HostBackend:
         self._topology_vms: Optional[List[str]] = None
         self._prev_usage: Dict[str, float] = {}
         self._last_cap: Dict[str, Tuple[int, int]] = {}
+        #: The cgroup node each vCPU path named when it was discovered.
+        self._cgroup_of: Dict[str, Any] = {}
+        #: Paths whose quota record the latest :meth:`sample_all` dropped
+        #: because a new cgroup was found behind them (see
+        #: :meth:`_check_cgroup`).
+        self.recreated: List[str] = []
         #: ``paths`` of the latest per-file scan batch, handed out again
         #: while the scan sees the same vCPUs (see :class:`SampleBatch`).
         self._scan_paths: Optional[List[str]] = None
@@ -322,6 +328,7 @@ class HostBackend:
         """Drop all cached state (usage baseline + cap) for a vCPU."""
         self.forget_usage(vcpu_path)
         self._last_cap.pop(vcpu_path, None)
+        self._cgroup_of.pop(vcpu_path, None)
 
     # -- batch-entry hooks (fault-injection seam) -------------------------------
 
@@ -390,6 +397,7 @@ class HostBackend:
                     raise
         for path in dead:
             self.forget_usage(path)
+            self._check_cgroup(path)
         if dead:
             self.invalidate()
         return samples
@@ -492,8 +500,30 @@ class HostBackend:
         content = self.read_file(f"{vcpu_path}/{fname}").split()
         if not content:
             return None
+        self._check_cgroup(vcpu_path)
         # KVM vCPU cgroups hold exactly one thread (paper §III-B1).
         return int(content[0])
+
+    def _check_cgroup(self, vcpu_path: str) -> None:
+        """Drop the quota record of a path that names a new cgroup.
+
+        Runs at discovery (only discovery reads the tid) and when the
+        scan finds a vCPU dead, never on a steady tick.  A cgroup torn
+        down and recreated under the same name is a different node; its
+        ``cpu.max`` is the kernel default again, so the record must go
+        for the quota to be rewritten.  A dead thread in a surviving
+        cgroup keeps the record.  The lookup is the same uncounted
+        directory query as the scan's machine-slice check, so it draws
+        no injected fault.
+        """
+        try:
+            node = self.fs.node(vcpu_path)
+        except FileNotFoundError:
+            return  # gone: the next write fails and drops the record
+        if self._cgroup_of.setdefault(vcpu_path, node) is not node:
+            self._cgroup_of[vcpu_path] = node
+            if self._last_cap.pop(vcpu_path, None) is not None:
+                self.recreated.append(vcpu_path)
 
     # -- bulk-array monitoring --------------------------------------------------
 
@@ -508,6 +538,7 @@ class HostBackend:
         from the per-file scan instead, with the same values.
         """
         period_s = self._begin_sample_batch(period_s)
+        self.recreated.clear()
         if (
             self.fs.version is CgroupVersion.V2
             and self.procfs is not None

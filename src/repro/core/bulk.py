@@ -345,10 +345,11 @@ class BulkExecutor:
         (failed or vanished writes) reset to "unknown" (-1) so they are
         rewritten next tick.  The backend's record is dropped outside a
         write only by the controller's ``forget_vcpu``, which releases
-        the same paths' slots, so the mask never holds a quota the
-        backend forgot.  A host's degraded-mode fallbacks for paths with
-        no row are always handed over.  Returns each host's own time in
-        its write loop.
+        the same paths' slots, and by ``sample_all`` for a recreated
+        cgroup, whose slot stage 1 marks -1 (``HostBackend.recreated``),
+        so the mask never holds a quota the backend forgot.  A host's
+        degraded-mode fallbacks for paths with no row are always handed
+        over.  Returns each host's own time in its write loop.
         """
         cfg = hosts[0].ctrl.config
         quota = enforcer.quota_us_array(alloc, cfg)

@@ -50,9 +50,8 @@ class ControllerConfig:
     #: Disable stages 3-6 (configuration "A" runs monitoring only).
     control_enabled: bool = True
     #: Controller hot-path implementation: ``"bulk"`` runs stages 2-5
-    #: on the structure-of-arrays fast path (:mod:`repro.core.soa`) with
-    #: dirty-set incremental recompute, reads stage 1 through the
-    #: backend's array interface (:meth:`~repro.core.backend.
+    #: on the structure-of-arrays fast path (:mod:`repro.core.soa`),
+    #: reads stage 1 through the backend's array interface (:meth:`~repro.core.backend.
     #: HostBackend.sample_all`) and hands stage 6 to ``write_caps`` with
     #: a dirty mask; ``"scalar"`` keeps the per-vCPU dict/object loops
     #: as the bit-identical oracle.  Same reports and writes both ways,

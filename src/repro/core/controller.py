@@ -256,6 +256,8 @@ class VirtualFrequencyController:
         if self._table is not None:
             self._table.release_vm(vm_name)
         self.ledger.forget(vm_name)
+        if self.invariant_checker is not None:
+            self.invariant_checker.forget_vm(vm_name)
         # Match on the parsed VM path component, not a substring — a
         # substring test would let "vm-1" also claim "foo/vm-1/..."
         # nested names.
@@ -549,6 +551,10 @@ class VirtualFrequencyController:
         rebuilt).
         """
         batch = self.backend.sample_all(self.config.period_s)
+        # The backend dropped these quota records (recreated cgroups), so
+        # stage 6's dirty mask must not claim their quotas are in force.
+        for path in self.backend.recreated:
+            self._table.forget_quota(path)
         if self._stale is not None:
             batch = self._stale.carry(batch)
             self._update_health(batch)

@@ -143,8 +143,7 @@ class SlotArena:
     #: Every per-slot column (grown and re-homed together).
     COLUMNS = (
         "hist", "hist_n", "cap", "has_cap", "guarantee", "vm_ids",
-        "run_len", "decide_valid", "last_est", "last_trend", "last_case",
-        "last_decide_cap", "last_quota",
+        "last_quota",
     )
 
     def __init__(self, history_len: int, capacity: int = 64) -> None:
@@ -159,18 +158,6 @@ class SlotArena:
         self.has_cap = np.zeros(capacity, dtype=bool)
         self.guarantee = np.zeros(capacity)  # cached Eq. 2 C_i
         self.vm_ids = np.zeros(capacity, dtype=np.int64)
-        # -- dirty-set decision cache ----------------------------------------
-        #: Length of the uniform tail of observed samples, *including*
-        #: the newest one.  ``run_len > history_len`` means the window
-        #: did not change when the newest sample shifted in — the one
-        #: condition under which last tick's stage-2 decision is
-        #: guaranteed to be bit-identical to recomputing it.
-        self.run_len = np.zeros(capacity, dtype=np.int64)
-        self.decide_valid = np.zeros(capacity, dtype=bool)
-        self.last_est = np.zeros(capacity)
-        self.last_trend = np.zeros(capacity)
-        self.last_case = np.zeros(capacity, dtype=np.int8)
-        self.last_decide_cap = np.zeros(capacity)
         #: Quota (µs) this slot's cap scaled to at the last bulk write;
         #: ``-1`` = unknown/failed, always dirty.
         self.last_quota = np.full(capacity, -1, dtype=np.int64)
@@ -204,8 +191,6 @@ class SlotArena:
         """Return a slot; its state reads as empty until re-seeded."""
         self.hist_n[slot] = 0
         self.has_cap[slot] = False
-        self.run_len[slot] = 0
-        self.decide_valid[slot] = False
         self.last_quota[slot] = -1
         self._free.append(slot)
 
@@ -222,10 +207,6 @@ class SlotArena:
         """Append one consumption per row (stage 2 history update)."""
         if rows.size == 0:
             return
-        # Uniform-tail tracking must look at the newest sample *before*
-        # the shift: extend the run when the incoming value repeats it.
-        same = (self.hist_n[rows] > 0) & (self.hist[rows, -1] == consumed)
-        self.run_len[rows] = np.where(same, self.run_len[rows] + 1, 1)
         self.hist[rows, :-1] = self.hist[rows, 1:]
         self.hist[rows, -1] = consumed
         self.hist_n[rows] = np.minimum(self.hist_n[rows] + 1, self.history_len)
@@ -295,8 +276,6 @@ class VcpuTable:
         arena.hist[slot] = 0.0
         arena.hist_n[slot] = 0
         arena.guarantee[slot] = guarantee
-        arena.run_len[slot] = 0
-        arena.decide_valid[slot] = False
         arena.last_quota[slot] = -1
         if initial_cap is None:
             arena.cap[slot] = 0.0
@@ -408,10 +387,6 @@ class VcpuTable:
         if n:
             arena.hist[slot, self.history_len - n:] = vals
         arena.hist_n[slot] = n
-        # The window was replaced wholesale: the uniform-tail counter no
-        # longer describes it, so the decision cache must not serve.
-        arena.run_len[slot] = 0
-        arena.decide_valid[slot] = False
 
     # -- caps -------------------------------------------------------------------
 
@@ -420,6 +395,12 @@ class VcpuTable:
         if slot is not None:
             self.arena.cap[slot] = cap
             self.arena.has_cap[slot] = True
+
+    def forget_quota(self, path: str) -> None:
+        """Mark the quota in force for ``path`` unknown (rewritten next)."""
+        slot = self._slot.get(path)
+        if slot is not None:
+            self.arena.last_quota[slot] = -1
 
     # -- the per-tick gather ----------------------------------------------------
 
@@ -472,25 +453,31 @@ class VcpuTable:
 # -- vectorised stage 2 ----------------------------------------------------------
 
 
-def _decide_core(
+def decide_batch(
     arena: SlotArena,
     rows: np.ndarray,
-    u: np.ndarray,
-    n_arr: np.ndarray,
-    cap: np.ndarray,
-    cfg: ControllerConfig,
-    p_us: float,
-    floor: float,
-    eps: float,
+    consumed: np.ndarray,
+    config: ControllerConfig,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stage-2 decision arithmetic over one set of rows.
+    """Stage-2 decisions for every given row at once.
 
-    Pure per-element function of (history window, cap, config), so
-    computing it over any subset of rows yields the same values as
-    over the full population — the property the dirty-set cache in
-    :func:`decide_batch` relies on.
+    Returns ``(estimates, trends, case_codes)`` in row order,
+    bit-identical to calling
+    :meth:`repro.core.estimator.TrendEstimator.decide` per path.
+    Histories must already include this tick's observation
+    (:meth:`SlotArena.observe` first), mirroring the scalar order.
+    ``rows`` may mix the rows of every table on the arena: the
+    decision is a pure per-row function of (window, cap, config).
     """
+    cfg = config
+    p_us = period_us(cfg.period_s)
+    floor = cfg.min_cap_frac * p_us
+    eps = cfg.trend_epsilon * p_us
+    u = consumed
     n = rows.size
+    n_arr = arena.hist_n[rows]
+    cap_raw = np.where(arena.has_cap[rows], arena.cap[rows], p_us)
+    cap = np.maximum(cap_raw, floor)
     est = np.empty(n)
     trend = np.zeros(n)
     case = np.full(n, _WARMUP, dtype=np.int8)
@@ -546,72 +533,6 @@ def _decide_core(
 
     np.maximum(est, floor, out=est)
     np.minimum(est, p_us, out=est)
-    return est, trend, case
-
-
-def decide_batch(
-    arena: SlotArena,
-    rows: np.ndarray,
-    consumed: np.ndarray,
-    config: ControllerConfig,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stage-2 decisions for every given row at once.
-
-    Returns ``(estimates, trends, case_codes)`` in row order,
-    bit-identical to calling
-    :meth:`repro.core.estimator.TrendEstimator.decide` per path.
-    Histories must already include this tick's observation
-    (:meth:`SlotArena.observe` first), mirroring the scalar order.
-    ``rows`` may mix the rows of every table on the arena.
-
-    Dirty-set recompute: rows whose decision inputs provably did not
-    change since their last decision — the consumption window shifted
-    in a repeat of itself (``run_len > history_len``) and the cap
-    equals the exact value the cached decision was computed against —
-    are served from the per-slot cache instead of recomputed.  The
-    decision is a pure per-element function of (window, cap, config),
-    so cached and recomputed values are bit-identical by construction
-    (and proved against the scalar oracle by the cross-engine harness
-    on fuzzed traces).
-    """
-    cfg = config
-    p_us = period_us(cfg.period_s)
-    floor = cfg.min_cap_frac * p_us
-    eps = cfg.trend_epsilon * p_us
-    u = consumed
-    n = rows.size
-
-    n_arr = arena.hist_n[rows]
-    cap_raw = np.where(arena.has_cap[rows], arena.cap[rows], p_us)
-    cap = np.maximum(cap_raw, floor)
-
-    clean = (
-        arena.decide_valid[rows]
-        & (arena.run_len[rows] > arena.history_len)
-        & (arena.last_decide_cap[rows] == cap)
-    )
-    est = np.empty(n)
-    trend = np.empty(n)
-    case = np.empty(n, dtype=np.int8)
-    if clean.any():
-        r = rows[clean]
-        est[clean] = arena.last_est[r]
-        trend[clean] = arena.last_trend[r]
-        case[clean] = arena.last_case[r]
-    dirty = ~clean
-    if dirty.any():
-        e, tr, ca = _decide_core(
-            arena, rows[dirty], u[dirty], n_arr[dirty], cap[dirty],
-            cfg, p_us, floor, eps,
-        )
-        est[dirty] = e
-        trend[dirty] = tr
-        case[dirty] = ca
-    arena.last_est[rows] = est
-    arena.last_trend[rows] = trend
-    arena.last_case[rows] = case
-    arena.last_decide_cap[rows] = cap
-    arena.decide_valid[rows] = True
     return est, trend, case
 
 

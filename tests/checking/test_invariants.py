@@ -7,6 +7,7 @@ owns the broken equation (no false negatives).
 
 import pytest
 
+from repro.cgroups.fs import CgroupVersion
 from repro.checking.invariants import (
     INVARIANTS,
     InvariantChecker,
@@ -25,10 +26,10 @@ from repro.workloads.synthetic import ConstantWorkload
 from tests.conftest import make_host
 
 
-def drive(ticks=6, engine="bulk", **overrides):
+def drive(ticks=6, engine="bulk", version=CgroupVersion.V2, **overrides):
     """Two busy single-vCPU VMs on the tiny host, checker armed."""
     config = ControllerConfig.paper_evaluation(engine=engine, **overrides)
-    node, hv, ctrl = make_host(config=config)
+    node, hv, ctrl = make_host(config=config, version=version)
     for k, vfreq in enumerate((600.0, 900.0)):
         vm = hv.provision(VMTemplate(f"t{k}", vcpus=1, vfreq_mhz=vfreq), f"vm-{k}")
         ctrl.register_vm(vm.name, vfreq)
@@ -74,6 +75,24 @@ class TestTamperedReports:
         names = {v.invariant for v in check_enforcement(ctx)}
         assert "enforcement" in names
 
+    @pytest.mark.parametrize(
+        "version", [CgroupVersion.V2, CgroupVersion.V1], ids=["v2", "v1"]
+    )
+    def test_quota_lost_on_disk_trips_enforcement(self, version):
+        # The backend still records the quota it wrote; the oracle must
+        # read the cgroup itself to see that the kernel lost it.
+        node, ctrl, _ = drive(version=version)
+        report = ctrl.reports[-1]
+        path = next(iter(report.allocations))
+        if version is CgroupVersion.V2:
+            node.fs.write(f"{path}/cpu.max", "max 100000")
+        else:
+            node.fs.write(f"{path}/cpu.cfs_quota_us", "-1")
+        ctx = _make_context(ctrl, report, dict(report.wallets))
+        bad = check_enforcement(ctx)
+        assert [v.path for v in bad] == [path]
+        assert "max 100000" in bad[0].message
+
     def test_market_off_by_one_trips_eq6(self):
         _, ctrl, _ = drive()
         report = ctrl.reports[-1]
@@ -101,6 +120,27 @@ class TestInlineChecker:
         _, ctrl, _ = drive(check_invariants=True)
         assert ctrl.invariant_checker is not None
         assert ctrl.invariant_checker.checks_total == 6
+        assert ctrl.invariant_checker.violations_total == 0
+
+    @pytest.mark.parametrize("engine", ["scalar", "bulk"])
+    def test_reregistered_vm_starts_from_an_empty_wallet(self, engine):
+        # An idle VM banks credits, is unregistered and registered again
+        # under the same name between two ticks: its new wallet starts
+        # at zero, and the ledger oracle must not expect the old one.
+        config = ControllerConfig.paper_evaluation(
+            engine=engine, check_invariants=True
+        )
+        node, hv, ctrl = make_host(config=config)
+        vm = hv.provision(VMTemplate("t", vcpus=1, vfreq_mhz=600.0), "vm-0")
+        ctrl.register_vm(vm.name, 600.0)
+        for t in range(3):
+            node.step(1.0)
+            ctrl.tick(float(t))
+        assert ctrl.ledger.balance("vm-0") > 0
+        ctrl.unregister_vm("vm-0")
+        ctrl.register_vm("vm-0", 600.0)
+        node.step(1.0)
+        ctrl.tick(3.0)
         assert ctrl.invariant_checker.violations_total == 0
 
     def test_violation_raises_out_of_tick(self, monkeypatch):

@@ -14,7 +14,7 @@ change.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.controller
@@ -215,6 +215,10 @@ def auctions(draw):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(auctions())
+# Pinned: a market below the 1e-9 sale threshold and no funded buyer
+# enters no round.
+@example(case=(1e-13, {"/m/vm0/vcpu0": 1.0}, {"/m/vm0/vcpu0": "vm0"},
+               {"vm0": 0.0}, 1.0, None))
 def test_run_auction_matches_literal_algorithm_1(case):
     assert_matches_reference(*case)
 

@@ -8,14 +8,21 @@ forgotten.  The backend forgets one on a failed or vanished write,
 which the bulk engine marks -1, or through ``forget_vcpu``, which the
 controller calls only where it also releases the vCPU's slot.
 
+The backend also forgets a quota when it finds a new cgroup behind a
+known path (a VM destroyed and re-provisioned under the same name
+between ticks, never unregistered); the bulk engine then marks the
+slot -1 through ``HostBackend.recreated``.
+
 Twin hosts, one per engine, go through the churn that stresses exactly
 that: a VM unregistered, destroyed and re-provisioned under the same
 name; ``set_vfreq``; a VM destroyed without being unregistered (its
-cgroup vanishes under a registered VM); and ``write_error`` plans under
-a ``ResiliencePolicy``.  After every tick both hosts must hold the same
-``cpu.max`` bytes and the same ``fs_writes``, ``cap_writes_skipped`` and
-``write_errors``, on top of identical reports and a clean invariant
-catalogue.
+cgroup vanishes under a registered VM), or destroyed and re-provisioned
+idle without being unregistered (its cgroup is recreated); and
+``write_error`` plans under a ``ResiliencePolicy``.  After every tick
+both hosts must hold the same ``cpu.max`` bytes and the same
+``fs_writes``, ``cap_writes_skipped`` and ``write_errors``, on top of
+identical reports and a clean invariant catalogue, and every allocated
+cgroup's ``cpu.max`` must hold the quota its allocation scales to.
 """
 
 from __future__ import annotations
@@ -23,7 +30,10 @@ from __future__ import annotations
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.checking.trace import Trace, _compare_reports, _Replica
+from repro.core.enforcer import quota_us
 
 NAMES = ("vm-a", "vm-b", "vm-c")
 COUNTERS = ("fs_writes", "cap_writes_skipped", "write_errors")
@@ -43,6 +53,7 @@ _step = st.one_of(
     _vm.map(lambda v: ("provision",) + v),
     st.tuples(st.just("destroy"), _name),
     st.tuples(st.just("vanish"), _name),
+    st.tuples(st.just("recreate"), _name),
     st.tuples(st.just("set_vfreq"), _name, st.sampled_from([250.0, 900.0])),
     st.tuples(st.just("demand"), _name, st.sampled_from([0.0, 0.3, 1.0])),
 )
@@ -80,6 +91,11 @@ def _apply(replica, step) -> None:
         # The cgroup goes; the controller is never told.
         if any(vm.name == name for vm in replica.hypervisor.vms):
             replica.hypervisor.destroy(name)
+    elif kind == "recreate":
+        # A new cgroup under the same name; the controller is never told.
+        if any(vm.name == name for vm in replica.hypervisor.vms):
+            replica.hypervisor.destroy(name)
+            replica.hypervisor.provision(replica.templates[name], name)
     elif kind == "set_vfreq":
         replica.apply({"kind": "set_vfreq", "vm": name, "vfreq": step[2]})
     elif kind == "demand":
@@ -95,6 +111,26 @@ def _cpu_max(replica):
         for vm in replica.hypervisor.vms
         for vcpu in vm.vcpus
     }
+
+
+def _not_in_force(replica, report):
+    """Allocated paths whose cgroup holds another quota than decided.
+
+    Skips the paths the oracle skips: a write that failed and is
+    tracked for retry, and a cgroup that no longer exists.
+    """
+    fs = replica.node.fs
+    config = replica.config
+    failed = replica.controller.backend.last_write_errors
+    out = {}
+    for path, alloc in report.allocations.items():
+        if path in failed or not fs.exists(path):
+            continue
+        got = fs.read(f"{path}/cpu.max").strip()
+        want = f"{quota_us(alloc, config)} {config.enforcement_period_us}"
+        if got != want:
+            out[path] = (got, want)
+    return out
 
 
 _TICKS = [("tick",)] * 6
@@ -122,6 +158,11 @@ _TICKS = [("tick",)] * 6
 @example(plan=None, resilience=True,
          steps=[("vanish", "vm-b")] + _TICKS
          + [("provision", "vm-b", 1, 300.0)] + _TICKS)
+# Pinned: an idle VM's cgroup is recreated between two ticks, while its
+# quota stays the one in force.
+@example(plan=None, resilience=False,
+         steps=[("demand", "vm-b", 0.0)] + _TICKS * 2
+         + [("recreate", "vm-b")] + _TICKS)
 @given(
     plan=_plan,
     resilience=st.booleans(),
@@ -155,3 +196,39 @@ def test_cap_writes_identical_across_engines(plan, resilience, steps):
                 f"tick {t}: {counter}"
             )
         assert _cpu_max(scalar) == _cpu_max(bulk), f"tick {t}: cpu.max"
+        assert _not_in_force(scalar, report_s) == {}, f"tick {t}"
+
+
+#: An armed plan that never fires: the backend reads through the
+#: per-file scan instead of the direct-handle fast path.
+_ARMED = {"seed": 1, "specs": [{
+    "kind": "read_error", "target": "*/no-such-vm/*", "start_tick": 0,
+    "end_tick": 10_000, "probability": 1.0, "error": "EIO",
+}]}
+
+
+@pytest.mark.parametrize("armed", [False, True], ids=["fast", "armed"])
+@pytest.mark.parametrize("engine", ["scalar", "bulk"])
+def test_recreated_cgroup_gets_its_quota(engine, armed):
+    """An idle VM whose cgroup is recreated under the same name, never
+    unregistered, is capped again at the next tick."""
+    header = Trace.make_header(
+        seed=3, resilience=armed, fault_plan=_ARMED if armed else None
+    )
+    replica = _Replica(Trace(header=header), engine)
+    _apply(replica, ("provision", "vm-a", 1, 600.0))
+    replica.apply({"kind": "demand", "vm": "vm-a", "level": 0.0})
+    t = 0.0
+    for _ in range(10):
+        t += 1.0
+        replica.tick(t)
+    writes = replica.controller.backend.stats.fs_writes
+    _apply(replica, ("recreate", "vm-a"))
+    for _ in range(5):
+        t += 1.0
+        report, bad = replica.tick(t)
+        assert report.allocations, f"tick {t}"
+        assert _not_in_force(replica, report) == {}, f"tick {t}"
+        assert bad == [], [str(v) for v in bad]
+    # The fresh cgroup's quota is written once, then skipped again.
+    assert replica.controller.backend.stats.fs_writes == writes + 1
