@@ -22,6 +22,7 @@ from repro.core.credits import CreditLedger, apply_base_capping
 from repro.core.auction import run_auction, AuctionOutcome
 from repro.core.distribute import distribute_leftovers
 from repro.core.controller import VirtualFrequencyController, ControllerReport
+from repro.core.frame import DecisionFrame
 from repro.core.resilience import DegradedVcpu, ResiliencePolicy, ResilienceStats
 from repro.core.snapshot import snapshot, restore, to_json, from_json
 from repro.core.soa import VcpuTable, TickView
@@ -60,6 +61,7 @@ __all__ = [
     "distribute_leftovers",
     "VirtualFrequencyController",
     "ControllerReport",
+    "DecisionFrame",
     "ResiliencePolicy",
     "ResilienceStats",
     "DegradedVcpu",

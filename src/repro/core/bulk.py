@@ -43,16 +43,16 @@ exactly where its own ``tick()`` would have stopped them.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core import enforcer
 from repro.core.auction import AuctionOutcome, run_auction
 from repro.core.controller import ControllerReport, VirtualFrequencyController
+from repro.core.frame import EMPTY_FRAME, DecisionFrame, unsampled_rows
 from repro.core.resilience import fallback_caps
 from repro.core.soa import (
-    build_decisions,
     decide_batch,
     gather_free_shares,
     segment_seqsums,
@@ -72,9 +72,10 @@ _perf = time.perf_counter
 class _Host:
     """One host's part of a group tick."""
 
-    __slots__ = ("k", "ctrl", "report", "view", "lo", "hi", "extra")
+    __slots__ = ("k", "ctrl", "report", "view", "lo", "hi", "extra", "detail")
 
-    def __init__(self, k: int, ctrl, report: ControllerReport, view) -> None:
+    def __init__(self, k: int, ctrl, report: ControllerReport, view,
+                 detail: "_Detail") -> None:
         self.k = k
         self.ctrl = ctrl
         self.report = report
@@ -82,6 +83,64 @@ class _Host:
         self.lo = self.hi = 0
         #: Degraded-mode fallbacks of paths with no row this tick.
         self.extra: Dict[str, float] = {}
+        self.detail = detail
+
+
+class _Columns(NamedTuple):
+    """The group's per-row decision arrays of one tick (never rewritten)."""
+
+    consumed: np.ndarray
+    estimate: np.ndarray
+    trend: np.ndarray
+    case: np.ndarray
+    guarantee: np.ndarray
+    base: np.ndarray
+    purchased: np.ndarray
+    free_share: np.ndarray
+    fallback: np.ndarray
+    allocation: np.ndarray
+    quota: np.ndarray
+    reserve_guarantee: bool
+
+
+class _Detail:
+    """One host's lazy report detail: its samples and its frame.
+
+    Holds the tick's stage-1 batch and, once stage 6 is done, a row
+    slice of the group's :class:`_Columns`; builds objects only when
+    ``report.samples`` / ``report.frame`` are read.
+    """
+
+    __slots__ = ("batch", "keep", "view", "cols", "lo", "hi", "tail")
+
+    def __init__(self, view, batch, keep) -> None:
+        self.view = view
+        self.batch = batch
+        self.keep = keep
+        self.cols: Optional[_Columns] = None
+        self.lo = self.hi = 0
+        #: The degraded-only rows (paths with no sample), if any.
+        self.tail: Optional[DecisionFrame] = None
+
+    def samples(self):
+        return self.batch.to_samples(self.keep)
+
+    def frame(self) -> DecisionFrame:
+        c = self.cols
+        if c is None:
+            return EMPTY_FRAME  # config A: nothing enforced
+        lo, hi, view = self.lo, self.hi, self.view
+        frame = DecisionFrame(
+            path=view.paths, vm=view.vms, vcpu=view.vcpus, vfreq=view.vfreq,
+            consumed=c.consumed[lo:hi], estimate=c.estimate[lo:hi],
+            trend=c.trend[lo:hi], case=c.case[lo:hi],
+            guarantee=c.guarantee[lo:hi], base=c.base[lo:hi],
+            purchased=c.purchased[lo:hi], free_share=c.free_share[lo:hi],
+            fallback=c.fallback[lo:hi], allocation=c.allocation[lo:hi],
+            quota=c.quota[lo:hi], sampled=hi - lo,
+            reserve_guarantee=c.reserve_guarantee,
+        )
+        return frame if self.tail is None else frame.concat(self.tail)
 
 
 class _Layout:
@@ -158,12 +217,13 @@ class BulkExecutor:
             report = ControllerReport(t=t)
             t0 = _perf()
             try:
-                report.samples, view = ctrl._bulk_sample()
+                view, batch, keep = ctrl._bulk_sample()
             except Exception as exc:
                 out[k] = exc
                 continue
+            report.detail = detail = _Detail(view, batch, keep)
             report.timings.monitor = _perf() - t0
-            hosts.append(_Host(k, ctrl, report, view))
+            hosts.append(_Host(k, ctrl, report, view, detail))
         if not hosts:
             return out  # type: ignore[return-value]
 
@@ -186,18 +246,7 @@ class BulkExecutor:
             _charge(hosts, "estimate", _perf() - t0)
             return self._finish(hosts, out)
         estimates, trends, cases = decide_batch(arena, rows, consumed, cfg)
-        own = [0.0] * len(hosts)
-        for i, h in enumerate(hosts):
-            if h.ctrl._need_detail():
-                # The per-path decision objects are report detail only;
-                # the stages below consume the arrays directly.
-                s = _perf()
-                lo, hi = h.lo, h.hi
-                h.report.decisions = build_decisions(
-                    h.view.paths, estimates[lo:hi], trends[lo:hi], cases[lo:hi]
-                )
-                own[i] = _perf() - s
-        _charge(hosts, "estimate", _perf() - t0, own)
+        _charge(hosts, "estimate", _perf() - t0)
 
         # Stage 3 — credits (Eq. 4) and base capping (Eq. 5).
         t0 = _perf()
@@ -215,9 +264,10 @@ class BulkExecutor:
                 (vm, gains[vid]) for vm, vid in h.view.vm_order
             )
             marks.append(_perf())
-        alloc = np.minimum(estimates, guarantees)  # Eq. 5
+        base = np.minimum(estimates, guarantees)  # Eq. 5
         if cfg.reserve_guarantee:
-            alloc = np.maximum(alloc, guarantees)
+            base = np.maximum(base, guarantees)
+        alloc = base.copy()
         _charge(hosts, "credits", _perf() - t0, _diffs(marks))
 
         # Stage 4 — auction (Eq. 6 + Algorithm 1, shared heap version),
@@ -226,6 +276,7 @@ class BulkExecutor:
         n = len(hosts)
         spent = segment_seqsums(alloc, layout.seg, layout.col, n, layout.width)
         residual = np.minimum(estimates, p_us) - alloc
+        purchased = np.zeros(rows.size)
         markets: List[float] = []
         broke: List[bool] = []
         for i, h in enumerate(hosts):
@@ -273,6 +324,7 @@ class BulkExecutor:
                 pos = view.pos
                 for path, bought in outcome.purchased.items():
                     j = lo + pos[path]
+                    purchased[j] = bought
                     alloc[j] += bought
                     residual[j] -= bought
             h.report.auction = outcome
@@ -282,6 +334,7 @@ class BulkExecutor:
         # Stage 5 — free distribution of what each auction could not
         # sell; proportional_share's total is a per-host np.sum.
         t0 = _perf()
+        free = np.zeros(rows.size)
         if any(h.report.auction.market_left > 0 for h in hosts):
             needy_all = (residual > 1e-9).nonzero()[0]
             needy_bounds = needy_all.searchsorted(layout.bounds).tolist()
@@ -292,6 +345,7 @@ class BulkExecutor:
                 needy = needy_all[needy_bounds[i]:needy_bounds[i + 1]]
                 shares = proportional_share(market_left, residual[needy])
                 given = shares > 0
+                free[needy[given]] = shares[given]
                 alloc[needy[given]] += shares[given]
                 h.report.freely_distributed = seqsum(shares[given])
                 h.report.free_shares = gather_free_shares(
@@ -303,6 +357,7 @@ class BulkExecutor:
         # Stage 6 — apply the capping.
         t0 = _perf()
         np.minimum(alloc, p_us, out=alloc)
+        fallback = np.full(rows.size, np.nan)
         for h in hosts:
             ctrl = h.ctrl
             if ctrl.resilience is not None and ctrl._degraded:
@@ -321,7 +376,18 @@ class BulkExecutor:
                         h.extra[path] = cycles
                     else:
                         alloc[h.lo + j] = cycles
-        own = self._enforce(hosts, out, arena, layout, alloc)
+                        fallback[h.lo + j] = cycles
+                if h.extra:
+                    h.detail.tail = unsampled_rows(ctrl, h.extra)
+        quota = enforcer.quota_us_array(alloc, cfg)
+        own = self._enforce(hosts, out, arena, layout, alloc, quota)
+        cols = _Columns(
+            consumed, estimates, trends, cases, guarantees, base, purchased,
+            free, fallback, alloc, quota, cfg.reserve_guarantee,
+        )
+        for h in hosts:
+            d = h.detail
+            d.cols, d.lo, d.hi = cols, h.lo, h.hi
         # Hosts whose cap writes raised leave the group here.
         kept = [i for i, h in enumerate(hosts) if out[h.k] is None]
         _charge([hosts[i] for i in kept], "enforce", _perf() - t0,
@@ -335,10 +401,11 @@ class BulkExecutor:
         arena,
         layout: _Layout,
         alloc: np.ndarray,
+        quota: np.ndarray,
     ) -> List[float]:
         """Stage 6's writes through each host's ``write_caps``.
 
-        Quotas follow the quota rule's array form
+        ``quota`` is ``alloc`` under the quota rule's array form
         (``enforcer.quota_us_array``), and only rows whose quota differs
         from the one known to be in force (``SlotArena.last_quota``) are
         handed to the backend; rows the backend reports as not in force
@@ -352,7 +419,6 @@ class BulkExecutor:
         over.  Returns each host's own time in its write loop.
         """
         cfg = hosts[0].ctrl.config
-        quota = enforcer.quota_us_array(alloc, cfg)
         rows = layout.rows
         dirty = arena.last_quota[rows] != quota
         alloc_list = alloc.tolist()
@@ -366,11 +432,9 @@ class BulkExecutor:
             dirty_h = dirty[lo:hi]
             extra_paths = list(h.extra)
             if extra_paths:
-                extra_quota = [enforcer.quota_us(c, cfg) for c in h.extra.values()]
+                extra_quota = h.detail.tail.quota.tolist()
                 paths = paths + extra_paths
-                quota_h = np.concatenate(
-                    [quota_h, np.asarray(extra_quota, dtype=np.int64)]
-                )
+                quota_h = np.concatenate([quota_h, h.detail.tail.quota])
                 dirty_h = np.concatenate(
                     [dirty_h, np.ones(len(extra_paths), dtype=bool)]
                 )

@@ -19,18 +19,24 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.cgroups.fs import CgroupFS
 from repro.cgroups.procfs import ProcFS
 from repro.cgroups.sysfs import CpuFreqSysFS
 from repro.core import enforcer
 from repro.core.auction import AuctionOutcome, compute_market, run_auction
-from repro.core.backend import HostBackend, SampleBatch, VCpuSample, vm_component
+from repro.core.backend import HostBackend, SampleBatch, vm_component
 from repro.core.config import ControllerConfig
 from repro.core.credits import CreditLedger, apply_base_capping
 from repro.core.distribute import distribute_leftovers
 from repro.core.estimator import EstimatorDecision, TrendEstimator
+from repro.core.frame import (
+    CODE_OF_CASE,
+    EMPTY_FRAME,
+    DecisionFrame,
+    unsampled_rows,
+)
 from repro.core.resilience import (
     DegradedVcpu,
     ResiliencePolicy,
@@ -51,13 +57,40 @@ log = get_logger("repro.controller")
 DEFAULT_TENANT = "default"
 
 
+class _Lazy:
+    """A report attribute built by ``build(report)`` on first read."""
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        value = report.__dict__.get(self.slot)
+        if value is None:
+            value = report.__dict__[self.slot] = self.build(report)
+        return value
+
+    def __set__(self, report, value) -> None:
+        report.__dict__[self.slot] = value
+
+
 @dataclass
 class ControllerReport:
-    """Everything one iteration observed and decided."""
+    """Everything one iteration observed and decided.
+
+    ``samples`` (stage 1, registered VMs, sample order), ``decisions``
+    (stage 2, per path) and ``frame`` (the tick's
+    :class:`~repro.core.frame.DecisionFrame`) may be lazy: the bulk
+    engine leaves a ``detail`` source that builds each of them from the
+    tick's arrays the first time it is read, so a tick nobody asks for
+    per-vCPU objects builds none.  Pickling materialises all three.
+    """
 
     t: float
-    samples: List[VCpuSample] = field(default_factory=list)
-    decisions: Dict[str, EstimatorDecision] = field(default_factory=dict)
     allocations: Dict[str, float] = field(default_factory=dict)
     market_initial: float = 0.0
     auction: Optional[AuctionOutcome] = None
@@ -71,6 +104,19 @@ class ControllerReport:
     #: cycles > 0).  Part of the cross-engine comparison surface and
     #: the decision ledger's per-write provenance.
     free_shares: Dict[str, float] = field(default_factory=dict)
+    #: Builds ``samples()`` and ``frame()`` on first read (bulk engine).
+    detail: Any = field(default=None, repr=False, compare=False)
+
+    samples = _Lazy(lambda r: [] if r.detail is None else r.detail.samples())
+    decisions = _Lazy(lambda r: r.frame.decisions())
+    frame = _Lazy(
+        lambda r: EMPTY_FRAME if r.detail is None else r.detail.frame()
+    )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        for name in ("samples", "decisions", "frame"):
+            getattr(self, name)
+        return dict(self.__dict__, detail=None)
 
     def vfreq_by_vm(self) -> Dict[str, float]:
         """Average estimated virtual frequency per VM (for Figs. 6-9)."""
@@ -175,10 +221,6 @@ class VirtualFrequencyController:
                 from_json(self, fh.read())
             log.info("restored controller state from snapshot %s",
                      self.config.snapshot_path)
-        #: ``(report, rows)`` of the latest tick, filled on first use by
-        #: :func:`repro.obs.ledger.decision_rows` so the tick observers
-        #: share one per-vCPU walk.
-        self._decision_rows = None
         #: Observability hub (spans + ledger + flight recorder); ``None``
         #: keeps the tick path at one attribute check.  Attach later at
         #: runtime with ``Observability.attach(controller, cfg)`` too.
@@ -475,19 +517,68 @@ class VirtualFrequencyController:
             )
             allocations.update(overrides)
             report.degraded.update(overrides)
+        quotas = [enforcer.quota_us(c, cfg) for c in allocations.values()]
         self.backend.write_caps(
-            list(allocations),
-            [enforcer.quota_us(c, cfg) for c in allocations.values()],
-            cfg.enforcement_period_us,
+            list(allocations), quotas, cfg.enforcement_period_us,
         )
         if self.resilience is not None:
             self._retry_failed_writes(allocations)
         self._current_cap.update(allocations)
         report.allocations = allocations
+        report.frame = self._scalar_frame(report, quotas)
         report.timings.enforce = time.perf_counter() - t0
 
         self._finish(report)
         return report
+
+    def _scalar_frame(
+        self, report: ControllerReport, quotas: List[int]
+    ) -> DecisionFrame:
+        """The reference frame, from the scalar tick's per-path dicts.
+
+        ``quotas`` are the tick's ``cpu.max`` quotas in allocation order.
+        """
+        allocations = report.allocations
+        quota_of = dict(zip(allocations, quotas))
+        samples = [s for s in report.samples if s.cgroup_path in allocations]
+        paths = [s.cgroup_path for s in samples]
+        vms = [s.vm_name for s in samples]
+        decisions = [report.decisions[p] for p in paths]
+        guarantees = [self._guarantee[vm] for vm in vms]
+        base = [min(d.estimate_cycles, g) for d, g in zip(decisions, guarantees)]
+        reserve = self.config.reserve_guarantee
+        if reserve:
+            base = [max(b, g) for b, g in zip(base, guarantees)]
+        purchased = report.auction.purchased
+        frame = DecisionFrame(
+            path=paths,
+            vm=vms,
+            vcpu=np.array([s.vcpu_index for s in samples], dtype=np.int64),
+            vfreq=[self._vm_vfreq[vm] for vm in vms],
+            consumed=np.array([s.consumed_cycles for s in samples], dtype=float),
+            estimate=np.array([d.estimate_cycles for d in decisions], dtype=float),
+            trend=np.array([d.trend for d in decisions], dtype=float),
+            case=np.array([CODE_OF_CASE[d.case] for d in decisions], dtype=np.int8),
+            guarantee=np.array(guarantees, dtype=float),
+            base=np.array(base, dtype=float),
+            purchased=np.array([purchased.get(p, 0.0) for p in paths], dtype=float),
+            free_share=np.array(
+                [report.free_shares.get(p, 0.0) for p in paths], dtype=float
+            ),
+            fallback=np.array(
+                [report.degraded.get(p, np.nan) for p in paths], dtype=float
+            ),
+            allocation=np.array([allocations[p] for p in paths], dtype=float),
+            quota=np.array([quota_of[p] for p in paths], dtype=np.int64),
+            sampled=len(paths),
+            reserve_guarantee=reserve,
+        )
+        if len(paths) == len(allocations):
+            return frame
+        sampled = set(paths)
+        return frame.concat(unsampled_rows(self, {
+            p: c for p, c in allocations.items() if p not in sampled
+        }))
 
     def _tick_bulk(self, t: float) -> ControllerReport:
         """Structure-of-arrays fast path (``engine="bulk"``).
@@ -525,30 +616,19 @@ class VirtualFrequencyController:
 
     # -- bulk-array engine helpers ------------------------------------------------
 
-    def _need_detail(self) -> bool:
-        """Whether anything downstream consumes ``report.samples`` and
-        ``report.decisions`` (kept reports or any tick observer)."""
-        return (
-            self.keep_reports
-            or self.obs is not None
-            or self.billing is not None
-            or self.slo is not None
-            or self.invariant_checker is not None
-        )
-
     def _bulk_sample(self):
-        """Bulk stage 1: this tick's samples and their :class:`TickView`.
+        """Bulk stage 1: this tick's :class:`TickView` and its batch rows.
 
-        Goes through :meth:`HostBackend.sample_all`.  While the backend
-        batch keeps the same slot order (``paths`` is the identical list
-        object) and the VM registry is unchanged, the gathered view is
-        reused with only its ``consumed`` column swapped — the
-        steady-state tick carries no per-vCPU Python work at all.
-        Per-sample objects are only materialised when
-        :meth:`_need_detail` says something consumes them.  Under a
-        resilience policy the batch first gets its carried-forward rows
-        (a batch with carried rows is a new slot order, so its view is
-        rebuilt).
+        Returns ``(view, batch, keep)``: ``batch.to_samples(keep)`` are
+        the registered VMs' samples, built only if someone reads
+        ``report.samples``.  Goes through :meth:`HostBackend.sample_all`.
+        While the backend batch keeps the same slot order (``paths`` is
+        the identical list object) and the VM registry is unchanged, the
+        gathered view is reused with only its ``consumed`` column
+        swapped — the steady-state tick carries no per-vCPU Python work
+        at all.  Under a resilience policy the batch first gets its
+        carried-forward rows (a batch with carried rows is a new slot
+        order, so its view is rebuilt).
         """
         batch = self.backend.sample_all(self.config.period_s)
         # The backend dropped these quota records (recreated cgroups), so
@@ -568,25 +648,29 @@ class VirtualFrequencyController:
             view.consumed = (
                 batch.consumed if keep is None else batch.consumed[keep]
             )
-            samples = batch.to_samples(keep) if self._need_detail() else []
-            return samples, view
+            return view, batch, keep
         # View (re)build: the registered VMs' rows, in batch order.
-        samples_all = batch.to_samples()
         registered = self._vm_vfreq
         keep_idx = [
-            i for i, s in enumerate(samples_all) if s.vm_name in registered
+            i for i, vm in enumerate(batch.vm_names) if vm in registered
         ]
-        if len(keep_idx) == len(samples_all):
-            samples = samples_all
+        if len(keep_idx) == len(batch):
             keep = None
+            paths, vms = batch.paths, batch.vm_names
+            consumed, vcpus = batch.consumed, batch.vcpu_indices
         else:
-            samples = [samples_all[i] for i in keep_idx]
             keep = np.asarray(keep_idx, dtype=np.intp)
+            paths = [batch.paths[i] for i in keep_idx]
+            vms = [batch.vm_names[i] for i in keep_idx]
+            consumed, vcpus = batch.consumed[keep], batch.vcpu_indices[keep]
         view = self._table.ingest(
-            samples, self._guarantee.__getitem__, self._current_cap
+            paths, vms, consumed, self._guarantee.__getitem__,
+            self._current_cap,
         )
+        view.vcpus = vcpus
+        view.vfreq = [registered[vm] for vm in vms]
         self._bulk_cache = (batch.paths, self._registry_version, keep, view)
-        return samples, view
+        return view, batch, keep
 
     # -- degraded-mode resilience -------------------------------------------------
 

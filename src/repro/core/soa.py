@@ -51,27 +51,20 @@ report-stream comparison in the benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import ControllerConfig
-from repro.core.estimator import Case, EstimatorDecision
+from repro.core.frame import CASES
 from repro.core.units import period_us
 
-__all__ = [
-    "SlotArena", "VcpuTable", "TickView", "seqsum", "decide_batch",
-    "build_decisions",
-]
+__all__ = ["SlotArena", "VcpuTable", "TickView", "seqsum", "decide_batch"]
 
-#: Integer case codes used inside the vectorised estimator (int8 array).
+#: Integer case codes used inside the vectorised estimator (int8 array);
+#: each indexes :data:`repro.core.frame.CASES`.
 _WARMUP, _INCREASE, _DECREASE, _STABLE = 0, 1, 2, 3
-_CASE_OF_CODE = {
-    _WARMUP: Case.WARMUP,
-    _INCREASE: Case.INCREASE,
-    _DECREASE: Case.DECREASE,
-    _STABLE: Case.STABLE,
-}
+_CASE_OF_CODE = dict(enumerate(CASES))
 
 #: (history length, literal flag) -> (centring weights dx, denominator).
 _CENTERING: Dict[Tuple[int, bool], Tuple[np.ndarray, float]] = {}
@@ -125,6 +118,8 @@ class TickView:
     pos: Dict[str, int]  # cgroup path -> position in the arrays
     vms: List[str]  # owning VM name per sample
     vm_order: List[Tuple[str, int]]  # first-seen VM order, with dense ids
+    vcpus: Optional[np.ndarray] = None  # int64, vCPU index per sample
+    vfreq: Optional[List[float]] = None  # owning VM's vfreq per sample
 
 
 class SlotArena:
@@ -406,28 +401,23 @@ class VcpuTable:
 
     def ingest(
         self,
-        samples: Iterable,
+        paths: List[str],
+        vms: List[str],
+        consumed: np.ndarray,
         guarantee_of: Callable[[str], float],
         initial_caps: Optional[Dict[str, float]] = None,
     ) -> TickView:
-        """Gather one tick's samples into sample-order arrays.
+        """Gather one tick's sample columns into a sample-order view.
 
         New paths get slots on the fly, seeded with the VM's cached
         guarantee and (if present) the cap restored from a snapshot.
         """
-        samples = list(samples)
-        n = len(samples)
+        n = len(paths)
         rows = np.empty(n, dtype=np.intp)
-        consumed = np.empty(n)
-        paths: List[str] = []
-        pos: Dict[str, int] = {}
-        vms: List[str] = []
         vm_order: List[Tuple[str, int]] = []
         seen_vms: Dict[str, int] = {}
         slot_map = self._slot
-        for i, s in enumerate(samples):
-            path = s.cgroup_path
-            vm_name = s.vm_name
+        for i, (path, vm_name) in enumerate(zip(paths, vms)):
             slot = slot_map.get(path)
             if slot is None:
                 seed_cap = None
@@ -437,15 +427,12 @@ class VcpuTable:
                     path, vm_name, guarantee_of(vm_name), seed_cap
                 )
             rows[i] = slot
-            consumed[i] = s.consumed_cycles
-            paths.append(path)
-            pos[path] = i
-            vms.append(vm_name)
             if vm_name not in seen_vms:
                 seen_vms[vm_name] = 1
                 vm_order.append((vm_name, self._vm_id[vm_name]))
         return TickView(
-            rows=rows, consumed=consumed, paths=paths, pos=pos,
+            rows=rows, consumed=consumed, paths=paths,
+            pos={path: i for i, path in enumerate(paths)},
             vms=vms, vm_order=vm_order,
         )
 
@@ -534,27 +521,6 @@ def decide_batch(
     np.maximum(est, floor, out=est)
     np.minimum(est, p_us, out=est)
     return est, trend, case
-
-
-def build_decisions(
-    paths: List[str],
-    estimates: np.ndarray,
-    trends: np.ndarray,
-    cases: np.ndarray,
-) -> Dict[str, EstimatorDecision]:
-    """Materialise the per-path decision dict (report detail only).
-
-    Python floats are used so reports and snapshots serialise exactly
-    like the scalar engine's.
-    """
-    est = estimates.tolist()
-    tr = trends.tolist()
-    return {
-        path: EstimatorDecision(
-            estimate_cycles=est[i], trend=tr[i], case=_CASE_OF_CODE[int(cases[i])]
-        )
-        for i, path in enumerate(paths)
-    }
 
 
 def segment_seqsums(

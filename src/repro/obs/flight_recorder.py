@@ -4,7 +4,10 @@ A :class:`FlightRecorder` keeps a bounded ring of tick *frames* —
 inputs (registered VMs, samples, stage timings) plus the tick's
 decision-ledger ``meta`` and rows, shared with the ledger entry
 (auction results, free shares, wallets) — and writes the whole ring to a
-JSON dump when something goes wrong: an ``InvariantViolationError``, an
+JSON dump when something goes wrong.  The hub records each frame as a
+zero-argument callable that builds the dict from the tick's
+:class:`~repro.core.frame.DecisionFrame` and report only when the ring
+is read or dumped.  Dumps fire on an ``InvariantViolationError``, an
 injected stage crash escaping ``tick()``, or a node tick error caught
 by the :class:`~repro.sim.node_manager.NodeManager`.
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 DUMP_VERSION = 1
 
@@ -48,12 +51,13 @@ class FlightRecorder:
     def set_meta(self, **kw) -> None:
         self.meta.update(kw)
 
-    def record(self, frame: Dict) -> None:
+    def record(self, frame: Union[Dict, Callable[[], Dict]]) -> None:
+        """Append one frame: a dict, or a callable building it when read."""
         self._frames.append(frame)
 
     @property
     def frames(self) -> List[Dict]:
-        return list(self._frames)
+        return [f if isinstance(f, dict) else f() for f in self._frames]
 
     def dump(
         self,
@@ -71,7 +75,8 @@ class FlightRecorder:
         """
         if not self._frames:
             return None
-        newest = self._frames[-1]["tick"]
+        frames = self.frames
+        newest = frames[-1]["tick"]
         if path is None and self._last_dump_tick == newest:
             return self._last_dump_path
         if path is None:
@@ -86,7 +91,7 @@ class FlightRecorder:
             "reason": reason,
             "violations": list(violations or []),
             "meta": dict(self.meta),
-            "frames": list(self._frames),
+            "frames": frames,
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True)

@@ -1,21 +1,24 @@
 """The observability hub: one object a controller carries (or not).
 
 :class:`Observability` owns the tracer, the decision ledger and the
-flight recorder, and translates each finished
+flight recorder, and folds each finished
 :class:`~repro.core.controller.ControllerReport` into all three
-(``on_tick``), keeping each fact in one place.  The ledger entry is
-the per-vCPU record: its ``meta`` and the tick's
-:func:`~repro.obs.ledger.decision_rows` (the one per-vCPU walk the
-billing meter and the SLO plane share).  A flight frame holds only
-what the ledger lacks (registered VMs, raw samples, stage timings) and
-shares the ledger entry's ``meta`` and rows objects for the rest.
-Spans carry time only: the ``tick`` root and its six ``stage:*``
-children.  The controller's hot loop stays untouched: with no hub
-attached a tick pays exactly one ``is None`` check, and with a hub
-attached the stages still run unmodified — the hub works *post hoc*
-from the report, the stage timings the controller already measures,
-and the controller's own registries.  Report streams
-are therefore bit-identical with the hub on or off
+(``on_tick``), keeping each fact in one place.  One frame per tick:
+the ledger entry is the ledger ``meta`` plus the report's
+:class:`~repro.core.frame.DecisionFrame` (the columns the billing
+meter and the SLO plane read too), and its per-vCPU dicts are built
+only when an entry is read or written to JSONL.  A flight frame holds
+only what the ledger lacks (registered VMs, raw samples, stage
+timings) and shares the ledger's :class:`~repro.obs.ledger.TickRecord`
+for the rest; its samples are materialised when the ring is read or
+dumped.  Spans carry time only: the ``tick`` root and its six
+``stage:*`` children, with counts read off the frame.  The
+controller's hot loop stays untouched: with no hub attached a tick
+pays exactly one ``is None`` check, and with a hub attached the
+stages still run unmodified — the hub works *post hoc* from the
+report, the stage timings the controller already measures, and the
+controller's own registries.  Report streams are therefore
+bit-identical with the hub on or off
 (``tests/obs/test_transparency.py``).
 
 Attach either declaratively (``ControllerConfig.observability``) or at
@@ -38,13 +41,15 @@ Dump triggers (all routed here):
 
 from __future__ import annotations
 
+import functools
 import os
-from typing import Dict, Optional, TYPE_CHECKING
+from collections import Counter
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.timings import STAGES
 from repro.obs.config import ObsConfig
 from repro.obs.flight_recorder import FlightRecorder
-from repro.obs.ledger import DecisionLedger, decision_rows
+from repro.obs.ledger import DecisionLedger, TickRecord
 from repro.obs.logging import get_logger
 from repro.obs.tracing import JsonlSink, RingSink, Tracer, write_chrome_trace
 
@@ -130,13 +135,14 @@ class Observability:
         """Fold one finished tick into spans, ledger and flight ring."""
         if self.ledger is not None or self.recorder is not None:
             meta = self._build_meta(controller, report, tick)
-            decisions = decision_rows(controller, report)
             if self.ledger is not None:
-                self.ledger.record_tick(meta, decisions)
+                record = self.ledger.record_tick(meta, report.frame)
+            else:
+                record = TickRecord(meta, report.frame)
             if self.recorder is not None:
-                self.recorder.record(self._build_frame(
-                    controller, report, tick, meta, decisions
-                ))
+                self.recorder.record(
+                    self._build_frame(controller, report, tick, record)
+                )
         if self.tracer is not None:
             self._emit_spans(controller, report, tick)
         self._prev_wallets = report.wallets
@@ -168,11 +174,9 @@ class Observability:
 
     # -- flight frame construction ------------------------------------------------
 
-    def _build_frame(self, controller, report, tick, meta, decisions) -> Dict:
-        """The tick's replay inputs plus the ledger entry's own objects."""
-        seen: Dict[str, int] = {}
-        for s in report.samples:
-            seen[s.vm_name] = seen.get(s.vm_name, 0) + 1
+    def _build_frame(self, controller, report, tick, record):
+        """The tick's flight frame, built when the ring is read."""
+        seen = Counter(_observed_vms(report))
         last = self._vm_vcpus
         registered = {}
         for vm, vfreq in controller._vm_vfreq.items():
@@ -180,21 +184,9 @@ class Observability:
                 "vfreq": vfreq, "vcpus": seen.get(vm) or last.get(vm, 0),
             }
         self._vm_vcpus = {vm: info["vcpus"] for vm, info in registered.items()}
-        return {
-            "tick": tick,
-            "t": report.t,
-            "registered": registered,
-            "samples": [
-                [s.cgroup_path, s.vm_name, s.vcpu_index,
-                 s.consumed_cycles, s.vfreq_mhz]
-                for s in report.samples
-            ],
-            "timings": {
-                stage: getattr(report.timings, stage) for stage in STAGES
-            },
-            "meta": meta,
-            "decisions": decisions,
-        }
+        return functools.partial(
+            _flight_frame, tick, report, registered, record
+        )
 
     # -- span synthesis ------------------------------------------------------------
 
@@ -205,6 +197,7 @@ class Observability:
         end_us = tracer.now_us()
         start_us = end_us - total_us
         market_left = report.auction.market_left if report.auction else 0.0
+        observed = _observed_vms(report)
         root = tracer.record(
             "tick",
             trace_id=tick,
@@ -214,16 +207,16 @@ class Observability:
             attrs={
                 "t": report.t,
                 "engine": controller.config.engine,
-                "vcpus": len(report.samples),
-                "vms": len({s.vm_name for s in report.samples}),
+                "vcpus": len(observed),
+                "vms": len(set(observed)),
                 "market_initial": report.market_initial,
                 "freely_distributed": report.freely_distributed,
                 "degraded": len(report.degraded),
             },
         )
         stage_attrs = {
-            "monitor": {"samples": len(report.samples)},
-            "estimate": {"decisions": len(report.decisions)},
+            "monitor": {"samples": len(observed)},
+            "estimate": {"decisions": report.frame.sampled},
             "credits": {"wallets": len(report.wallets)},
             "auction": {
                 "market_initial": report.market_initial,
@@ -306,3 +299,36 @@ class Observability:
         if self.ledger is not None:
             self.ledger.close()
 
+
+def _observed_vms(report) -> List[str]:
+    """The owning VM of each stage-1 sample, in sample order.
+
+    With control on every sample has a frame row, so the frame answers
+    without building sample objects; only a tick that enforced nothing
+    (config A) reads its samples.
+    """
+    if report.allocations:
+        frame = report.frame
+        return frame.vm[:frame.sampled]
+    return [s.vm_name for s in report.samples]
+
+
+def _flight_frame(tick: int, report, registered: Dict,
+                  record: TickRecord) -> Dict:
+    """One flight-recorder frame: replay inputs plus the ledger record."""
+    entry = record.entry()
+    return {
+        "tick": tick,
+        "t": report.t,
+        "registered": registered,
+        "samples": [
+            [s.cgroup_path, s.vm_name, s.vcpu_index,
+             s.consumed_cycles, s.vfreq_mhz]
+            for s in report.samples
+        ],
+        "timings": {
+            stage: getattr(report.timings, stage) for stage in STAGES
+        },
+        "meta": entry["meta"],
+        "decisions": entry["decisions"],
+    }

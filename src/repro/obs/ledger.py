@@ -28,143 +28,45 @@ equality is what ``repro explain`` prints and what
 ``tests/obs/test_ledger.py`` asserts against the invariant oracles'
 independent arithmetic.
 
-Storage is one dict per tick (``{"meta": ..., "decisions": [...]}``)
-in a bounded in-memory ring, mirrored as JSONL when the hub has an
-``out_dir``.  Records are engine-agnostic: the scalar and bulk
-engines must produce identical ledgers (fuzz-checked).
-
-:func:`decision_rows` is the only code that turns a finished report
-into these per-vCPU records.  It runs once per tick, and every tick
-observer reads its rows: the hub's ledger and flight recorder, the
-billing meter and the SLO plane's guarantee checks.
+Storage is one :class:`TickRecord` per tick — the ledger ``meta`` plus
+the tick's :class:`~repro.core.frame.DecisionFrame` — in a bounded
+in-memory ring.  The per-vCPU dicts above are built from the frame's
+columns only when an entry is read (:attr:`DecisionLedger.ticks`) or
+written to the JSONL mirror (when the hub has an ``out_dir``), so a
+tick nobody reads costs no per-vCPU Python work.  Records are
+engine-agnostic: the scalar and bulk engines must produce identical
+ledgers (fuzz-checked).
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections.abc import Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.frame import DecisionFrame
 
 
-def decision_rows(controller, report) -> List[Dict]:
-    """The tick's per-vCPU decision records, in ledger order.
+class TickRecord:
+    """One ledger tick: ``meta`` plus its frame; the entry dict on demand."""
 
-    Samples with an allocation come first, then the degraded-only paths
-    (enforced without a fresh sample).  The rows are built on first use
-    and cached for this tick only, in the controller's
-    ``_decision_rows`` slot keyed by the report, so every observer of
-    the tick shares one walk and kept reports hold no rows.  Callers
-    must treat the rows as read-only.
-    """
-    cached = controller._decision_rows
-    if cached is not None and cached[0] is report:
-        return cached[1]
-    rows = _build_rows(controller, report)
-    controller._decision_rows = (report, rows)
-    return rows
+    __slots__ = ("meta", "frame", "_entry")
 
+    def __init__(self, meta: Dict, frame: "DecisionFrame") -> None:
+        self.meta = meta
+        self.frame = frame
+        self._entry: Optional[Dict] = None
 
-def _build_rows(controller, report) -> List[Dict]:
-    if not report.allocations:
-        return []  # config A / empty host: nothing enforced
-    from repro.core import enforcer
-
-    cfg = controller.config
-    reserve = cfg.reserve_guarantee
-    quota_us = enforcer.quota_us
-    vfreqs = controller._vm_vfreq
-    guarantees = controller._guarantee
-    purchased = report.auction.purchased if report.auction else {}
-    free = report.free_shares
-    degraded = report.degraded
-    rows: List[Dict] = []
-    seen = set()
-    for s in report.samples:
-        path = s.cgroup_path
-        alloc = report.allocations.get(path)
-        if alloc is None:
-            continue
-        seen.add(path)
-        d = report.decisions.get(path)
-        vm = s.vm_name
-        g = guarantees.get(vm)
-        base = None
-        if d is not None and g is not None:
-            base = min(d.estimate_cycles, g)
-            if reserve:
-                base = max(base, g)
-        rows.append({
-            "vm": vm,
-            "vcpu": s.vcpu_index,
-            "path": path,
-            "consumed": s.consumed_cycles,
-            "estimate": d.estimate_cycles if d is not None else None,
-            "trend": d.trend if d is not None else None,
-            "case": d.case.name.lower() if d is not None else None,
-            "vfreq": vfreqs.get(vm),
-            "guarantee": g,
-            "base": base,
-            "reserve_guarantee": reserve,
-            "purchased": purchased.get(path, 0.0),
-            "free_share": free.get(path, 0.0),
-            "fallback": degraded.get(path),
-            "allocation": alloc,
-            "quota_us": quota_us(alloc, cfg),
-        })
-    if len(seen) == len(report.allocations):
-        return rows
-    from repro.core.backend import vm_component
-
-    for path, alloc in report.allocations.items():
-        if path in seen:
-            continue
-        vm = vm_component(path, controller.machine_slice)
-        rows.append({
-            "vm": vm,
-            "vcpu": _vcpu_index_of(path),
-            "path": path,
-            "consumed": None,
-            "estimate": None,
-            "trend": None,
-            "case": None,
-            "vfreq": vfreqs.get(vm),
-            "guarantee": guarantees.get(vm),
-            "base": None,
-            "reserve_guarantee": reserve,
-            "purchased": purchased.get(path, 0.0),
-            "free_share": free.get(path, 0.0),
-            "fallback": degraded.get(path, alloc),
-            "allocation": alloc,
-            "quota_us": quota_us(alloc, cfg),
-        })
-    return rows
-
-
-def _vcpu_index_of(path: str) -> int:
-    """Trailing vcpu index of a cgroup path (``.../vcpu3`` -> 3)."""
-    tail = path.rsplit("/", 1)[-1]
-    digits = ""
-    for ch in reversed(tail):
-        if ch.isdigit():
-            digits = ch + digits
-        else:
-            break
-    return int(digits) if digits else -1
-
-
-def guarantee_missed(row: Dict) -> bool:
-    """The SLA-shortfall criterion on one decision row.
-
-    The vCPU got less than its Eq. 2 guarantee while it wanted at least
-    that much, or while its demand was unobservable (a degraded-only
-    path has no estimate).  The billing meter refunds exactly these
-    shortfalls and the SLO plane counts them as guarantee misses.
-    """
-    g = row["guarantee"]
-    if g is None:
-        return False
-    estimate = row["estimate"]
-    return row["allocation"] < g and (estimate is None or estimate >= g)
+    def entry(self) -> Dict:
+        """``{"kind": "tick", "meta": ..., "decisions": [...]}``, built once."""
+        if self._entry is None:
+            self._entry = {
+                "kind": "tick", "meta": self.meta,
+                "decisions": self.frame.rows(),
+            }
+        return self._entry
 
 
 def recompute_allocation(decision: Dict, p_us: float) -> float:
@@ -190,25 +92,56 @@ class DecisionLedger:
         self.path = path
         self._fh = open(path, "a", buffering=1) if path else None
 
-    def record_tick(self, meta: Dict, decisions: List[Dict]) -> None:
-        entry = {"kind": "tick", "meta": meta, "decisions": decisions}
-        self._ring.append(entry)
+    def record_tick(self, meta: Dict, frame: "DecisionFrame") -> TickRecord:
+        record = TickRecord(meta, frame)
+        self._ring.append(record)
         if self._fh is not None:
-            self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            self._fh.write(json.dumps(record.entry(), sort_keys=True) + "\n")
+        return record
 
     @property
-    def ticks(self) -> List[Dict]:
-        return list(self._ring)
+    def ticks(self) -> "Entries":
+        """The ring's entries, oldest first, each built when read."""
+        return Entries(self._ring)
 
     def lookup(
         self, vm: str, vcpu: int, tick: int
     ) -> Optional[Tuple[Dict, Dict]]:
-        """The ``(meta, decision)`` pair for one allocation, or ``None``."""
-        return lookup(self._ring, vm, vcpu, tick)
+        """The ``(meta, decision)`` pair for one allocation, or ``None``.
+
+        Builds the rows of the matching tick's entries only."""
+        return lookup(
+            (r.entry() for r in self._ring if r.meta["tick"] == tick),
+            vm, vcpu, tick,
+        )
 
     def close(self) -> None:
         if self._fh is not None and not self._fh.closed:
             self._fh.close()
+
+
+class Entries(Sequence):
+    """A read-only view of a ledger ring: indexing one entry builds only it."""
+
+    def __init__(self, ring: deque) -> None:
+        self._ring = ring
+
+    def __len__(self) -> int:
+        return len(self._ring)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [r.entry() for r in list(self._ring)[index]]
+        return self._ring[index].entry()
+
+    def __iter__(self) -> Iterator[Dict]:
+        for record in self._ring:
+            yield record.entry()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, Entries)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def load_jsonl(path: str) -> List[Dict]:

@@ -39,7 +39,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.timings import STAGES
 from repro.obs.anomaly import AnomalyConfig, EwmaDetector
-from repro.obs.ledger import decision_rows
 from repro.obs.tsdb import (
     S_BACKEND_ERRORS,
     S_CREDITS_USD,
@@ -249,12 +248,8 @@ def load_alerts_jsonl(path: str) -> List[Dict]:
 
 
 def _ingest_tick(store: SeriesStore, controller, report) -> None:
-    """One controller tick's per-tenant guarantee checks."""
-    # Guarantee checks need fresh samples, so a report without any (a
-    # VMDFS baseline, or a bulk tick nothing asked detail of) needs no
-    # decision rows.
-    rows = decision_rows(controller, report) if report.samples else []
-    store.ingest_report(rows, getattr(controller, "_vm_tenant", {}))
+    """One controller tick's per-tenant guarantee checks (its frame)."""
+    store.ingest_report(report.frame, getattr(controller, "_vm_tenant", {}))
 
 
 class SLOPlane:

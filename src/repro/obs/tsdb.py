@@ -17,9 +17,8 @@ suite (``tests/obs/test_slo_transparency.py``) leans on.
 
 Ingest is three-dialect, mirroring how the repo's planes report:
 
-* :meth:`SeriesStore.ingest_report` — one finished
-  :class:`~repro.core.controller.ControllerReport` plus its
-  :func:`~repro.obs.ledger.decision_rows` and the owning controller's
+* :meth:`SeriesStore.ingest_report` — one finished tick's
+  :class:`~repro.core.frame.DecisionFrame` and the owning controller's
   tenant map, post hoc exactly like the obs hub;
 * :meth:`SeriesStore.ingest_node_manager` — an in-process
   :class:`~repro.sim.node_manager.NodeManager` after a barrier tick;
@@ -36,12 +35,16 @@ controllers' decision ledgers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from collections import Counter
+from itertools import compress
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.timings import STAGES
-from repro.obs.ledger import guarantee_missed
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.frame import DecisionFrame
 
 #: Canonical series names the SLO plane subscribes to.  One place, so
 #: the three ingest dialects and ``slo.py`` can never drift apart.
@@ -145,6 +148,15 @@ class Series:
             span *= self.fanout
         return level
 
+    def _window(self, window_ticks: int) -> Tuple[int, int, int]:
+        """``(level, ticks_per_point, points)`` covering the last window."""
+        if window_ticks < 1:
+            raise ValueError("window must be >= 1 tick")
+        level = self._level_for(window_ticks)
+        per_point = self.fanout ** level
+        want = -(-window_ticks // per_point)  # ceil division
+        return level, per_point, min(self._counts[level], self.capacity, want)
+
     def tail(self, window_ticks: int) -> Tuple[np.ndarray, int]:
         """``(values, ticks_per_point)`` covering the last window.
 
@@ -152,21 +164,27 @@ class Series:
         second element is ``fanout**level`` — how many raw ticks each
         returned point summarizes.
         """
-        if window_ticks < 1:
-            raise ValueError("window must be >= 1 tick")
-        level = self._level_for(window_ticks)
-        per_point = self.fanout ** level
-        want = -(-window_ticks // per_point)  # ceil division
-        count = self._counts[level]
-        have = min(count, self.capacity, want)
+        level, per_point, have = self._window(window_ticks)
         if have == 0:
             return np.empty(0, dtype=np.float64), per_point
         buf = self._bufs[level]
-        end = count % self.capacity
+        end = self._counts[level] % self.capacity
         start = (end - have) % self.capacity
         if start < end:
             return buf[start:end].copy(), per_point
         return np.concatenate((buf[start:], buf[:end])), per_point
+
+    def _ends(self, window_ticks: int):
+        """``(oldest, newest, points, ticks_per_point)`` of :meth:`tail`,
+        read in place from the ring."""
+        level, per_point, have = self._window(window_ticks)
+        buf, count = self._bufs[level], self._counts[level]
+        return (
+            buf[(count - have) % self.capacity],
+            buf[(count - 1) % self.capacity],
+            have,
+            per_point,
+        )
 
     # -- windowed queries --------------------------------------------------
 
@@ -182,18 +200,17 @@ class Series:
         ``(newest - oldest) / ticks_spanned`` on the finest covering
         level; one point (or none) means no measurable increase yet.
         """
-        values, per_point = self.tail(window_ticks)
-        if values.size < 2:
+        oldest, newest, points, per_point = self._ends(window_ticks)
+        if points < 2:
             return 0.0
-        span = (values.size - 1) * per_point
-        return float((values[-1] - values[0]) / span)
+        return float((newest - oldest) / ((points - 1) * per_point))
 
     def increase(self, window_ticks: int) -> float:
         """Total increase over the window (non-negative for counters)."""
-        values, per_point = self.tail(window_ticks)
-        if values.size < 2:
+        oldest, newest, points, _ = self._ends(window_ticks)
+        if points < 2:
             return 0.0
-        return float(values[-1] - values[0])
+        return float(newest - oldest)
 
     def quantile(self, q: float, window_ticks: int) -> float:
         if not 0.0 <= q <= 1.0:
@@ -308,26 +325,27 @@ class SeriesStore:
     # -- ingest: report dialect --------------------------------------------
 
     def ingest_report(
-        self, rows: List[Dict], tenants: Mapping[str, str]
+        self, frame: "DecisionFrame", tenants: Mapping[str, str]
     ) -> Tuple[int, int]:
         """One finished tick, post hoc — the obs-hub dialect.
 
-        ``rows`` are the tick's decision-ledger records.  Every row with
-        a fresh sample and a guarantee is one guarantee check for its
-        VM's tenant (``tenants``, ``"default"`` when missing), and a
-        miss when :func:`~repro.obs.ledger.guarantee_missed` holds —
-        the billing meter's SLA-shortfall criterion.  Returns
-        ``(bad, total)`` summed over tenants, mostly for tests.
+        ``frame`` is the tick's decision frame.  Every row with a fresh
+        sample and a guarantee is one guarantee check for its VM's
+        tenant (``tenants``, ``"default"`` when missing), and a miss
+        when :meth:`~repro.core.frame.DecisionFrame.missed` holds — the
+        billing meter's SLA-shortfall criterion.  Returns ``(bad,
+        total)`` summed over tenants, mostly for tests.
         """
-        bad_by_tenant: Dict[str, int] = {}
+        checked = ~(np.isnan(frame.consumed) | np.isnan(frame.guarantee))
+        if not checked.any():
+            return 0, 0
+        missed = frame.missed() & checked
         total_by_tenant: Dict[str, int] = {}
-        for row in rows:
-            if row["consumed"] is None or row["guarantee"] is None:
-                continue
-            tenant = tenants.get(row["vm"], "default")
-            total_by_tenant[tenant] = total_by_tenant.get(tenant, 0) + 1
-            if guarantee_missed(row):
-                bad_by_tenant[tenant] = bad_by_tenant.get(tenant, 0) + 1
+        bad_by_tenant: Dict[str, int] = {}
+        for by_tenant, mask in ((total_by_tenant, checked), (bad_by_tenant, missed)):
+            for vm, n in Counter(compress(frame.vm, mask.tolist())).items():
+                tenant = tenants.get(vm, "default")
+                by_tenant[tenant] = by_tenant.get(tenant, 0) + n
         bad = total = 0
         for tenant in sorted(total_by_tenant):
             nb = bad_by_tenant.get(tenant, 0)

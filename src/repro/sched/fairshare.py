@@ -48,9 +48,9 @@ def weighted_fair_share(
         return np.zeros(0)
     if not np.isfinite(capacity) or capacity < 0:
         raise ValueError(f"capacity must be finite and >= 0, got {capacity}")
-    if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
+    if (weights <= 0).any() or not np.isfinite(weights).all():
         raise ValueError("weights must be strictly positive and finite")
-    if np.any(limits < 0) or np.any(np.isnan(limits)):
+    if (limits < 0).any() or np.isnan(limits).any():
         raise ValueError("limits must be >= 0 and not NaN")
 
     if capacity == 0.0:

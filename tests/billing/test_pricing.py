@@ -15,6 +15,7 @@ from repro.billing import (
     render_invoices,
     sold_fraction,
 )
+from tests.conftest import frame_from_rows
 
 
 class TestPriceBook:
@@ -133,8 +134,8 @@ class TestMeterState:
         meter = UsageMeter()
         meter.meter_tick(
             _meta(market_initial=1000.0, market_left=400.0),
-            [_row(estimate=700.0, base=500.0, purchased=120.0,
-                  allocation=640.0)],
+            frame_from_rows([_row(estimate=700.0, base=500.0, purchased=120.0,
+                                  allocation=640.0)]),
         )
         clone = UsageMeter()
         clone.load_state(json.loads(json.dumps(meter.state())))
@@ -147,7 +148,7 @@ class TestMeterState:
         meter = UsageMeter()
         meter.meter_tick(
             _meta(),
-            [_row(estimate=600.0, base=500.0, allocation=450.0)],
+            frame_from_rows([_row(estimate=600.0, base=500.0, allocation=450.0)]),
         )
         book = meter.book
         tier = book.tier_of(600.0)
@@ -164,13 +165,14 @@ class TestMeterState:
         meter = UsageMeter()
         meter.meter_tick(
             _meta(),
-            [_row(estimate=100.0, base=100.0, allocation=100.0)],
+            frame_from_rows([_row(estimate=100.0, base=100.0, allocation=100.0)]),
         )
         assert meter.credits == {}
 
     def test_vm_without_tenant_bills_to_default(self):
         meter = UsageMeter()
         meta = dict(_meta(), tenants={})
-        meter.meter_tick(meta, [_row(estimate=100.0, base=100.0,
-                                     allocation=100.0)])
+        meter.meter_tick(meta, frame_from_rows([
+            _row(estimate=100.0, base=100.0, allocation=100.0)
+        ]))
         assert {key[0] for key in meter.usage} == {"default"}

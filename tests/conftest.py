@@ -80,3 +80,46 @@ def make_host(spec: NodeSpec = TINY, *, version: CgroupVersion = CgroupVersion.V
         config=config or ControllerConfig.paper_evaluation(),
     )
     return node, hv, ctrl
+
+
+def frame_from_rows(rows, *, reserve_guarantee=False):
+    """A :class:`~repro.core.frame.DecisionFrame` from ledger-style dicts.
+
+    The inverse of ``DecisionFrame.rows()``; missing keys read as
+    absent (NaN / ``None``), ``purchased`` and ``free_share`` as 0.0.
+    Rows with a ``consumed`` value count as sampled.
+    """
+    import math
+
+    import numpy as np
+
+    from repro.core.frame import CASES, DecisionFrame
+
+    def floats(key, default=None):
+        values = [row.get(key, default) for row in rows]
+        return np.array([math.nan if v is None else v for v in values],
+                        dtype=np.float64)
+
+    codes = {case.name.lower(): code for code, case in enumerate(CASES)}
+    return DecisionFrame(
+        path=[row.get("path", "") for row in rows],
+        vm=[row["vm"] for row in rows],
+        vcpu=np.array([row.get("vcpu", -1) for row in rows], dtype=np.int64),
+        vfreq=[row.get("vfreq") for row in rows],
+        consumed=floats("consumed"),
+        estimate=floats("estimate"),
+        trend=floats("trend"),
+        case=np.array([codes.get(row.get("case"), -1) for row in rows],
+                      dtype=np.int8),
+        guarantee=floats("guarantee"),
+        base=floats("base"),
+        purchased=floats("purchased", 0.0),
+        free_share=floats("free_share", 0.0),
+        fallback=floats("fallback"),
+        allocation=floats("allocation"),
+        quota=np.array([row.get("quota_us", 0) for row in rows],
+                       dtype=np.int64),
+        sampled=sum(row.get("consumed") is not None for row in rows),
+        reserve_guarantee=reserve_guarantee,
+    )
+

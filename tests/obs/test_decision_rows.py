@@ -1,19 +1,21 @@
-"""One decision walk per tick, shared by every tick observer.
+"""One decision frame per tick, shared by every tick observer.
 
-:func:`repro.obs.ledger.decision_rows` is the only code that turns a
-finished report into per-vCPU rows.  With the hub, a billing engine and
-an SLO plane attached it must still run once per tick, and the cluster
-SLO path must read each controller's own metered tick.
+Each tick emits one :class:`~repro.core.frame.DecisionFrame`
+(``report.frame``).  With the hub, a billing engine and an SLO plane
+attached, every observer reads that one frame: the ledger and the
+flight recorder keep the very object, and the per-vCPU ledger dicts
+are built only when an entry is read.  The cluster SLO path must read
+each controller's own metered tick.
 """
 
 import random
 
 import pytest
 
-import repro.obs.ledger as ledger_mod
 from repro.billing import BillingEngine
 from repro.checking.trace import ENGINES
 from repro.core.config import ControllerConfig
+from repro.core.frame import DecisionFrame
 from repro.obs.config import ObsConfig
 from repro.obs.hub import Observability
 from repro.obs.slo import SLOConfig, SLOPlane
@@ -32,13 +34,13 @@ TICKS = 6
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_rows_built_once_per_tick_with_all_observers(engine, monkeypatch):
     builds = []
-    build = ledger_mod._build_rows
+    build = DecisionFrame.rows
 
-    def spy(controller, report):
-        builds.append(report)
-        return build(controller, report)
+    def spy(frame):
+        builds.append(frame)
+        return build(frame)
 
-    monkeypatch.setattr(ledger_mod, "_build_rows", spy)
+    monkeypatch.setattr(DecisionFrame, "rows", spy)
     node, hv, ctrl = make_host(
         config=ControllerConfig.paper_evaluation(engine=engine)
     )
@@ -53,13 +55,22 @@ def test_rows_built_once_per_tick_with_all_observers(engine, monkeypatch):
     for t in range(TICKS):
         node.step(1.0)
         ctrl.tick(float(t))
-    assert builds == ctrl.reports
-    # Every observer read the same rows: the ledger and the flight
-    # recorder store the very list the tick built.
-    rows = ctrl._decision_rows[1]
-    assert len(rows) == 6
-    assert obs.ledger.ticks[-1]["decisions"] is rows
-    assert obs.recorder.frames[-1]["decisions"] is rows
+    # Metering and SLO ingest read columns: no ledger dict was built.
+    assert builds == []
+    # Every observer read the same frame: the ledger and the flight
+    # recorder keep the very object the tick emitted.
+    frames = [report.frame for report in ctrl.reports]
+    assert len(frames[-1]) == 6
+    assert all(
+        record.frame is frame
+        for record, frame in zip(obs.ledger._ring, frames)
+    )
+    # Reading an entry builds its rows once, and the flight frame
+    # shares them.
+    entry = obs.ledger.ticks[-1]
+    assert builds == [frames[-1]]
+    assert obs.ledger.ticks[-1] is entry
+    assert obs.recorder.frames[-1]["decisions"] is entry["decisions"]
     assert len(billing.meter.tick_revenue) == TICKS
     checks = plane.store.get(S_GUARANTEE_CHECKS, {"tenant": "tenant-0"})
     assert checks.last == 4.0 * TICKS

@@ -10,6 +10,7 @@ from repro.obs.tsdb import (
     Series,
     SeriesStore,
 )
+from tests.conftest import frame_from_rows
 
 
 class TestSeriesLadder:
@@ -143,7 +144,7 @@ class TestIngestReport:
             _row("vm-1", 120.0, 100.0, 150.0),  # got >= g: good
             _row("vm-2", 90.0, 100.0, 80.0),    # demanded < g: not bad
         ]
-        bad, total = store.ingest_report(rows, tenants)
+        bad, total = store.ingest_report(frame_from_rows(rows), tenants)
         assert (bad, total) == (1, 3)
         assert store.increase  # counters landed per tenant
         assert store.get(S_GUARANTEE_BAD, {"tenant": "a"}).last == 1.0
@@ -153,14 +154,14 @@ class TestIngestReport:
     def test_vm_without_allocation_or_guarantee_skipped(self):
         store = SeriesStore(capacity=32)
         # No allocation: the vCPU has no decision row at all.
-        assert store.ingest_report([], {"vm-0": "a"}) == (0, 0)
+        assert store.ingest_report(frame_from_rows([]), {"vm-0": "a"}) == (0, 0)
         # No guarantee, or no fresh sample (a degraded-only path): the
         # row is not a guarantee check.
         rows = [
             _row("vm-0", 50.0, None, 150.0),
             _row("vm-1", 50.0, 100.0, None, consumed=None),
         ]
-        assert store.ingest_report(rows, {"vm-0": "a"}) == (0, 0)
+        assert store.ingest_report(frame_from_rows(rows), {"vm-0": "a"}) == (0, 0)
 
 
 class _FakeStats:

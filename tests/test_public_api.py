@@ -71,6 +71,7 @@ EXPECTED = {
         "distribute_leftovers",
         "VirtualFrequencyController",
         "ControllerReport",
+        "DecisionFrame",
         "ResiliencePolicy",
         "ResilienceStats",
         "DegradedVcpu",
