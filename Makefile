@@ -66,10 +66,10 @@ figures-check:
 	for f in benchmarks/results/fig*.csv; do cmp "$$f" "$(SMOKE_RESULTS)/$$(basename "$$f")" || exit 1; done
 
 # bit-identity lines for the perfbench workloads: runs perfbench/run.py
-# --seed 5 --seconds 1 --trace 0 for dense, fleet and churn and prints
-# each timed run's allocation digest and guarantee_miss_ratio (~1 min);
-# a change claiming identical behaviour must print the same lines as
-# its parent commit
+# --seed 5 --seconds 1 --trace 1 for dense, fleet and churn and prints
+# each timed run's allocation digest and guarantee_miss_ratio plus the
+# traced run's exact kernel-I/O counters (~1.5 min); a change claiming
+# identical behaviour must print the same lines as its parent commit
 perfbench-digests:
 	$(PYTHON) benchmarks/perfbench_digests.py
 

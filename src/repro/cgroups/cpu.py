@@ -18,16 +18,17 @@ the cumulative cycle counter the controller diffs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
-#: Sentinel quota meaning "no bandwidth limit" (``max`` in v2, ``-1`` in v1).
-UNLIMITED: int = -1
+import numpy as np
 
-#: Kernel default bandwidth period, microseconds.
-DEFAULT_PERIOD_US: int = 100_000
-
-#: cgroup v2 default weight.
-DEFAULT_WEIGHT: int = 100
+from repro.cgroups.columns import (
+    DEFAULT_PERIOD_US,
+    DEFAULT_WEIGHT,
+    UNLIMITED,
+    CgroupColumns,
+)
 
 #: cgroup v1 default shares.
 DEFAULT_SHARES: int = 1024
@@ -55,14 +56,12 @@ class QuotaSpec:
         return self.quota_us == UNLIMITED
 
     def ratio(self) -> float:
-        """Rate cap expressed in CPU cores (``inf`` when unlimited)."""
-        # The scheduler reads this for every cgroup every tick, so it
-        # skips the ``unlimited`` property.  It is not cached at
-        # construction: the controller rewrites about a third of the
-        # vCPU caps each period, so specs are built a third to a half
-        # as often as they are read, and caching cost more than it saved.
-        quota = self.quota_us
-        return math.inf if quota == UNLIMITED else quota / self.period_us
+        """Rate cap expressed in CPU cores (``inf`` when unlimited).
+
+        The scheduler reads the same value for a whole tree at once as
+        :meth:`~repro.cgroups.columns.CgroupColumns.ratios`.
+        """
+        return math.inf if self.unlimited else self.quota_us / self.period_us
 
     # -- v2 ``cpu.max`` format ------------------------------------------------
 
@@ -88,52 +87,114 @@ class QuotaSpec:
         return f"{self.period_us}\n"
 
 
-@dataclass
 class CpuController:
-    """Mutable per-cgroup CPU controller state."""
+    """One cgroup's CPU controller state: a handle on its column row.
 
-    quota: QuotaSpec = field(default_factory=QuotaSpec)
-    weight: int = DEFAULT_WEIGHT
-    usage_usec: int = 0
-    user_usec: int = 0
-    system_usec: int = 0
-    nr_periods: int = 0
-    nr_throttled: int = 0
-    throttled_usec: int = 0
+    The state lives in the host's :class:`~repro.cgroups.columns.CgroupColumns`
+    (the cgroupfs root's table).  A controller built on its own, or
+    detached when its cgroup is removed, owns a private one-row table,
+    so a handle kept past ``rmdir`` never reads or writes a row a later
+    ``mkdir`` reuses.
+
+    ``cpu.stat``'s throttling counters (``nr_periods``,
+    ``nr_throttled``, ``throttled_usec``) are always 0: nothing in the
+    simulated kernel throttles per period.
+    """
+
+    __slots__ = ("_table", "_row")
+
+    def __init__(
+        self, table: Optional[CgroupColumns] = None, row: Optional[int] = None
+    ) -> None:
+        if table is None:
+            table = CgroupColumns(capacity=1)
+            row = table.alloc()
+        self._table = table
+        self._row = row
+
+    def detach(self) -> None:
+        """Move this state onto a private table and free its row."""
+        table, row = self._table, self._row
+        own = CgroupColumns(capacity=1)
+        own_row = own.alloc()
+        for name, _ in CgroupColumns.FIELDS:
+            getattr(own, name)[own_row] = getattr(table, name)[row]
+        self._table, self._row = own, own_row
+        table.release(row)
+
+    @property
+    def row(self) -> int:
+        """This cgroup's row in :attr:`table`."""
+        return self._row
+
+    @property
+    def table(self) -> CgroupColumns:
+        return self._table
+
+    # -- fields -----------------------------------------------------------------
+
+    @property
+    def quota(self) -> QuotaSpec:
+        t, r = self._table, self._row
+        return QuotaSpec(int(t.quota[r]), int(t.period[r]))
+
+    @quota.setter
+    def quota(self, spec: QuotaSpec) -> None:
+        t, r = self._table, self._row
+        t.quota[r] = spec.quota_us
+        t.period[r] = spec.period_us
+
+    @property
+    def weight(self) -> int:
+        return int(self._table.weight[self._row])
+
+    @weight.setter
+    def weight(self, value: int) -> None:
+        self._table.weight[self._row] = value
+
+    @property
+    def usage_usec(self) -> int:
+        return int(self._table.usage[self._row])
+
+    @usage_usec.setter
+    def usage_usec(self, value: int) -> None:
+        self._table.usage[self._row] = value
+
+    @property
+    def user_usec(self) -> int:
+        return int(self._table.user[self._row])
+
+    @user_usec.setter
+    def user_usec(self, value: int) -> None:
+        self._table.user[self._row] = value
+
+    @property
+    def system_usec(self) -> int:
+        return int(self._table.system[self._row])
+
+    @system_usec.setter
+    def system_usec(self, value: int) -> None:
+        self._table.system[self._row] = value
 
     def charge(self, cpu_usec: float, *, system_fraction: float = 0.02) -> None:
-        """Account ``cpu_usec`` microseconds of CPU time to this cgroup.
-
-        The kernel splits usage into user and system time; the exact split
-        is irrelevant to the controller (it reads ``usage_usec``), so a
-        fixed small system fraction is used.
-        """
-        if cpu_usec < 0:
-            raise ValueError(f"cannot charge negative CPU time: {cpu_usec}")
-        usec = int(round(cpu_usec))
-        self.usage_usec += usec
-        sys_part = int(round(usec * system_fraction))
-        self.system_usec += sys_part
-        self.user_usec += usec - sys_part
-
-    def note_period(self, *, throttled: bool, throttled_usec: float = 0.0) -> None:
-        """Record one elapsed enforcement period for throttle statistics."""
-        self.nr_periods += 1
-        if throttled:
-            self.nr_throttled += 1
-            self.throttled_usec += int(round(throttled_usec))
+        """Account ``cpu_usec`` microseconds of CPU time to this cgroup
+        (:meth:`CgroupColumns.charge` on this one row)."""
+        self._table.charge(
+            np.array([self._row]), np.array([float(cpu_usec)]), system_fraction
+        )
 
     # -- file renderings -------------------------------------------------------
 
     def stat_v2(self) -> str:
         """Render ``cpu.stat`` (cgroup v2 format)."""
+        t, r = self._table, self._row
         return (
-            f"usage_usec {self.usage_usec}\n"
-            f"user_usec {self.user_usec}\n"
-            f"system_usec {self.system_usec}\n"
-            f"nr_periods {self.nr_periods}\n"
-            f"nr_throttled {self.nr_throttled}\n"
-            f"throttled_usec {self.throttled_usec}\n"
+            f"usage_usec {t.usage[r]}\n"
+            f"user_usec {t.user[r]}\n"
+            f"system_usec {t.system[r]}\n"
+            "nr_periods 0\n"
+            "nr_throttled 0\n"
+            "throttled_usec 0\n"
         )
 
     def usage_v1(self) -> str:
@@ -147,6 +208,12 @@ class CpuController:
         proportionality so both hierarchies agree.
         """
         return f"{max(2, round(self.weight * DEFAULT_SHARES / DEFAULT_WEIGHT))}\n"
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"CpuController(quota={self.quota}, weight={self.weight}, "
+            f"usage_usec={self.usage_usec})"
+        )
 
 
 def parse_cpu_stat(text: str) -> dict:

@@ -4,12 +4,17 @@ A :class:`CgroupNode` is one directory in the cgroup hierarchy.  KVM
 creates, per VM, a slice directory containing one child cgroup per vCPU,
 each holding exactly one thread (paper §III-B1); the generic tree here
 supports arbitrary nesting so the same code also models the root slice.
+
+The root owns the tree's :class:`~repro.cgroups.columns.CgroupColumns`:
+every node's CPU controller state is one row of it, allocated by
+:meth:`CgroupNode.add_child` and released by :meth:`CgroupNode.remove_child`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
+from repro.cgroups.columns import CgroupColumns
 from repro.cgroups.cpu import CpuController
 
 _NAME_FORBIDDEN = set("/\x00")
@@ -26,11 +31,16 @@ class CgroupNode:
         self.parent = parent
         self.children: Dict[str, CgroupNode] = {}
         self.threads: List[int] = []
-        self.cpu = CpuController()
         self._root: CgroupNode = self if parent is None else parent._root
+        if parent is None:
+            #: The tree's CPU state columns (kept on the root).
+            self.table = CgroupColumns()
+        table = self._root.table
+        self.cpu = CpuController(table, table.alloc())
         #: Tree-shape counter, kept on the root: every ``add_child`` and
         #: ``remove_child`` below it bumps it, so a cached walk of the
-        #: tree (the scheduler's compiled plan) knows when it is stale.
+        #: tree (the scheduler's compiled plan) or a cached row of its
+        #: columns knows when it is stale.
         self.generation = 0
 
     # -- tree structure ---------------------------------------------------------
@@ -60,6 +70,7 @@ class CgroupNode:
         if child.threads:
             raise OSError(f"cgroup still has threads: {child.path}")
         del self.children[name]
+        child.cpu.detach()
         self._root.generation += 1
 
     def walk(self) -> Iterator["CgroupNode"]:

@@ -12,12 +12,20 @@ parentheses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Sequence
+
+import numpy as np
+
+from repro.cgroups.columns import USER_HZ, ThreadColumns
 
 
 @dataclass
 class ThreadStat:
-    """The subset of per-thread state the simulation tracks."""
+    """One thread's stat fields, as rendered or parsed.
+
+    :meth:`ProcFS.stat` reads one from the thread columns; changing it
+    changes nothing in ``/proc``.
+    """
 
     tid: int
     comm: str = "CPU 0/KVM"
@@ -38,55 +46,79 @@ class ThreadStat:
         return " ".join(f) + "\n"
 
 
-#: Kernel USER_HZ: CPU time in /proc is reported in 10 ms ticks.
-USER_HZ: int = 100
-
-
 class ProcFS:
-    """Registry of simulated threads with a /proc-style read API."""
+    """Registry of simulated threads with a /proc-style read API.
+
+    Per-thread counters live in :attr:`threads`, one row per live
+    thread.  Every ``spawn`` and ``kill`` bumps :attr:`generation`, so
+    a cache of :meth:`rows` knows when a row may have been reused.
+    """
 
     def __init__(self) -> None:
-        self._stats: Dict[int, ThreadStat] = {}
+        self.threads = ThreadColumns()
+        self.generation = 0
+        self._row: Dict[int, int] = {}
+        self._comm: Dict[int, str] = {}
         self._next_tid = 1000
 
     def spawn(self, comm: str, processor: int = 0) -> int:
         """Create a thread and return its tid."""
         tid = self._next_tid
         self._next_tid += 1
-        self._stats[tid] = ThreadStat(tid=tid, comm=comm, processor=processor)
+        row = self.threads.alloc()
+        self.threads.processor[row] = processor
+        self._row[tid] = row
+        self._comm[tid] = comm
+        self.generation += 1
         return tid
 
     def kill(self, tid: int) -> None:
-        if tid not in self._stats:
+        row = self._row.pop(tid, None)
+        if row is None:
             raise ProcessLookupError(f"no such thread: {tid}")
-        del self._stats[tid]
+        del self._comm[tid]
+        self.threads.release(row)
+        self.generation += 1
 
     def exists(self, tid: int) -> bool:
-        return tid in self._stats
+        return tid in self._row
+
+    def row(self, tid: int) -> int:
+        """``tid``'s row in :attr:`threads`."""
+        row = self._row.get(tid)
+        if row is None:
+            raise ProcessLookupError(f"no such thread: {tid}")
+        return row
+
+    def rows(self, tids: Sequence[int]) -> np.ndarray:
+        """The rows of ``tids``; valid until :attr:`generation` moves."""
+        row_of = self._row
+        try:
+            return np.array([row_of[t] for t in tids], dtype=np.intp)
+        except KeyError as exc:
+            raise ProcessLookupError(f"no such thread: {exc.args[0]}") from None
 
     def stat(self, tid: int) -> ThreadStat:
-        st = self._stats.get(tid)
-        if st is None:
-            raise ProcessLookupError(f"no such thread: {tid}")
-        return st
+        row = self.row(tid)
+        t = self.threads
+        return ThreadStat(
+            tid=tid,
+            comm=self._comm[tid],
+            utime_ticks=int(t.utime[row]),
+            processor=int(t.processor[row]),
+        )
 
     def read_stat(self, tid: int) -> str:
         """Read ``/proc/<tid>/stat`` content."""
         return self.stat(tid).render()
 
     def account(self, tid: int, cpu_seconds: float, processor: int) -> None:
-        """Record one tick of a thread: CPU time and the core it last ran on.
-
-        ``cpu_seconds`` is added to utime (in USER_HZ ticks) and
-        ``processor`` becomes field 39, with one lookup of the thread.
-        """
-        st = self._stats.get(tid)
-        if st is None:
-            raise ProcessLookupError(f"no such thread: {tid}")
-        if cpu_seconds < 0:
-            raise ValueError("negative CPU time")
-        st.utime_ticks += int(round(cpu_seconds * USER_HZ))
-        st.processor = processor
+        """Record one tick of one thread (:meth:`ThreadColumns.account`
+        on its row): CPU time and the core it last ran on."""
+        self.threads.account(
+            np.array([self.row(tid)]), np.array([float(cpu_seconds)]),
+            np.array([processor]),
+        )
 
 
 def parse_stat_line(line: str) -> ThreadStat:

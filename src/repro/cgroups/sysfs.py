@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 
 class CpuFreqSysFS:
     """Read-only view over per-core frequencies maintained by the HW model."""
@@ -46,6 +48,13 @@ class CpuFreqSysFS:
         """Current frequency of ``core`` in kHz (rounded, as the kernel does)."""
         self._check(core)
         return int(round(self._freqs_khz[core]))
+
+    def scaling_cur_freqs(self, cores: np.ndarray) -> np.ndarray:
+        """:meth:`scaling_cur_freq` of each of ``cores`` at once, as
+        float64 (``np.rint`` rounds half to even, as ``round`` does)."""
+        if cores.size and not 0 <= cores.min() <= cores.max() < len(self._freqs_khz):
+            raise FileNotFoundError(f"no such cpu among {cores.tolist()}")
+        return np.rint(np.array(self._freqs_khz)[cores])
 
     def _read_core_file(self, core: int, fname: str) -> str:
         self._check(core)

@@ -18,6 +18,12 @@ Two design rules keep failures shrinkable:
   fault streams drift apart after any divergence and turn one real bug
   into a wall of noise.
 
+The resilience policy's carry-forward and degraded-mode ages are drawn
+per trace (from their own stream, so a seed's events do not depend on
+them) and written into the header.  Where the ages overlap, a degraded
+vCPU still has a carried-forward sample, and stage 6 gives that sampled
+row its fallback cap.
+
 Generated scenarios respect the paper's Eq. 7 admission bound — the
 committed budget Σᵢ vcpusᵢ · vfreqᵢ never exceeds host capacity — since
 the Eq. 2 guarantee (and therefore several oracles) is only promised for
@@ -96,6 +102,9 @@ def generate_trace(
     resolve_engines(engine)
     rng = random.Random(seed)
     plan = _fault_plan_dict(rng, ticks) if faults else None
+    # The resilience ages come from their own stream, so the events of
+    # a seed are the same whatever they are.
+    ages = random.Random(f"resilience:{seed}")
     trace = Trace(
         header=Trace.make_header(
             seed=seed,
@@ -105,6 +114,8 @@ def generate_trace(
             resilience=plan is not None or rng.random() < 0.3,
             fault_plan=plan,
             engine=engine,
+            stale_sample_max_age=ages.randint(0, 3),
+            degraded_after_ticks=ages.randint(1, 3),
         )
     )
     events = trace.events

@@ -41,10 +41,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cgroups.fs import CgroupVersion
 from repro.checking.invariants import InvariantChecker, Violation
 from repro.core.backend import BackendStats
 from repro.core.config import ControllerConfig
 from repro.core.controller import ControllerReport, VirtualFrequencyController
+from repro.core.frame import COLUMNS, DecisionFrame
 from repro.core.resilience import ResiliencePolicy
 from repro.hw.node import Node
 from repro.hw.nodespecs import NodeSpec
@@ -92,7 +94,14 @@ class Trace:
         resilience: bool = False,
         fault_plan: Optional[Dict] = None,
         engine: str = "both",
+        stale_sample_max_age: int = 1,
+        degraded_after_ticks: int = 3,
+        cgroup_version: int = 2,
     ) -> Dict:
+        """A trace header.  The two ages configure the replicas'
+        :class:`~repro.core.resilience.ResiliencePolicy` when resilience
+        is on (a header without them replays with 1 and 3); the host
+        mounts a v1 or v2 cgroup hierarchy (v2 when absent)."""
         return {
             "kind": "header",
             "version": TRACE_VERSION,
@@ -103,6 +112,9 @@ class Trace:
             "resilience": resilience,
             "fault_plan": fault_plan,
             "engine": engine,
+            "stale_sample_max_age": stale_sample_max_age,
+            "degraded_after_ticks": degraded_after_ticks,
+            "cgroup_version": cgroup_version,
         }
 
     def with_events(self, events: Sequence[Dict]) -> "Trace":
@@ -182,10 +194,16 @@ class _Replica:
             memory_mb=64 * 1024,
             freq_jitter_mhz=0.0,
         )
-        self.node = Node(spec, seed=int(h.get("seed", 0)))
+        self.node = Node(
+            spec, seed=int(h.get("seed", 0)),
+            cgroup_version=CgroupVersion(int(h.get("cgroup_version", 2))),
+        )
         self.hypervisor = Hypervisor(self.node, enforce_admission=False)
         resilience = (
-            ResiliencePolicy(stale_sample_max_age=1, degraded_after_ticks=3)
+            ResiliencePolicy(
+                stale_sample_max_age=int(h.get("stale_sample_max_age", 1)),
+                degraded_after_ticks=int(h.get("degraded_after_ticks", 3)),
+            )
             if h.get("resilience") or h.get("fault_plan")
             else None
         )
@@ -315,6 +333,7 @@ def _compare_reports(
         diffs.append("free_shares")
     if a.degraded != b.degraded:
         diffs.append("degraded")
+    diffs += _frame_diffs(a.frame, b.frame)
     da = {p: (d.estimate_cycles, d.trend, d.case) for p, d in a.decisions.items()}
     db = {p: (d.estimate_cycles, d.trend, d.case) for p, d in b.decisions.items()}
     if da != db:
@@ -338,6 +357,25 @@ def _compare_reports(
         + ", ".join(diffs),
         t=t,
     )]
+
+
+def _frame_diffs(a: Optional[DecisionFrame], b: Optional[DecisionFrame]) -> List[str]:
+    """The :class:`DecisionFrame` columns two engines disagree on
+    (arrays compared as bytes, so NaN "absent" cells compare equal)."""
+    if a is None or b is None:
+        return [] if a is b else ["frame presence"]
+    if (a.sampled, a.reserve_guarantee) != (b.sampled, b.reserve_guarantee):
+        return ["frame.sampled"]
+    out = []
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        same = (
+            x == y if isinstance(x, list)
+            else x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        )
+        if not same:
+            out.append(f"frame.{name}")
+    return out
 
 
 #: Cumulative cap-write counters both engines must agree on: each

@@ -13,9 +13,10 @@ against one node's kernel surfaces and batches them:
 * :meth:`sample_all` — stage 1 of both engines: one
   :class:`SampleBatch` of NumPy columns in a stable slot order (the
   cached topology order, shared with :class:`~repro.core.soa.VcpuTable`).
-  The fast path reads the cgroup/proc/sysfs surfaces through cached
-  per-slot handles — the simulated equivalent of an io_uring-batched
-  read — with no per-vCPU string parse.  VM churn does not cost it a
+  The fast path reads usage and last core as slices of the host's
+  cgroup and thread columns through cached row indices — the simulated
+  equivalent of an io_uring-batched read — with no per-vCPU string
+  parse.  VM churn does not cost it a
   full walk: the cached topology is patched from the last handle cache,
   walking only the VMs that are new or whose cgroup changed (one
   ``readdir`` plus one ``cgroup.threads`` read per vCPU) and dropping
@@ -34,7 +35,10 @@ against one node's kernel surfaces and batches them:
   coalesced ``cpu.max`` (v1: quota/period) writes over parallel
   path/quota columns that skip values already in place, so a converged
   controller writes nothing at all.  An optional dirty mask lets the
-  bulk engine hand over only the rows whose quota changed.
+  bulk engine hand over only the rows whose quota changed.  Where the
+  fast path may read through handles, the quotas go straight into the
+  cgroup quota column (:mod:`repro.cgroups.columns`) through the same
+  handle cache; elsewhere each is one file write.
 * cumulative syscall-count stats (:attr:`HostBackend.stats`) so the
   saving is measurable, not asserted; a caller wanting one batch's
   delta subtracts a copy taken before it.
@@ -600,21 +604,18 @@ class HostBackend:
             self.invalidate()
             return None
         n = len(topo)
-        stat = self.procfs.stat
-        try:
-            usage = np.fromiter(
-                (c.usage_usec for c in cache["cpus"]), dtype=np.float64, count=n
-            )
-            cores = np.fromiter(
-                (stat(t).processor for t in cache["tids_list"]),
-                dtype=np.int64,
-                count=n,
-            )
-        except ProcessLookupError:
-            # A vCPU thread exited between scans; nothing committed yet,
-            # so the per-file scan resamples and skips it as usual.
-            self.invalidate()
-            return None
+        procfs = self.procfs
+        if cache["proc_gen"] != procfs.generation:
+            try:
+                cache["thread_rows"] = procfs.rows(cache["tids_list"])
+            except ProcessLookupError:
+                # A vCPU thread exited between scans; nothing committed
+                # yet, so the per-file scan resamples and skips it as usual.
+                self.invalidate()
+                return None
+            cache["proc_gen"] = procfs.generation
+        usage = self.fs.root.table.usage[cache["rows"]].astype(np.float64)
+        cores = procfs.threads.processor[cache["thread_rows"]]
         self.stats.fs_reads += n
         self.stats.proc_reads += n
         prev = cache["prev"]
@@ -625,8 +626,9 @@ class HostBackend:
         self._prev_usage.update(zip(cache["paths"], usage.tolist()))
         # One frequency read per distinct core, as in the scan.
         khz_of = np.zeros(int(cores.max()) + 1 if n else 1, dtype=np.float64)
-        for core in np.unique(cores):
-            khz_of[core] = self.core_freq_khz(int(core))
+        distinct = np.unique(cores)
+        khz_of[distinct] = self.sysfs.scaling_cur_freqs(distinct)
+        self.stats.sysfs_reads += distinct.size
         core_freq_mhz = khz_of[cores] / 1000.0
         share = np.minimum(consumed / period_us(period_s), 1.0)
         return SampleBatch(
@@ -701,7 +703,7 @@ class HostBackend:
         except FileNotFoundError:
             return None
         vm_nodes: Dict[str, Any] = {}
-        cpus: List[Any] = []
+        rows: List[int] = []
         entries: List[Tuple[Any, str, Any]] = []
         paths: List[str] = []
         vms: List[str] = []
@@ -716,7 +718,7 @@ class HostBackend:
             vcpu_node = vm_node.children.get(child)
             if vcpu_node is None:
                 return None
-            cpus.append(vcpu_node.cpu)
+            rows.append(vcpu_node.cpu.row)
             entries.append((vm_node, child, vcpu_node))
             paths.append(slot.cgroup_path)
             vms.append(slot.vm_name)
@@ -725,7 +727,13 @@ class HostBackend:
             "topo": topo,
             "vm_items": list(vm_nodes.items()),
             "entries": entries,
-            "cpus": cpus,
+            # The tree generation the handles were last seen live at.
+            "gen": self.fs.root.generation,
+            "rows": np.array(rows, dtype=np.intp),
+            "row_of": dict(zip(paths, rows)),
+            # Thread rows, looked up at the /proc generation "proc_gen".
+            "thread_rows": None,
+            "proc_gen": -1,
             "paths": paths,
             "vms": vms,
             "vcpu_idx": np.fromiter(
@@ -739,7 +747,14 @@ class HostBackend:
         }
 
     def _validate_bulk_handles(self, cache: Dict[str, Any]) -> bool:
-        """Cheap identity check that every cached handle is still live."""
+        """Whether every cached handle (and so its column row) is live.
+
+        Free while no cgroup was created or removed since the last
+        check; otherwise one identity check per handle.
+        """
+        generation = self.fs.root.generation
+        if cache["gen"] == generation:
+            return True
         try:
             machine = self.fs.node(self.machine_slice)
         except FileNotFoundError:
@@ -751,9 +766,16 @@ class HostBackend:
         for vm_node, child, vcpu_node in cache["entries"]:
             if vm_node.children.get(child) is not vcpu_node:
                 return False
+        cache["gen"] = generation
         return True
 
     # -- coalesced capping writes ----------------------------------------------
+
+    def quota_in_force(self, vcpu_path: str, enforcement_period_us: int) -> int:
+        """The quota last written for ``vcpu_path`` with that period, or
+        -1 when unknown (never written, forgotten or failed)."""
+        key = self._last_cap.get(vcpu_path)
+        return key[0] if key is not None and key[1] == enforcement_period_us else -1
 
     def write_cap_one(
         self, vcpu_path: str, quota_us: int, enforcement_period_us: int
@@ -790,11 +812,10 @@ class HostBackend:
     ) -> List[int]:
         """Coalesced quota writes; returns the rows not in force after it.
 
-        ``paths``/``quota_us`` are parallel.  Each row goes through
-        :meth:`write_cap_one`, so a quota already in force is skipped.
-        A caller that tracks the quotas in force itself (the bulk
-        engine) may pass a ``dirty`` mask: only true rows are handed
-        over, while clean rows count as
+        ``paths``/``quota_us`` are parallel.  A quota already in force
+        is skipped.  A caller that tracks the quotas in force itself
+        (the bulk engine) may pass a ``dirty`` mask: only true rows are
+        handed over, while clean rows count as
         :attr:`BackendStats.cap_writes_skipped` without the per-path
         lookup.  The result lists the indices of handed-over rows whose
         quota is not in force afterwards: cgroups that vanished
@@ -803,9 +824,13 @@ class HostBackend:
         also recorded per path in :attr:`last_write_errors` instead of
         aborting the batch, so the controller can retry exactly the
         failed subset.
+
+        On a v2 hierarchy with direct I/O allowed the quotas go straight
+        into the cgroup columns (:meth:`_write_caps_direct`); otherwise
+        every row goes through :meth:`write_cap_one` and the file seam,
+        where an armed fault plan draws its write faults.
         """
         self._begin_write_batch()
-        missed: List[int] = []
         self.last_write_errors = {}
         if dirty is None:
             rows: Sequence[int] = range(len(paths))
@@ -813,6 +838,15 @@ class HostBackend:
             rows = dirty.nonzero()[0].tolist()
             self.stats.cap_writes_skipped += len(paths) - len(rows)
         enf = int(enforcement_period_us)
+        if self.fs.version is CgroupVersion.V2 and self._direct_io_ok():
+            rows = self._write_caps_direct(paths, quota_us, enf, rows, dirty is None)
+        return self._write_caps_seam(paths, quota_us, enf, rows)
+
+    def _write_caps_seam(
+        self, paths: Sequence[str], quota_us: Sequence[int], enf: int, rows: Sequence[int]
+    ) -> List[int]:
+        """:meth:`write_caps` through :meth:`write_cap_one`, row by row."""
+        missed: List[int] = []
         for i in rows:
             path = paths[i]
             try:
@@ -826,3 +860,59 @@ class HostBackend:
                 self.last_write_errors[path] = exc
                 missed.append(i)
         return missed
+
+    def _write_caps_direct(
+        self,
+        paths: Sequence[str],
+        quota_us: Sequence[int],
+        enf: int,
+        rows: Sequence[int],
+        check: bool,
+    ) -> List[int]:
+        """:meth:`write_caps` straight into the quota columns.
+
+        Each row is decided once: a masked row was dirty in the
+        caller's mask, and without a mask (``check``) a row is skipped
+        when its ``_last_cap`` record already holds the quota.  Rows
+        written count one ``fs_writes`` each and update ``_last_cap``,
+        as through the seam.  Returns the rows whose cgroup has no live
+        handle in the stage-1 cache (not sampled, or created or removed
+        since), for the seam, so they fail or land exactly as a file
+        write would.
+        """
+        stats = self.stats
+        last = self._last_cap
+        cache = self._bulk_handles
+        row_of = (
+            cache["row_of"]
+            if cache is not None and self._validate_bulk_handles(cache)
+            else {}
+        )
+        quotas = (
+            quota_us.tolist() if isinstance(quota_us, np.ndarray)
+            else [int(q) for q in quota_us]
+        )
+        seam: List[int] = []
+        targets: List[int] = []
+        written: List[str] = []
+        values: List[int] = []
+        for i in rows:
+            path = paths[i]
+            quota = quotas[i]
+            if check and last.get(path) == (quota, enf):
+                stats.cap_writes_skipped += 1
+                continue
+            target = row_of.get(path)
+            if target is None:
+                seam.append(i)
+                continue
+            targets.append(target)
+            written.append(path)
+            values.append(quota)
+        if targets:
+            table = self.fs.root.table
+            table.quota[targets] = values
+            table.period[targets] = enf
+            last.update(zip(written, [(q, enf) for q in values]))
+            stats.fs_writes += len(targets)
+        return seam

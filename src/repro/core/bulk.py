@@ -414,9 +414,13 @@ class BulkExecutor:
         write only by the controller's ``forget_vcpu``, which releases
         the same paths' slots, and by ``sample_all`` for a recreated
         cgroup, whose slot stage 1 marks -1 (``HostBackend.recreated``),
-        so the mask never holds a quota the backend forgot.  A host's
-        degraded-mode fallbacks for paths with no row are always handed
-        over.  Returns each host's own time in its write loop.
+        so the mask never holds a quota the backend forgot.  A new slot
+        starts from the backend's record (``HostBackend.quota_in_force``),
+        and a host's degraded-mode fallbacks for paths with no row are
+        decided by that record, so the mask is exactly the backend's own
+        skip-unchanged decision: one per row, and the backend's direct
+        route writes every row handed to it.  Returns each host's own
+        time in its write loop.
         """
         cfg = hosts[0].ctrl.config
         rows = layout.rows
@@ -435,9 +439,11 @@ class BulkExecutor:
                 extra_quota = h.detail.tail.quota.tolist()
                 paths = paths + extra_paths
                 quota_h = np.concatenate([quota_h, h.detail.tail.quota])
-                dirty_h = np.concatenate(
-                    [dirty_h, np.ones(len(extra_paths), dtype=bool)]
-                )
+                in_force = ctrl.backend.quota_in_force
+                dirty_h = np.concatenate([dirty_h, np.array([
+                    in_force(p, cfg.enforcement_period_us) != q
+                    for p, q in zip(extra_paths, extra_quota)
+                ], dtype=bool)])
             allocations = dict(zip(view.paths, alloc_list[lo:hi]))
             allocations.update(h.extra)
             try:

@@ -373,7 +373,7 @@ class VirtualFrequencyController:
                 raise KeyError(f"history for unregistered VM path: {path}")
             self._table.ensure_slot(
                 path, vm_name, self._guarantee[vm_name],
-                self._current_cap.get(path),
+                self._current_cap.get(path), self._quota_in_force(path),
             )
             self._table.load_history(path, values)
         else:
@@ -616,6 +616,13 @@ class VirtualFrequencyController:
 
     # -- bulk-array engine helpers ------------------------------------------------
 
+    def _quota_in_force(self, path: str) -> int:
+        """The quota the backend last wrote for ``path`` under this
+        controller's enforcement period, or -1 (a new slot's dirty-mask
+        seed: a restarted controller sharing its backend starts from
+        what is already in force)."""
+        return self.backend.quota_in_force(path, self.config.enforcement_period_us)
+
     def _bulk_sample(self):
         """Bulk stage 1: this tick's :class:`TickView` and its batch rows.
 
@@ -665,7 +672,7 @@ class VirtualFrequencyController:
             consumed, vcpus = batch.consumed[keep], batch.vcpu_indices[keep]
         view = self._table.ingest(
             paths, vms, consumed, self._guarantee.__getitem__,
-            self._current_cap,
+            self._current_cap, self._quota_in_force,
         )
         view.vcpus = vcpus
         view.vfreq = [registered[vm] for vm in vms]

@@ -259,8 +259,13 @@ class VcpuTable:
         vm_name: str,
         guarantee: float,
         initial_cap: Optional[float] = None,
+        quota: int = -1,
     ) -> int:
-        """Slot for ``path``, assigning (and seeding) one if new."""
+        """Slot for ``path``, assigning (and seeding) one if new.
+
+        ``quota`` seeds :attr:`SlotArena.last_quota`: the quota the
+        backend knows is in force for ``path``, or -1 (unknown).
+        """
         slot = self._slot.get(path)
         if slot is not None:
             return slot
@@ -271,7 +276,7 @@ class VcpuTable:
         arena.hist[slot] = 0.0
         arena.hist_n[slot] = 0
         arena.guarantee[slot] = guarantee
-        arena.last_quota[slot] = -1
+        arena.last_quota[slot] = quota
         if initial_cap is None:
             arena.cap[slot] = 0.0
             arena.has_cap[slot] = False
@@ -406,11 +411,13 @@ class VcpuTable:
         consumed: np.ndarray,
         guarantee_of: Callable[[str], float],
         initial_caps: Optional[Dict[str, float]] = None,
+        quota_of: Optional[Callable[[str], int]] = None,
     ) -> TickView:
         """Gather one tick's sample columns into a sample-order view.
 
         New paths get slots on the fly, seeded with the VM's cached
-        guarantee and (if present) the cap restored from a snapshot.
+        guarantee, (if present) the cap restored from a snapshot and
+        (given ``quota_of``) the quota in force.
         """
         n = len(paths)
         rows = np.empty(n, dtype=np.intp)
@@ -424,7 +431,8 @@ class VcpuTable:
                 if initial_caps is not None:
                     seed_cap = initial_caps.get(path)
                 slot = self.ensure_slot(
-                    path, vm_name, guarantee_of(vm_name), seed_cap
+                    path, vm_name, guarantee_of(vm_name), seed_cap,
+                    -1 if quota_of is None else quota_of(path),
                 )
             rows[i] = slot
             if vm_name not in seen_vms:

@@ -10,7 +10,7 @@ engine pushes workload demand into scheduling entities and calls
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +64,10 @@ class Node:
         self.energy = EnergyMeter(PowerModel.for_spec(spec))
         self.clock_s: float = 0.0
         self._entities: Dict[int, SchedEntity] = {}
+        #: The thread rows of the last step's tids, and the /proc, its
+        #: generation and the tids they were looked up for.
+        self._thread_rows: Optional[np.ndarray] = None
+        self._thread_key: Tuple[object, int, List[int]] = (None, -1, [])
 
     # -- entity registry (populated by the hypervisor) ---------------------------
 
@@ -92,27 +96,34 @@ class Node:
         the call; on return every entity's ``allocated`` holds the CPU
         time it received, every cgroup's ``cpu.stat`` is charged, the
         /proc and cpufreq surfaces are refreshed, and the energy meter
-        has integrated the interval.  The scheduler reuses its compiled
-        cgroup plan unless a cgroup was created or removed or an entity
-        registered, unregistered or moved since the last step.
+        has integrated the interval.  Threads are accounted with one
+        scatter into the /proc thread columns.  The scheduler reuses its
+        compiled cgroup plan unless a cgroup was created or removed or an
+        entity registered, unregistered or moved since the last step.
         """
         entities = self.entities
         self.scheduler.schedule(entities, dt)
 
         runnable = 0
         tids: List[int] = []
-        utils: List[float] = []
+        allocated: List[float] = []
         for ent in entities:
             if ent.demand > 0.05:
                 runnable += 1
             tids.append(ent.tid)
-            utils.append(ent.allocated / dt)
+            allocated.append(ent.allocated)
         self.runnable_threads = runnable
+        utils = [a / dt for a in allocated]
 
         cores = self.affinity.step(tids, utils, dt)
-        account = self.procfs.account
-        for ent, core in zip(entities, cores):
-            account(ent.tid, ent.allocated, core)
+        procfs = self.procfs
+        key = (procfs, procfs.generation, tids)
+        if key != self._thread_key:
+            self._thread_rows = procfs.rows(tids)
+            self._thread_key = key
+        procfs.threads.account(
+            self._thread_rows, np.array(allocated), np.array(cores, dtype=np.int64)
+        )
 
         core_load = self.affinity.load_per_core(cores, utils)
         self.dvfs.step(core_load, dt)
@@ -131,7 +142,8 @@ class Node:
 
     def last_core_of(self, tid: int) -> int:
         """Core a thread last ran on (reads through /proc like the controller)."""
-        return self.procfs.stat(tid).processor
+        procfs = self.procfs
+        return int(procfs.threads.processor[procfs.row(tid)])
 
     def effective_mhz(self, freq_mhz: float) -> float:
         """Work-rate at ``freq_mhz`` after LLC contention (if modelled).

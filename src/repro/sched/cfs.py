@@ -22,13 +22,19 @@ This reproduces the two properties the paper's evaluation hinges on:
   exceeds ``q/p`` cores, which is the knob the controller actuates.
 
 The tree is not walked every tick.  :class:`CfsScheduler` compiles it
-into a flat plan — the cgroups in pre-order, each with its child indices,
-its thread indices (positions in the entity list) and its
-``CpuController`` — and recompiles only when the tree's shape changes
-(``CgroupNode.generation``, bumped by every mkdir/rmdir) or an entity
-changes cgroup, arrives or leaves.  Each tick then runs three plain loops
-over the plan; quotas, weights and demands are re-read every tick because
-the controllers rewrite them every period.
+into a flat plan — the cgroups in pre-order, each with its child indices
+and its thread indices (positions in the entity list), plus the cgroups'
+rows in the tree's :class:`~repro.cgroups.columns.CgroupColumns` — and
+recompiles only when the tree's shape changes (``CgroupNode.generation``,
+bumped by every mkdir/rmdir) or an entity changes cgroup, arrives or
+leaves.  Each tick reads every cgroup's cap as one slice of the quota
+columns (the controllers rewrite them every period), runs three plain
+loops over the plan and charges the usage counters with one array add.
+
+The passes stay sequential Python: a level-wise ``np.add.at`` version
+was bit-identical but, measured on a 2-vCPU VM, 3x faster only on a
+178-cgroup host (125 vs 380 µs per step) and 3.2x slower on a
+13-cgroup one (130 vs 41 µs), where the per-call NumPy cost dominates.
 """
 
 from __future__ import annotations
@@ -37,17 +43,15 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.cgroups.cpu import CpuController
 from repro.cgroups.fs import CgroupFS
 from repro.cgroups.group import CgroupNode
 from repro.sched.entity import SchedEntity
 from repro.sched.fairshare import weighted_fair_share
 
 
-#: One cgroup of the compiled plan: its pre-order slot, its controller,
-#: its threads (positions in the entity list, in list order) and its
-#: children's slots.
-_Group = Tuple[int, CpuController, Tuple[int, ...], Tuple[int, ...]]
+#: One cgroup of the compiled plan: its pre-order slot, its threads
+#: (positions in the entity list, in list order) and its children's slots.
+_Group = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 
 class CfsScheduler:
@@ -63,6 +67,8 @@ class CfsScheduler:
         self._generation = -1
         self._paths: List[str] = []
         self._plan: List[_Group] = []
+        #: Each plan slot's row in the tree's CgroupColumns.
+        self._rows = np.empty(0, dtype=np.intp)
 
     def schedule(self, entities: List[SchedEntity], dt: float) -> None:
         """Run one tick; grants CPU time to ``entities`` in place.
@@ -77,7 +83,11 @@ class CfsScheduler:
         if root.generation != self._generation or paths != self._paths:
             self._compile(root, paths)
         plan = self._plan
+        rows = self._rows
+        table = root.table
         n = len(plan)
+        ratio = table.ratios(rows)
+        weight = None
 
         # What each thread could absorb this tick: its demand, capped at
         # one core.
@@ -93,21 +103,21 @@ class CfsScheduler:
         # the call.
         raw = [0.0] * n
         limit = [0.0] * n
-        for k, cpu, tids, kids in reversed(plan):
+        for k, tids, kids in reversed(plan):
             r = 0.0
             for i in tids:
                 r += want[i]
             for c in kids:
                 r += limit[c]
             raw[k] = r
-            cap = cpu.quota.ratio() * dt  # inf when unlimited: never binds
+            cap = ratio[k] * dt  # inf when unlimited: never binds
             limit[k] = cap if cap < r else r
 
         # Pass 2, top-down (pre-order visits a parent before its
         # children): each cgroup splits what its parent offered it.
         offer = [0.0] * n
         offer[0] = min(self.num_cpus * dt, limit[0])
-        for k, cpu, tids, kids in plan:
+        for k, tids, kids in plan:
             granted = limit[k] if limit[k] < offer[k] else offer[k]
             n_groups = len(kids)
             n_threads = len(tids)
@@ -132,10 +142,12 @@ class CfsScheduler:
                     entities[i].grant(want[i])
                 continue
 
+            if weight is None:
+                weight = table.weight[rows].tolist()
             weights = np.empty(n_groups + n_threads)
             limits = np.empty(n_groups + n_threads)
             for j, c in enumerate(kids):
-                weights[j] = plan[c][1].weight  # the child's cpu.weight
+                weights[j] = weight[c]  # the child's cpu.weight
                 limits[j] = limit[c]
             for j, i in enumerate(tids):
                 # A bare thread competes like a default-weight sibling
@@ -149,16 +161,16 @@ class CfsScheduler:
             for j, i in enumerate(tids):
                 entities[i].grant(float(alloc[n_groups + j]))
 
-        # Pass 3, bottom-up: charge every cgroup with its subtree's use.
+        # Pass 3, bottom-up: every cgroup's subtree use, charged at once.
         used = [0.0] * n
-        for k, cpu, tids, kids in reversed(plan):
+        for k, tids, kids in reversed(plan):
             u = 0.0
             for i in tids:
                 u += entities[i].allocated
             for c in kids:
                 u += used[c]
             used[k] = u
-            cpu.charge(u * 1e6)
+        table.charge(rows, np.array(used) * 1e6)
 
     def _compile(self, root: CgroupNode, paths: List[str]) -> None:
         """Flatten the tree into a pre-order plan for ``paths``' entities."""
@@ -183,8 +195,7 @@ class CfsScheduler:
             k = slot.get(path)
             if k is not None:
                 members[k].append(i)
-        self._plan = [
-            (k, node.cpu, tuple(members[k]), children[k]) for k, node in enumerate(nodes)
-        ]
+        self._plan = [(k, tuple(members[k]), children[k]) for k in range(len(nodes))]
+        self._rows = np.array([node.cpu.row for node in nodes], dtype=np.intp)
         self._generation = root.generation
         self._paths = paths

@@ -83,14 +83,6 @@ class TestCpuController:
         with pytest.raises(ValueError):
             CpuController().charge(-1.0)
 
-    def test_note_period_counts_throttles(self):
-        c = CpuController()
-        c.note_period(throttled=False)
-        c.note_period(throttled=True, throttled_usec=123)
-        assert c.nr_periods == 2
-        assert c.nr_throttled == 1
-        assert c.throttled_usec == 123
-
     def test_stat_v2_format(self):
         c = CpuController()
         c.charge(42_000)
@@ -115,11 +107,11 @@ class TestParseCpuStat:
     def test_parses_all_fields(self):
         c = CpuController()
         c.charge(10_000)
-        c.note_period(throttled=True, throttled_usec=7)
         parsed = parse_cpu_stat(c.stat_v2())
-        assert parsed["usage_usec"] == 10_000
-        assert parsed["nr_throttled"] == 1
-        assert parsed["throttled_usec"] == 7
+        assert parsed == {
+            "usage_usec": 10_000, "user_usec": 9_800, "system_usec": 200,
+            "nr_periods": 0, "nr_throttled": 0, "throttled_usec": 0,
+        }
 
     def test_ignores_blank_lines(self):
         assert parse_cpu_stat("usage_usec 5\n\n") == {"usage_usec": 5}

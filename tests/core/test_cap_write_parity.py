@@ -23,6 +23,14 @@ both hosts must hold the same ``cpu.max`` bytes and the same
 ``fs_writes``, ``cap_writes_skipped`` and ``write_errors``, on top of
 identical reports and a clean invariant catalogue, and every allocated
 cgroup's ``cpu.max`` must hold the quota its allocation scales to.
+
+On a v2 host with no fault plan ``write_caps`` sets quotas straight in
+the cgroup columns through the stage-1 handle cache; an armed fault
+plan or a v1 hierarchy sends every write through the file seam.  The
+route test runs the same churn through the handle route, the seam
+(forced, and under an armed plan) and v1, and requires the same quotas
+on disk, the same write counters and the same ``_last_cap`` record
+(``fs_writes`` is not compared on v1: a v1 cap is two file writes).
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.checking.trace import Trace, _compare_reports, _Replica
+from repro.core.backend import HostBackend
 from repro.core.enforcer import quota_us
 
 NAMES = ("vm-a", "vm-b", "vm-c")
@@ -232,3 +241,97 @@ def test_recreated_cgroup_gets_its_quota(engine, armed):
         assert bad == [], [str(v) for v in bad]
     # The fresh cgroup's quota is written once, then skipped again.
     assert replica.controller.backend.stats.fs_writes == writes + 1
+
+
+def _quotas(replica):
+    """Each vCPU cgroup's (quota, period), read through its files."""
+    fs = replica.node.fs
+    out = {}
+    for vm in replica.hypervisor.vms:
+        for vcpu in vm.vcpus:
+            p = vcpu.cgroup_path
+            if fs.version.value == 2:
+                quota, period = fs.read(f"{p}/cpu.max").split()
+            else:
+                quota = fs.read(f"{p}/cpu.cfs_quota_us").strip()
+                period = fs.read(f"{p}/cpu.cfs_period_us").strip()
+            out[p] = ("max" if quota in ("max", "-1") else int(quota), int(period))
+    return out
+
+
+class _SeamWrites(HostBackend):
+    """A backend that samples through the handle cache but sends every
+    cap write through the file seam, as an armed fault plan does."""
+
+    def _write_caps_direct(self, paths, quota_us, enf, rows, check):
+        return list(rows)
+
+
+#: The write routes besides the handle route: (fault plan, cgroup version).
+_ROUTES = {"handle": (None, 2), "seam": (None, 2), "armed": (_ARMED, 2), "v1": (None, 1)}
+
+
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+# Pinned: re-provisioning, a vanished cgroup and a recreated one.
+@example(
+    engine="bulk",
+    steps=[("reprovision", "vm-a", 2, 600.0)] + _TICKS
+    + [("vanish", "vm-b")] + _TICKS
+    + [("provision", "vm-b", 1, 300.0), ("demand", "vm-b", 0.0)] + _TICKS
+    + [("recreate", "vm-b")] + _TICKS,
+)
+@given(
+    engine=st.sampled_from(["scalar", "bulk"]),
+    steps=st.lists(_step, min_size=1, max_size=24),
+)
+def test_handle_route_matches_file_seam(engine, steps):
+    """The handle route against the file seam, write for write.
+
+    ``seam`` samples exactly as ``handle`` does, so it is compared
+    through every step.  ``armed`` and ``v1`` sample through the per-file
+    scan, which meets a recreated VM's old tid and skips its vCPUs for a
+    tick where the handle cache re-walks; they are compared until the
+    first ``recreate``.
+    """
+    replicas = {}
+    for route, (plan, version) in _ROUTES.items():
+        header = Trace.make_header(
+            seed=3, resilience=True, fault_plan=plan, cgroup_version=version,
+        )
+        replicas[route] = _Replica(Trace(header=header), engine)
+    replicas["seam"].controller.backend.__class__ = _SeamWrites
+    direct = replicas["handle"].controller.backend
+    assert direct.fs.version.value == 2 and direct._direct_io_ok()
+    for r in replicas.values():
+        for name in NAMES[:2]:
+            _apply(r, ("provision", name, 2, 600.0))
+    compared = list(_ROUTES)[1:]
+    t = 0.0
+    for step in [("tick",)] * WARMUP + steps:
+        if step[0] == "recreate":
+            compared = ["seam"]
+        if step[0] != "tick":
+            for r in replicas.values():
+                _apply(r, step)
+            continue
+        t += 1.0
+        reports = {route: r.tick(t) for route, r in replicas.items()}
+        base, _ = reports["handle"]
+        quotas = _quotas(replicas["handle"])
+        stats = direct.stats
+        for route in compared:
+            report, bad = reports[route]
+            assert bad == [], (route, [str(v) for v in bad])
+            assert report.allocations == base.allocations, (route, t)
+            backend = replicas[route].controller.backend
+            assert _quotas(replicas[route]) == quotas, (route, t)
+            assert backend._last_cap == direct._last_cap, (route, t)
+            # A v1 cap is two file writes (one if the cgroup is gone).
+            counters = COUNTERS[1:] if route == "v1" else COUNTERS
+            for counter in counters:
+                assert getattr(backend.stats, counter) == getattr(stats, counter), (
+                    route, t, counter,
+                )

@@ -159,16 +159,17 @@ class AffinityModel:
 
 
 class ReferenceProcFS(ProcFS):
-    """``ProcFS`` with the two separate per-thread updates."""
+    """``ProcFS`` with the two separate per-thread updates, one Python
+    call per thread (``ThreadColumns.account`` is the array form)."""
 
     def set_processor(self, tid: int, core: int) -> None:
-        self.stat(tid).processor = core
+        self.threads.processor[self.row(tid)] = core
 
     def charge(self, tid: int, cpu_seconds: float) -> None:
         """Account CPU time to the thread's utime (in USER_HZ ticks)."""
         if cpu_seconds < 0:
             raise ValueError("negative CPU time")
-        self.stat(tid).utime_ticks += int(round(cpu_seconds * USER_HZ))
+        self.threads.utime[self.row(tid)] += int(round(cpu_seconds * USER_HZ))
 
 
 def reference_node(spec, seed: int = 0):

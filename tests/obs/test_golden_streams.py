@@ -23,13 +23,13 @@ TICKS = 120
 
 GOLDEN = {
     "scalar": {
-        "ledger": "5a358b0fff667274fad845ca958804499fd76c326ae51a45f483e0616992dc4d",
-        "invoices": "e213a74854f6ecb34e01b725f9332afa2bb583aee2012198c6f03059122bf090",
+        "ledger": "deac4e1da2dd29b8d3b4b7984d6312133f961c2449eafb78d4cd85ff7f06400e",
+        "invoices": "477ae03c30fb0a9b497178eabe69071d0d54773980d89e5cfd18427aad1d2c2f",
         "alerts": "9883bd353dc89c634fca9491c1b1b2a9b96e25a7dd2eaf0a3b45d4a856ce8ded",
     },
     "bulk": {
-        "ledger": "a7bd52c0556d19d41c34aa7ed681cf793f81ff7d26763a966b5ec826b6693d65",
-        "invoices": "e213a74854f6ecb34e01b725f9332afa2bb583aee2012198c6f03059122bf090",
+        "ledger": "ced0291df09fd8d1833d026c25b931912429038edc02e5cb6547d3f348b87670",
+        "invoices": "477ae03c30fb0a9b497178eabe69071d0d54773980d89e5cfd18427aad1d2c2f",
         "alerts": "9883bd353dc89c634fca9491c1b1b2a9b96e25a7dd2eaf0a3b45d4a856ce8ded",
     },
 }

@@ -11,7 +11,9 @@ throttled) that the production scheduler does not build.
 Its sums are plain left-to-right loops rather than ``sum()``: since
 Python 3.12 ``sum()`` of floats is compensated, which would make the
 reference differ in the last bits from sequential accumulation whenever
-a group holds two or more threads.
+a group holds two or more threads.  Its ``cpu.stat`` charge is the
+per-cgroup rounding of :func:`charge_reference`, not the array charge
+the production scheduler issues.
 """
 
 from __future__ import annotations
@@ -25,6 +27,18 @@ from repro.cgroups.fs import CgroupFS
 from repro.cgroups.group import CgroupNode
 from repro.sched.entity import SchedEntity
 from repro.sched.fairshare import weighted_fair_share
+
+
+def charge_reference(cpu, cpu_usec: float, system_fraction: float = 0.02) -> None:
+    """One cgroup's ``cpu.stat`` charge, as the per-cgroup Python call it
+    was before the counters moved into ``CgroupColumns.charge``."""
+    if cpu_usec < 0:
+        raise ValueError(f"cannot charge negative CPU time: {cpu_usec}")
+    usec = int(round(cpu_usec))
+    sys_part = int(round(usec * system_fraction))
+    cpu.usage_usec += usec
+    cpu.system_usec += sys_part
+    cpu.user_usec += usec - sys_part
 
 
 @dataclass
@@ -166,7 +180,7 @@ class CfsScheduler:
             and state.raw_limit > state.limit + 1e-12
         )
         if charge:
-            state.group.cpu.charge(subtree_used * 1e6)
+            charge_reference(state.group.cpu, subtree_used * 1e6)
         out[state.group.path] = GroupAllocation(
             path=state.group.path,
             limit=state.limit,
