@@ -268,7 +268,10 @@ class HostBackend:
         self.last_write_errors: Dict[str, OSError] = {}
         self._topology: Optional[List[VCpuSlot]] = None
         self._topology_vms: Optional[List[str]] = None
-        self._prev_usage: Dict[str, float] = {}
+        self._usage_base: Dict[str, float] = {}
+        #: ``(paths, usage)`` of the latest fast-path batch, not yet
+        #: folded into ``_usage_base`` (see :attr:`_prev_usage`).
+        self._pending_usage: Optional[Tuple[List[str], np.ndarray]] = None
         self._last_cap: Dict[str, Tuple[int, int]] = {}
         #: The cgroup node each vCPU path named when it was discovered.
         self._cgroup_of: Dict[str, Any] = {}
@@ -302,6 +305,22 @@ class HostBackend:
     def core_freq_khz(self, core: int) -> int:
         self.stats.sysfs_reads += 1
         return self.sysfs.scaling_cur_freq(core)
+
+    @property
+    def _prev_usage(self) -> Dict[str, float]:
+        """Per-path usage baselines (``cpu.stat`` ``usage_usec``).
+
+        The fast path keeps its baselines as a column and leaves the
+        latest one pending; it is folded in here, the one way every
+        dict reader (the per-file scan, a handle rebuild, ``forget``,
+        snapshots, controller reset) reaches the baselines.
+        """
+        pending = self._pending_usage
+        if pending is not None:
+            self._pending_usage = None
+            paths, usage = pending
+            self._usage_base.update(zip(paths, usage.tolist()))
+        return self._usage_base
 
     # -- topology cache ---------------------------------------------------------
 
@@ -378,12 +397,13 @@ class HostBackend:
         samples: List[VCpuSample] = []
         freq_khz_by_core: Dict[int, int] = {}
         dead: List[str] = []
+        prev_usage = self._prev_usage
         for slot in self._topology:
             path = slot.cgroup_path
             try:
                 usage = self._read_usage_usec(path)
-                prev = self._prev_usage.get(path, usage)
-                self._prev_usage[path] = usage
+                prev = prev_usage.get(path, usage)
+                prev_usage[path] = usage
                 samples.append(self._finish_sample(
                     slot, max(0.0, usage - prev), period_s, freq_khz_by_core
                 ))
@@ -416,6 +436,7 @@ class HostBackend:
             return samples
         vm_names = self.listdir(self.machine_slice)
         freq_khz_by_core: Dict[int, int] = {}
+        prev_usage = self._prev_usage
         for vm_name in vm_names:
             vm_path = f"{self.machine_slice}/{vm_name}"
             try:
@@ -430,8 +451,8 @@ class HostBackend:
                 vcpu_path = f"{vm_path}/{child}"
                 try:
                     usage = self._read_usage_usec(vcpu_path)
-                    prev = self._prev_usage.get(vcpu_path, usage)
-                    self._prev_usage[vcpu_path] = usage
+                    prev = prev_usage.get(vcpu_path, usage)
+                    prev_usage[vcpu_path] = usage
                     consumed = max(0.0, usage - prev)
                     tid = self._read_tid(vcpu_path)
                     if tid is None:
@@ -623,7 +644,7 @@ class HostBackend:
         consumed = usage - prev_eff
         np.maximum(consumed, 0.0, out=consumed)
         cache["prev"] = usage
-        self._prev_usage.update(zip(cache["paths"], usage.tolist()))
+        self._pending_usage = (cache["paths"], usage)
         # One frequency read per distinct core, as in the scan.
         khz_of = np.zeros(int(cores.max()) + 1 if n else 1, dtype=np.float64)
         distinct = np.unique(cores)
@@ -723,6 +744,7 @@ class HostBackend:
             paths.append(slot.cgroup_path)
             vms.append(slot.vm_name)
         n = len(topo)
+        prev_usage = self._prev_usage
         return {
             "topo": topo,
             "vm_items": list(vm_nodes.items()),
@@ -742,7 +764,7 @@ class HostBackend:
             "tids_list": [s.tid for s in topo],
             "tids": np.fromiter((s.tid for s in topo), dtype=np.int64, count=n),
             "prev": np.array(
-                [self._prev_usage.get(p, np.nan) for p in paths], dtype=np.float64
+                [prev_usage.get(p, np.nan) for p in paths], dtype=np.float64
             ),
         }
 

@@ -49,6 +49,7 @@ from repro.obs.tsdb import (
     S_REVENUE_USD,
     S_STAGE_SECONDS,
     LabelSet,
+    Series,
     SeriesStore,
 )
 
@@ -247,6 +248,20 @@ def load_alerts_jsonl(path: str) -> List[Dict]:
     return out
 
 
+def _ratio(
+    spec: SLOSpec, window: int, bad: Optional[Series], total: Optional[Series]
+) -> float:
+    """The bad fraction of ``spec`` over one window (a missing series
+    counts as no increase)."""
+    bad_n = bad.increase(window) if bad is not None else 0.0
+    total_n = total.increase(window) if total is not None else 0.0
+    if spec.ratio == "of_sum":
+        total_n = bad_n + total_n
+    if total_n <= 0.0:
+        return 0.0
+    return bad_n / total_n
+
+
 def _ingest_tick(store: SeriesStore, controller, report) -> None:
     """One controller tick's per-tenant guarantee checks (its frame)."""
     store.ingest_report(report.frame, getattr(controller, "_vm_tenant", {}))
@@ -286,6 +301,16 @@ class SLOPlane:
         self._detectors: Dict[Tuple[str, LabelSet], EwmaDetector] = {}
         self.transitions_total = 0
         self.last_tick: Optional[int] = None
+        #: The rule banks and the anomaly lane's watch list, built for a
+        #: store of ``_banks_key`` series (series are never removed).
+        self._banks: List[Tuple] = []
+        self._watched: List[Series] = []
+        self._banks_key = -1
+        #: ``on_tick``'s fixed series, bound on first use.
+        self._deadline_series: Optional[Tuple[Series, Series]] = None
+        self._stage_series: List[Series] = []
+        self._errors_series: Optional[Series] = None
+        self._billing_series: Optional[Tuple[Series, Series]] = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -310,23 +335,50 @@ class SLOPlane:
         """The controller ``_finish`` hook: ingest, evaluate, page."""
         store = self.store
         _ingest_tick(store, controller, report)
-        seconds = report.timings.total
+        # Each group of fixed series is bound where the first tick
+        # would have created it, so the store's series order is as if
+        # every append named its labels.
         if self.config.wallclock:
-            bad = 1.0 if seconds > self.config.deadline_s else 0.0
-            store.accumulate(S_DEADLINE_BAD, bad)
-            store.accumulate(S_DEADLINE_CHECKS, 1.0)
-            for stage in STAGES:
-                store.append(
-                    S_STAGE_SECONDS, getattr(report.timings, stage),
-                    {"stage": stage},
+            if self._deadline_series is None:
+                self._deadline_series = (
+                    store.series(S_DEADLINE_BAD),
+                    store.series(S_DEADLINE_CHECKS),
                 )
+                self._stage_series = [
+                    store.series(S_STAGE_SECONDS, {"stage": stage})
+                    for stage in STAGES
+                ]
+            timings = report.timings
+            deadline_bad, deadline_checks = self._deadline_series
+            deadline_bad.accumulate(
+                1.0 if timings.total > self.config.deadline_s else 0.0
+            )
+            deadline_checks.accumulate(1.0)
+            for series, stage in zip(self._stage_series, STAGES):
+                series.append(getattr(timings, stage))
         backend = getattr(controller, "backend", None)
         if backend is not None:
-            store.ingest_backend_stats(backend.stats, source=self.node)
+            if self._errors_series is None:
+                self._errors_series = store.series(
+                    S_BACKEND_ERRORS, {"source": self.node}
+                )
+            stats = backend.stats
+            self._errors_series.append(
+                float(stats.read_errors + stats.write_errors)
+            )
         billing = getattr(controller, "billing", None)
         if billing is not None:
+            if self._billing_series is None:
+                labels = {"node": self.node}
+                self._billing_series = (
+                    store.series(S_REVENUE_USD, labels),
+                    store.series(S_CREDITS_USD, labels),
+                )
             # The meter numbered this tick 1-based in ``on_tick``.
-            store.ingest_billing(billing, tick + 1, node=self.node)
+            meter = billing.meter
+            revenue, credits = self._billing_series
+            revenue.accumulate(meter.tick_revenue.get(tick + 1, 0.0))
+            credits.accumulate(meter.tick_credits.get(tick + 1, 0.0))
         transitions = self.evaluate(tick, t=report.t)
         self._maybe_flight_dump(controller, transitions)
 
@@ -377,13 +429,12 @@ class SLOPlane:
     # -- evaluation --------------------------------------------------------
 
     def _bad_ratio(self, spec: SLOSpec, window: int, labels: Dict) -> float:
-        bad = self.store.increase(spec.bad_series, window, labels)
-        total = self.store.increase(spec.total_series, window, labels)
-        if spec.ratio == "of_sum":
-            total = bad + total
-        if total <= 0.0:
-            return 0.0
-        return bad / total
+        store = self.store
+        return _ratio(
+            spec, window,
+            store.get(spec.bad_series, labels),
+            store.get(spec.total_series, labels),
+        )
 
     def burn_rate(self, spec: SLOSpec, window: int, labels: Dict) -> float:
         """Error-budget burn rate over one window (1.0 = exactly on
@@ -406,56 +457,78 @@ class SLOPlane:
         )
         return seen if seen else []
 
-    def evaluate(self, tick: int, *, t: float = 0.0) -> List[Dict]:
-        """Run every rule bank + detector; record and return the new
-        firing/resolved transitions (deterministic order)."""
-        transitions: List[Dict] = []
+    def _refresh_banks(self) -> None:
+        """Rebuild the bank and watch lists after the store grew."""
+        store = self.store
+        if len(store) == self._banks_key:
+            return
+        banks = []
         for spec in self.specs:
             for labelset in self._label_sets(spec):
                 labels = dict(labelset)
+                bad = store.get(spec.bad_series, labels)
+                total = store.get(spec.total_series, labels)
                 for severity in SEVERITIES:
                     rules = [r for r in spec.rules if r.severity == severity]
-                    if not rules:
+                    if rules:
+                        banks.append(
+                            (spec, labelset, labels, severity, rules, bad, total)
+                        )
+        self._banks = banks
+        self._watched = self._watched_series()
+        self._banks_key = len(store)
+
+    def evaluate(self, tick: int, *, t: float = 0.0) -> List[Dict]:
+        """Run every rule bank + detector; record and return the new
+        firing/resolved transitions (deterministic order).
+
+        A rule is skipped unread when every raw point its short window
+        covers is equal: its bad increase there is exactly 0.0 (or NaN),
+        so its short burn rate cannot reach ``factor > 0`` and it cannot
+        fire.  A bank without a bad series has nothing to fire on.
+        """
+        self._refresh_banks()
+        capacity = self.store.capacity
+        transitions: List[Dict] = []
+        for spec, labelset, labels, severity, rules, bad, total in self._banks:
+            fired = None
+            if bad is not None:
+                points = bad.total
+                flat = points - bad.changed
+                budget = spec.error_budget
+                for rule in rules:
+                    short = rule.short_window
+                    if short <= capacity and min(points, short) <= flat:
                         continue
-                    fired = None
-                    for rule in rules:
-                        burn_long = self.burn_rate(
-                            spec, rule.long_window, labels
-                        )
-                        burn_short = self.burn_rate(
-                            spec, rule.short_window, labels
-                        )
-                        if burn_long >= rule.factor and burn_short >= rule.factor:
-                            fired = (rule, burn_long, burn_short)
-                            break
-                    key = (spec.name, labelset, severity)
-                    active = key in self._firing
-                    if fired is not None and not active:
-                        rule, burn_long, burn_short = fired
-                        transition = self._transition(
-                            spec, labelset, severity, "firing", tick, t,
-                            rule=rule, burn_long=burn_long,
-                            burn_short=burn_short,
-                        )
-                        self._firing[key] = transition
-                        transitions.append(transition)
-                    elif fired is None and active:
-                        fired_rule = self._firing.pop(key)["rule"]
-                        rule = BurnRateRule(
-                            fired_rule["long"], fired_rule["short"],
-                            fired_rule["factor"], severity,
-                        )
-                        transition = self._transition(
-                            spec, labelset, severity, "resolved", tick, t,
-                            rule=rule,
-                            burn_long=self.burn_rate(
-                                spec, rule.long_window, labels
-                            ),
-                            burn_short=self.burn_rate(
-                                spec, rule.short_window, labels
-                            ),
-                        )
-                        transitions.append(transition)
+                    burn_long = _ratio(spec, rule.long_window, bad, total) / budget
+                    burn_short = _ratio(spec, short, bad, total) / budget
+                    if burn_long >= rule.factor and burn_short >= rule.factor:
+                        fired = (rule, burn_long, burn_short)
+                        break
+            key = (spec.name, labelset, severity)
+            active = key in self._firing
+            if fired is not None and not active:
+                rule, burn_long, burn_short = fired
+                transition = self._transition(
+                    spec, labelset, severity, "firing", tick, t,
+                    rule=rule, burn_long=burn_long,
+                    burn_short=burn_short,
+                )
+                self._firing[key] = transition
+                transitions.append(transition)
+            elif fired is None and active:
+                fired_rule = self._firing.pop(key)["rule"]
+                rule = BurnRateRule(
+                    fired_rule["long"], fired_rule["short"],
+                    fired_rule["factor"], severity,
+                )
+                transition = self._transition(
+                    spec, labelset, severity, "resolved", tick, t,
+                    rule=rule,
+                    burn_long=self.burn_rate(spec, rule.long_window, labels),
+                    burn_short=self.burn_rate(spec, rule.short_window, labels),
+                )
+                transitions.append(transition)
         transitions.extend(self._evaluate_anomalies(tick, t))
         for transition in transitions:
             self.ledger.record(transition)
@@ -508,7 +581,7 @@ class SLOPlane:
         if self.config.anomaly is None:
             return []
         transitions: List[Dict] = []
-        for series in self._watched_series():
+        for series in self._watched:
             key = (series.name, series.labels)
             detector = self._detectors.get(key)
             if detector is None:

@@ -35,8 +35,6 @@ controllers' decision ledgers.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import compress
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -81,6 +79,7 @@ class Series:
     __slots__ = (
         "name", "labels", "capacity", "fanout",
         "_bufs", "_counts", "_acc", "_accn", "total",
+        "last", "changed", "cumulative",
     )
 
     def __init__(
@@ -105,15 +104,26 @@ class Series:
         self._acc = [0.0] * depth          # partial sums feeding level k+1
         self._accn = [0] * depth
         self.total = 0                     # raw points ever appended
+        #: Most recent raw value (0.0 before the first append).
+        self.last = 0.0
+        #: Raw index of the latest append whose value differed from the
+        #: point before it (the first append counts): the ``total -
+        #: changed`` newest raw points are all equal.
+        self.changed = 0
+        #: Running sum of every :meth:`accumulate` delta.
+        self.cumulative = 0.0
 
     def append(self, value: float) -> None:
         v = float(value)
+        n = self.total
+        if v != self.last:
+            self.changed = n
+        self.last = v
         bufs = self._bufs
         counts = self._counts
-        n = counts[0]
         bufs[0][n % self.capacity] = v
         counts[0] = n + 1
-        self.total += 1
+        self.total = n + 1
         # Cascade: a filled accumulator pushes one mean to the next level.
         acc, accn = self._acc, self._accn
         fanout = self.fanout
@@ -129,15 +139,20 @@ class Series:
             bufs[k + 1][m % self.capacity] = v
             counts[k + 1] = m + 1
 
+    def accumulate(self, delta: float) -> float:
+        """Add ``delta`` to the running counter and append the new total.
+
+        Ingest sites report per-tick deltas (bad/total counts, credit
+        dollars); queries still see a monotone counter to take
+        ``increase()`` over.
+        """
+        total = self.cumulative + delta
+        self.cumulative = total
+        self.append(total)
+        return total
+
     def __len__(self) -> int:
         return min(self.total, self.capacity)
-
-    @property
-    def last(self) -> float:
-        """Most recent raw value (0.0 before the first append)."""
-        if self.total == 0:
-            return 0.0
-        return float(self._bufs[0][(self._counts[0] - 1) % self.capacity])
 
     def _level_for(self, window_ticks: int) -> int:
         """Finest ladder level whose ring still covers the window."""
@@ -221,6 +236,28 @@ class Series:
         return float(np.quantile(values, q))
 
 
+class _TenantCodes:
+    """Per-row tenant codes of one frame layout (VM list + tenant map).
+
+    Reused tick over tick while the frame's ``vm`` column is the same
+    object and the tenant map is unchanged, as the billing meter reuses
+    its row keys.  ``names`` is sorted, so code order is tenant order.
+    """
+
+    def __init__(self, vm: List[str], tenants: Mapping[str, str]) -> None:
+        self.vm = vm
+        self.tenants = dict(tenants)
+        row_tenants = [tenants.get(name, "default") for name in vm]
+        self.names = sorted(set(row_tenants))
+        code_of = {tenant: k for k, tenant in enumerate(self.names)}
+        self.codes = np.array(
+            [code_of[t] for t in row_tenants], dtype=np.intp
+        )
+
+    def matches(self, vm: List[str], tenants: Mapping[str, str]) -> bool:
+        return vm is self.vm and tenants == self.tenants
+
+
 class SeriesStore:
     """All series of one plane, keyed ``(name, labels)``."""
 
@@ -235,7 +272,9 @@ class SeriesStore:
         self.fanout = fanout
         self.depth = depth
         self._series: Dict[Tuple[str, LabelSet], Series] = {}
-        self._totals: Dict[Tuple[str, LabelSet], float] = {}
+        self._tenant_codes: Optional[_TenantCodes] = None
+        #: tenant -> its (bad, checks) guarantee series.
+        self._tenant_series: Dict[str, Tuple[Series, Series]] = {}
 
     # -- series access -----------------------------------------------------
 
@@ -280,17 +319,8 @@ class SeriesStore:
         self, name: str, delta: float,
         labels: Optional[Mapping[str, str]] = None,
     ) -> float:
-        """Add ``delta`` to a running counter and append the new total.
-
-        The store keeps the cumulative value so ingest sites can report
-        per-tick deltas (bad/total counts, credit dollars) and queries
-        still see a monotone counter to take ``increase()`` over.
-        """
-        key = (name, _labelset(labels))
-        total = self._totals.get(key, 0.0) + delta
-        self._totals[key] = total
-        self.series(name, labels).append(total)
-        return total
+        """:meth:`Series.accumulate` on the ``(name, labels)`` series."""
+        return self.series(name, labels).accumulate(delta)
 
     # -- windowed queries --------------------------------------------------
 
@@ -340,19 +370,29 @@ class SeriesStore:
         if not checked.any():
             return 0, 0
         missed = frame.missed() & checked
-        total_by_tenant: Dict[str, int] = {}
-        bad_by_tenant: Dict[str, int] = {}
-        for by_tenant, mask in ((total_by_tenant, checked), (bad_by_tenant, missed)):
-            for vm, n in Counter(compress(frame.vm, mask.tolist())).items():
-                tenant = tenants.get(vm, "default")
-                by_tenant[tenant] = by_tenant.get(tenant, 0) + n
+        keys = self._tenant_codes
+        if keys is None or not keys.matches(frame.vm, tenants):
+            keys = self._tenant_codes = _TenantCodes(frame.vm, tenants)
+        width = len(keys.names)
+        total_by_code = np.bincount(keys.codes[checked], minlength=width)
+        bad_by_code = np.bincount(keys.codes[missed], minlength=width)
+        pairs = self._tenant_series
         bad = total = 0
-        for tenant in sorted(total_by_tenant):
-            nb = bad_by_tenant.get(tenant, 0)
-            nt = total_by_tenant[tenant]
-            labels = {"tenant": tenant}
-            self.accumulate(S_GUARANTEE_BAD, float(nb), labels)
-            self.accumulate(S_GUARANTEE_CHECKS, float(nt), labels)
+        # Codes follow sorted tenant order; a tenant's pair is created
+        # on its first checked tick, bad before checks.
+        for k in np.flatnonzero(total_by_code).tolist():
+            tenant = keys.names[k]
+            pair = pairs.get(tenant)
+            if pair is None:
+                labels = {"tenant": tenant}
+                pair = pairs[tenant] = (
+                    self.series(S_GUARANTEE_BAD, labels),
+                    self.series(S_GUARANTEE_CHECKS, labels),
+                )
+            nb = int(bad_by_code[k])
+            nt = int(total_by_code[k])
+            pair[0].accumulate(float(nb))
+            pair[1].accumulate(float(nt))
             bad += nb
             total += nt
         return bad, total
