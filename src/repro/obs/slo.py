@@ -471,9 +471,8 @@ class SLOPlane:
                 for severity in SEVERITIES:
                     rules = [r for r in spec.rules if r.severity == severity]
                     if rules:
-                        banks.append(
-                            (spec, labelset, labels, severity, rules, bad, total)
-                        )
+                        key = (spec.name, labelset, severity)
+                        banks.append((key, spec, rules, bad, total))
         self._banks = banks
         self._watched = self._watched_series()
         self._banks_key = len(store)
@@ -490,12 +489,13 @@ class SLOPlane:
         self._refresh_banks()
         capacity = self.store.capacity
         transitions: List[Dict] = []
-        for spec, labelset, labels, severity, rules, bad, total in self._banks:
+        for key, spec, rules, bad, total in self._banks:
+            _, labelset, severity = key
+            budget = spec.error_budget
             fired = None
             if bad is not None:
                 points = bad.total
                 flat = points - bad.changed
-                budget = spec.error_budget
                 for rule in rules:
                     short = rule.short_window
                     if short <= capacity and min(points, short) <= flat:
@@ -505,7 +505,6 @@ class SLOPlane:
                     if burn_long >= rule.factor and burn_short >= rule.factor:
                         fired = (rule, burn_long, burn_short)
                         break
-            key = (spec.name, labelset, severity)
             active = key in self._firing
             if fired is not None and not active:
                 rule, burn_long, burn_short = fired
@@ -525,8 +524,8 @@ class SLOPlane:
                 transition = self._transition(
                     spec, labelset, severity, "resolved", tick, t,
                     rule=rule,
-                    burn_long=self.burn_rate(spec, rule.long_window, labels),
-                    burn_short=self.burn_rate(spec, rule.short_window, labels),
+                    burn_long=_ratio(spec, rule.long_window, bad, total) / budget,
+                    burn_short=_ratio(spec, rule.short_window, bad, total) / budget,
                 )
                 transitions.append(transition)
         transitions.extend(self._evaluate_anomalies(tick, t))

@@ -317,7 +317,7 @@ class TestWork:
         plane.evaluate(2)
         assert plane._banks is not banks
         assert ("tenant", "tenant-9") in {
-            bank[1][0] for bank in plane._banks if bank[1]
+            bank[0][1][0] for bank in plane._banks if bank[0][1]
         }
 
 
