@@ -6,7 +6,7 @@ PYTHON ?= python
 # it first, so check_perf_regression.py gates only what that target wrote.
 SMOKE_RESULTS = benchmarks/smoke-results
 
-.PHONY: install test coverage fuzz-smoke fuzz-long billing-smoke slo-smoke bench bench-smoke figures-check perfbench-digests bench-faults-smoke bench-bulk-smoke bench-obs-smoke bench-rebalance-smoke bench-cluster-smoke bench-slo-smoke obs-smoke examples figures clean
+.PHONY: install test coverage fuzz-smoke fuzz-long billing-smoke slo-smoke bench bench-smoke figures-check perfbench-digests backend-counters bench-faults-smoke bench-bulk-smoke bench-obs-smoke bench-rebalance-smoke bench-cluster-smoke bench-slo-smoke obs-smoke examples figures clean
 
 install:
 	pip install -e '.[dev]'
@@ -72,6 +72,14 @@ figures-check:
 # identical behaviour must print the same lines as its parent commit
 perfbench-digests:
 	$(PYTHON) benchmarks/perfbench_digests.py
+
+# per-tick allocation digests and BackendStats totals of the three
+# kernel-I/O routes perfbench does not run (v2 column route, v2 under
+# an armed fault plan, v1) through fixed churn, same-name recreate and
+# thread-exit schedules (~1 s); CI diffs the output against
+# benchmarks/results/backend_counters.txt
+backend-counters:
+	PYTHONPATH=src $(PYTHON) benchmarks/backend_counters.py
 
 # quick chaos drill (CI gate: under the standard fault mix + one crash
 # the control plane never dies unrecovered, healthy nodes tick every

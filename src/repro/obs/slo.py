@@ -298,13 +298,13 @@ class SLOPlane:
         self.ledger = AlertLedger(cfg.ring, path=path)
         #: (slo, labelset, severity) -> the transition that fired it.
         self._firing: Dict[Tuple[str, LabelSet, str], Dict] = {}
-        self._detectors: Dict[Tuple[str, LabelSet], EwmaDetector] = {}
         self.transitions_total = 0
         self.last_tick: Optional[int] = None
-        #: The rule banks and the anomaly lane's watch list, built for a
-        #: store of ``_banks_key`` series (series are never removed).
+        #: The rule banks and the anomaly lane's watch list (each series
+        #: with its detector), built for a store of ``_banks_key`` series
+        #: (series are never removed).
         self._banks: List[Tuple] = []
-        self._watched: List[Series] = []
+        self._watched: List[Tuple[Series, EwmaDetector]] = []
         self._banks_key = -1
         #: ``on_tick``'s fixed series, bound on first use.
         self._deadline_series: Optional[Tuple[Series, Series]] = None
@@ -564,8 +564,10 @@ class SLOPlane:
 
     # -- the anomaly lane --------------------------------------------------
 
-    def _watched_series(self) -> List:
-        """Series the EWMA detectors fold over, in deterministic order.
+    def _watched_series(self) -> List[Tuple[Series, EwmaDetector]]:
+        """Series the EWMA detectors fold over, each paired with its
+        detector (kept from the current watch list, else new), in
+        deterministic order.
 
         Backend error *rates* are deterministic under a fault plan;
         stage timings are wall-clock and gated on the profile.
@@ -574,18 +576,18 @@ class SLOPlane:
         if self.config.wallclock:
             watched.extend(self.store.select(S_STAGE_SECONDS))
         watched.sort(key=lambda s: (s.name, s.labels))
-        return watched
+        detectors = {id(series): detector for series, detector in self._watched}
+        return [
+            (series, detectors.get(id(series))
+             or EwmaDetector(series.name, self.config.anomaly))
+            for series in watched
+        ]
 
     def _evaluate_anomalies(self, tick: int, t: float) -> List[Dict]:
         if self.config.anomaly is None:
             return []
         transitions: List[Dict] = []
-        for series in self._watched:
-            key = (series.name, series.labels)
-            detector = self._detectors.get(key)
-            if detector is None:
-                detector = EwmaDetector(series.name, self.config.anomaly)
-                self._detectors[key] = detector
+        for series, detector in self._watched:
             # Counters are folded as per-tick rates, gauges as-is.
             value = (
                 series.rate(2)

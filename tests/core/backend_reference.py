@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.backend import HostBackend, SampleBatch, VCpuSample, VCpuSlot
+from repro.core.backend import HostBackend, SampleBatch, VCpuSample
 
 
 class SeedBackend(HostBackend):
@@ -55,11 +55,9 @@ class SeedBackend(HostBackend):
                     usage = self._read_usage_usec(vcpu_path)
                     prev = self._prev_usage.get(vcpu_path, usage)
                     self._prev_usage[vcpu_path] = usage
-                    tid = self._read_tid(vcpu_path)
-                    if tid is None:
+                    slot = self._read_slot(vm_name, child, vcpu_path)
+                    if slot is None:
                         continue
-                    slot = VCpuSlot(vm_name, int(child[len("vcpu"):]),
-                                    vcpu_path, tid)
                     # A fresh frequency cache per vCPU: no per-core dedup.
                     samples.append(self._finish_sample(
                         slot, max(0.0, usage - prev), period_s, {}

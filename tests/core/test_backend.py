@@ -1,7 +1,7 @@
 """Tests for the batched host-backend I/O layer.
 
 The per-file scan that ``sample_all`` falls back to (armed fault plan,
-cgroup v1, unknown topology) is driven directly through ``_scan``; the
+unknown or dead topology) is driven directly through ``_scan``; the
 seed's unbatched access pattern is ``tests/core/backend_reference.py``.
 """
 
